@@ -11,9 +11,11 @@ consecutive interacting indices and "circ" otherwise.  When ``|I| == 1``
 every non-interacting index is in S by convention, and when I is empty there
 is nothing but R.
 
-On top of the decomposition, :func:`identify_family` matches the coefficient
-table against one of five closed patterns (A_I, A_II, B, C, D) or rejects it
-as Inconsistent with a list of concrete violations.  Throughout, the
+On top of the decomposition, :func:`identify_family` picks one of the five
+closed families (A_I, A_II, B, C, D), builds that family's template row for
+the decomposition (:mod:`diffalg.templates`) and solves the row's cells for
+its parameters; a table that disagrees with some cell is Inconsistent, with
+a list of concrete violations.  Throughout, the
 coefficient attached to the *written word* ``D_u D_v`` is ``P.g(u, v)``; for
 ``u < v`` that is the leading coefficient of the pair, otherwise the trailing
 one.
@@ -22,9 +24,12 @@ one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .presentation import AlgebraPresentation
-from .scalars import format_rational, rational
+from .scalars import ONE, ZERO, format_rational
+from .templates import (_FREE, _G, _GI, _GO, _LK, _build_skeleton,
+                        _fmt_components, _tag_components, _total)
 
 __all__ = ["Decomposition", "decompose", "FamilyIdentification", "identify_family"]
 
@@ -74,20 +79,13 @@ def decompose(P: AlgebraPresentation) -> Decomposition:
     comps = _components(R, two_sided)
 
     if len(I) >= 2:
-        gaps = list(zip(I, I[1:]))
-        S: list = []
-        t_circ: list = []
-        t_bullet: list = []
+        coupled: list = []
+        loose: list = []
         for comp in comps:
             couples = any(two_sided(r, i) for r in comp for i in I)
-            if couples:
-                S.extend(comp)
-            elif any(all(lo < t < hi for t in comp) for lo, hi in gaps):
-                t_bullet.append(comp)
-            else:
-                t_circ.append(comp)
-        return Decomposition(P.n, I, R, comps, tuple(sorted(S)),
-                             tuple(t_circ), tuple(t_bullet))
+            (coupled if couples else loose).append(comp)
+        S = tuple(sorted(r for comp in coupled for r in comp))
+        return Decomposition(P.n, I, R, comps, S, *_tag_components(I, loose))
 
     # With at most one interacting index there are no gaps and no coupling
     # criterion: every remaining index counts as a bystander.
@@ -109,284 +107,137 @@ def _fmt(v) -> str:
     return format_rational(v)
 
 
-def _word_pair(u, v):
-    return f"D{u} D{v}"
+def _family(P: AlgebraPresentation, dec: Decomposition) -> str:
+    if len(dec.I) >= 3:
+        trailing = (P.g(j, i) for i, j in combinations(dec.I, 2))
+        return "A_II" if all(v == 0 for v in trailing) else "A_I"
+    return ("D", "C", "B")[len(dec.I)]
 
 
-class _Collector:
-    """Accumulates pattern violations and extracted parameters."""
-
-    def __init__(self, P: AlgebraPresentation):
-        self.P = P
-        self.violations: list = []
-        self.params: dict = {}
-
-    def expect(self, u, v, value, what):
-        actual = self.P.g(u, v)
-        if actual != value:
-            self.violations.append(
-                f"coefficient of {_word_pair(u, v)} is {_fmt(actual)}, "
-                f"but {what} requires {_fmt(value)}")
-
-    def uniform(self, cells, name, what):
-        """All (u, v) cells must share one value; returns it (or None)."""
-        values = {}
-        for u, v in cells:
-            values.setdefault(self.P.g(u, v), []).append((u, v))
-        if len(values) == 1:
-            value = next(iter(values))
-            self.params[name] = value
-            return value
-        listing = "; ".join(
-            f"{_word_pair(u, v)} -> {_fmt(val)}"
-            for val, pairs in sorted(values.items(), key=lambda kv: str(kv[0]))
-            for u, v in pairs[:1])
-        self.violations.append(
-            f"{what} must carry a single coefficient, found {listing}")
-        return None
+_PATTERN = {"A_I": "uniform pattern", "A_II": "one-sided pattern",
+            "B": "offset pattern", "C": "offset pattern", "D": "free pattern"}
 
 
 def identify_family(P: AlgebraPresentation, dec: Decomposition | None = None
                     ) -> FamilyIdentification:
+    """Match the coefficient table against the template row of its family.
+
+    The row's cells give every written word's coefficient as a ±1 linear
+    expression in named parameters.  Each parameter is read, in report
+    order, from the words whose other parameters are already known, so every
+    word is read once, for the last of its parameters.  When all readings of
+    a parameter have one form (the parameter alone, or beside known ones)
+    they must agree, and a disagreement is one violation listing the values
+    found.  Otherwise the first reading of the parameter alone defines it and
+    every other reading is checked on its own, as is every word the row
+    gives coefficient 0.  Every leading word must be nonzero.
+    """
     if dec is None:
         dec = decompose(P)
-    if len(dec.I) >= 3:
-        trailing = [P.g(j, i) for idx, i in enumerate(dec.I)
-                    for j in dec.I[idx + 1:]]
-        if trailing and all(v == 0 for v in trailing):
-            col = _match_linear(P, dec)
-            family = "A_II"
-        else:
-            col = _match_uniform(P, dec)
-            family = "A_I"
-    elif len(dec.I) == 2:
-        col = _match_pair(P, dec)
-        family = "B"
-    elif len(dec.I) == 1:
-        col = _match_single(P, dec)
-        family = "C"
-    else:
-        col = _match_free(P, dec)
-        family = "D"
-    if col.violations:
-        return FamilyIdentification("Inconsistent", dict(col.params),
-                                    tuple(col.violations))
-    return FamilyIdentification(family, dict(col.params))
-
-
-def _pairs(indices):
-    for a, i in enumerate(indices):
-        for j in indices[a + 1:]:
-            yield i, j
-
-
-def _match_uniform(P, dec) -> _Collector:
-    """Uniform two-sided pattern on I (family A_I)."""
-    col = _Collector(P)
     I = dec.I  # noqa: E741
-    cells = [(u, v) for u, v in _pairs(I)] + [(v, u) for u, v in _pairs(I)]
-    g = col.uniform(cells, "g", "the interacting set")
-    if g == 0:
-        col.violations.append("the uniform interacting coefficient is 0")
-    for s in dec.S:
-        cells = [(min(i, s), max(i, s)) for i in I] + \
-                [(max(i, s), min(i, s)) for i in I]
-        gs = col.uniform(cells, f"g{s}", f"coupling of bystander {s} to I")
-        if gs == 0:
-            col.violations.append(
-                f"bystander {s} carries coefficient 0 against the "
-                f"interacting set, so it cannot couple two-sidedly")
-    for k, comp in enumerate(dec.T_circ, start=1):
-        above = [(i, t) for t in comp for i in I if i < t]
-        below = [(t, i) for t in comp for i in I if t < i]
-        vals = {}
-        for u, v in above:
-            vals.setdefault(P.g(u, v), []).append((u, v))
-        for u, v in below:
-            vals.setdefault(-P.g(u, v), []).append((u, v))
-        if len(vals) != 1:
-            col.violations.append(
-                f"component {{{','.join(map(str, comp))}}} must carry one "
-                f"signed coefficient against I (positive above, negative "
-                f"below), found "
-                + "; ".join(f"{_word_pair(u, v)} -> {_fmt(P.g(u, v))}"
-                            for pairs in vals.values() for u, v in pairs[:1]))
-        else:
-            col.params[f"go{k}"] = next(iter(vals))
-        for u, v in above:
-            col.expect(v, u, 0, "a non-coupling component")
-        for u, v in below:
-            col.expect(v, u, 0, "a non-coupling component")
-    for k, comp in enumerate(dec.T_bullet, start=1):
-        above = [(i, t) for t in comp for i in I if i < t]
-        below = [(t, i) for t in comp for i in I if t < i]
-        col.uniform(above, f"gbp{k}",
-                    f"the lower side of component {{{','.join(map(str, comp))}}}")
-        col.uniform(below, f"gbm{k}",
-                    f"the upper side of component {{{','.join(map(str, comp))}}}")
-        for u, v in above + below:
-            col.expect(v, u, 0, "a non-coupling component")
-    for i in dec.I:
-        col.params[f"x{i}"] = P.x(i)
-    return col
+    family = _family(P, dec)
+    wide = len(I) >= 2
+    skel = _build_skeleton(P.n, family, I, dec.S if wide else (),
+                           dec.T_circ, dec.T_bullet,
+                           () if wide else dec.R_components)
+    # A_II only fixes differences of the g<i>: anchor the largest at zero.
+    preset = {f"g{I[-1]}": ZERO} if family == "A_II" else {}
+    values = dict(preset)
+
+    # free coefficients match any table, so only pattern parameters are read
+    holding = {name: [] for name, rank in zip(skel.params, skel.ranks)
+               if rank[0] != _FREE}
+    violations = []
+    for u, v, e_uv, e_vu in skel.cells:
+        lead, trail = P.g(u, v), P.g(v, u)
+        if not lead:
+            violations.append(f"coefficient of D{u} D{v} is 0, but the "
+                              f"leading slot of every pair must be invertible")
+        elif family == "D":
+            # every x vanishes, so a relation may be divided by its lead
+            lead, trail = ONE, trail / lead
+        for word in ((u, v, e_uv, lead), (v, u, e_vu, trail)):
+            if not word[2] and word[3]:
+                violations.append(_mismatch(family, I, word, ZERO))
+            for _, name in word[2]:
+                if name in holding:
+                    holding[name].append(word)
+
+    order = sorted((rank, name) for name, rank in zip(skel.params, skel.ranks)
+                   if holding.get(name))
+    for rank, name in order:
+        if name in preset:
+            continue
+        readings = []
+        for word in holding[name]:
+            expr, actual = word[2], word[3]
+            rest = [(c, nm) for c, nm in expr if nm != name]
+            if all(nm in values for _, nm in rest):
+                read = actual - _total(rest, values) if rest else actual
+                positive = (1, name) in expr
+                alone = all(nm in preset for _, nm in rest)
+                readings.append((read if positive else -read, alone, word,
+                                 positive))
+        alone = [r for r in readings if r[1]]
+        if alone and len(alone) < len(readings):
+            values[name] = value = alone[0][0]
+            for read, _, word, positive in readings:
+                if read != value:
+                    shift = value - read if positive else read - value
+                    violations.append(
+                        _mismatch(family, I, word, word[3] + shift))
+        elif readings and all(r[0] == readings[0][0] for r in readings):
+            values[name] = readings[0][0]
+        elif readings:
+            violations.append(_disagreement(skel, rank, readings))
+
+    params = {name: values[name] for _, name in order if name in values}
+    params.update((f"x{i}", P.x(i)) for i in I)
+    if violations:
+        return FamilyIdentification("Inconsistent", params, tuple(violations))
+    return FamilyIdentification(family, params)
 
 
-def _match_linear(P, dec) -> _Collector:
-    """One-sided difference pattern on I (family A_II), anchored at max I."""
-    col = _Collector(P)
-    I = dec.I  # noqa: E741
-    # Parameters are a function of coefficient differences only, so they are
-    # pinned by anchoring the largest interacting index at zero.
-    anchor = I[-1]
-    gi = {i: P.g(i, anchor) for i in I if i != anchor}
-    gi[anchor] = rational(0)
-    for i, j in _pairs(I):
-        col.expect(i, j, gi[i] - gi[j],
-                   "the one-sided difference pattern on I")
-        col.expect(j, i, 0, "the one-sided pattern on I")
-    for i in I:
-        col.params[f"g{i}"] = gi[i]
-    if dec.S:
-        comps = [c for c in dec.R_components if set(c) <= set(dec.S)]
-        for comp in comps:
-            col.violations.append(
-                f"component {{{','.join(map(str, comp))}}} couples "
-                f"two-sidedly to I, which the one-sided pattern on I "
-                f"does not admit")
-    for k, comp in enumerate(dec.T_circ, start=1):
-        shift = None
-        for t in comp:
-            for i in I:
-                if i < t:
-                    shift = P.g(i, t) - gi[i]
-                else:
-                    shift = -P.g(t, i) - gi[i]
-                break
-            break
-        col.params[f"go{k}"] = shift
-        for t in comp:
-            for i in I:
-                if i < t:
-                    col.expect(i, t, gi[i] + shift,
-                               "the shifted one-sided pattern")
-                    col.expect(t, i, 0, "a non-coupling component")
-                else:
-                    col.expect(t, i, -(gi[i] + shift),
-                               "the shifted one-sided pattern")
-                    col.expect(i, t, 0, "a non-coupling component")
-    for k, comp in enumerate(dec.T_bullet, start=1):
-        t0 = comp[0]
-        below = [i for i in I if i < t0]
-        above = [i for i in I if i > t0]
-        shift_p = P.g(below[0], t0) - gi[below[0]]
-        shift_m = P.g(t0, above[0]) + gi[above[0]]
-        col.params[f"gbp{k}"] = shift_p
-        col.params[f"gbm{k}"] = shift_m
-        for t in comp:
-            for i in I:
-                if i < t:
-                    col.expect(i, t, gi[i] + shift_p,
-                               "the lower-side shifted pattern")
-                    col.expect(t, i, 0, "a non-coupling component")
-                else:
-                    col.expect(t, i, shift_m - gi[i],
-                               "the upper-side shifted pattern")
-                    col.expect(i, t, 0, "a non-coupling component")
-    for i in dec.I:
-        col.params[f"x{i}"] = P.x(i)
-    return col
+def _disagreement(skel, rank, readings) -> str:
+    """One violation for a parameter whose readings take several values."""
+    first: dict = {}
+    for value, _, word, _ in readings:
+        first.setdefault(value, word[:2])
+    kind, *index = rank
+    if kind == _LK:
+        comp = skel.R_components[index[0] - 1]
+        listing = "; ".join(
+            f"index {v if u in skel.I else u} -> {_fmt(value)}"
+            for value, (u, v) in first.items())
+        return (f"offset to the interacting index differs inside component "
+                f"{_fmt_components((comp,))}: {listing}")
+    if kind == _G:
+        subject = "the interacting set"
+    elif kind == _GI:
+        subject = f"coupling of bystander {index[0]} to I"
+    elif kind == _GO:
+        comp = _fmt_components((skel.T_circ[index[0] - 1],))
+        subject = f"the signed coupling of component {comp} to I"
+    else:  # gbp<k> (side 0) or gbm<k> (side 1)
+        k, side = index
+        comp = _fmt_components((skel.T_bullet[k - 1],))
+        subject = f"the {('lower', 'upper')[side]} side of component {comp}"
+    listing = "; ".join(f"D{u} D{v} -> {_fmt(value)}"
+                        for value, (u, v) in first.items())
+    return f"{subject} must carry a single coefficient, found {listing}"
 
 
-def _match_pair(P, dec) -> _Collector:
-    """Two interacting indices with offset trailing coefficients (family B)."""
-    col = _Collector(P)
-    i, j = dec.I
-    g = P.g(i, j)
-    lam = g - P.g(j, i)
-    col.params["g"] = g
-    col.params["L"] = lam
-    if g == 0:
-        col.violations.append(
-            f"coefficient of {_word_pair(i, j)} is 0, but the interacting "
-            f"pair must carry an invertible coefficient")
-    for s in dec.S:
-        # The written word D_i D_s carries the bystander coefficient g_s
-        # whatever the relative position of i and s; the three sibling words
-        # follow it, offset by L when s stands on the outside of the word.
-        gs = P.g(i, s)
-        col.params[f"g{s}"] = gs
-        col.expect(s, i, gs - lam, f"the offset pattern against D{i}")
-        col.expect(s, j, gs, f"the offset pattern against D{j}")
-        col.expect(j, s, gs - lam, f"the offset pattern against D{j}")
-        if gs == 0 or gs == lam:
-            col.violations.append(
-                f"bystander {s} carries coefficient {_fmt(gs)} which kills "
-                f"one side of its coupling to I")
-    for k, comp in enumerate(dec.T_circ, start=1):
-        t0 = comp[0]
-        if t0 > i:
-            shift = P.g(i, t0)
-        else:
-            shift = -P.g(t0, i)
-        col.params[f"go{k}"] = shift
-        for t in comp:
-            if t > i:
-                col.expect(i, t, shift, "the non-coupling pattern")
-                col.expect(t, i, 0, "a non-coupling component")
-            else:
-                col.expect(t, i, -shift, "the non-coupling pattern")
-                col.expect(i, t, 0, "a non-coupling component")
-            if t > j:
-                col.expect(j, t, shift - lam, "the non-coupling pattern")
-                col.expect(t, j, 0, "a non-coupling component")
-            else:
-                col.expect(t, j, -(shift - lam), "the non-coupling pattern")
-                col.expect(j, t, 0, "a non-coupling component")
-    for k, comp in enumerate(dec.T_bullet, start=1):
-        col.uniform([(i, t) for t in comp], f"gbp{k}",
-                    f"the lower side of component {{{','.join(map(str, comp))}}}")
-        col.uniform([(t, j) for t in comp], f"gbm{k}",
-                    f"the upper side of component {{{','.join(map(str, comp))}}}")
-        for t in comp:
-            col.expect(t, i, 0, "a non-coupling component")
-            col.expect(j, t, 0, "a non-coupling component")
-    for a in dec.I:
-        col.params[f"x{a}"] = P.x(a)
-    return col
-
-
-def _match_single(P, dec) -> _Collector:
-    """One interacting index; each component shares one offset (family C)."""
-    col = _Collector(P)
-    i = dec.I[0]
-    for r in dec.R:
-        col.params[f"g{r}"] = P.g(i, r)
-    for k, comp in enumerate(dec.R_components, start=1):
-        offsets = {}
-        for r in comp:
-            offsets.setdefault(P.g(i, r) - P.g(r, i), []).append(r)
-        if len(offsets) != 1:
-            listing = "; ".join(
-                f"index {rs[0]} -> {_fmt(off)}"
-                for off, rs in sorted(offsets.items(), key=lambda kv: kv[1][0]))
-            col.violations.append(
-                f"offset to the interacting index differs inside component "
-                f"{{{','.join(map(str, comp))}}}: {listing}")
-        else:
-            col.params[f"L{k}"] = next(iter(offsets))
-    col.params[f"x{i}"] = P.x(i)
-    return col
-
-
-def _match_free(P, dec) -> _Collector:
-    """No interacting indices: every pair is free up to a ratio (family D)."""
-    col = _Collector(P)
-    for u, v in _pairs(tuple(P.generators)):
-        lead = P.g(u, v)
-        if lead == 0:
-            col.violations.append(
-                f"coefficient of {_word_pair(u, v)} is 0, but the leading "
-                f"slot of every pair must be invertible")
-        else:
-            col.params[f"q{v}{u}"] = P.g(v, u) / lead
-    return col
+def _mismatch(family, I, word, expected) -> str:  # noqa: E741
+    """The violation of one written word that disagrees with its cell."""
+    u, v, expr, actual = word
+    pattern = _PATTERN[family]
+    inside = [a for a in (u, v) if a in I]
+    if len(inside) == 1 and not expr:
+        r = v if u in I else u
+        return (f"coefficient of D{u} D{v} is {_fmt(actual)}, so D{r} "
+                f"couples two-sidedly to I, which the {pattern} does not "
+                f"admit")
+    where = (" on I" if len(inside) == 2
+             else f" against D{inside[0]}" if inside else "")
+    return (f"coefficient of D{u} D{v} is {_fmt(actual)}, but the "
+            f"{pattern}{where} requires {_fmt(expected)}")

@@ -18,7 +18,8 @@ from .exprs import ExpressionError, format_poly, parse_poly
 from .presentation import PresentationError, load_presentation, validate_presentation
 from .scalars import format_rational
 from .smoothness import decide_smoothness, verify_witness
-from .templates import generate_templates, render_template
+from .templates import (_fmt_components, _fmt_indices, generate_templates,
+                        render_template)
 
 __all__ = ["main"]
 
@@ -47,16 +48,6 @@ def _parse_expr(text: str, n: int):
         return parse_poly(text, n)
     except ExpressionError as exc:
         raise _CliError(f"bad expression: {exc}") from exc
-
-
-def _fmt_indices(indices) -> str:
-    return " ".join(map(str, indices)) if indices else "-"
-
-
-def _fmt_components(comps) -> str:
-    if not comps:
-        return "-"
-    return " ".join("{" + ",".join(map(str, c)) + "}" for c in comps)
 
 
 def format_form(coeffs: dict) -> str:

@@ -8,10 +8,14 @@ admissible index structures for a given size — either one representative
 row per canonical grouping (``mode="paper"``) or every index structure
 (``mode="full"``) — and ``instantiate_template`` turns a template plus a
 rational value for each parameter into a concrete presentation, enforcing
-the template's restrictions exactly.
+the template's restrictions exactly (A_II restrictions that a common shift
+of the g<i> would change are shown only).
 
-Parameter naming (generator indices are single decimal digits here, which
-keeps names unambiguous for every size this module enumerates):
+The cells of a row are the one definition of its family's pattern:
+``render_template`` prints them and :func:`diffalg.classify.identify_family`
+solves them for the parameters of a concrete table.
+
+Parameter naming:
 
 * ``g``          uniform coefficient on the interacting set (A_I, B)
 * ``g<i>``       per-index coefficient (A_II on I, bystander coupling,
@@ -22,6 +26,10 @@ keeps names unambiguous for every size this module enumerates):
 * ``g<u><v>``    free coefficient of the written word ``D_u D_v``
 * ``q<v><u>``    free trailing ratio for fully non-interacting rows
 * ``x<i>``       inhomogeneous scalar of an interacting index
+
+The two indices of ``g<u><v>`` and ``q<v><u>`` are joined by ``_`` once
+n >= 10 (``g1_11``, ``q11_1``): written side by side they would be ambiguous,
+as ``g111`` could stand for (1, 11) or (11, 1).
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .presentation import AlgebraPresentation
-from .scalars import format_rational, rational
+from .scalars import ONE, ZERO, format_rational, rational
 
 __all__ = ["TemplateError", "TemplateSkeleton", "generate_templates",
            "instantiate_template", "render_template"]
@@ -49,8 +57,8 @@ def _sym(name: str) -> tuple:
     return ((1, name),)
 
 
-def _neg(name: str) -> tuple:
-    return ((-1, name),)
+def _negate(expr: tuple) -> tuple:
+    return tuple((-c, name) for c, name in expr)
 
 
 def _diff(a: str, b: str) -> tuple:
@@ -58,9 +66,11 @@ def _diff(a: str, b: str) -> tuple:
 
 
 def _total(expr: tuple, values: dict):
-    acc = rational(0)
+    """Value of ``expr`` at ``values``; every coefficient is +1 or -1."""
+    acc = ZERO
     for c, name in expr:
-        acc = acc + c * (values[name] if name else rational(1))
+        value = values[name] if name else ONE
+        acc = acc + value if c > 0 else acc - value
     return acc
 
 
@@ -68,8 +78,7 @@ def _render_expr(expr: tuple) -> str:
     if not expr:
         return "0"
     if expr[0][0] < 0:
-        flipped = tuple((-c, name) for c, name in expr)
-        return f"-{_render_expr(flipped)}"
+        return f"-{_render_expr(_negate(expr))}"
     if len(expr) == 1:
         c, name = expr[0]
         if name is None:
@@ -91,7 +100,7 @@ def _render_relation(u: int, v: int, e_uv: tuple, e_vu: tuple,
     if e_uv:
         lhs_terms.append((e_uv, f"D{u} D{v}"))
     if e_vu:
-        lhs_terms.append((tuple((-c, nm) for c, nm in e_vu), f"D{v} D{u}"))
+        lhs_terms.append((_negate(e_vu), f"D{v} D{u}"))
     parts = []
     for expr, word in lhs_terms:
         coeff = _render_expr(expr)
@@ -118,6 +127,12 @@ def _render_relation(u: int, v: int, e_uv: tuple, e_vu: tuple,
     return f"{lhs} = {rhs}"
 
 
+# Ranks order the parameters the way ``classify`` reports them: the kind
+# first, then the indices.  Free coefficients of the written words are not
+# part of any family's pattern and are never reported.
+_G, _L, _GI, _LK, _GO, _GB, _Q, _X, _FREE = range(9)
+
+
 @dataclass(frozen=True)
 class TemplateSkeleton:
     n: int
@@ -127,28 +142,62 @@ class TemplateSkeleton:
     T_circ: tuple
     T_bullet: tuple
     R_components: tuple
-    relations: tuple
-    restrictions: tuple
-    params: tuple
+    params: tuple         # parameter names, in order of first use
+    ranks: tuple          # report rank of each parameter (see _G.._FREE)
     cells: tuple          # (u, v, expr_uv, expr_vu) for every pair u < v
-    checked: tuple        # (expr_left, expr_right, display) enforced as !=
-    pinned_components: tuple  # components whose connectivity is enforced
-    loose: bool = False
+    loose: bool = False   # components need not be connected
+    dense: bool = False   # every ratio of the free row is invertible
 
 
-def _free_cell(u, v, same_component, family):
-    """Coefficients of a pair outside every closed pattern."""
-    if family == "D":
-        lead: tuple = ((1, None),)
-        trail = _sym(f"q{v}{u}") if same_component else _ZERO
+def _pair_name(prefix: str, a: int, b: int, n: int) -> str:
+    """Name of a coefficient keyed by two indices (see the module notes)."""
+    return f"{prefix}{a}_{b}" if n >= 10 else f"{prefix}{a}{b}"
+
+
+def _interacting_cell(family, I, a, t, role, k, use):  # noqa: E741
+    """Coefficients of the written words (D_a D_t, D_t D_a) that the family
+    pattern gives the interacting index ``a`` against ``t``; None when the
+    pattern has no cell for them."""
+    if role == "S" and family == "A_I":
+        gs = _sym(use(f"g{t}", _GI, t))
+        return gs, gs
+    if role == "S" and family == "B":
+        # D_i D_s carries g_s; each sibling word follows it, offset by L
+        # when s stands on the outside of the word
+        gs = use(f"g{t}", _GI, t)
+        return (_sym(gs) if a == I[0] else _diff(gs, "L"),
+                _sym(gs) if a == I[1] else _diff(gs, "L"))
+    if role == "R":  # family C
+        gr = use(f"g{t}", _GI, t)
+        return _sym(gr), _diff(gr, use(f"L{k}", _LK, k))
+    # the remaining cells are one-sided: only the leading word is nonzero
+    if role == "Tc":
+        go = use(f"go{k}", _GO, k)
+        if family == "A_II":
+            lead = ((1, f"g{a}"), (1, go))
+        elif family == "B" and a == I[1]:
+            lead = _diff(go, "L")
+        else:
+            lead = _sym(go)
+        lead = lead if a < t else _negate(lead)
+    elif role == "Tb":
+        base = ((1, f"g{a}"),) if family == "A_II" else _ZERO
+        if a < t:
+            lead = base + _sym(use(f"gbp{k}", _GB, k, 0))
+        else:
+            lead = _sym(use(f"gbm{k}", _GB, k, 1)) + _negate(base)
     else:
-        lead = _sym(f"g{u}{v}")
-        trail = _sym(f"g{v}{u}") if same_component else _ZERO
-    return lead, trail
+        return None
+    return (lead, _ZERO) if a < t else (_ZERO, lead)
 
 
 def _build_skeleton(n, family, I, S, t_circ, t_bullet, r_comps,  # noqa: E741
                     loose=False, dense=False) -> TemplateSkeleton:
+    """The template row of ``family`` on the given index structure.
+
+    Its cells are the one definition of the family pattern: generation
+    renders them and :func:`diffalg.classify.identify_family` solves them.
+    """
     I = tuple(sorted(I))  # noqa: E741
     S = tuple(sorted(S))
     t_circ = tuple(tuple(sorted(c)) for c in t_circ)
@@ -160,131 +209,89 @@ def _build_skeleton(n, family, I, S, t_circ, t_bullet, r_comps,  # noqa: E741
         role[a] = ("I", 0)
     for a in S:
         role[a] = ("S", 0)
-    for k, comp in enumerate(t_circ, start=1):
-        for a in comp:
-            role[a] = ("Tc", k)
-    for k, comp in enumerate(t_bullet, start=1):
-        for a in comp:
-            role[a] = ("Tb", k)
-    for k, comp in enumerate(r_comps, start=1):
-        for a in comp:
-            role[a] = ("R", k)
+    for tag, comps in (("Tc", t_circ), ("Tb", t_bullet), ("R", r_comps)):
+        for k, comp in enumerate(comps, start=1):
+            for a in comp:
+                role[a] = (tag, k)
 
     params: dict = {}
 
-    def use(name):
-        params.setdefault(name, None)
+    def use(name, *rank):
+        params.setdefault(name, rank)
         return name
 
     if family in ("A_I", "B"):
-        use("g")
+        use("g", _G)
     if family == "B":
-        use("L")
+        use("L", _L)
     if family == "A_II":
         for i in I:
-            use(f"g{i}")
+            use(f"g{i}", _GI, i)
 
     cells = []
-    free_leads: list = []
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            ru, ku = role[u]
-            rv, kv = role[v]
-            pattern_pair = {ru, rv} & {"I"}
-            if ru == "I" and rv == "I":
-                if family == "A_I":
-                    cell = (_sym("g"), _sym("g"))
-                elif family == "A_II":
-                    cell = (_diff(f"g{u}", f"g{v}"), _ZERO)
-                else:  # B
-                    cell = (_sym("g"), _diff("g", "L"))
-            elif pattern_pair and "S" in (ru, rv) and family in ("A_I", "B"):
-                s = u if ru == "S" else v
-                gs = use(f"g{s}")
-                if family == "A_I":
-                    cell = (_sym(gs), _sym(gs))
-                else:
-                    i, j = I
-                    def b_word(x, y):
-                        return _sym(gs) if (x == i or y == j) else _diff(gs, "L")
-                    cell = (b_word(u, v), b_word(v, u))
-            elif pattern_pair and "Tc" in (ru, rv):
-                t, k = (u, ku) if ru == "Tc" else (v, kv)
-                a = v if ru == "Tc" else u
-                go = use(f"go{k}")
-                if family == "A_I":
-                    cell = (_sym(go), _ZERO) if a < t else (_neg(go), _ZERO)
-                elif family == "A_II":
-                    gi = f"g{a}"
-                    if a < t:
-                        cell = (((1, gi), (1, go)), _ZERO)
-                    else:
-                        cell = (((-1, gi), (-1, go)), _ZERO)
-                else:  # B
-                    i, j = I
-                    if a == i:
-                        cell = (_sym(go), _ZERO) if a < t else (_neg(go), _ZERO)
-                    else:
-                        if a < t:
-                            cell = (_diff(go, "L"), _ZERO)
-                        else:
-                            cell = (((-1, go), (1, "L")), _ZERO)
-            elif pattern_pair and "Tb" in (ru, rv):
-                t, k = (u, ku) if ru == "Tb" else (v, kv)
-                a = v if ru == "Tb" else u
-                if family == "A_I":
-                    name = use(f"gbp{k}") if a < t else use(f"gbm{k}")
-                    cell = (_sym(name), _ZERO)
-                elif family == "A_II":
-                    gi = f"g{a}"
-                    if a < t:
-                        cell = (((1, gi), (1, use(f"gbp{k}"))), _ZERO)
-                    else:
-                        cell = (((1, use(f"gbm{k}")), (-1, gi)), _ZERO)
-                else:  # B
-                    name = use(f"gbp{k}") if a < t else use(f"gbm{k}")
-                    cell = (_sym(name), _ZERO)
-            elif pattern_pair and family == "C":
-                r = u if rv == "I" else v
-                _, k = role[r]
-                gr = use(f"g{r}")
-                lk = use(f"L{k}")
-                offset = ((1, gr), (-1, lk))
-                if ru == "I":
-                    cell = (_sym(gr), offset)
-                else:
-                    cell = (offset, _sym(gr))
+    for u, v in combinations(range(1, n + 1), 2):
+        ru, ku = role[u]
+        rv, kv = role[v]
+        cell = None
+        if ru == "I" and rv == "I":
+            if family == "A_I":
+                cell = (_sym("g"), _sym("g"))
+            elif family == "A_II":
+                cell = (_diff(f"g{u}", f"g{v}"), _ZERO)
+            else:  # B
+                cell = (_sym("g"), _diff("g", "L"))
+        elif ru == "I":
+            cell = _interacting_cell(family, I, u, v, rv, kv, use)
+        elif rv == "I":
+            cell = _interacting_cell(family, I, v, u, ru, ku, use)
+            cell = cell and cell[::-1]
+        if cell is None:
+            # outside every closed pattern: a free leading coefficient, and
+            # a free trailing one inside a component
+            same = (ru, ku) == (rv, kv)
+            if family == "D":
+                lead: tuple = ((1, None),)
+                trail = _ZERO
+                if same:
+                    trail = _sym(use(_pair_name("q", v, u, n), _Q, u, v))
             else:
-                same = ru == rv and ku == kv and ru in ("Tc", "Tb", "R", "S")
-                lead, trail = _free_cell(u, v, same, family)
-                for _, name in lead + trail:
-                    if name:
-                        use(name)
-                if lead[0][1] is not None:
-                    free_leads.append(lead[0][1])
-                cell = (lead, trail)
-            cells.append((u, v, cell[0], cell[1]))
+                lead = _sym(use(_pair_name("g", u, v, n), _FREE))
+                trail = _ZERO
+                if same:
+                    trail = _sym(use(_pair_name("g", v, u, n), _FREE))
+            cell = (lead, trail)
+        cells.append((u, v) + cell)
 
-    # Restrictions: family-specific named conditions first, then the
-    # invertibility of every free leading coefficient, then the two-sided
-    # chain that exhibits each pinned component's connectivity.
-    checked: list = []
-    display: list = []
+    for i in I:
+        use(f"x{i}", _X, i)
 
-    def require(left: tuple, right: tuple, enforce=True):
-        text = f"{_render_expr(left)} != {_render_expr(right)}"
-        display.append(text)
-        if enforce:
-            checked.append((left, right, text))
+    return TemplateSkeleton(
+        n=n, family=family, I=I, S=S, T_circ=t_circ, T_bullet=t_bullet,
+        R_components=r_comps, params=tuple(params),
+        ranks=tuple(params.values()), cells=tuple(cells),
+        loose=loose, dense=dense)
+
+
+def _restrictions(skel: TemplateSkeleton) -> list:
+    """(left, right, enforced) for every "left != right" of the row.
+
+    Family-specific named conditions come first, then the invertibility of
+    every free leading coefficient, then the two-sided chain that exhibits
+    each pinned component's connectivity.
+    """
+    family, I, S, n = skel.family, skel.I, skel.S, skel.n  # noqa: E741
+    restrictions: list = []
+
+    def require(left: tuple, right: tuple, enforced=True):
+        restrictions.append((left, right, enforced))
 
     if family == "A_I":
         require(_sym("g"), _ZERO)
         for s in S:
             require(_sym(f"g{s}"), _ZERO)
     elif family == "A_II":
-        for a, i in enumerate(I):
-            for j in I[a + 1:]:
-                require(_sym(f"g{i}"), _sym(f"g{j}"))
+        for i, j in combinations(I, 2):
+            require(_sym(f"g{i}"), _sym(f"g{j}"))
     elif family == "B":
         require(_sym("g"), _ZERO)
         require(_sym("g"), _sym("L"))
@@ -292,62 +299,60 @@ def _build_skeleton(n, family, I, S, t_circ, t_bullet, r_comps,  # noqa: E741
             require(_sym(f"g{s}"), _ZERO)
             require(_sym(f"g{s}"), _sym("L"))
     elif family == "C":
-        for k, comp in enumerate(r_comps, start=1):
+        for k, comp in enumerate(skel.R_components, start=1):
             for r in comp:
                 require(_sym(f"g{r}"), _ZERO)
                 require(_sym(f"g{r}"), _sym(f"L{k}"))
 
-    for k in range(1, len(t_circ) + 1):
-        require(_sym(f"go{k}"), _ZERO)
+    # A_II fixes the g<i> only up to a common shift, which go<k>, gbp<k> and
+    # gbm<k> absorb; conditions that such a shift changes are shown but not
+    # enforced (a vanishing g<a> + go<k> is caught as a zero leading slot).
+    invariant = family != "A_II"
+    for k in range(1, len(skel.T_circ) + 1):
+        require(_sym(f"go{k}"), _ZERO, invariant)
         if family == "A_II":
             for i in I:
-                require(_sym(f"g{i}"), _sym(f"go{k}"))
+                require(_sym(f"g{i}"), _sym(f"go{k}"), False)
         if family == "B":
             require(_sym(f"go{k}"), _sym("L"))
-    for k in range(1, len(t_bullet) + 1):
-        require(_sym(f"gbp{k}"), _ZERO)
-        require(_sym(f"gbm{k}"), _ZERO)
+    for k in range(1, len(skel.T_bullet) + 1):
+        require(_sym(f"gbp{k}"), _ZERO, invariant)
+        require(_sym(f"gbm{k}"), _ZERO, invariant)
         if family == "A_II":
             for i in I:
-                require(_sym(f"g{i}"), _neg(f"gbp{k}"))
+                require(_sym(f"g{i}"), _negate(_sym(f"gbp{k}")))
                 require(_sym(f"g{i}"), _sym(f"gbm{k}"))
 
-    if dense:
+    if skel.dense:
         # fully-interlocked representative row: every ratio invertible
         for u, v in combinations(range(1, n + 1), 2):
-            require(_sym(f"q{v}{u}"), _ZERO)
-    else:
-        for name in free_leads:
-            require(_sym(name), _ZERO, enforce=False)
-        if not loose:
-            for comp in t_circ + t_bullet + r_comps:
-                for a, b in zip(comp, comp[1:]):
-                    trail = f"q{b}{a}" if family == "D" else f"g{b}{a}"
-                    require(_sym(trail), _ZERO, enforce=False)
+            require(_sym(_pair_name("q", v, u, n)), _ZERO)
+        return restrictions
+    free = {name for name, rank in zip(skel.params, skel.ranks)
+            if rank[0] == _FREE}
+    for _, _, lead, _ in skel.cells:
+        if lead and lead[0][1] in free:
+            require(lead, _ZERO, False)
+    if not skel.loose:
+        prefix = "q" if family == "D" else "g"
+        for comp in skel.T_circ + skel.T_bullet + skel.R_components:
+            for a, b in zip(comp, comp[1:]):
+                require(_sym(_pair_name(prefix, b, a, n)), _ZERO, False)
+    return restrictions
 
-    for i in I:
-        use(f"x{i}")
 
-    relations = tuple(
-        _render_relation(u, v, e_uv, e_vu, u in I, v in I)
-        for u, v, e_uv, e_vu in cells)
-
-    return TemplateSkeleton(
-        n=n, family=family, I=I, S=S, T_circ=t_circ, T_bullet=t_bullet,
-        R_components=r_comps, relations=relations,
-        restrictions=tuple(display), params=tuple(params),
-        cells=tuple(cells), checked=tuple(checked),
-        pinned_components=t_circ + t_bullet + r_comps, loose=loose)
+def _render_restriction(left: tuple, right: tuple) -> str:
+    return f"{_render_expr(left)} != {_render_expr(right)}"
 
 
 def instantiate_template(skel: TemplateSkeleton, values: dict
                          ) -> AlgebraPresentation:
     """Evaluate a template at rational parameter values.
 
-    Every parameter must be supplied; restrictions, leading invertibility,
-    nonzero inhomogeneous scalars and the connectivity of each pinned
-    component are all enforced, so the result always decomposes back onto
-    the template's index structure.
+    Every parameter must be supplied; enforced restrictions, leading
+    invertibility, nonzero inhomogeneous scalars and the connectivity of
+    each pinned component are all checked, so the result always decomposes
+    back onto the template's index structure.
     """
     vals = {}
     for key, raw in values.items():
@@ -358,9 +363,10 @@ def instantiate_template(skel: TemplateSkeleton, values: dict
         if name not in vals:
             raise TemplateError(f"missing parameter: {name}")
 
-    for left, right, text in skel.checked:
-        if _total(left, vals) == _total(right, vals):
-            raise TemplateError(f"restriction violated: {text}")
+    for left, right, enforced in _restrictions(skel):
+        if enforced and _total(left, vals) == _total(right, vals):
+            raise TemplateError(
+                f"restriction violated: {_render_restriction(left, right)}")
     for i in skel.I:
         if vals[f"x{i}"] == 0:
             raise TemplateError(
@@ -377,7 +383,7 @@ def instantiate_template(skel: TemplateSkeleton, values: dict
         g[(v, u)] = _total(e_vu, vals)
 
     if not skel.loose:
-        for comp in skel.pinned_components:
+        for comp in skel.T_circ + skel.T_bullet + skel.R_components:
             if len(comp) < 2:
                 continue
             seen = {comp[0]}
@@ -390,7 +396,7 @@ def instantiate_template(skel: TemplateSkeleton, values: dict
                         frontier.append(b)
             if len(seen) != len(comp):
                 raise TemplateError(
-                    f"component {{{','.join(map(str, comp))}}} is not "
+                    f"component {_fmt_components((comp,))} is not "
                     f"connected through two-sided pairs")
 
     x = {i: vals[f"x{i}"] for i in skel.I}
@@ -571,9 +577,10 @@ def render_template(skel: TemplateSkeleton, index: int) -> str:
         f"Tbullet: {_fmt_components(skel.T_bullet)}",
         f"R: {_fmt_components(skel.R_components)}",
     ]
-    for rel in skel.relations:
-        lines.append(f"relation: {rel}")
-    for restr in skel.restrictions:
-        lines.append(f"restriction: {restr}")
+    for u, v, e_uv, e_vu in skel.cells:
+        relation = _render_relation(u, v, e_uv, e_vu, u in skel.I, v in skel.I)
+        lines.append(f"relation: {relation}")
+    for left, right, _ in _restrictions(skel):
+        lines.append(f"restriction: {_render_restriction(left, right)}")
     lines.append(f"params: {' '.join(skel.params)}")
     return "\n".join(lines)

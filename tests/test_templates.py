@@ -136,6 +136,23 @@ def test_instantiated_rows_decompose_onto_their_template():
     assert is_pbw(got).pbw
 
 
+def test_one_sided_shift_gives_equal_tables():
+    # A_II fixes g1, g2, g3 only up to a common shift that go1 absorbs, so
+    # the restrictions go1 != 0 and g<i> != go1 are shown but not enforced.
+    skel = rows_of(4, "full")[9]
+    assert (skel.family, skel.I, skel.T_circ) == ("A_II", (1, 2, 3), ((4,),))
+    text = render_template(skel, 10)
+    assert "restriction: go1 != 0" in text
+    assert "restriction: g1 != go1" in text
+    x = {"x1": 1, "x2": 1, "x3": 1}
+    for go1, shifted in ((1, 4), (0, 3)):
+        P = instantiate_template(skel, {"g1": 1, "g2": 2, "g3": 3,
+                                        "go1": go1, **x})
+        Q = instantiate_template(skel, {"g1": -2, "g2": -1, "g3": 0,
+                                        "go1": shifted, **x})
+        assert P == Q
+
+
 def test_loose_free_row_accepts_vanishing_ratios():
     got = instantiate_template(rows_of(3)[8], {"q21": 0, "q31": 5, "q32": 3})
     fam = identify_family(got)
