@@ -30,13 +30,14 @@ the positional sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .classify import Decomposition, FamilyIdentification, decompose, identify_family
-from .engine import Poly, monomial_word, multiply, normal_form, power
+from .engine import Poly, monomial_word, multiply, normal_form, power, word_exponents
 from .presentation import AlgebraPresentation
-from .scalars import rational
+from .scalars import ONE, ZERO, rational
 
 __all__ = [
     "CalculusError", "AffineAutomorphismFamily", "build_automorphisms",
@@ -56,10 +57,17 @@ class CalculusError(ValueError):
 
 @dataclass(frozen=True)
 class AffineAutomorphismFamily:
-    """One affine generator map per index: ``nu_a(D_j) = lam(a,j) D_j + mu(a,j)``."""
+    """One affine generator map per index: ``nu_a(D_j) = lam(a,j) D_j + mu(a,j)``.
+
+    Composed generator maps are derived once per family and kept in
+    ``_memo`` (keyed by index tuple, plus the inverse volume twist); the memo
+    takes no part in equality or hashing.
+    """
 
     n: int
     table: tuple  # table[a-1][j-1] = (lam, mu)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False, hash=False)
 
     def lam(self, a: int, j: int):
         return self.table[a - 1][j - 1][0]
@@ -68,7 +76,27 @@ class AffineAutomorphismFamily:
         return self.table[a - 1][j - 1][1]
 
     def map_of(self, a: int) -> dict:
-        return {j: self.table[a - 1][j - 1] for j in range(1, self.n + 1)}
+        return self.composed((a,))
+
+    def composed(self, indices) -> dict:
+        """Generator map of applying ``nu_k`` for ``k`` in ``indices``, left to right.
+
+        The order is kept as given: a family that does not commute composes
+        to different maps in different orders.
+        """
+        key = tuple(indices)
+        out = self._memo.get(key)
+        if out is None:
+            out = {}
+            for j in range(1, self.n + 1):
+                lam, mu = ONE, ZERO
+                for k in key:
+                    lk, mk = self.table[k - 1][j - 1]
+                    # D_j -> lam D_j + mu, then D_j -> lk D_j + mk inside it
+                    lam, mu = lam * lk, lam * mk + mu
+                out[j] = (lam, mu)
+            self._memo[key] = out
+        return out
 
 
 def build_automorphisms(P: AlgebraPresentation,
@@ -140,7 +168,46 @@ def shift_ansatz(P: AlgebraPresentation,
     return AffineAutomorphismFamily(n, table)
 
 
+def _power_terms(lam, mu, k: int) -> list:
+    """``(i, C(k, i) lam^i mu^(k-i))`` for the nonzero terms of ``(lam D + mu)^k``."""
+    out = []
+    for i in range(k + 1):
+        c = math.comb(k, i) * lam ** i * mu ** (k - i)
+        if c != 0:
+            out.append((i, c))
+    return out
+
+
+def _apply_to_terms(nu_map: dict, terms: dict, n: int) -> dict:
+    """Image of a PBW combination under the multiplicative extension of ``nu_map``.
+
+    ``nu(D_n^{k_n} ... D_1^{k_1})`` is the product, in decreasing index
+    order, of the powers ``(lam_j D_j + mu_j)^{k_j}``.  Expanding each power
+    binomially leaves only products ``D_n^{i_n} ... D_1^{i_1}``, which are
+    PBW monomials already, so no relation is ever applied.
+    """
+    powers: dict = {}
+    out: dict = {}
+    for expts, c in terms.items():
+        partial = [((), c)]
+        for j, k in enumerate(expts, start=1):
+            if k == 0:
+                partial = [(e + (0,), v) for e, v in partial]
+                continue
+            factor = powers.get((j, k))
+            if factor is None:
+                factor = powers[(j, k)] = _power_terms(*nu_map[j], k)
+            partial = [(e + (i,), v * w) for e, v in partial for i, w in factor]
+        for e, v in partial:
+            w = out.get(e)
+            out[e] = v if w is None else w + v
+    return {e: v for e, v in out.items() if v != 0}
+
+
 def _apply_map_to_word(nu_map: dict, word, P: AlgebraPresentation) -> Poly:
+    if all(a >= b for a, b in zip(word, word[1:])):
+        return Poly(P.n, _apply_to_terms(nu_map, {word_exponents(word, P.n): ONE}, P.n))
+    # a word with an ascent is not a PBW monomial: its image needs the relations
     out = Poly.one(P.n)
     for letter in word:
         lam, mu = nu_map[letter]
@@ -151,10 +218,7 @@ def _apply_map_to_word(nu_map: dict, word, P: AlgebraPresentation) -> Poly:
 
 def apply_automorphism(nu_map: dict, p: Poly, P: AlgebraPresentation) -> Poly:
     """Extend one generator map multiplicatively and apply it to ``p``."""
-    out = Poly.zero(P.n)
-    for expts, c in p.terms.items():
-        out = out + _apply_map_to_word(nu_map, monomial_word(expts), P).scale(c)
-    return out
+    return Poly(P.n, _apply_to_terms(nu_map, p.terms, P.n))
 
 
 def _relation_combination(P: AlgebraPresentation, u: int, v: int) -> dict:
@@ -350,10 +414,10 @@ def _merge_twist(left, right, nu: AffineAutomorphismFamily):
 
 def _transport(p: Poly, indices, nu: AffineAutomorphismFamily,
                P: AlgebraPresentation) -> Poly:
-    # the family commutes, so the composition order is immaterial
-    for k in indices:
-        p = apply_automorphism(nu.map_of(k), p, P)
-    return p
+    """Apply ``nu_k`` for ``k`` in ``indices``, left to right, as one composed map."""
+    if not indices:
+        return p
+    return apply_automorphism(nu.composed(indices), p, P)
 
 
 def wedge(xi: GradedForm, eta: GradedForm, nu: AffineAutomorphismFamily,
@@ -403,17 +467,23 @@ def pi_omega(tau: GradedForm) -> Poly:
     return tau.coeffs.get(full, Poly.zero(tau.n))
 
 
-def _omega_maps(nu: AffineAutomorphismFamily):
-    """Per-generator affine data of the composed volume twist."""
-    n = nu.n
-    composed = {}
-    for j in range(1, n + 1):
-        lam, mu = rational(1), rational(0)
-        for a in range(n, 0, -1):
-            la, ma = nu.lam(a, j), nu.mu(a, j)
-            lam, mu = la * lam, la * mu + ma
-        composed[j] = (lam, mu)
-    return composed
+def _omega_maps(nu: AffineAutomorphismFamily) -> dict:
+    """Per-generator affine data of the volume twist ``nu_n o ... o nu_1``."""
+    return nu.composed(range(1, nu.n + 1))
+
+
+def _omega_inverse_maps(nu: AffineAutomorphismFamily) -> dict:
+    """Inverse of the volume twist; stored only once every generator inverts."""
+    inverse = nu._memo.get("omega-inverse")
+    if inverse is None:
+        inverse = {}
+        for j, (lam, mu) in _omega_maps(nu).items():
+            if lam == 0:
+                raise CalculusError(
+                    f"the volume twist is singular: it sends D{j} to a constant")
+            inverse[j] = (ONE / lam, -mu / lam)
+        nu._memo["omega-inverse"] = inverse
+    return inverse
 
 
 def nu_omega(p: Poly, nu: AffineAutomorphismFamily,
@@ -423,13 +493,7 @@ def nu_omega(p: Poly, nu: AffineAutomorphismFamily,
 
 def nu_omega_inverse(p: Poly, nu: AffineAutomorphismFamily,
                      P: AlgebraPresentation) -> Poly:
-    inverse = {}
-    for j, (lam, mu) in _omega_maps(nu).items():
-        if lam == 0:
-            raise CalculusError(
-                f"the volume twist is singular: it sends D{j} to a constant")
-        inverse[j] = (rational(1) / lam, -mu / lam)
-    return apply_automorphism(inverse, p, P)
+    return apply_automorphism(_omega_inverse_maps(nu), p, P)
 
 
 def _monomials(n: int, degree: int):
@@ -471,27 +535,26 @@ def check_integrating_form(P: AlgebraPresentation,
     through the right slot (``"project"``), or both.
     """
     n = P.n
-    duals = _dual_bases(k, nu, n)
-    cobases = _dual_bases(n - k, nu, n)
+    # (dD_J, its dual dD_{J^c} * c_J) for the basis sets of each slot's degree
+    duals = [(basis_form(n, J, Poly.one(n)), basis_form(n, comp, Poly.scalar(n, c)))
+             for J, comp, c in _dual_bases(k, nu, n)]
+    cobases = [(basis_form(n, M, Poly.one(n)), basis_form(n, comp, Poly.scalar(n, c)))
+               for M, comp, c in _dual_bases(n - k, nu, n)]
     monos = [m for d in range(degree_bound + 1) for m in _monomials(n, d)]
     for K in combinations(range(1, n + 1), k):
         for expts in monos:
             omega_prime = basis_form(n, K, Poly.monomial(n, expts))
             if which in ("both", "expand"):
                 total = GradedForm.zero(n, k)
-                for J, comp, c in duals:
-                    bar = basis_form(n, comp, Poly.scalar(n, c))
+                for basis, bar in duals:
                     coefficient = pi_omega(wedge(bar, omega_prime, nu, P))
-                    total = total + right_multiply(
-                        basis_form(n, J, Poly.one(n)), coefficient, P)
+                    total = total + right_multiply(basis, coefficient, P)
                 if total != omega_prime:
                     return False
             if which in ("both", "project"):
                 total = GradedForm.zero(n, k)
-                for M, comp, c in cobases:
-                    bar = basis_form(n, comp, Poly.scalar(n, c))
-                    head = pi_omega(wedge(omega_prime,
-                                          basis_form(n, M, Poly.one(n)), nu, P))
+                for basis, bar in cobases:
+                    head = pi_omega(wedge(omega_prime, basis, nu, P))
                     total = total + left_multiply(
                         nu_omega_inverse(head, nu, P), bar, nu, P)
                 if total != omega_prime:

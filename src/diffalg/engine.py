@@ -205,7 +205,8 @@ def _nf_word(ctx: _Context, word: Word, strategy: str, depth_left: int) -> dict:
         cache[word] = result
         return result
     # every rewrite strictly decreases the global ascent-pair count
-    assert depth_left > 0, "reduction exceeded the degree*(degree+inversions) bound"
+    if depth_left <= 0:
+        raise RuntimeError("reduction exceeded the degree*(degree+inversions) bound")
     a, b = word[p], word[p + 1]
     q, xb_g, xa_g = ctx.rules[(a, b)]
     head, tail = word[:p], word[p + 2:]

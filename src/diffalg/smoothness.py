@@ -159,13 +159,17 @@ def verify_witness(P: AlgebraPresentation, verdict: SmoothnessVerdict,
 
     ``degree_bound`` caps the coefficient degree in the volume-form
     identities (the costliest step); it defaults to 3 for three generators
-    and 2 beyond that.
+    and 2 beyond that.  A negative bound would test no monomial at all, so
+    it raises :class:`SmoothnessError`.
     """
     if verdict.witness is None:
         raise SmoothnessError("the verdict carries no witness to verify")
     nu = verdict.witness
     if degree_bound is None:
         degree_bound = 3 if P.n == 3 else 2
+    if degree_bound < 0:
+        raise SmoothnessError(
+            f"the degree bound must be nonnegative, got {degree_bound}")
     checks = []
     auto = verify_automorphisms(nu, P)
     checks.append(("relations-preserved", auto.relations_preserved))
