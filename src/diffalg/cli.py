@@ -95,7 +95,23 @@ _VERDICT_LINE = {"Smooth": "SMOOTH", "NotSmooth": "NOT-SMOOTH",
 # Largest --degree-bound accepted.  The volume-form checks grow steeply with
 # the bound: at 12 the slower three-generator fixture, b1, verifies in about
 # 9 s on a 2-core x86-64 container (Python 3.11), at 16 in about 35 s.
+# Denominators cost more: an A_I row with every g = 3/2 takes about 26 s at 12.
 MAX_DEGREE_BOUND = 12
+
+# Largest --degree-bound accepted for n >= 4 generators: the checks also grow
+# steeply with n.  Each cap is the largest bound at which the slowest of the
+# Smooth fixtures and one instantiated template row per theorem case verified
+# in under 10 s on the same container; one more doubles that time or worse.
+# At n = 7 the bound 2 took about 5 s and 3 about 15 s, so from n = 7 on only
+# the default bound, 2, is accepted.
+_DEGREE_BOUND_CAPS = {4: 7, 5: 5, 6: 3}
+
+
+def max_degree_bound(n: int) -> int:
+    """Largest ``--degree-bound`` that ``smooth``/``verify-calculus`` accept for n."""
+    if n <= 3:
+        return MAX_DEGREE_BOUND
+    return _DEGREE_BOUND_CAPS.get(n, 2)
 
 
 def _smoothness_report(args) -> int:
@@ -104,6 +120,10 @@ def _smoothness_report(args) -> int:
         raise _CliError(f"--degree-bound must be between 0 and "
                         f"{MAX_DEGREE_BOUND}, got {bound}")
     P = _load(args.file)
+    cap = max_degree_bound(P.n)
+    if bound is not None and bound > cap:
+        raise _CliError(f"--degree-bound for {P.n} generators must be at most "
+                        f"{cap}, got {bound}")
     report = is_pbw(P)
     if not report.pbw:
         a, b, c = report.first_failure

@@ -3,13 +3,45 @@
 The normal-form basis consists of ordered monomials with (weakly) decreasing
 generator indices, D_n^{k_n} ... D_1^{k_1}, encoded as exponent tuples
 (k_1, ..., k_n).  The only rewritable pattern in a word is an adjacent
-increasing pair D_i D_j (i < j), which is replaced using the defining relation
+increasing pair D_a D_b (a < b), which is replaced using the defining relation
 
-    D_i D_j  ->  (g(j,i)/g(i,j)) D_j D_i + (x(j)/g(i,j)) D_i - (x(i)/g(i,j)) D_j
+    D_a D_b  ->  q D_b D_a + (x(b)/g(a,b)) D_a - (x(a)/g(a,b)) D_b,   q = g(b,a)/g(a,b).
 
-Rewriting terminates unconditionally: every word produced by a rewrite has
-strictly fewer increasing (not necessarily adjacent) index pairs than its
-parent, so the length of any reduction chain from w is bounded by that count.
+Two rewriting strategies are kept: LEFTMOST rewrites the first ascent of a
+word, RIGHTMOST the last.  Neither rewrites whole words.  Each context holds
+two multiplication tables keyed by normal monomials m:
+
+    R[(m, b)] = leftmost normal form of m D_b
+    L[(a, m)] = rightmost normal form of D_a m
+
+Leftmost rewriting of a word X.Y never touches Y before X is normal, since
+the first ascent of X.Y lies in X while X has one.  So the leftmost normal
+form of w_1 ... w_k is the left fold that starts from 1 and replaces each
+monomial m by R[(m, w_i)], letter by letter.  By the mirror argument (the
+last ascent of X.Y lies in Y while Y has one), the rightmost normal form is
+the right fold over L.  Both folds reproduce their strategy term for term on
+every presentation, PBW or not, so the triple check below compares exactly
+the two critical paths of the rewriting system.
+
+An entry is derived from a smaller one.  If every letter of m is >= b, m D_b
+is already normal.  Otherwise let a < b be the smallest letter of m, so that
+m D_b = m' D_a D_b with m' = m - e_a.  Its first ascent is the final pair,
+because m' D_a is normal.  Rewriting it gives m' D_b D_a, m' D_a = m and
+m' D_b; in m' D_b D_a leftmost rewriting finishes m' D_b first, and its
+monomials have only letters >= a, so appending D_a leaves them normal:
+
+    R[(m, b)] = q shift_a(R[(m', b)]) + (x(b)/g(a,b)) m - (x(a)/g(a,b)) R[(m', b)]
+
+where shift_a appends D_a (adds 1 to k_a).  Mirror-wise, with c > a the
+largest letter of m and m' = m - e_c,
+
+    L[(a, m)] = q shift_c(L[(a, m')]) + (x(c)/g(a,c)) L[(a, m')] - (x(a)/g(a,c)) m.
+
+Each recursion removes one letter of m, so a chain has at most deg(m) steps;
+it is evaluated with an explicit list, not by recursion, and every entry on
+it is stored.  The tables grow with the number of monomials met, not with
+the number of free words.  ``multiply(p, q)`` is leftmost: it folds each
+monomial of q, spelled as its decreasing word, onto p.
 
 Confluence of the whole system reduces to the words D_a D_b D_c with
 a < b < c: rewrite patterns are adjacent increasing pairs, and two overlapping
@@ -119,17 +151,35 @@ class Poly:
 
 
 def _iadd(dst: dict, src: dict, factor) -> None:
-    """dst += factor * src, dropping cancellations."""
+    """dst += factor * src, dropping cancellations; a factor of 1 multiplies nothing."""
+    if factor != 1:
+        src = {m: factor * c for m, c in src.items()}
+    if not dst:
+        dst.update(src)
+        return
     for m, c in src.items():
         v = dst.get(m)
         if v is None:
-            dst[m] = factor * c
+            dst[m] = c
         else:
-            v = v + factor * c
-            if v == 0:
+            v = v + c
+            if not v:
                 del dst[m]
             else:
                 dst[m] = v
+
+
+def _add_term(dst: dict, m, c) -> None:
+    """dst[m] += c, dropping a cancellation."""
+    v = dst.get(m)
+    if v is None:
+        dst[m] = c
+    else:
+        v = v + c
+        if not v:
+            del dst[m]
+        else:
+            dst[m] = v
 
 
 def monomial_word(expts) -> Word:
@@ -147,18 +197,12 @@ def word_exponents(word: Word, n: int) -> Exponents:
     return tuple(expts)
 
 
-def ascent_pairs(word: Word) -> int:
-    """Number of index pairs p < q with word[p] < word[q] (global, not adjacent)."""
-    count = 0
-    for p in range(len(word)):
-        for q in range(p + 1, len(word)):
-            if word[p] < word[q]:
-                count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # per-presentation context
+
+
+def _over(v, g):
+    return v / g if v else v
 
 
 class _Context:
@@ -166,12 +210,17 @@ class _Context:
 
     def __init__(self, P: AlgebraPresentation):
         self.P = P
-        # (i, j) with i < j  ->  (q, xj/g, xi/g) of the rewrite rule
+        # (i, j) with i < j  ->  (q, xj/g, -xi/g) of the rewrite rule; most
+        # coefficients of a table are 0, and a 0 needs no division
         self.rules = {}
         for i in range(1, P.n + 1):
+            neg_xi = -P.x(i) if P.x(i) else P.x(i)
             for j in range(i + 1, P.n + 1):
                 g = P.g(i, j)
-                self.rules[(i, j)] = (P.g(j, i) / g, P.x(j) / g, P.x(i) / g)
+                self.rules[(i, j)] = (_over(P.g(j, i), g), _over(P.x(j), g),
+                                      _over(neg_xi, g))
+        # LEFTMOST: R[(m, b)] = normal form of m D_b; RIGHTMOST: L[(a, m)] =
+        # normal form of D_a m; only products that need a rewrite are stored
         self.nf_cache = {LEFTMOST: {}, RIGHTMOST: {}}
         self.pbw_report = None
 
@@ -186,38 +235,136 @@ def _context(P: AlgebraPresentation) -> _Context:
     return ctx
 
 
-def _find_ascent(word: Word, strategy: str) -> int:
-    positions = range(len(word) - 1) if strategy == LEFTMOST else range(len(word) - 2, -1, -1)
-    for p in positions:
-        if word[p] < word[p + 1]:
-            return p
-    return -1
+def _right_entry(ctx: _Context, m: Exponents, b: int) -> dict:
+    """R[(m, b)], the normal form of m D_b, for a monomial m with a letter below b.
+
+    Strips the smallest letter a of m until it reaches a stored entry or a
+    monomial with no letter below b, then stores every entry on the way back:
+    R[(m, b)] = q shift_a(R[(m - e_a, b)]) + (x_b/g) m - (x_a/g) R[(m - e_a, b)].
+    """
+    table = ctx.nf_cache[LEFTMOST]
+    k = b - 1
+    chain = []
+    while True:
+        for a in range(k):
+            if m[a]:
+                break
+        else:
+            below = {m[:k] + (m[k] + 1,) + m[b:]: ONE}
+            break
+        chain.append((m, a))
+        m = m[:a] + (m[a] - 1,) + m[a + 1:]
+        below = table.get((m, b))
+        if below is not None:
+            break
+    for m, a in reversed(chain):
+        q, xb_g, neg_xa_g = ctx.rules[(a + 1, b)]
+        if q:
+            entry = {v[:a] + (v[a] + 1,) + v[a + 1:]: q * c for v, c in below.items()}
+        else:
+            entry = {}
+        if xb_g:
+            _add_term(entry, m, xb_g)
+        if neg_xa_g:
+            _iadd(entry, below, neg_xa_g)
+        table[(m, b)] = below = entry
+    return below
+
+
+def _left_entry(ctx: _Context, a: int, m: Exponents) -> dict:
+    """L[(a, m)], the normal form of D_a m, for a monomial m with a letter above a.
+
+    The mirror of ``_right_entry``: strips the largest letter c of m, and
+    L[(a, m)] = q shift_c(L[(a, m - e_c)]) + (x_c/g) L[(a, m - e_c)] - (x_a/g) m.
+    """
+    table = ctx.nf_cache[RIGHTMOST]
+    i = a - 1
+    chain = []
+    while True:
+        for c in range(len(m) - 1, i, -1):
+            if m[c]:
+                break
+        else:
+            below = {m[:i] + (m[i] + 1,) + m[a:]: ONE}
+            break
+        chain.append((m, c))
+        m = m[:c] + (m[c] - 1,) + m[c + 1:]
+        below = table.get((a, m))
+        if below is not None:
+            break
+    for m, c in reversed(chain):
+        q, xc_g, neg_xa_g = ctx.rules[(a, c + 1)]
+        if q:
+            entry = {v[:c] + (v[c] + 1,) + v[c + 1:]: q * w for v, w in below.items()}
+        else:
+            entry = {}
+        if xc_g:
+            _iadd(entry, below, xc_g)
+        if neg_xa_g:
+            _add_term(entry, m, neg_xa_g)
+        table[(a, m)] = below = entry
+    return below
+
+
+def _times_generator(ctx: _Context, terms: dict, b: int) -> dict:
+    """Leftmost normal form of (sum of terms) D_b: the sum of c R[(m, b)]."""
+    table = ctx.nf_cache[LEFTMOST]
+    k = b - 1
+    out: dict = {}
+    for m, c in terms.items():
+        if any(m[:k]):
+            entry = table.get((m, b))
+            if entry is None:
+                entry = _right_entry(ctx, m, b)
+            _iadd(out, entry, c)
+        else:  # no letter of m is below b, so m D_b is already normal
+            _add_term(out, m[:k] + (m[k] + 1,) + m[b:], c)
+    return out
+
+
+def _generator_times(ctx: _Context, a: int, terms: dict) -> dict:
+    """Rightmost normal form of D_a (sum of terms): the sum of c L[(a, m)]."""
+    table = ctx.nf_cache[RIGHTMOST]
+    i = a - 1
+    out: dict = {}
+    for m, c in terms.items():
+        if any(m[a:]):
+            entry = table.get((a, m))
+            if entry is None:
+                entry = _left_entry(ctx, a, m)
+            _iadd(out, entry, c)
+        else:  # no letter of m is above a, so D_a m is already normal
+            _add_term(out, m[:i] + (m[i] + 1,) + m[a:], c)
+    return out
 
 
 def _nf_word(ctx: _Context, word: Word, strategy: str, depth_left: int) -> dict:
-    cache = ctx.nf_cache[strategy]
-    hit = cache.get(word)
-    if hit is not None:
-        return hit
-    p = _find_ascent(word, strategy)
-    if p < 0:
-        result = {word_exponents(word, ctx.P.n): ONE}
-        cache[word] = result
-        return result
-    # every rewrite strictly decreases the global ascent-pair count
-    if depth_left <= 0:
+    """Normal form of one word, as a new {exponents: coefficient} dict.
+
+    ``depth_left`` is the caller's rewrite budget.  Every table chain met
+    while folding a word of degree d takes fewer than d rewrites, so
+    ``normal_form`` passes d; a word that still needs a rewrite when no
+    budget is left raises instead, by a check that ``python -O`` keeps.
+    """
+    if depth_left <= 0 and any(a < b for a, b in zip(word, word[1:])):
         raise RuntimeError("reduction exceeded the degree*(degree+inversions) bound")
-    a, b = word[p], word[p + 1]
-    q, xb_g, xa_g = ctx.rules[(a, b)]
-    head, tail = word[:p], word[p + 2:]
-    terms: dict = {}
-    if q != 0:
-        _iadd(terms, _nf_word(ctx, head + (b, a) + tail, strategy, depth_left - 1), q)
-    if xb_g != 0:
-        _iadd(terms, _nf_word(ctx, head + (a,) + tail, strategy, depth_left - 1), xb_g)
-    if xa_g != 0:
-        _iadd(terms, _nf_word(ctx, head + (b,) + tail, strategy, depth_left - 1), -xa_g)
-    cache[word] = terms
+    # the fold starts after the longest non-increasing prefix (LEFTMOST) or
+    # before the longest non-increasing suffix (RIGHTMOST): that part is normal
+    n = ctx.P.n
+    if strategy == LEFTMOST:
+        k = 1
+        while k < len(word) and word[k - 1] >= word[k]:
+            k += 1
+        terms = {word_exponents(word[:k], n): ONE}
+        for b in word[k:]:
+            terms = _times_generator(ctx, terms, b)
+    else:
+        k = len(word) - 1
+        while k > 0 and word[k - 1] >= word[k]:
+            k -= 1
+        terms = {word_exponents(word[k:], n): ONE}
+        for a in reversed(word[:k]):
+            terms = _generator_times(ctx, a, terms)
     return terms
 
 
@@ -232,32 +379,31 @@ def normal_form(w, P: AlgebraPresentation, strategy: str = LEFTMOST) -> Poly:
         raise ValueError(f"unknown strategy {strategy!r}")
     ctx = _context(P)
     if isinstance(w, Poly):
-        combination = {monomial_word(m): c for m, c in w.terms.items()}
-    elif isinstance(w, dict):
+        return Poly(P.n, {m: c for m, c in w.terms.items() if c})
+    if isinstance(w, dict):
         combination = {tuple(word): c for word, c in w.items()}
     else:
         combination = {tuple(w): ONE}
     terms: dict = {}
     for word, coeff in combination.items():
-        if coeff == 0:
-            continue
-        deg = len(word)
-        bound = deg * (deg + ascent_pairs(word)) + 1
-        _iadd(terms, _nf_word(ctx, word, strategy, bound), coeff)
+        if coeff:
+            _iadd(terms, _nf_word(ctx, word, strategy, len(word)), coeff)
     return Poly(P.n, terms)
 
 
 def multiply(p: Poly, q: Poly, P: AlgebraPresentation) -> Poly:
-    """Product in the algebra: concatenate basis words and normalize (bilinear)."""
+    """Product in the algebra: fold each monomial of q, letter by letter, onto p."""
+    if p.is_scalar():
+        return q.scale(p.constant())
+    if q.is_scalar():
+        return p.scale(q.constant())
     ctx = _context(P)
     terms: dict = {}
-    for m1, c1 in p.terms.items():
-        w1 = monomial_word(m1)
-        for m2, c2 in q.terms.items():
-            word = w1 + monomial_word(m2)
-            deg = len(word)
-            bound = deg * (deg + ascent_pairs(word)) + 1
-            _iadd(terms, _nf_word(ctx, word, LEFTMOST, bound), c1 * c2)
+    for m, c in q.terms.items():
+        product = p.terms
+        for b in monomial_word(m):
+            product = _times_generator(ctx, product, b)
+        _iadd(terms, product, c)
     return Poly(P.n, terms)
 
 

@@ -8,10 +8,12 @@ Grammar (whitespace-insensitive between tokens)::
 
 Input words keep their written (noncommutative) order, so ``D1 D2`` and
 ``D2 D1`` parse to different free words; reduction to the basis is the
-engine's job.  Rendering always emits normal-form terms: exponents grouped
-with ``^``, generator indices strictly decreasing inside each word, terms
-ordered by total degree (descending) and then by word (descending), constants
-last.
+engine's job.  A term may have total degree at most ``MAX_TERM_DEGREE``; the
+check runs before a term's word is built, so ``D1^999999999`` is refused
+without allocating it.  Rendering always emits normal-form terms: exponents
+grouped with ``^``, generator indices strictly decreasing inside each word,
+terms ordered by total degree (descending) and then by word (descending),
+constants last.
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ import re
 from .engine import Poly, monomial_word
 from .scalars import format_rational, rational
 
-__all__ = ["ExpressionError", "parse_poly", "format_poly", "format_word"]
+__all__ = ["ExpressionError", "MAX_TERM_DEGREE", "parse_poly", "format_poly",
+           "format_word"]
+
+# Largest total degree of one term.  Far above what reduces in seconds on an
+# inhomogeneous table, but it keeps a written exponent from allocating a word
+# of that length.
+MAX_TERM_DEGREE = 1000
 
 
 class ExpressionError(ValueError):
@@ -101,8 +109,14 @@ def parse_poly(text: str, n: int) -> dict:
                 if idx >= len(tokens) or tokens[idx][0] != "num" or "/" in tokens[idx][1]:
                     raise ExpressionError("exponent must be a nonnegative integer",
                                           tokens[idx - 1][2])
-                k = int(tokens[idx][1])
+                # an exponent of seven or more digits is over the cap, and
+                # int() refuses strings of more than 4300 digits
+                digits = tokens[idx][1].lstrip("0")
+                k = int(digits or "0") if len(digits) <= 6 else MAX_TERM_DEGREE + 1
                 idx += 1
+            if len(word) + k > MAX_TERM_DEGREE:
+                raise ExpressionError(
+                    f"term degree exceeds the limit of {MAX_TERM_DEGREE}", col)
             word.extend([g] * k)
         if not saw_factor and not saw_coeff:
             col = tokens[idx][2] if idx < len(tokens) else None

@@ -9,6 +9,7 @@ render as "p/q" / "p" under str().
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 try:
@@ -50,4 +51,10 @@ def parse_rational(text: str):
 
 def format_rational(q) -> str:
     """Canonical text form: "p" for integers, "p/q" otherwise."""
-    return str(q)
+    try:
+        return str(q)
+    except ValueError:
+        # str() refuses integers longer than sys.get_int_max_str_digits();
+        # Decimal converts an int exactly and prints it without that limit.
+        num = str(Decimal(q.numerator))
+        return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"

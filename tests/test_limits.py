@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from diffalg.cli import MAX_DEGREE_BOUND
+from diffalg.cli import MAX_DEGREE_BOUND, max_degree_bound
 from diffalg.engine import LEFTMOST, _context, _nf_word
+from diffalg.exprs import MAX_TERM_DEGREE, parse_poly
 from diffalg.smoothness import SmoothnessError, decide_smoothness, verify_witness
 
 from conftest import FIXTURES, build
@@ -69,3 +70,40 @@ def test_rewrite_depth_bound_survives_optimized_mode():
     done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                           text=True, timeout=60, env={"PYTHONPATH": str(SRC)})
     assert done.stdout == "raised\n", done.stderr
+
+
+# -- the degree bound per generator count ---------------------------------------------
+
+@pytest.mark.parametrize("command", ["smooth", "verify-calculus"])
+def test_cli_caps_the_bound_by_the_generator_count(capsys, command):
+    cap = max_degree_bound(4)
+    rc, out, err = run(capsys, command, FIXTURES / "p1.dalg",
+                       "--degree-bound", cap + 1)
+    assert rc == 2 and out == ""
+    assert err == (f"error: --degree-bound for 4 generators must be at most "
+                   f"{cap}, got {cap + 1}\n")
+
+
+def test_bound_caps_shrink_with_n_and_admit_the_default():
+    caps = [max_degree_bound(n) for n in range(2, 12)]
+    assert caps[:2] == [MAX_DEGREE_BOUND, MAX_DEGREE_BOUND]
+    assert caps == sorted(caps, reverse=True)
+    assert min(caps) >= 2  # verify_witness's default beyond three generators
+
+
+# -- expression degree ----------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["reduce", "d"])
+@pytest.mark.parametrize("expr, col", [("D1^1001", 1), ("D1^999999999", 1),
+                                       ("D2 D1^500 D3^500", 11),
+                                       ("D3 + D1^" + "9" * 5000, 6)])
+def test_cli_refuses_a_term_above_the_degree_cap(capsys, command, expr, col):
+    rc, out, err = run(capsys, command, FIXTURES / "p3.dalg", expr)
+    assert rc == 2 and out == ""
+    assert err == (f"error: bad expression: term degree exceeds the limit of "
+                   f"{MAX_TERM_DEGREE} (column {col})\n")
+
+
+def test_degree_cap_counts_each_term_alone():
+    combination = parse_poly(f"D1^{MAX_TERM_DEGREE} + D2^0001 D3^{MAX_TERM_DEGREE - 1}", 3)
+    assert sorted(map(len, combination)) == [MAX_TERM_DEGREE, MAX_TERM_DEGREE]
