@@ -22,8 +22,8 @@ from .calculus import (
 )
 from .classify import Decomposition, FamilyIdentification, decompose, identify_family
 from .engine import (
-    LEFTMOST, RIGHTMOST, PBWReport, Poly, TripleCheck, diamond_check_triple,
-    is_pbw, monomial_word, multiply, normal_form, power, word_exponents,
+    PBWReport, Poly, TripleCheck, diamond_check_triple, is_pbw, monomial_word,
+    multiply, normal_form, power, word_exponents,
 )
 from .exprs import ExpressionError, format_poly, format_word, parse_poly
 from .presentation import (
@@ -42,4 +42,22 @@ from .templates import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AffineAutomorphismFamily", "CalculusError", "GradedForm",
+    "apply_automorphism", "basis_form", "build_automorphisms",
+    "check_connectedness", "check_d_squared", "check_integrating_form",
+    "closed_partial_derivative", "differential", "form_differential",
+    "left_multiply", "leibniz_defects", "no_go_residual", "nu_omega",
+    "nu_omega_inverse", "partial_derivative", "pi_omega", "right_multiply",
+    "scalar_form", "shift_ansatz", "verify_automorphisms", "wedge",
+    "Decomposition", "FamilyIdentification", "decompose", "identify_family",
+    "PBWReport", "Poly", "TripleCheck", "diamond_check_triple", "is_pbw",
+    "monomial_word", "multiply", "normal_form", "power", "word_exponents",
+    "ExpressionError", "format_poly", "format_word", "parse_poly",
+    "AlgebraPresentation", "PresentationError", "load_presentation",
+    "parse_presentation", "validate_presentation", "format_rational",
+    "parse_rational", "rational", "Obstruction", "SmoothnessError",
+    "SmoothnessVerdict", "WitnessReport", "decide_smoothness", "gk_dimension",
+    "verify_witness", "TemplateError", "TemplateSkeleton",
+    "generate_templates", "instantiate_template", "render_template",
+]

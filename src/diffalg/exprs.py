@@ -10,10 +10,11 @@ Input words keep their written (noncommutative) order, so ``D1 D2`` and
 ``D2 D1`` parse to different free words; reduction to the basis is the
 engine's job.  A term may have total degree at most ``MAX_TERM_DEGREE``; the
 check runs before a term's word is built, so ``D1^999999999`` is refused
-without allocating it.  Rendering always emits normal-form terms: exponents
-grouped with ``^``, generator indices strictly decreasing inside each word,
-terms ordered by total degree (descending) and then by word (descending),
-constants last.
+without allocating it.  A numerator, denominator or generator index has at
+most ``MAX_LITERAL_DIGITS`` digits, well below the 4300 that ``int()``
+accepts.  Rendering always emits normal-form terms: exponents grouped with
+``^``, generator indices strictly decreasing inside each word, terms ordered
+by total degree (descending) and then by word (descending), constants last.
 """
 
 from __future__ import annotations
@@ -23,13 +24,17 @@ import re
 from .engine import Poly, monomial_word
 from .scalars import format_rational, rational
 
-__all__ = ["ExpressionError", "MAX_TERM_DEGREE", "parse_poly", "format_poly",
-           "format_word"]
+__all__ = ["ExpressionError", "MAX_LITERAL_DIGITS", "MAX_TERM_DEGREE",
+           "parse_poly", "format_poly", "format_word"]
 
 # Largest total degree of one term.  Far above what reduces in seconds on an
 # inhomogeneous table, but it keeps a written exponent from allocating a word
 # of that length.
 MAX_TERM_DEGREE = 1000
+
+# Most digits, leading zeros included, of a numerator, denominator or
+# generator index; exponents are bounded by MAX_TERM_DEGREE instead.
+MAX_LITERAL_DIGITS = 1000
 
 
 class ExpressionError(ValueError):
@@ -40,6 +45,12 @@ class ExpressionError(ValueError):
             message = f"{message} (column {col})"
         super().__init__(message)
         self.col = col
+
+
+def _check_digits(literal: str, col: int) -> None:
+    if any(len(part) > MAX_LITERAL_DIGITS for part in literal.split("/")):
+        raise ExpressionError(f"numeric literal exceeds the limit of "
+                              f"{MAX_LITERAL_DIGITS} digits", col)
 
 
 _TOKEN = re.compile(
@@ -59,6 +70,7 @@ def _tokenize(text: str):
             raise ExpressionError(f"unexpected character {text[pos]!r}", pos + 1)
         if m.lastgroup != "ws" and not (m.lastgroup == "gi"):
             if m.group("gen"):
+                _check_digits(m.group("gi"), pos + 1)
                 tokens.append(("gen", int(m.group("gi")), pos + 1))
             elif m.group("num"):
                 tokens.append(("num", m.group("num"), pos + 1))
@@ -91,6 +103,7 @@ def parse_poly(text: str, n: int) -> dict:
         saw_coeff = False
         saw_factor = False
         if idx < len(tokens) and tokens[idx][0] == "num":
+            _check_digits(tokens[idx][1], tokens[idx][2])
             coeff = rational(tokens[idx][1])
             saw_coeff = True
             idx += 1

@@ -3,13 +3,14 @@
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from diffalg.cli import MAX_DEGREE_BOUND, max_degree_bound
-from diffalg.engine import LEFTMOST, _context, _nf_word
-from diffalg.exprs import MAX_TERM_DEGREE, parse_poly
+from diffalg.cli import MAX_DEGREE_BOUND, MAX_TABLES_N, max_degree_bound
+from diffalg.engine import _context, _nf_word
+from diffalg.exprs import MAX_LITERAL_DIGITS, MAX_TERM_DEGREE, parse_poly
 from diffalg.smoothness import SmoothnessError, decide_smoothness, verify_witness
 
 from conftest import FIXTURES, build
@@ -56,15 +57,15 @@ def test_rewrite_depth_bound_raises():
     P = build(2, {(1, 2): 3, (2, 1): 5}, {1: 7})
     with pytest.raises(RuntimeError, match=r"reduction exceeded the "
                                            r"degree\*\(degree\+inversions\) bound"):
-        _nf_word(_context(P), (1, 2), LEFTMOST, 0)
+        _nf_word(_context(P), (1, 2), 0)
 
 
 def test_rewrite_depth_bound_survives_optimized_mode():
     code = ("from diffalg.presentation import load_presentation\n"
-            "from diffalg.engine import LEFTMOST, _context, _nf_word\n"
+            "from diffalg.engine import _context, _nf_word\n"
             f"P = load_presentation({str(FIXTURES / 'p3.dalg')!r})\n"
             "try:\n"
-            "    _nf_word(_context(P), (1, 2), LEFTMOST, 0)\n"
+            "    _nf_word(_context(P), (1, 2), 0)\n"
             "except RuntimeError:\n"
             "    print('raised')\n")
     done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
@@ -107,3 +108,36 @@ def test_cli_refuses_a_term_above_the_degree_cap(capsys, command, expr, col):
 def test_degree_cap_counts_each_term_alone():
     combination = parse_poly(f"D1^{MAX_TERM_DEGREE} + D2^0001 D3^{MAX_TERM_DEGREE - 1}", 3)
     assert sorted(map(len, combination)) == [MAX_TERM_DEGREE, MAX_TERM_DEGREE]
+
+
+# -- numeric literals -------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["reduce", "d"])
+@pytest.mark.parametrize("expr, col", [("9" * 5000 + " D1", 1), ("D" + "9" * 5000, 1),
+                                       ("D1 + 2/" + "9" * 5000 + " D2", 6),
+                                       ("D1 - " + "0" * 1001 + "3", 6)])
+def test_cli_refuses_a_literal_above_the_digit_cap(capsys, command, expr, col):
+    rc, out, err = run(capsys, command, FIXTURES / "p3.dalg", expr)
+    assert rc == 2 and out == ""
+    assert err == (f"error: bad expression: numeric literal exceeds the limit of "
+                   f"{MAX_LITERAL_DIGITS} digits (column {col})\n")
+
+
+def test_literals_at_the_digit_cap_parse():
+    big = "9" * MAX_LITERAL_DIGITS
+    combination = parse_poly(f"{big}/{big[:-1]}8 D{'0' * (MAX_LITERAL_DIGITS - 1)}1", 3)
+    assert combination == {(1,): Fraction(int(big), int(big) - 1)}
+
+
+# -- tables n -----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", sorted(MAX_TABLES_N))
+def test_tables_refuses_n_above_the_mode_cap(capsys, mode):
+    cap = MAX_TABLES_N[mode]
+    rc, out, err = run(capsys, "tables", cap + 1, "--mode", mode)
+    assert rc == 2 and out == ""
+    assert err == f"error: n must be at most {cap} for --mode {mode}, got {cap + 1}\n"
+
+
+def test_tables_caps_admit_seven_generators():
+    assert min(MAX_TABLES_N.values()) >= 7

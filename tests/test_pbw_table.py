@@ -1,10 +1,11 @@
-"""The multiplication tables against plain first/last-ascent rewriting.
+"""The multiplication table against plain first/last-ascent rewriting.
 
-``engine`` computes normal forms as folds over the tables R[(m, b)] = m D_b
-and L[(a, m)] = D_a m.  The reducer here rewrites whole words with no table
-and no cache: LEFTMOST rewrites the first ascent of a word, RIGHTMOST the
-last.  They must agree term for term on every table, including tables that
-are not PBW, where the two strategies give different answers.
+``engine`` computes normal forms as folds over the table R[(m, b)] = m D_b.
+The reducer here rewrites whole words with no table and no cache: FIRST
+rewrites the first ascent of a word, LAST the last.  ``normal_form`` must
+agree with FIRST term for term on every table, and the two sides of each
+triple check with FIRST and LAST, including on tables that are not PBW,
+where the two orders give different answers.
 """
 
 import random
@@ -14,13 +15,14 @@ from fractions import Fraction
 
 import pytest
 
-from diffalg.engine import (LEFTMOST, RIGHTMOST, Poly, is_pbw, monomial_word,
+from diffalg.engine import (Poly, diamond_check_triple, is_pbw, monomial_word,
                             multiply, normal_form, word_exponents)
 from diffalg.presentation import AlgebraPresentation
 
 from test_cli import run
 
 SEEDS = range(40)
+FIRST, LAST = "first ascent", "last ascent"
 _VALUES = (0, 0, 1, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), 3)
 
 
@@ -41,8 +43,13 @@ def _random_word(rng: random.Random, n: int, longest: int) -> tuple:
     return tuple(rng.randint(1, n) for _ in range(rng.randint(0, longest)))
 
 
-def rewrite(P: AlgebraPresentation, word: tuple, strategy: str) -> dict:
-    """Normal form of ``word`` by rewriting one ascent at a time."""
+def _triples(n: int) -> list:
+    return [(a, b, c) for a in range(1, n + 1)
+            for b in range(a + 1, n + 1) for c in range(b + 1, n + 1)]
+
+
+def rewrite(P: AlgebraPresentation, word: tuple, order: str) -> dict:
+    """Normal form of ``word`` by rewriting one ascent at a time, FIRST or LAST."""
     todo = {tuple(word): Fraction(1)}
     done: dict = {}
     while todo:
@@ -54,7 +61,7 @@ def rewrite(P: AlgebraPresentation, word: tuple, strategy: str) -> dict:
             m = word_exponents(w, P.n)
             done[m] = done.get(m, 0) + c
             continue
-        p = ascents[0] if strategy == LEFTMOST else ascents[-1]
+        p = ascents[0] if order == FIRST else ascents[-1]
         a, b = w[p], w[p + 1]
         g = P.g(a, b)
         for new, coeff in ((w[:p] + (b, a) + w[p + 2:], P.g(b, a) / g),
@@ -76,8 +83,16 @@ def test_normal_form_matches_rewriting(seed):
     rng = random.Random(1000 + seed)
     for _ in range(8):
         word = _random_word(rng, P.n, 6)
-        for strategy in (LEFTMOST, RIGHTMOST):
-            assert normal_form(word, P, strategy).terms == rewrite(P, word, strategy)
+        assert normal_form(word, P).terms == rewrite(P, word, FIRST)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_triple_sides_match_first_and_last_ascent_rewriting(seed):
+    P = _random_table(seed)
+    for triple in _triples(P.n):
+        check = diamond_check_triple(P, *triple)
+        assert check.nf_left.terms == rewrite(P, triple, FIRST)
+        assert check.nf_right.terms == rewrite(P, triple, LAST)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -90,7 +105,7 @@ def test_multiply_matches_rewriting_of_the_joined_words(seed):
     for m1, c1 in p.terms.items():
         for m2, c2 in q.terms.items():
             word = monomial_word(m1) + monomial_word(m2)
-            for m, c in rewrite(P, word, LEFTMOST).items():
+            for m, c in rewrite(P, word, FIRST).items():
                 expected[m] = expected.get(m, 0) + c1 * c2 * c
     assert multiply(p, q, P).terms == {m: c for m, c in expected.items() if c != 0}
 
@@ -98,9 +113,7 @@ def test_multiply_matches_rewriting_of_the_joined_words(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_first_failing_triple_matches_rewriting(seed):
     P = _random_table(seed)
-    failures = [(a, b, c) for a in range(1, P.n + 1)
-                for b in range(a + 1, P.n + 1) for c in range(b + 1, P.n + 1)
-                if rewrite(P, (a, b, c), LEFTMOST) != rewrite(P, (a, b, c), RIGHTMOST)]
+    failures = [t for t in _triples(P.n) if rewrite(P, t, FIRST) != rewrite(P, t, LAST)]
     report = is_pbw(P)
     assert report.first_failure == (failures[0] if failures else None)
     assert report.pbw == (not failures)

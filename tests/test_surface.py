@@ -1,0 +1,37 @@
+"""The package's public names and the engine state the benchmark probe reads."""
+
+import types
+from pathlib import Path
+
+import diffalg
+from diffalg import engine
+
+from conftest import build
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_public_name_resolves():
+    assert len(set(diffalg.__all__)) == len(diffalg.__all__)
+    for name in diffalg.__all__:
+        assert hasattr(diffalg, name), name
+
+
+def _load_tracing():
+    """bench/tracing.py as a module of its own; nothing is installed or written."""
+    path = ROOT / "bench" / "tracing.py"
+    module = types.ModuleType("bench_tracing")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
+    return module
+
+
+def test_bench_probe_reads_the_engine_tables():
+    probe_engine = _load_tracing().probe_engine
+    # a table no other test builds, with a rewrite in every triple
+    P = build(3, {(1, 2): 7, (2, 1): 1, (1, 3): 7, (3, 1): 1, (2, 3): 7, (3, 2): 1},
+              {1: 1, 2: 1, 3: 1})
+    _, before = probe_engine(engine)
+    engine.is_pbw(P)
+    contexts, words = probe_engine(engine)
+    assert contexts is not None and words is not None
+    assert contexts >= 1 and words > (before or 0)
