@@ -15,10 +15,10 @@ The package keeps one concern per module:
 from .calculus import (
     AffineAutomorphismFamily, CalculusError, GradedForm, apply_automorphism,
     basis_form, build_automorphisms, check_connectedness, check_d_squared,
-    check_integrating_form, closed_partial_derivative, differential,
-    form_differential, left_multiply, leibniz_defects, no_go_residual,
-    nu_omega, nu_omega_inverse, partial_derivative, pi_omega, right_multiply,
-    scalar_form, shift_ansatz, verify_automorphisms, wedge,
+    check_integrating_form, differential, form_differential, left_multiply,
+    leibniz_defects, no_go_residual, nu_omega, nu_omega_inverse,
+    partial_derivative, pi_omega, right_multiply, scalar_form, shift_ansatz,
+    verify_automorphisms, wedge,
 )
 from .classify import Decomposition, FamilyIdentification, decompose, identify_family
 from .engine import (
@@ -46,7 +46,7 @@ __all__ = [
     "AffineAutomorphismFamily", "CalculusError", "GradedForm",
     "apply_automorphism", "basis_form", "build_automorphisms",
     "check_connectedness", "check_d_squared", "check_integrating_form",
-    "closed_partial_derivative", "differential", "form_differential",
+    "differential", "form_differential",
     "left_multiply", "leibniz_defects", "no_go_residual", "nu_omega",
     "nu_omega_inverse", "partial_derivative", "pi_omega", "right_multiply",
     "scalar_form", "shift_ansatz", "verify_automorphisms", "wedge",

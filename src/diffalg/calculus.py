@@ -21,11 +21,12 @@ for every ``a != b`` (``g(u, v)`` is the coefficient of the written word
 second interacting index.  One-sided pairs admit no such map; the
 obstruction they leave behind is exposed by :func:`no_go_residual`.
 
-The naive closed form for a lowered partial (bring ``k_a * D_a^{k_a - 1}``
-out front) is valid only for a linear twist; whenever some diagonal map is
-genuinely affine the correct closed form keeps the geometric sum in
-:func:`closed_partial_derivative`, which this module cross-checks against
-the positional sum.
+On a PBW monomial ``D_n^{k_n} ... D_1^{k_1}`` the positional sum needs no
+relation: every letter of the prefix is ``>= l_k`` and every letter of the
+suffix ``<= l_k``, so each term is a PBW monomial already.  The naive closed
+form for a lowered partial (bring ``k_a * D_a^{k_a - 1}`` out front) is
+valid only for a linear twist; whenever some diagonal map is genuinely
+affine the positional sum differs from it by a geometric sum.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .classify import Decomposition, FamilyIdentification, decompose, identify_family
-from .engine import Poly, monomial_word, multiply, normal_form, power, word_exponents
+from .engine import (Poly, _add_term, _iadd, monomial_word, multiply,
+                     normal_form, word_exponents)
 from .presentation import AlgebraPresentation
 from .scalars import ONE, ZERO, rational
 
@@ -43,7 +45,7 @@ __all__ = [
     "CalculusError", "AffineAutomorphismFamily", "build_automorphisms",
     "shift_ansatz", "apply_automorphism", "AutomorphismReport",
     "verify_automorphisms", "differential", "partial_derivative",
-    "closed_partial_derivative", "GradedForm", "basis_form", "scalar_form",
+    "GradedForm", "basis_form", "scalar_form",
     "wedge", "form_differential", "left_multiply", "right_multiply", "pi_omega",
     "nu_omega", "nu_omega_inverse", "check_connectedness",
     "check_integrating_form", "leibniz_defects", "check_d_squared",
@@ -60,8 +62,9 @@ class AffineAutomorphismFamily:
     """One affine generator map per index: ``nu_a(D_j) = lam(a,j) D_j + mu(a,j)``.
 
     Composed generator maps are derived once per family and kept in
-    ``_memo`` (keyed by index tuple, plus the inverse volume twist); the memo
-    takes no part in equality or hashing.
+    ``_memo`` (keyed by index tuple, plus the inverse volume twist), next to
+    the binomial expansions of their powers (see :func:`_powers`); the memo
+    takes no part in equality or hashing, and is freed with the family.
     """
 
     n: int
@@ -169,24 +172,29 @@ def shift_ansatz(P: AlgebraPresentation,
 
 
 def _power_terms(lam, mu, k: int) -> list:
-    """``(i, C(k, i) lam^i mu^(k-i))`` for the nonzero terms of ``(lam D + mu)^k``."""
+    """``(i, C(k, i) lam^i mu^(k-i))`` for the nonzero terms of ``(lam D + mu)^k``.
+
+    A coefficient equal to 1 is the shared ``ONE``, so that callers can skip
+    multiplying by it.
+    """
     out = []
     for i in range(k + 1):
         c = math.comb(k, i) * lam ** i * mu ** (k - i)
         if c != 0:
-            out.append((i, c))
+            out.append((i, ONE if c == 1 else c))
     return out
 
 
-def _apply_to_terms(nu_map: dict, terms: dict, n: int) -> dict:
+def _apply_to_terms(nu_map: dict, terms: dict, n: int, powers: dict) -> dict:
     """Image of a PBW combination under the multiplicative extension of ``nu_map``.
 
     ``nu(D_n^{k_n} ... D_1^{k_1})`` is the product, in decreasing index
     order, of the powers ``(lam_j D_j + mu_j)^{k_j}``.  Expanding each power
     binomially leaves only products ``D_n^{i_n} ... D_1^{i_1}``, which are
-    PBW monomials already, so no relation is ever applied.
+    PBW monomials already, so no relation is ever applied.  ``powers`` holds
+    the expansions already made for ``nu_map``, keyed by ``(j, k)``, and
+    receives the new ones.
     """
-    powers: dict = {}
     out: dict = {}
     for expts, c in terms.items():
         partial = [((), c)]
@@ -197,16 +205,38 @@ def _apply_to_terms(nu_map: dict, terms: dict, n: int) -> dict:
             factor = powers.get((j, k))
             if factor is None:
                 factor = powers[(j, k)] = _power_terms(*nu_map[j], k)
-            partial = [(e + (i,), v * w) for e, v in partial for i, w in factor]
+            partial = [(e + (i,), v if w is ONE else v * w)
+                       for e, v in partial for i, w in factor]
         for e, v in partial:
             w = out.get(e)
             out[e] = v if w is None else w + v
     return {e: v for e, v in out.items() if v != 0}
 
 
+def _powers(nu: AffineAutomorphismFamily, key) -> dict:
+    """The power expansions of one of ``nu``'s maps, kept for the family's life.
+
+    ``key`` names the map as ``_memo`` does: an index tuple for
+    ``composed(key)``, or ``"omega-inverse"``.
+    """
+    return nu._memo.setdefault(("powers", key), {})
+
+
+def _twist_terms(terms: dict, key: tuple, nu: AffineAutomorphismFamily,
+                 n: int) -> dict:
+    """``terms`` under ``composed(key)``, with the family's power expansions."""
+    return _apply_to_terms(nu.composed(key), terms, n, _powers(nu, key))
+
+
+def _non_increasing(word) -> bool:
+    """A word with no ascent spells a PBW monomial."""
+    return all(a >= b for a, b in zip(word, word[1:]))
+
+
 def _apply_map_to_word(nu_map: dict, word, P: AlgebraPresentation) -> Poly:
-    if all(a >= b for a, b in zip(word, word[1:])):
-        return Poly(P.n, _apply_to_terms(nu_map, {word_exponents(word, P.n): ONE}, P.n))
+    if _non_increasing(word):
+        return Poly(P.n, _apply_to_terms(
+            nu_map, {word_exponents(word, P.n): ONE}, P.n, {}))
     # a word with an ascent is not a PBW monomial: its image needs the relations
     out = Poly.one(P.n)
     for letter in word:
@@ -218,7 +248,7 @@ def _apply_map_to_word(nu_map: dict, word, P: AlgebraPresentation) -> Poly:
 
 def apply_automorphism(nu_map: dict, p: Poly, P: AlgebraPresentation) -> Poly:
     """Extend one generator map multiplicatively and apply it to ``p``."""
-    return Poly(P.n, _apply_to_terms(nu_map, p.terms, P.n))
+    return Poly(P.n, _apply_to_terms(nu_map, p.terms, P.n, {}))
 
 
 def _relation_combination(P: AlgebraPresentation, u: int, v: int) -> dict:
@@ -286,19 +316,30 @@ def _d_combination(comb: dict, nu: AffineAutomorphismFamily,
     """Apply the positional differential to a free-word combination.
 
     Returns the one-form coefficients as ``{a: Poly}`` with zero entries
-    dropped.
+    dropped.  On a word without an ascent each term
+    ``nu_l(prefix) * suffix`` is built directly: the monomials of
+    ``nu_l(prefix)`` have only letters ``>= l`` and the suffix only letters
+    ``<= l``, so their product is the monomial with the summed exponents.
     """
+    n = P.n
     out: dict = {}
     for word, c in comb.items():
+        if _non_increasing(word):
+            prefix, suffix = [0] * n, list(word_exponents(word, n))
+            for letter in word:
+                suffix[letter - 1] -= 1
+                image = _twist_terms({tuple(prefix): c}, (letter,), nu, n)
+                dst = out.setdefault(letter, {})
+                for e, v in image.items():
+                    _add_term(dst, tuple(a + b for a, b in zip(e, suffix)), v)
+                prefix[letter - 1] += 1
+            continue
         for k, letter in enumerate(word):
             prefix = _apply_map_to_word(nu.map_of(letter), word[:k], P)
             suffix = normal_form(word[k + 1:], P)
-            piece = multiply(prefix, suffix, P).scale(c)
-            if letter in out:
-                out[letter] = out[letter] + piece
-            else:
-                out[letter] = piece
-    return {a: p for a, p in out.items() if not p.is_zero()}
+            _iadd(out.setdefault(letter, {}),
+                  multiply(prefix, suffix, P).terms, c)
+    return {a: Poly(n, terms) for a, terms in out.items() if terms}
 
 
 def differential(p: Poly, nu: AffineAutomorphismFamily,
@@ -312,40 +353,6 @@ def partial_derivative(a: int, p: Poly, nu: AffineAutomorphismFamily,
                        P: AlgebraPresentation) -> Poly:
     comb = {monomial_word(expts): c for expts, c in p.terms.items()}
     return _d_combination(comb, nu, P).get(a, Poly.zero(P.n))
-
-
-def closed_partial_derivative(a: int, exponents, nu: AffineAutomorphismFamily,
-                              P: AlgebraPresentation) -> Poly:
-    """Closed form of the ``a``-th lowered partial on an ordered product.
-
-    ``exponents`` are the multiplicities ``(k_1, ..., k_n)`` of the
-    ascending product ``D_1^{k_1} ... D_n^{k_n}``.  Factors below ``a``
-    arrive transported by ``nu_a``; the ``a``-th factor contributes a
-    geometric sum pairing ``m`` transported copies with ``k_a - 1 - m``
-    untouched ones, which collapses to ``k_a D_a^{k_a-1}`` only when the
-    diagonal map is linear.
-    """
-    n = P.n
-    ka = exponents[a - 1]
-    if ka == 0:
-        return Poly.zero(n)
-    nu_map = nu.map_of(a)
-    out = Poly.one(n)
-    for b in range(1, a):
-        kb = exponents[b - 1]
-        if kb:
-            out = multiply(out, _apply_map_to_word(nu_map, (b,) * kb, P), P)
-    lam, mu = nu_map[a]
-    da = Poly.generator(n, a)
-    da_img = da.scale(lam) + Poly.scalar(n, mu)
-    middle = Poly.zero(n)
-    for m in range(ka):
-        piece = multiply(power(da_img, m, P), power(da, ka - 1 - m, P), P)
-        middle = middle + piece
-    out = multiply(out, middle, P)
-    tail = tuple(letter for b in range(a + 1, n + 1)
-                 for letter in (b,) * exponents[b - 1])
-    return multiply(out, normal_form(tail, P), P)
 
 
 class GradedForm:
@@ -417,21 +424,23 @@ def _transport(p: Poly, indices, nu: AffineAutomorphismFamily,
     """Apply ``nu_k`` for ``k`` in ``indices``, left to right, as one composed map."""
     if not indices:
         return p
-    return apply_automorphism(nu.composed(indices), p, P)
+    return Poly(P.n, _twist_terms(p.terms, tuple(indices), nu, P.n))
 
 
 def wedge(xi: GradedForm, eta: GradedForm, nu: AffineAutomorphismFamily,
           P: AlgebraPresentation) -> GradedForm:
-    out = GradedForm.zero(xi.n, xi.degree + eta.degree)
+    out: dict = {}
     for J, p in xi.coeffs.items():
         for K, q in eta.coeffs.items():
             if set(J) & set(K):
                 continue
             factor = _merge_twist(J, K, nu)
-            merged = tuple(sorted(J + K))
-            piece = multiply(_transport(p, K, nu, P), q, P).scale(factor)
-            out = out + GradedForm(xi.n, out.degree, {merged: piece})
-    return out
+            if factor == 0:
+                continue
+            piece = multiply(_transport(p, K, nu, P), q, P)
+            _iadd(out.setdefault(tuple(sorted(J + K)), {}), piece.terms, factor)
+    return GradedForm(xi.n, xi.degree + eta.degree,
+                      {J: Poly(xi.n, terms) for J, terms in out.items()})
 
 
 def form_differential(xi: GradedForm, nu: AffineAutomorphismFamily,
@@ -467,17 +476,13 @@ def pi_omega(tau: GradedForm) -> Poly:
     return tau.coeffs.get(full, Poly.zero(tau.n))
 
 
-def _omega_maps(nu: AffineAutomorphismFamily) -> dict:
-    """Per-generator affine data of the volume twist ``nu_n o ... o nu_1``."""
-    return nu.composed(range(1, nu.n + 1))
-
-
 def _omega_inverse_maps(nu: AffineAutomorphismFamily) -> dict:
-    """Inverse of the volume twist; stored only once every generator inverts."""
+    """Inverse of the volume twist ``nu_n o ... o nu_1``; stored only once
+    every generator inverts."""
     inverse = nu._memo.get("omega-inverse")
     if inverse is None:
         inverse = {}
-        for j, (lam, mu) in _omega_maps(nu).items():
+        for j, (lam, mu) in nu.composed(range(1, nu.n + 1)).items():
             if lam == 0:
                 raise CalculusError(
                     f"the volume twist is singular: it sends D{j} to a constant")
@@ -488,12 +493,14 @@ def _omega_inverse_maps(nu: AffineAutomorphismFamily) -> dict:
 
 def nu_omega(p: Poly, nu: AffineAutomorphismFamily,
              P: AlgebraPresentation) -> Poly:
-    return apply_automorphism(_omega_maps(nu), p, P)
+    """The volume twist ``nu_n o ... o nu_1``, applied as one composed map."""
+    return _transport(p, range(1, nu.n + 1), nu, P)
 
 
 def nu_omega_inverse(p: Poly, nu: AffineAutomorphismFamily,
                      P: AlgebraPresentation) -> Poly:
-    return apply_automorphism(_omega_inverse_maps(nu), p, P)
+    return Poly(P.n, _apply_to_terms(_omega_inverse_maps(nu), p.terms, P.n,
+                                     _powers(nu, "omega-inverse")))
 
 
 def _monomials(n: int, degree: int):
@@ -532,7 +539,21 @@ def check_integrating_form(P: AlgebraPresentation,
     """Dual-basis expansion identities of the volume form in degree ``k``.
 
     ``which`` selects the expansion through the left slot (``"expand"``),
-    through the right slot (``"project"``), or both.
+    through the right slot (``"project"``), or both.  Each identity is
+    tested on ``omega' = dD_K * m`` for every basis set ``K`` and every
+    coefficient monomial ``m`` of degree at most ``degree_bound``.
+
+    Bound 0 proves the expansion and bound 1 the projection in every degree.
+    Expand: only the dual of ``dD_K`` meets ``omega'``, and
+    ``bar_K ^ dD_K * m = (const) dD_all * m`` (a scalar passes every twist),
+    so the expansion of ``dD_K * m`` is the expansion of ``dD_K`` times ``m``.
+    Project: only ``M = K^c`` meets ``omega'``, and the identity reads
+    ``dD_K * c nu_K(nu_omega^-1(nu_M(m))) = dD_K * m`` for a constant ``c``.
+    The twists act in closed form, and closed-form twists compose as their
+    generator maps compose, so the composite is one closed-form twist
+    ``D_j -> a_j D_j + b_j``.  It fixes every ``m`` up to ``c`` exactly
+    when ``c = 1`` (the identity at 1) and ``a_j = 1``, ``b_j = 0`` (at each
+    ``D_j``).  Neither argument needs the twists to be automorphisms.
     """
     n = P.n
     # (dD_J, its dual dD_{J^c} * c_J) for the basis sets of each slot's degree

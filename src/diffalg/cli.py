@@ -92,18 +92,21 @@ def _cmd_classify(args) -> int:
 _VERDICT_LINE = {"Smooth": "SMOOTH", "NotSmooth": "NOT-SMOOTH",
                  "Undetermined": "UNDETERMINED"}
 
-# Largest --degree-bound accepted.  The volume-form checks grow steeply with
-# the bound: at 12 the slower three-generator fixture, b1, verifies in about
-# 9 s on a 2-core x86-64 container (Python 3.11), at 16 in about 35 s.
-# Denominators cost more: an A_I row with every g = 3/2 takes about 26 s at 12.
+# Largest --degree-bound accepted.  By default the volume-form identities are
+# proved on module generators; an explicit bound samples them on every
+# coefficient monomial up to that degree, which grows steeply with the bound.
+# Measured 2026-10-18 on a 2-core x86-64 container (Python 3.11), at about half
+# of its full speed: the slower three-generator fixture, b1, verifies in about
+# 5.5 s at 12 and 27 s at 16; an A_I row with every g = 3/2 takes about 25 s
+# at 12.
 MAX_DEGREE_BOUND = 12
 
-# Largest --degree-bound accepted for n >= 4 generators: the checks also grow
-# steeply with n.  Each cap is the largest bound at which the slowest of the
-# Smooth fixtures and one instantiated template row per theorem case verified
-# in under 10 s on the same container; one more doubles that time or worse.
-# At n = 7 the bound 2 took about 5 s and 3 about 15 s, so from n = 7 on only
-# the default bound, 2, is accepted.
+# Largest --degree-bound accepted for n >= 4 generators: the sampled checks
+# also grow steeply with n.  Each cap is the largest bound at which the slowest
+# of the Smooth fixtures and one instantiated template row per theorem case
+# verified in under 10 s on the same container; one more doubles that time or
+# worse.  At n = 7 the bound 2 took about 5 s and 3 about 20 s (2026-10-18, as
+# above), so from n = 7 on only --degree-bound <= 2 is accepted.
 _DEGREE_BOUND_CAPS = {4: 7, 5: 5, 6: 3}
 
 
@@ -232,8 +235,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file")
         p.add_argument("--degree-bound", type=int, default=None,
-                       help="degree cap for the volume-form identities "
-                            f"(0 to {MAX_DEGREE_BOUND})")
+                       help="sample the volume-form identities on every "
+                            "coefficient monomial up to this degree "
+                            f"(0 to {MAX_DEGREE_BOUND}), as a cross-check of "
+                            "the default proof on module generators")
         p.set_defaults(func=_smoothness_report)
 
     p = sub.add_parser("reduce", help="normal form of a polynomial expression")

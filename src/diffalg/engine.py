@@ -123,6 +123,8 @@ class Poly:
         c = rational(c)
         if c == 0:
             return Poly.zero(self.n)
+        if c == 1:
+            return Poly(self.n, dict(self.terms))
         return Poly(self.n, {m: c * v for m, v in self.terms.items()})
 
     def __eq__(self, other):

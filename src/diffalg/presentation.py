@@ -88,6 +88,17 @@ class AlgebraPresentation:
         return "\n".join(lines) + "\n"
 
 
+# Characters of an offending token that an error message repeats.
+QUOTED_TOKEN_CHARS = 20
+
+
+def _quoted(token: str) -> str:
+    """``token`` as an error quotes it: whole when short, else its head and length."""
+    if len(token) <= QUOTED_TOKEN_CHARS:
+        return repr(token)
+    return f"{token[:QUOTED_TOKEN_CHARS]!r}... ({len(token)} characters)"
+
+
 def _strip_comment(line: str) -> str:
     pos = line.find("#")
     return line if pos < 0 else line[:pos]
@@ -123,7 +134,7 @@ def parse_presentation(text: str) -> AlgebraPresentation:
             try:
                 n = int(tokens[2])
             except ValueError:
-                fail(f"invalid integer {tokens[2]!r}", line.find(tokens[2]) + 1)
+                fail(f"invalid integer {_quoted(tokens[2])}", line.find(tokens[2]) + 1)
         elif head == "g":
             if len(tokens) != 5 or tokens[3] != "=":
                 fail("expected 'g I J = RATIONAL'")
@@ -134,7 +145,8 @@ def parse_presentation(text: str) -> AlgebraPresentation:
             except ValueError:
                 fail("generator indices must be integers")
             if not (1 <= i <= n) or not (1 <= j <= n):
-                fail(f"index out of range 1..{n} in 'g {tokens[1]} {tokens[2]}'")
+                fail(f"index out of range 1..{n} in "
+                     f"{_quoted(f'g {tokens[1]} {tokens[2]}')}")
             if i == j:
                 fail(f"g requires two distinct indices, got ({i}, {j})")
             if (i, j) in g:
@@ -142,7 +154,7 @@ def parse_presentation(text: str) -> AlgebraPresentation:
             try:
                 value = parse_rational(tokens[4])
             except ValueError:
-                fail(f"invalid rational {tokens[4]!r}", line.find(tokens[4]) + 1)
+                fail(f"invalid rational {_quoted(tokens[4])}", line.find(tokens[4]) + 1)
             if i < j and value == 0:
                 fail(f"zero leading coefficient g({i}, {j}); relations require g(i, j) != 0 for i < j")
             g[(i, j)] = value
@@ -156,15 +168,15 @@ def parse_presentation(text: str) -> AlgebraPresentation:
             except ValueError:
                 fail("generator index must be an integer")
             if not (1 <= i <= n):
-                fail(f"index out of range 1..{n} in 'x {tokens[1]}'")
+                fail(f"index out of range 1..{n} in {_quoted(f'x {tokens[1]}')}")
             if i in x:
                 fail(f"duplicate assignment of x({i})")
             try:
                 x[i] = parse_rational(tokens[3])
             except ValueError:
-                fail(f"invalid rational {tokens[3]!r}", line.find(tokens[3]) + 1)
+                fail(f"invalid rational {_quoted(tokens[3])}", line.find(tokens[3]) + 1)
         else:
-            fail(f"unrecognized statement {head!r}")
+            fail(f"unrecognized statement {_quoted(head)}")
 
     if n is None:
         raise PresentationError("no 'n = INT' declaration found")

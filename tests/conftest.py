@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from diffalg.engine import Poly
+from diffalg.engine import Poly, multiply, normal_form, power
 from diffalg.presentation import AlgebraPresentation
 from diffalg.scalars import rational
 
@@ -37,6 +37,66 @@ def poly_of(n, words):
             expts[a - 1] += 1
         out = out + Poly.monomial(n, tuple(expts), rational(c))
     return out
+
+
+def transported_power(nu_map, b, k, P):
+    """nu applied to D_b^k one letter at a time: (lam D_b + mu)^k through multiply."""
+    lam, mu = nu_map[b]
+    image = Poly.generator(P.n, b).scale(lam) + Poly.scalar(P.n, mu)
+    return power(image, k, P)
+
+
+def closed_partial_derivative(a, exponents, nu, P):
+    """Closed form of the ``a``-th lowered partial on an ordered product.
+
+    An oracle for ``calculus.partial_derivative``, computed with the engine's
+    ``multiply`` only.  ``exponents`` are the multiplicities
+    ``(k_1, ..., k_n)`` of the ascending product ``D_1^{k_1} ... D_n^{k_n}``.
+    Factors below ``a`` arrive transported by ``nu_a``; the ``a``-th factor
+    contributes a geometric sum pairing ``m`` transported copies with
+    ``k_a - 1 - m`` untouched ones, which collapses to ``k_a D_a^{k_a-1}``
+    only when the diagonal map is linear.
+    """
+    n = P.n
+    ka = exponents[a - 1]
+    if ka == 0:
+        return Poly.zero(n)
+    nu_map = nu.map_of(a)
+    out = Poly.one(n)
+    for b in range(1, a):
+        kb = exponents[b - 1]
+        if kb:
+            out = multiply(out, transported_power(nu_map, b, kb, P), P)
+    da = Poly.generator(n, a)
+    middle = Poly.zero(n)
+    for m in range(ka):
+        piece = multiply(transported_power(nu_map, a, m, P),
+                         power(da, ka - 1 - m, P), P)
+        middle = middle + piece
+    out = multiply(out, middle, P)
+    tail = tuple(letter for b in range(a + 1, n + 1)
+                 for letter in (b,) * exponents[b - 1])
+    return multiply(out, normal_form(tail, P), P)
+
+
+def positional_differential(p, nu, P):
+    """``{a: coefficient of dD_a}`` of d(p), each term through ``multiply``.
+
+    The definition ``sum_k dD_{l_k} * nu_{l_k}(prefix_k) * suffix_k`` over
+    the decreasing word of every monomial, with the twist applied one letter
+    at a time; zero coefficients are dropped.
+    """
+    out = {}
+    for expts, c in p.terms.items():
+        word = tuple(a for a in range(P.n, 0, -1) for _ in range(expts[a - 1]))
+        for k, letter in enumerate(word):
+            nu_map = nu.map_of(letter)
+            prefix = Poly.one(P.n)
+            for b in word[:k]:
+                prefix = multiply(prefix, transported_power(nu_map, b, 1, P), P)
+            piece = multiply(prefix, normal_form(word[k + 1:], P), P).scale(c)
+            out[letter] = out.get(letter, Poly.zero(P.n)) + piece
+    return {a: q for a, q in out.items() if not q.is_zero()}
 
 
 # -- four generators ---------------------------------------------------------

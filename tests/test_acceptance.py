@@ -10,9 +10,8 @@ from itertools import combinations
 
 import pytest
 
-from diffalg.calculus import (build_automorphisms, closed_partial_derivative,
-                              partial_derivative, shift_ansatz,
-                              verify_automorphisms)
+from diffalg.calculus import (build_automorphisms, partial_derivative,
+                              shift_ansatz, verify_automorphisms)
 from diffalg.cli import main
 from diffalg.engine import (Poly, diamond_check_triple, is_pbw, monomial_word,
                             multiply, normal_form)
@@ -21,7 +20,8 @@ from diffalg.smoothness import decide_smoothness
 from diffalg.templates import (TemplateError, generate_templates,
                                instantiate_template)
 
-from conftest import FIXTURES, GOLDEN, build, poly_of
+from conftest import (FIXTURES, GOLDEN, build, closed_partial_derivative,
+                      poly_of)
 
 PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
 

@@ -8,10 +8,10 @@ from itertools import combinations
 
 import pytest
 
-from diffalg.calculus import (CalculusError, GradedForm, basis_form,
-                              build_automorphisms, check_connectedness,
-                              check_d_squared, check_integrating_form,
-                              closed_partial_derivative, differential,
+from diffalg.calculus import (AffineAutomorphismFamily, CalculusError,
+                              GradedForm, basis_form, build_automorphisms,
+                              check_connectedness, check_d_squared,
+                              check_integrating_form, differential,
                               form_differential, leibniz_defects,
                               left_multiply, no_go_residual, nu_omega,
                               nu_omega_inverse, partial_derivative, pi_omega,
@@ -20,7 +20,7 @@ from diffalg.calculus import (CalculusError, GradedForm, basis_form,
 from diffalg.engine import Poly, normal_form
 from diffalg.scalars import rational
 
-from conftest import build, poly_of
+from conftest import build, closed_partial_derivative, poly_of
 
 
 def q(*args):
@@ -176,6 +176,15 @@ def test_wedge_with_repeated_index_vanishes(p1):
     one = Poly.one(4)
     assert wedge(basis_form(4, (1,), one), basis_form(4, (1,), one),
                  nu, p1).is_zero()
+
+
+def test_wedge_through_a_zero_twist_vanishes(p1):
+    rows = [list(row) for row in build_automorphisms(p1).table]
+    rows[0][1] = (q(0), q(1))  # nu_1 sends D2 to a constant: lam(1, 2) = 0
+    nu = AffineAutomorphismFamily(4, tuple(tuple(row) for row in rows))
+    got = wedge(basis_form(4, (2,), Poly.generator(4, 3)),
+                basis_form(4, (1,), Poly.one(4)), nu, p1)
+    assert got.is_zero() and got.coeffs == {}
 
 
 def test_form_arithmetic_guards():

@@ -8,6 +8,7 @@ from diffalg.presentation import (AlgebraPresentation, PresentationError,
 from diffalg.scalars import rational
 
 from conftest import FIXTURES, build
+from test_cli import run
 
 
 def test_parse_minimal():
@@ -80,6 +81,22 @@ def test_parse_errors(text, line, fragment):
         parse_presentation(text)
     assert fragment in str(exc.value)
     assert exc.value.line == line
+
+
+@pytest.mark.parametrize("text", [
+    "n = 3\ng 1 2 = " + "9" * 5000 + "\n",
+    "n = 3\ng 1 2 = 1\nx 1 = " + "9" * 5000 + "\n",
+])
+def test_a_long_coefficient_is_quoted_briefly(capsys, tmp_path, text):
+    path = tmp_path / "long.dalg"
+    path.write_text(text)
+    rc, out, err = run(capsys, "check-pbw", path)
+    assert rc == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert len(lines[0]) < 200
+    assert lines[0].endswith("invalid rational '99999999999999999999'... "
+                             "(5000 characters)")
 
 
 def test_error_column_points_at_value():
