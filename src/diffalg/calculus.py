@@ -23,7 +23,10 @@ obstruction they leave behind is exposed by :func:`no_go_residual`.
 
 On a PBW monomial ``D_n^{k_n} ... D_1^{k_1}`` the positional sum needs no
 relation: every letter of the prefix is ``>= l_k`` and every letter of the
-suffix ``<= l_k``, so each term is a PBW monomial already.  The naive closed
+suffix ``<= l_k``, so each term is a PBW monomial already.  The same holds
+for the two-letter words of a pair relation, ascent or not: the first
+position has an empty prefix and the last an empty suffix, so no term ever
+multiplies a twisted prefix by a nonempty suffix.  The naive closed
 form for a lowered partial (bring ``k_a * D_a^{k_a - 1}`` out front) is
 valid only for a linear twist; whenever some diagonal map is genuinely
 affine the positional sum differs from it by a geometric sum.
@@ -37,7 +40,7 @@ from itertools import combinations
 
 from .classify import Decomposition, FamilyIdentification, decompose, identify_family
 from .engine import (Poly, _add_term, _iadd, monomial_word, multiply,
-                     normal_form, word_exponents)
+                     word_exponents)
 from .presentation import AlgebraPresentation
 from .scalars import ONE, ZERO, rational
 
@@ -228,13 +231,8 @@ def _twist_terms(terms: dict, key: tuple, nu: AffineAutomorphismFamily,
     return _apply_to_terms(nu.composed(key), terms, n, _powers(nu, key))
 
 
-def _non_increasing(word) -> bool:
-    """A word with no ascent spells a PBW monomial."""
-    return all(a >= b for a, b in zip(word, word[1:]))
-
-
 def _apply_map_to_word(nu_map: dict, word, P: AlgebraPresentation) -> Poly:
-    if _non_increasing(word):
+    if all(a >= b for a, b in zip(word, word[1:])):  # a PBW monomial
         return Poly(P.n, _apply_to_terms(
             nu_map, {word_exponents(word, P.n): ONE}, P.n, {}))
     # a word with an ascent is not a PBW monomial: its image needs the relations
@@ -316,29 +314,23 @@ def _d_combination(comb: dict, nu: AffineAutomorphismFamily,
     """Apply the positional differential to a free-word combination.
 
     Returns the one-form coefficients as ``{a: Poly}`` with zero entries
-    dropped.  On a word without an ascent each term
-    ``nu_l(prefix) * suffix`` is built directly: the monomials of
-    ``nu_l(prefix)`` have only letters ``>= l`` and the suffix only letters
-    ``<= l``, so their product is the monomial with the summed exponents.
+    dropped.  Each term ``nu_l(prefix) * suffix`` is built directly, as the
+    monomials of ``nu_l(prefix)`` with the suffix exponents added.  That is
+    exact on the only words this receives: on a PBW monomial the prefix has
+    only letters ``>= l`` and the suffix only letters ``<= l``; on a pair
+    relation word (at most two letters) the prefix or the suffix is empty.
     """
     n = P.n
     out: dict = {}
     for word, c in comb.items():
-        if _non_increasing(word):
-            prefix, suffix = [0] * n, list(word_exponents(word, n))
-            for letter in word:
-                suffix[letter - 1] -= 1
-                image = _twist_terms({tuple(prefix): c}, (letter,), nu, n)
-                dst = out.setdefault(letter, {})
-                for e, v in image.items():
-                    _add_term(dst, tuple(a + b for a, b in zip(e, suffix)), v)
-                prefix[letter - 1] += 1
-            continue
-        for k, letter in enumerate(word):
-            prefix = _apply_map_to_word(nu.map_of(letter), word[:k], P)
-            suffix = normal_form(word[k + 1:], P)
-            _iadd(out.setdefault(letter, {}),
-                  multiply(prefix, suffix, P).terms, c)
+        prefix, suffix = [0] * n, list(word_exponents(word, n))
+        for letter in word:
+            suffix[letter - 1] -= 1
+            image = _twist_terms({tuple(prefix): c}, (letter,), nu, n)
+            dst = out.setdefault(letter, {})
+            for e, v in image.items():
+                _add_term(dst, tuple(a + b for a, b in zip(e, suffix)), v)
+            prefix[letter - 1] += 1
     return {a: Poly(n, terms) for a, terms in out.items() if terms}
 
 

@@ -29,7 +29,7 @@ from itertools import combinations
 from .presentation import AlgebraPresentation
 from .scalars import ONE, ZERO, format_rational
 from .templates import (_FREE, _G, _GI, _GO, _LK, _build_skeleton,
-                        _fmt_components, _tag_components, _total)
+                        _components, _fmt_components, _tag_components, _total)
 
 __all__ = ["Decomposition", "decompose", "FamilyIdentification", "identify_family"]
 
@@ -48,25 +48,6 @@ class Decomposition:
     def T(self) -> tuple:
         members = [t for comp in self.T_circ + self.T_bullet for t in comp]
         return tuple(sorted(members))
-
-
-def _components(members, edge) -> tuple:
-    """Connected components of ``members`` under the symmetric ``edge`` test."""
-    remaining = set(members)
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            u = frontier.pop()
-            for v in list(remaining - comp):
-                if edge(u, v):
-                    comp.add(v)
-                    frontier.append(v)
-        comps.append(tuple(sorted(comp)))
-        remaining -= comp
-    return tuple(sorted(comps, key=min))
 
 
 def decompose(P: AlgebraPresentation) -> Decomposition:

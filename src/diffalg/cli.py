@@ -9,6 +9,7 @@ admissibility problems).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .calculus import differential, shift_ansatz, verify_automorphisms
@@ -58,16 +59,22 @@ def format_form(coeffs: dict) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _cmd_check_pbw(args) -> int:
-    P = _load(args.file)
+def _report_not_pbw(P) -> bool:
+    """Print the first ambiguous triple of ``P``; False when there is none."""
     report = is_pbw(P)
     if report.pbw:
-        print("pbw: true")
-        return 0
+        return False
     a, b, c = report.first_failure
     print("pbw: false")
     print(f"triple: {a} {b} {c}")
-    return 1
+    return True
+
+
+def _cmd_check_pbw(args) -> int:
+    if _report_not_pbw(_load(args.file)):
+        return 1
+    print("pbw: true")
+    return 0
 
 
 def _cmd_classify(args) -> int:
@@ -127,11 +134,7 @@ def _smoothness_report(args) -> int:
     if bound is not None and bound > cap:
         raise _CliError(f"--degree-bound for {P.n} generators must be at most "
                         f"{cap}, got {bound}")
-    report = is_pbw(P)
-    if not report.pbw:
-        a, b, c = report.first_failure
-        print("pbw: false")
-        print(f"triple: {a} {b} {c}")
+    if _report_not_pbw(P):
         return 1
     dec = decompose(P)
     fam = identify_family(P, dec)
@@ -172,11 +175,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_d(args) -> int:
     P = _load(args.file)
     comb = _parse_expr(args.expr, P.n)
-    report = is_pbw(P)
-    if not report.pbw:
-        a, b, c = report.first_failure
-        print("pbw: false")
-        print(f"triple: {a} {b} {c}")
+    if _report_not_pbw(P):
         return 1
     verdict = decide_smoothness(P)
     if verdict.witness is None:
@@ -213,6 +212,7 @@ def _cmd_tables(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diffalg",

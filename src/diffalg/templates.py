@@ -4,12 +4,16 @@ A template pins a family letter together with the index data (I, S, the
 tagged non-coupling components, the component partition of R) and carries,
 for every generator pair, the two word coefficients as small linear
 expressions in named parameters.  ``generate_templates`` enumerates the
-admissible index structures for a given size — either one representative
-row per canonical grouping (``mode="paper"``) or every index structure
-(``mode="full"``) — and ``instantiate_template`` turns a template plus a
-rational value for each parameter into a concrete presentation, enforcing
-the template's restrictions exactly (A_II restrictions that a common shift
-of the g<i> would change are shown only).
+admissible index structures for a given size, and ``instantiate_template``
+turns a template plus a rational value for each parameter into a concrete
+presentation, enforcing the template's restrictions exactly (A_II
+restrictions that a common shift of the g<i> would change are shown only).
+
+``mode="full"`` takes every bystander set and every component partition of
+the remaining indices.  ``mode="paper"`` takes only the canonical partition
+(each run strictly inside one gap of I is a block, the rest one block),
+skips A_I rows without a bystander and marks its one D row dense; for
+``n == 3`` it is the list of nine small cases instead.
 
 The cells of a row are the one definition of its family's pattern:
 ``render_template`` prints them and :func:`diffalg.classify.identify_family`
@@ -384,17 +388,8 @@ def instantiate_template(skel: TemplateSkeleton, values: dict
 
     if not skel.loose:
         for comp in skel.T_circ + skel.T_bullet + skel.R_components:
-            if len(comp) < 2:
-                continue
-            seen = {comp[0]}
-            frontier = [comp[0]]
-            while frontier:
-                a = frontier.pop()
-                for b in comp:
-                    if b not in seen and g[(a, b)] != 0 and g[(b, a)] != 0:
-                        seen.add(b)
-                        frontier.append(b)
-            if len(seen) != len(comp):
+            if len(_components(
+                    comp, lambda a, b: g[(a, b)] != 0 and g[(b, a)] != 0)) > 1:
                 raise TemplateError(
                     f"component {_fmt_components((comp,))} is not "
                     f"connected through two-sided pairs")
@@ -403,26 +398,39 @@ def instantiate_template(skel: TemplateSkeleton, values: dict
     return AlgebraPresentation(skel.n, g, x)
 
 
-def _canonical_t_split(I, t_members):  # noqa: E741
-    """Group non-coupling indices into the canonical components.
+def _components(members, edge) -> tuple:
+    """Connected components of ``members`` under the symmetric ``edge`` test."""
+    remaining = set(members)
+    comps = []
+    while remaining:
+        seed = min(remaining)
+        comp = {seed}
+        frontier = [seed]
+        while frontier:
+            u = frontier.pop()
+            for v in list(remaining - comp):
+                if edge(u, v):
+                    comp.add(v)
+                    frontier.append(v)
+        comps.append(tuple(sorted(comp)))
+        remaining -= comp
+    return tuple(sorted(comps, key=min))
+
+
+def _canonical_partition(I, members):  # noqa: E741
+    """The canonical components of the non-coupling ``members``.
 
     Every maximal run strictly inside one gap between consecutive
-    interacting indices becomes its own "bullet" component; everything
-    outside the gaps (below the least or above the greatest interacting
-    index) is collected into a single "circ" component.
+    interacting indices is its own block; everything outside the gaps
+    (below the least or above the greatest interacting index) forms a
+    single block.  With fewer than two interacting indices there is no gap,
+    so all members form one block.
     """
     gaps = list(zip(I, I[1:]))
-    bullets = []
-    circ: list = []
-    for lo, hi in gaps:
-        inside = [t for t in t_members if lo < t < hi]
-        if inside:
-            bullets.append(tuple(inside))
-    outside = [t for t in t_members
-               if not any(lo < t < hi for lo, hi in gaps)]
-    if outside:
-        circ.append(tuple(outside))
-    return tuple(circ), tuple(bullets)
+    outside = tuple(t for t in members
+                    if not any(lo < t < hi for lo, hi in gaps))
+    inside = (tuple(t for t in members if lo < t < hi) for lo, hi in gaps)
+    return tuple(block for block in (outside, *inside) if block)
 
 
 def _tag_components(I, comps):  # noqa: E741
@@ -478,82 +486,45 @@ def _nine_small_rows() -> list:
 
 
 def generate_templates(n: int, mode: str = "paper") -> list:
-    """Enumerate the template rows for ``n`` generators.
+    """Enumerate the template rows for ``n`` generators (see the module notes).
 
-    ``mode="paper"`` emits one representative row per canonical grouping;
-    for ``n == 3`` that is the list of nine small cases.  ``mode="full"``
-    enumerates every admissible index structure: arbitrary bystander sets,
-    arbitrary component partitions of the non-coupling part, and arbitrary
-    component partitions for single- and zero-interacting rows.
+    Both modes walk I, then S, then a component partition of the remaining
+    indices, in the same order; they differ only where the notes say.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
     if mode not in ("paper", "full"):
         raise ValueError(f"unknown mode: {mode!r}")
+    paper = mode == "paper"
+    if paper and n == 3:
+        return _nine_small_rows()
     everything = tuple(range(1, n + 1))
-    rows: list = []
 
-    if mode == "paper":
-        if n == 3:
-            return _nine_small_rows()
-        for size in range(3, n):
+    def partitions(I, members):  # noqa: E741
+        if paper:
+            return (_canonical_partition(I, members),)
+        return _partitions_sorted(members)
+
+    # (family, sizes of I, whether bystanders are enumerated)
+    shapes = (("A_I", range(3, n + 1), True), ("A_II", range(3, n + 1), False),
+              ("B", (2,), True), ("C", (1,), False), ("D", (0,), False))
+    rows: list = []
+    for family, sizes, bystanders in shapes:
+        for size in sizes:
             for I in combinations(everything, size):  # noqa: E741
                 rest = tuple(a for a in everything if a not in I)
-                for S in _subsets_desc(rest):
-                    if not S:
+                for S in _subsets_desc(rest) if bystanders else ((),):
+                    if paper and family == "A_I" and not S:
                         continue
                     t_members = tuple(a for a in rest if a not in S)
-                    circ, bullets = _canonical_t_split(I, t_members)
-                    rows.append(_build_skeleton(
-                        n, "A_I", I, S, circ, bullets, ()))
-        for size in range(3, n + 1):
-            for I in combinations(everything, size):  # noqa: E741
-                rest = tuple(a for a in everything if a not in I)
-                circ, bullets = _canonical_t_split(I, rest)
-                rows.append(_build_skeleton(
-                    n, "A_II", I, (), circ, bullets, ()))
-        for I in combinations(everything, 2):  # noqa: E741
-            rest = tuple(a for a in everything if a not in I)
-            for S in _subsets_desc(rest):
-                t_members = tuple(a for a in rest if a not in S)
-                circ, bullets = _canonical_t_split(I, t_members)
-                rows.append(_build_skeleton(n, "B", I, S, circ, bullets, ()))
-        for i in everything:
-            rest = tuple(a for a in everything if a != i)
-            rows.append(_build_skeleton(n, "C", (i,), (), (), (), (rest,)))
-        rows.append(_build_skeleton(n, "D", (), (), (), (), (everything,),
-                                    dense=True))
-        return rows
-
-    for size in range(3, n + 1):
-        for I in combinations(everything, size):  # noqa: E741
-            rest = tuple(a for a in everything if a not in I)
-            for S in _subsets_desc(rest):
-                t_members = tuple(a for a in rest if a not in S)
-                for part in _partitions_sorted(t_members):
-                    circ, bullets = _tag_components(I, part)
-                    rows.append(_build_skeleton(
-                        n, "A_I", I, S, circ, bullets, ()))
-    for size in range(3, n + 1):
-        for I in combinations(everything, size):  # noqa: E741
-            rest = tuple(a for a in everything if a not in I)
-            for part in _partitions_sorted(rest):
-                circ, bullets = _tag_components(I, part)
-                rows.append(_build_skeleton(
-                    n, "A_II", I, (), circ, bullets, ()))
-    for I in combinations(everything, 2):  # noqa: E741
-        rest = tuple(a for a in everything if a not in I)
-        for S in _subsets_desc(rest):
-            t_members = tuple(a for a in rest if a not in S)
-            for part in _partitions_sorted(t_members):
-                circ, bullets = _tag_components(I, part)
-                rows.append(_build_skeleton(n, "B", I, S, circ, bullets, ()))
-    for i in everything:
-        rest = tuple(a for a in everything if a != i)
-        for part in _partitions_sorted(rest):
-            rows.append(_build_skeleton(n, "C", (i,), (), (), (), part))
-    for part in _partitions_sorted(everything):
-        rows.append(_build_skeleton(n, "D", (), (), (), (), part))
+                    for part in partitions(I, t_members):
+                        # with two or more interacting indices the partition
+                        # is the tagged T part; otherwise it is R itself
+                        comps = ((*_tag_components(I, part), ()) if size >= 2
+                                 else ((), (), part))
+                        rows.append(_build_skeleton(
+                            n, family, I, S, *comps,
+                            dense=paper and family == "D"))
     return rows
 
 

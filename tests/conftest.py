@@ -79,16 +79,16 @@ def closed_partial_derivative(a, exponents, nu, P):
     return multiply(out, normal_form(tail, P), P)
 
 
-def positional_differential(p, nu, P):
-    """``{a: coefficient of dD_a}`` of d(p), each term through ``multiply``.
+def free_word_differential(comb, nu, P):
+    """``{a: coefficient of dD_a}`` of d on a ``{word: coefficient}`` combination.
 
-    The definition ``sum_k dD_{l_k} * nu_{l_k}(prefix_k) * suffix_k`` over
-    the decreasing word of every monomial, with the twist applied one letter
-    at a time; zero coefficients are dropped.
+    The definition ``sum_k dD_{l_k} * nu_{l_k}(prefix_k) * suffix_k`` on free
+    words of any shape, each term through ``multiply``: the twist is applied
+    one letter at a time and the suffix is reduced by the relations.  Zero
+    coefficients are dropped.
     """
     out = {}
-    for expts, c in p.terms.items():
-        word = tuple(a for a in range(P.n, 0, -1) for _ in range(expts[a - 1]))
+    for word, c in comb.items():
         for k, letter in enumerate(word):
             nu_map = nu.map_of(letter)
             prefix = Poly.one(P.n)
@@ -97,6 +97,16 @@ def positional_differential(p, nu, P):
             piece = multiply(prefix, normal_form(word[k + 1:], P), P).scale(c)
             out[letter] = out.get(letter, Poly.zero(P.n)) + piece
     return {a: q for a, q in out.items() if not q.is_zero()}
+
+
+def positional_differential(p, nu, P):
+    """``{a: coefficient of dD_a}`` of d(p), over the decreasing word of every
+    monomial of ``p`` (see :func:`free_word_differential`)."""
+    comb = {}
+    for expts, c in p.terms.items():
+        word = tuple(a for a in range(P.n, 0, -1) for _ in range(expts[a - 1]))
+        comb[word] = c
+    return free_word_differential(comb, nu, P)
 
 
 # -- four generators ---------------------------------------------------------

@@ -1,7 +1,10 @@
 """End-to-end command-line behaviour: exact output bytes and exit codes."""
 
+import hashlib
+
 import pytest
 
+from diffalg import cli
 from diffalg.cli import main
 
 from conftest import FIXTURES, GOLDEN
@@ -243,3 +246,57 @@ def test_tables_rejects_small_n(capsys):
     rc, out, err = run(capsys, "tables", "2")
     assert rc == 2 and out == ""
     assert err == "error: n must be at least 3\n"
+
+
+@pytest.mark.parametrize("mode,n,digest", [
+    ("full", 5, "c37ac0475e395fb7763f5bb3c784ffbd505c47ae87872e84cd4b60623bf5d9dc"),
+    ("full", 6, "b3382c652ec9cdbe1dfd5078886da6aa964ddeecfb0fca56cab5ccc5aacfa648"),
+    ("paper", 5, "9c188a4eab37d2a1d1ab90092c3545c915354539fea3f483e8cdbb779f27e0c8"),
+    ("paper", 6, "9b329d44f10f2b7d9a3d0e2c16faabb5c1c9fa81f457d562dd4a5c63f72f3718"),
+    ("paper", 7, "8207052a4c3e3763e1555766359d3d57fd99eb877b91b246b46401ca001d13b5"),
+])
+def test_tables_output_digest_is_pinned(capsys, mode, n, digest):
+    # beyond the golden files: one enumerator serves both modes, and any
+    # change to the rows, their order or their text moves these digests
+    rc, out, err = run(capsys, "tables", str(n), "--mode", mode)
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- shared reporting paths ------------------------------------------------------
+
+def test_d_on_non_pbw_table_reports_the_triple(capsys):
+    rc, out, err = run(capsys, "d", FIXTURES / "nonpbw.dalg", "D1 D2")
+    assert (rc, out, err) == (1, "pbw: false\ntriple: 1 2 3\n", "")
+
+
+def test_smooth_reports_a_one_sided_bystander_pair(capsys, tmp_path):
+    # A_I on {1,2,3} with bystanders 4 and 5 that each couple two-sidedly to
+    # I, but the pair (4,5) has no trailing coefficient: the family shape
+    # admits a witness, yet no affine family can be built
+    lines = ["n = 5"]
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            if i != j:
+                lines.append(f"g {i} {j} = 3")
+        for s, c in ((4, 2), (5, 5)):
+            lines += [f"g {i} {s} = {c}", f"g {s} {i} = {c}"]
+    lines += ["g 4 5 = 7", "x 1 = 1", "x 2 = 2", "x 3 = -1"]
+    path = tmp_path / "one_sided_bystanders.dalg"
+    path.write_text("\n".join(lines) + "\n")
+    rc, out, err = run(capsys, "smooth", path)
+    assert rc == 1 and err == ""
+    assert out == (
+        "verdict: UNDETERMINED\n"
+        "case: -\n"
+        "family: A_I\n"
+        "I: 1 2 3\n"
+        "S: 4 5\n"
+        "T: -\n"
+        "gkdim: 5\n"
+        "note: no affine family exists: the pair (5,4) is one-sided, so D5 "
+        "cannot be pushed through dD4\n")
+
+
+def test_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
