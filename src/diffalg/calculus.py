@@ -30,6 +30,20 @@ multiplies a twisted prefix by a nonempty suffix.  The naive closed
 form for a lowered partial (bring ``k_a * D_a^{k_a - 1}`` out front) is
 valid only for a linear twist; whenever some diagonal map is genuinely
 affine the positional sum differs from it by a geometric sum.
+
+The differential of a monomial is built from a shorter one.  Let ``l`` be
+the smallest letter of ``m`` and write ``m = m' D_l``.  The last position
+of ``m``'s word contributes ``dD_l nu_l(m')``; every other position is a
+position of ``m'`` with ``D_l`` appended to its suffix.  The monomials of
+``nu_{l_k}(prefix_k) suffix_k`` have only letters ``>= l``, so appending
+``D_l`` adds one to their ``l`` exponent and leaves them PBW::
+
+    d(m) = shift_l(d(m')) + dD_l nu_l(m')
+
+term for term the positional sum of ``m``.  Each result is kept per family
+(see :class:`AffineAutomorphismFamily`), so a check that differentiates
+every monomial up to some degree, and then the coefficients of those
+differentials, computes each one once.
 """
 
 from __future__ import annotations
@@ -39,8 +53,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .classify import Decomposition, FamilyIdentification, decompose, identify_family
-from .engine import (Poly, _add_term, _iadd, monomial_word, multiply,
-                     word_exponents)
+from .engine import Poly, _add_term, _iadd, multiply, word_exponents
 from .presentation import AlgebraPresentation
 from .scalars import ONE, ZERO, rational
 
@@ -66,8 +79,11 @@ class AffineAutomorphismFamily:
 
     Composed generator maps are derived once per family and kept in
     ``_memo`` (keyed by index tuple, plus the inverse volume twist), next to
-    the binomial expansions of their powers (see :func:`_powers`); the memo
-    takes no part in equality or hashing, and is freed with the family.
+    the binomial expansions of their powers (see :func:`_powers`) and the
+    differentials of the PBW monomials that were asked for (keyed
+    ``("d", exponents)``, see :func:`_monomial_d`); the memo takes no part
+    in equality or hashing, and is freed with the family.  Two equal
+    families keep separate memos.
     """
 
     n: int
@@ -180,6 +196,9 @@ def _power_terms(lam, mu, k: int) -> list:
     A coefficient equal to 1 is the shared ``ONE``, so that callers can skip
     multiplying by it.
     """
+    if mu == 0:  # a linear twist: only the top term survives
+        c = lam ** k
+        return [(k, ONE if c == 1 else c)] if c != 0 else []
     out = []
     for i in range(k + 1):
         c = math.comb(k, i) * lam ** i * mu ** (k - i)
@@ -311,14 +330,15 @@ def verify_automorphisms(nu: AffineAutomorphismFamily,
 
 def _d_combination(comb: dict, nu: AffineAutomorphismFamily,
                    P: AlgebraPresentation) -> dict:
-    """Apply the positional differential to a free-word combination.
+    """Apply the positional differential to a pair relation combination.
 
-    Returns the one-form coefficients as ``{a: Poly}`` with zero entries
-    dropped.  Each term ``nu_l(prefix) * suffix`` is built directly, as the
-    monomials of ``nu_l(prefix)`` with the suffix exponents added.  That is
-    exact on the only words this receives: on a PBW monomial the prefix has
-    only letters ``>= l`` and the suffix only letters ``<= l``; on a pair
-    relation word (at most two letters) the prefix or the suffix is empty.
+    Serves :func:`leibniz_defects` and :func:`no_go_residual`; PBW monomials
+    go through :func:`_monomial_d`.  Returns the one-form coefficients as
+    ``{a: Poly}`` with zero entries dropped.  Each term
+    ``nu_l(prefix) * suffix`` is built directly, as the monomials of
+    ``nu_l(prefix)`` with the suffix exponents added, which is exact on a
+    word of at most two letters: at every position the prefix or the suffix
+    is empty.
     """
     n = P.n
     out: dict = {}
@@ -334,17 +354,64 @@ def _d_combination(comb: dict, nu: AffineAutomorphismFamily,
     return {a: Poly(n, terms) for a, terms in out.items() if terms}
 
 
+def _d_step(d_prev: dict, prev: tuple, i: int,
+            nu: AffineAutomorphismFamily, n: int) -> dict:
+    """d of ``prev * D_{i+1}`` from ``d_prev = d(prev)``, where no letter of
+    ``prev`` is below ``i + 1``: ``shift(d(prev)) + dD_{i+1} nu_{i+1}(prev)``."""
+    out = {a: {e[:i] + (e[i] + 1,) + e[i + 1:]: v for e, v in terms.items()}
+           for a, terms in d_prev.items()}
+    letter = i + 1
+    dst = out.setdefault(letter, {})
+    _iadd(dst, _twist_terms({prev: ONE}, (letter,), nu, n), ONE)
+    if not dst:
+        del out[letter]
+    return out
+
+
+def _monomial_d(expts: tuple, nu: AffineAutomorphismFamily, n: int) -> dict:
+    """``{a: terms}`` of d of the PBW monomial ``expts``, empty entries dropped.
+
+    Returns the stored dict itself, which callers must not change.  On a
+    miss it walks down by the smallest letter to the nearest stored
+    monomial (or to 1, whose d is 0), and builds back up by
+    :func:`_d_step`, storing only ``expts``: the intermediate monomials are
+    not kept, so one high power costs one entry.
+    """
+    memo = nu._memo
+    d = memo.get(("d", expts))
+    if d is not None:
+        return d
+    chain = []  # (m', i) with m = m' D_{i+1}, D_{i+1} the smallest letter of m
+    m, d = expts, {}
+    while any(m):
+        i = next(i for i, k in enumerate(m) if k)
+        m = m[:i] + (m[i] - 1,) + m[i + 1:]
+        chain.append((m, i))
+        stored = memo.get(("d", m))
+        if stored is not None:
+            d = stored
+            break
+    for prev, i in reversed(chain):
+        d = _d_step(d, prev, i, nu, n)
+    memo[("d", expts)] = d
+    return d
+
+
 def differential(p: Poly, nu: AffineAutomorphismFamily,
                  P: AlgebraPresentation) -> "GradedForm":
-    comb = {monomial_word(expts): c for expts, c in p.terms.items()}
-    coeffs = {(a,): q for a, q in _d_combination(comb, nu, P).items()}
-    return GradedForm(P.n, 1, coeffs)
+    """``d(p)`` as the linear sum of the stored differentials of its monomials."""
+    n = P.n
+    out: dict = {}
+    for expts, c in p.terms.items():
+        for a, terms in _monomial_d(expts, nu, n).items():
+            _iadd(out.setdefault(a, {}), terms, c)
+    return GradedForm(n, 1, {(a,): Poly(n, terms) for a, terms in out.items()})
 
 
 def partial_derivative(a: int, p: Poly, nu: AffineAutomorphismFamily,
                        P: AlgebraPresentation) -> Poly:
-    comb = {monomial_word(expts): c for expts, c in p.terms.items()}
-    return _d_combination(comb, nu, P).get(a, Poly.zero(P.n))
+    """The ``dD_a`` coefficient of ``d(p)``."""
+    return differential(p, nu, P).coeffs.get((a,), Poly.zero(P.n))
 
 
 class GradedForm:
@@ -437,13 +504,25 @@ def wedge(xi: GradedForm, eta: GradedForm, nu: AffineAutomorphismFamily,
 
 def form_differential(xi: GradedForm, nu: AffineAutomorphismFamily,
                       P: AlgebraPresentation) -> GradedForm:
-    """Extend d to higher forms: ``d(dD_J p) = (-1)^{|J|} dD_J ^ d(p)``."""
+    """Extend d to higher forms: ``d(dD_J p) = (-1)^{|J|} dD_J ^ d(p)``.
+
+    The head ``dD_J * 1`` passes through ``d(p) = sum_b dD_b * d_b(p)``
+    untwisted (every twist fixes 1), so the wedge reduces to
+    ``(-1)^{|J|} sum_b merge(J, b) dD_{J u b} * d_b(p)`` over ``b`` not in
+    ``J``, with the sign-and-scale factor of :func:`_merge_twist`.
+    """
     sign = -1 if xi.degree % 2 else 1
-    out = GradedForm.zero(xi.n, xi.degree + 1)
+    out: dict = {}
     for J, p in xi.coeffs.items():
-        head = GradedForm(xi.n, xi.degree, {J: Poly.one(xi.n)})
-        out = out + wedge(head, differential(p, nu, P), nu, P).scale(sign)
-    return out
+        for (b,), q in differential(p, nu, P).coeffs.items():
+            if b in J:
+                continue
+            factor = _merge_twist(J, (b,), nu)
+            if factor != 0:
+                _iadd(out.setdefault(tuple(sorted(J + (b,))), {}), q.terms,
+                      sign * factor)
+    return GradedForm(xi.n, xi.degree + 1,
+                      {K: Poly(xi.n, terms) for K, terms in out.items()})
 
 
 def left_multiply(p: Poly, xi: GradedForm, nu: AffineAutomorphismFamily,
@@ -535,6 +614,15 @@ def check_integrating_form(P: AlgebraPresentation,
     tested on ``omega' = dD_K * m`` for every basis set ``K`` and every
     coefficient monomial ``m`` of degree at most ``degree_bound``.
 
+    Each expansion is a sum over the basis sets of one degree, but only one
+    of its terms can be nonzero: a wedge of ``dD_A`` with ``dD_B`` vanishes
+    when ``A`` and ``B`` share an index.  The dual of ``dD_J`` is
+    ``dD_{J^c} * c_J``, and ``J^c`` misses ``K`` only for ``J = K``; the
+    cobasis form ``dD_M`` has degree ``n - k`` and misses ``K`` only for
+    ``M = K^c``.  So each ``(K, m)`` makes one wedge per direction.  The
+    constants ``c_J`` are still computed for every basis set up front, so a
+    zero merge factor raises before any set is checked.
+
     Bound 0 proves the expansion and bound 1 the projection in every degree.
     Expand: only the dual of ``dD_K`` meets ``omega'``, and
     ``bar_K ^ dD_K * m = (const) dD_all * m`` (a scalar passes every twist),
@@ -548,29 +636,26 @@ def check_integrating_form(P: AlgebraPresentation,
     ``D_j``).  Neither argument needs the twists to be automorphisms.
     """
     n = P.n
-    # (dD_J, its dual dD_{J^c} * c_J) for the basis sets of each slot's degree
-    duals = [(basis_form(n, J, Poly.one(n)), basis_form(n, comp, Poly.scalar(n, c)))
-             for J, comp, c in _dual_bases(k, nu, n)]
-    cobases = [(basis_form(n, M, Poly.one(n)), basis_form(n, comp, Poly.scalar(n, c)))
-               for M, comp, c in _dual_bases(n - k, nu, n)]
+    # the dual dD_{J^c} * c_J of each dD_J, for the basis sets of each slot
+    duals = {J: basis_form(n, comp, Poly.scalar(n, c))
+             for J, comp, c in _dual_bases(k, nu, n)}
+    cobases = {M: basis_form(n, comp, Poly.scalar(n, c))
+               for M, comp, c in _dual_bases(n - k, nu, n)}
     monos = [m for d in range(degree_bound + 1) for m in _monomials(n, d)]
     for K in combinations(range(1, n + 1), k):
+        basis = basis_form(n, K, Poly.one(n))
+        M = tuple(a for a in range(1, n + 1) if a not in K)
+        cobasis = basis_form(n, M, Poly.one(n))
         for expts in monos:
             omega_prime = basis_form(n, K, Poly.monomial(n, expts))
             if which in ("both", "expand"):
-                total = GradedForm.zero(n, k)
-                for basis, bar in duals:
-                    coefficient = pi_omega(wedge(bar, omega_prime, nu, P))
-                    total = total + right_multiply(basis, coefficient, P)
-                if total != omega_prime:
+                coefficient = pi_omega(wedge(duals[K], omega_prime, nu, P))
+                if right_multiply(basis, coefficient, P) != omega_prime:
                     return False
             if which in ("both", "project"):
-                total = GradedForm.zero(n, k)
-                for basis, bar in cobases:
-                    head = pi_omega(wedge(omega_prime, basis, nu, P))
-                    total = total + left_multiply(
-                        nu_omega_inverse(head, nu, P), bar, nu, P)
-                if total != omega_prime:
+                head = pi_omega(wedge(omega_prime, cobasis, nu, P))
+                if left_multiply(nu_omega_inverse(head, nu, P), cobases[M],
+                                 nu, P) != omega_prime:
                     return False
     return True
 

@@ -6,10 +6,14 @@ fixtures, so the two implementations stay comparable line by line.
 """
 
 import re
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from diffalg.calculus import (GradedForm, _dual_bases, _monomials, basis_form,
+                              differential, left_multiply, nu_omega_inverse,
+                              pi_omega, right_multiply, wedge)
 from diffalg.engine import Poly, multiply, normal_form, power
 from diffalg.presentation import AlgebraPresentation
 from diffalg.scalars import rational
@@ -107,6 +111,47 @@ def positional_differential(p, nu, P):
         word = tuple(a for a in range(P.n, 0, -1) for _ in range(expts[a - 1]))
         comb[word] = c
     return free_word_differential(comb, nu, P)
+
+
+def wedge_form_differential(xi, nu, P):
+    """``d(dD_J p) = (-1)^{|J|} dD_J ^ d(p)`` summed over ``xi``, each term
+    through ``calculus.wedge`` with the head ``dD_J * 1``."""
+    sign = -1 if xi.degree % 2 else 1
+    out = GradedForm.zero(xi.n, xi.degree + 1)
+    for J, p in xi.coeffs.items():
+        head = GradedForm(xi.n, xi.degree, {J: Poly.one(xi.n)})
+        out = out + wedge(head, differential(p, nu, P), nu, P).scale(sign)
+    return out
+
+
+def full_sum_integrating_form(P, nu, k, degree_bound=3, which="both"):
+    """``calculus.check_integrating_form`` with each expansion summed over
+    every basis set of its degree, the ones whose wedge is zero included."""
+    n = P.n
+    duals = [(basis_form(n, J, Poly.one(n)), basis_form(n, comp, Poly.scalar(n, c)))
+             for J, comp, c in _dual_bases(k, nu, n)]
+    cobases = [(basis_form(n, M, Poly.one(n)), basis_form(n, comp, Poly.scalar(n, c)))
+               for M, comp, c in _dual_bases(n - k, nu, n)]
+    monos = [m for d in range(degree_bound + 1) for m in _monomials(n, d)]
+    for K in combinations(range(1, n + 1), k):
+        for expts in monos:
+            omega_prime = basis_form(n, K, Poly.monomial(n, expts))
+            if which in ("both", "expand"):
+                total = GradedForm.zero(n, k)
+                for basis, bar in duals:
+                    coefficient = pi_omega(wedge(bar, omega_prime, nu, P))
+                    total = total + right_multiply(basis, coefficient, P)
+                if total != omega_prime:
+                    return False
+            if which in ("both", "project"):
+                total = GradedForm.zero(n, k)
+                for basis, bar in cobases:
+                    head = pi_omega(wedge(omega_prime, basis, nu, P))
+                    total = total + left_multiply(
+                        nu_omega_inverse(head, nu, P), bar, nu, P)
+                if total != omega_prime:
+                    return False
+    return True
 
 
 # -- four generators ---------------------------------------------------------
