@@ -227,7 +227,7 @@ def _apply_to_terms(nu_map: dict, terms: dict, n: int, powers: dict) -> dict:
             factor = powers.get((j, k))
             if factor is None:
                 factor = powers[(j, k)] = _power_terms(*nu_map[j], k)
-            partial = [(e + (i,), v if w is ONE else v * w)
+            partial = [(e + (i,), v if w is ONE else w if v is ONE else v * w)
                        for e, v in partial for i, w in factor]
         for e, v in partial:
             w = out.get(e)

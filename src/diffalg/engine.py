@@ -28,6 +28,22 @@ every entry on it is stored, so the table grows with the number of monomials
 met, not of free words.  ``multiply(p, q)`` folds each monomial of q, spelled
 as its decreasing word, onto p.
 
+The scalars inside the fold are integers.  Each rule is kept as coprime
+integers (Q, X, Y, G), G > 0, with G D_a D_b -> Q D_b D_a + X D_a + Y D_b,
+made from the numerators and denominators of g(a,b), g(b,a), x(a), x(b) by
+products alone.  A combination is an integer form (nums, den): integer
+numerators over one positive denominator.  With R[(m - e_a, b)] = B/e,
+
+    R[(m, b)] = (Q shift_a(B) + Y B + X e m) / (G e).
+
+Folding by D_b sums c R[(m, b)] over the lcm of the entries' denominators,
+rescaling the partial sum when an entry's denominator does not divide it.
+Sums are not reduced on the way; a Fraction is built only for each term of
+a result, and Fraction reduces it.  Integer arithmetic is exact and a
+rational has one reduced form, so each coefficient equals the one Fraction
+arithmetic over the same recurrence gives, term for term; a term whose
+numerator sums to 0 is dropped, as a Fraction sum of 0 was.
+
 Two overlapping patterns D_a D_b, D_b D_c force a < b < c, so the words
 D_a D_b D_c exhaust the critical pairs, and the system is confluent iff each
 of them resolves: (D_a D_b).D_c, the normal form of the word, equals
@@ -37,13 +53,15 @@ itself, has at most one ascent: those of length 3 are the other orderings of
 a, b, c, and no rewrite leads back to the ascending one, since each turns an
 ascent into a descent.  So from the one-step rewrite of D_b D_c on, every
 choice of ascent gives the same normal form, and the right side equals
-last-ascent rewriting of D_a D_b D_c term for term.
+last-ascent rewriting of D_a D_b D_c term for term.  The two sides are
+compared as integer forms, A/d and B/e, by A e == B d on the same monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd, lcm
 
 from .presentation import AlgebraPresentation
 from .scalars import ONE, rational
@@ -188,11 +206,67 @@ def word_exponents(word: Word, n: int) -> Exponents:
 
 
 # ---------------------------------------------------------------------------
+# integer forms: a combination sum c_m m / den is kept as ({m: c_m}, den)
+
+
+def _rule(P: AlgebraPresentation, a: int, b: int) -> tuple:
+    """(Q, X, Y, G) with G D_a D_b -> Q D_b D_a + X D_a + Y D_b, coprime, G > 0.
+
+    The four coefficients of the relation are put over one denominator by
+    integer products alone.
+    """
+    g, h, xa, xb = P.g(a, b), P.g(b, a), P.x(a), P.x(b)
+    gd, hd, xad, xbd = g.denominator, h.denominator, xa.denominator, xb.denominator
+    Q = h.numerator * gd * xad * xbd
+    X = xb.numerator * gd * hd * xad
+    Y = -xa.numerator * gd * hd * xbd
+    G = g.numerator * hd * xad * xbd
+    s = gcd(Q, X, Y, G)
+    if G < 0:
+        s = -s
+    return Q // s, X // s, Y // s, G // s
+
+
+def _add_over(dst: dict, den: int, c: int, nums: dict, d: int) -> int:
+    """dst/den += c nums/d; returns dst's new denominator, lcm(den, d)."""
+    if den % d:
+        f = d // gcd(den, d)
+        for m in dst:
+            dst[m] *= f
+        den *= f
+    c *= den // d
+    if not dst:
+        dst.update({m: c * v for m, v in nums.items()})
+        return den
+    get = dst.get
+    for m, v in nums.items():
+        v = get(m, 0) + c * v
+        if v:
+            dst[m] = v
+        else:
+            del dst[m]
+    return den
+
+
+def _int_form(terms: dict) -> tuple:
+    """A {exponents: rational} map as (nums, den), den the lcm of its denominators."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
+def _poly(n: int, nums: dict, den: int) -> Poly:
+    """The Poly of an integer form: one reduced rational per term."""
+    return Poly(n, {m: rational(v, den) for m, v in nums.items()})
+
+
+def _same(p: tuple, q: tuple) -> bool:
+    """Whether two integer forms are one combination, by cross-multiplying."""
+    (pn, pd), (qn, qd) = p, q
+    return pn.keys() == qn.keys() and all(v * qd == qn[m] * pd for m, v in pn.items())
+
+
+# ---------------------------------------------------------------------------
 # per-presentation context
-
-
-def _over(v, g):
-    return v / g if v else v
 
 
 class _Context:
@@ -200,17 +274,12 @@ class _Context:
 
     def __init__(self, P: AlgebraPresentation):
         self.P = P
-        # (i, j) with i < j  ->  (q, xj/g, -xi/g) of the rewrite rule; most
-        # coefficients of a table are 0, and a 0 needs no division
-        self.rules = {}
-        for i in range(1, P.n + 1):
-            neg_xi = -P.x(i) if P.x(i) else P.x(i)
-            for j in range(i + 1, P.n + 1):
-                g = P.g(i, j)
-                self.rules[(i, j)] = (_over(P.g(j, i), g), _over(P.x(j), g),
-                                      _over(neg_xi, g))
-        # R[(m, b)] = normal form of m D_b, stored only for products that
-        # need a rewrite; a dict of tables, the shape the benchmark probe reads
+        # (a, b) with a < b  ->  the integer rule (Q, X, Y, G)
+        self.rules = {(a, b): _rule(P, a, b)
+                      for a in range(1, P.n + 1) for b in range(a + 1, P.n + 1)}
+        # R[(m, b)] = normal form of m D_b as (nums, den), stored only for
+        # products that need a rewrite; a dict of tables, the shape the
+        # benchmark probe reads
         self.nf_cache = {"R": {}}
         self.pbw_report = None
 
@@ -225,12 +294,12 @@ def _context(P: AlgebraPresentation) -> _Context:
     return ctx
 
 
-def _right_entry(ctx: _Context, m: Exponents, b: int) -> dict:
+def _right_entry(ctx: _Context, m: Exponents, b: int) -> tuple:
     """R[(m, b)], the normal form of m D_b, for a monomial m with a letter below b.
 
     Strips the smallest letter a of m until it reaches a stored entry or a
     monomial with no letter below b, then stores every entry on the way back:
-    R[(m, b)] = q shift_a(R[(m - e_a, b)]) + (x_b/g) m - (x_a/g) R[(m - e_a, b)].
+    with R[(m - e_a, b)] = B/e, R[(m, b)] = (Q shift_a(B) + Y B + X e m)/(G e).
     """
     table = ctx.nf_cache["R"]
     k = b - 1
@@ -240,7 +309,7 @@ def _right_entry(ctx: _Context, m: Exponents, b: int) -> dict:
             if m[a]:
                 break
         else:
-            below = {m[:k] + (m[k] + 1,) + m[b:]: ONE}
+            below = ({m[:k] + (m[k] + 1,) + m[b:]: 1}, 1)
             break
         chain.append((m, a))
         m = m[:a] + (m[a] - 1,) + m[a + 1:]
@@ -248,37 +317,62 @@ def _right_entry(ctx: _Context, m: Exponents, b: int) -> dict:
         if below is not None:
             break
     for m, a in reversed(chain):
-        q, xb_g, neg_xa_g = ctx.rules[(a + 1, b)]
-        if q:
-            entry = {v[:a] + (v[a] + 1,) + v[a + 1:]: q * c for v, c in below.items()}
+        Q, X, Y, G = ctx.rules[(a + 1, b)]
+        nums, e = below
+        if Q:
+            entry = {v[:a] + (v[a] + 1,) + v[a + 1:]: Q * c for v, c in nums.items()}
         else:
             entry = {}
-        if xb_g:
-            _add_term(entry, m, xb_g)
-        if neg_xa_g:
-            _iadd(entry, below, neg_xa_g)
-        table[(m, b)] = below = entry
+        if X:
+            _add_term(entry, m, X * e)
+        if Y:
+            _add_over(entry, 1, Y, nums, 1)  # entry += Y B, both over 1
+        table[(m, b)] = below = (entry, G * e)
     return below
 
 
-def _times_generator(ctx: _Context, terms: dict, b: int) -> dict:
-    """Normal form of (sum of terms) D_b: the sum of c R[(m, b)]."""
+def _times_generator(ctx: _Context, nums: dict, den: int, b: int) -> tuple:
+    """Normal form of (nums/den) D_b, the sum of c R[(m, b)], as (nums, den).
+
+    The sum is kept over the lcm of the entries' denominators; it is not
+    reduced, since a gcd over every coefficient at every letter costs more
+    than the larger integers do.
+    """
     table = ctx.nf_cache["R"]
     k = b - 1
     out: dict = {}
-    for m, c in terms.items():
+    common = 1
+    for m, c in nums.items():
         if any(m[:k]):
             entry = table.get((m, b))
             if entry is None:
                 entry = _right_entry(ctx, m, b)
-            _iadd(out, entry, c)
+            common = _add_over(out, common, c, *entry)
         else:  # no letter of m is below b, so m D_b is already normal
-            _add_term(out, m[:k] + (m[k] + 1,) + m[b:], c)
-    return out
+            _add_term(out, m[:k] + (m[k] + 1,) + m[b:], c * common)
+    return out, den * common
 
 
-def _nf_word(ctx: _Context, word: Word, depth_left: int) -> dict:
-    """Normal form of one word, as a new {exponents: coefficient} dict.
+def _fold(ctx: _Context, nums: dict, den: int, word: Word) -> tuple:
+    """Normal form of (nums/den) times a word, letter by letter, as (nums, den)."""
+    for b in word:
+        nums, den = _times_generator(ctx, nums, den, b)
+    return nums, den
+
+
+def _product(ctx: _Context, p: tuple, q: tuple) -> tuple:
+    """p q for integer forms p, q: each monomial of q folded onto p, over one denominator."""
+    pn, pd = p
+    qn, qd = q
+    out: dict = {}
+    common = 1
+    for m, c in qn.items():
+        common = _add_over(out, common, c, *_fold(ctx, pn, pd, monomial_word(m)))
+    return out, common * qd
+
+
+def _nf_word(ctx: _Context, word: Word, depth_left: int) -> tuple:
+    """Normal form of one word, as a new integer form (nums, den).
 
     ``depth_left`` is the caller's rewrite budget.  Every table chain met
     while folding a word of degree d takes fewer than d rewrites, so
@@ -291,10 +385,7 @@ def _nf_word(ctx: _Context, word: Word, depth_left: int) -> dict:
     k = 1
     while k < len(word) and word[k - 1] >= word[k]:
         k += 1
-    terms = {word_exponents(word[:k], ctx.P.n): ONE}
-    for b in word[k:]:
-        terms = _times_generator(ctx, terms, b)
-    return terms
+    return _fold(ctx, {word_exponents(word[:k], ctx.P.n): 1}, 1, word[k:])
 
 
 def normal_form(w, P: AlgebraPresentation) -> Poly:
@@ -309,11 +400,13 @@ def normal_form(w, P: AlgebraPresentation) -> Poly:
         combination = {tuple(word): c for word, c in w.items()}
     else:
         combination = {tuple(w): ONE}
-    terms: dict = {}
+    out: dict = {}
+    common = 1
     for word, coeff in combination.items():
         if coeff:
-            _iadd(terms, _nf_word(ctx, word, len(word)), coeff)
-    return Poly(P.n, terms)
+            nums, den = _nf_word(ctx, word, len(word))
+            common = _add_over(out, common, coeff.numerator, nums, den * coeff.denominator)
+    return _poly(P.n, out, common)
 
 
 def multiply(p: Poly, q: Poly, P: AlgebraPresentation) -> Poly:
@@ -322,14 +415,7 @@ def multiply(p: Poly, q: Poly, P: AlgebraPresentation) -> Poly:
         return q.scale(p.constant())
     if q.is_scalar():
         return p.scale(q.constant())
-    ctx = _context(P)
-    terms: dict = {}
-    for m, c in q.terms.items():
-        product = p.terms
-        for b in monomial_word(m):
-            product = _times_generator(ctx, product, b)
-        _iadd(terms, product, c)
-    return Poly(P.n, terms)
+    return _poly(P.n, *_product(_context(P), _int_form(p.terms), _int_form(q.terms)))
 
 
 def power(p: Poly, k: int, P: AlgebraPresentation) -> Poly:
@@ -352,6 +438,13 @@ class PBWReport:
     first_failure: tuple | None
 
 
+def _triple_sides(ctx: _Context, a: int, b: int, c: int) -> tuple:
+    """(D_a D_b).D_c and D_a.(D_b D_c) as integer forms."""
+    left = _nf_word(ctx, (a, b, c), 3)
+    d_a = tuple(int(i == a) for i in range(1, ctx.P.n + 1))
+    return left, _product(ctx, ({d_a: 1}, 1), _nf_word(ctx, (b, c), 2))
+
+
 def diamond_check_triple(P: AlgebraPresentation, a: int, b: int, c: int) -> TripleCheck:
     """Reduce the overlap D_a D_b D_c (a < b < c) both ways.
 
@@ -361,9 +454,8 @@ def diamond_check_triple(P: AlgebraPresentation, a: int, b: int, c: int) -> Trip
     """
     if not (1 <= a < b < c <= P.n):
         raise ValueError(f"triple must satisfy 1 <= a < b < c <= n, got {(a, b, c)}")
-    nf_left = normal_form((a, b, c), P)
-    nf_right = multiply(Poly.generator(P.n, a), normal_form((b, c), P), P)
-    return TripleCheck(nf_left == nf_right, nf_left, nf_right)
+    left, right = _triple_sides(_context(P), a, b, c)
+    return TripleCheck(_same(left, right), _poly(P.n, *left), _poly(P.n, *right))
 
 
 def is_pbw(P: AlgebraPresentation) -> PBWReport:
@@ -375,6 +467,6 @@ def is_pbw(P: AlgebraPresentation) -> PBWReport:
     if ctx.pbw_report is None:
         first_failure = next(
             (t for t in combinations(range(1, P.n + 1), 3)
-             if not diamond_check_triple(P, *t).confluent), None)
+             if not _same(*_triple_sides(ctx, *t))), None)
         ctx.pbw_report = PBWReport(first_failure is None, first_failure)
     return ctx.pbw_report
