@@ -44,6 +44,11 @@ term for term the positional sum of ``m``.  Each result is kept per family
 (see :class:`AffineAutomorphismFamily`), so a check that differentiates
 every monomial up to some degree, and then the coefficients of those
 differentials, computes each one once.
+
+The ``certify_*`` functions decide ``d∘d = 0``, connectedness and the
+volume-form identities from the family's scalars and generator maps, with
+no differential, wedge or product.  Each docstring gives the argument and
+the premises it needs; where they fail, the sampled ``check_*`` decides.
 """
 
 from __future__ import annotations
@@ -53,7 +58,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .classify import Decomposition, FamilyIdentification, decompose, identify_family
-from .engine import Poly, _add_term, _iadd, multiply, word_exponents
+from .engine import (Poly, _add_term, _iadd, multiply, normal_form,
+                     word_exponents)
 from .presentation import AlgebraPresentation
 from .scalars import ONE, ZERO, rational
 
@@ -65,7 +71,8 @@ __all__ = [
     "wedge", "form_differential", "left_multiply", "right_multiply", "pi_omega",
     "nu_omega", "nu_omega_inverse", "check_connectedness",
     "check_integrating_form", "leibniz_defects", "check_d_squared",
-    "no_go_residual",
+    "no_go_residual", "certify_connectedness", "certify_d_squared",
+    "certify_integrating_form",
 ]
 
 
@@ -251,6 +258,10 @@ def _twist_terms(terms: dict, key: tuple, nu: AffineAutomorphismFamily,
 
 
 def _apply_map_to_word(nu_map: dict, word, P: AlgebraPresentation) -> Poly:
+    """``nu_map`` applied to a free word, by definition: in closed form on a
+    PBW monomial, letter by letter through ``multiply`` otherwise.  The
+    relation check takes a shorter route (:func:`_relation_image`); this one
+    stays as its reference."""
     if all(a >= b for a, b in zip(word, word[1:])):  # a PBW monomial
         return Poly(P.n, _apply_to_terms(
             nu_map, {word_exponents(word, P.n): ONE}, P.n, {}))
@@ -294,8 +305,47 @@ class AutomorphismReport:
         return self.relations_preserved and self.pairwise_commute and self.bijective
 
 
+def _unit(n: int, a: int) -> tuple:
+    return tuple(int(j == a) for j in range(1, n + 1))
+
+
+def _relation_image(nu_map: dict, relation: tuple, n: int) -> dict:
+    """Image under ``nu_map`` of a pair relation, in normal form.
+
+    ``relation`` is ``(u, v, quadratic, s, c_u, c_v)`` for the relation
+    ``c D_u D_v + c' D_v D_u + c_u D_u + c_v D_v`` with ``s = c + c'`` and
+    ``quadratic`` the normal form of ``c D_u D_v + c' D_v D_u``.  Both
+    ``(lam_u D_u + mu_u)(lam_v D_v + mu_v)`` and the product in the other
+    order are ``lam_u lam_v`` times the word plus the same
+    ``lam_u mu_v D_u + mu_u lam_v D_v + mu_u mu_v``, so the image is
+
+        lam_u lam_v quadratic + s (lam_u mu_v D_u + mu_u lam_v D_v + mu_u mu_v)
+            + c_u (lam_u D_u + mu_u) + c_v (lam_v D_v + mu_v),
+
+    one normal form per pair, shared by every map, plus scalar terms.
+    """
+    u, v, quadratic, s, c_u, c_v = relation
+    lam_u, mu_u = nu_map[u]
+    lam_v, mu_v = nu_map[v]
+    out: dict = {}
+    scale = lam_u * lam_v
+    if scale != 0:
+        _iadd(out, quadratic, scale)
+    for m, c in ((_unit(n, u), lam_u * (s * mu_v + c_u)),
+                 (_unit(n, v), lam_v * (s * mu_u + c_v)),
+                 ((0,) * n, s * mu_u * mu_v + c_u * mu_u + c_v * mu_v)):
+        if c != 0:
+            _add_term(out, m, c)
+    return out
+
+
 def verify_automorphisms(nu: AffineAutomorphismFamily,
                          P: AlgebraPresentation) -> AutomorphismReport:
+    """Bijectivity, relation preservation and pairwise commutation, exactly.
+
+    A map preserves the relations when it sends each pair relation to 0 in
+    normal form (see :func:`_relation_image`).
+    """
     n = P.n
     failures = []
     bijective = True
@@ -304,17 +354,21 @@ def verify_automorphisms(nu: AffineAutomorphismFamily,
             if nu.lam(a, j) == 0:
                 bijective = False
                 failures.append(f"nu_{a} sends D{j} to a constant")
+    relations = []
+    for u, v in combinations(range(1, n + 1), 2):
+        comb = _relation_combination(P, u, v)
+        c, c_rev = comb.get((u, v), ZERO), comb.get((v, u), ZERO)
+        quadratic = normal_form({(u, v): c, (v, u): c_rev}, P).terms
+        relations.append((u, v, quadratic, c + c_rev, comb.get((u,), ZERO),
+                          comb.get((v,), ZERO)))
     relations_ok = True
     for a in range(1, n + 1):
         nu_map = nu.map_of(a)
-        for u, v in combinations(range(1, n + 1), 2):
-            image = Poly.zero(n)
-            for word, c in _relation_combination(P, u, v).items():
-                image = image + _apply_map_to_word(nu_map, word, P).scale(c)
-            if not image.is_zero():
+        for relation in relations:
+            if _relation_image(nu_map, relation, n):
                 relations_ok = False
-                failures.append(
-                    f"nu_{a} breaks the relation of the pair ({u},{v})")
+                failures.append(f"nu_{a} breaks the relation of the pair "
+                                f"({relation[0]},{relation[1]})")
     commute_ok = True
     for a, b in combinations(range(1, n + 1), 2):
         for j in range(1, n + 1):
@@ -586,7 +640,12 @@ def _monomials(n: int, degree: int):
 
 def check_connectedness(P: AlgebraPresentation, nu: AffineAutomorphismFamily,
                         degree_bound: int = 5) -> bool:
-    """No nonconstant element of bounded degree may be closed."""
+    """No nonconstant monomial of bounded degree may be closed.
+
+    A sample: ker d is a subspace, and a combination can be closed when no
+    monomial is (see :func:`certify_connectedness`, which proves ker d =
+    constants where its premises hold).
+    """
     for deg in range(1, degree_bound + 1):
         for expts in _monomials(P.n, deg):
             if differential(Poly.monomial(P.n, expts), nu, P).is_zero():
@@ -634,6 +693,8 @@ def check_integrating_form(P: AlgebraPresentation,
     ``D_j -> a_j D_j + b_j``.  It fixes every ``m`` up to ``c`` exactly
     when ``c = 1`` (the identity at 1) and ``a_j = 1``, ``b_j = 0`` (at each
     ``D_j``).  Neither argument needs the twists to be automorphisms.
+    :func:`certify_integrating_form` decides bounds 0 and 1 from the
+    generator maps alone.
     """
     n = P.n
     # the dual dD_{J^c} * c_J of each dD_J, for the basis sets of each slot
@@ -672,7 +733,11 @@ def leibniz_defects(P: AlgebraPresentation,
 
 def check_d_squared(P: AlgebraPresentation, nu: AffineAutomorphismFamily,
                     degree_bound: int = 4) -> bool:
-    """d applied twice kills every monomial of bounded degree."""
+    """d applied twice kills every monomial of bounded degree.
+
+    :func:`certify_d_squared` proves it in every degree where its premises
+    hold.
+    """
     for deg in range(1, degree_bound + 1):
         for expts in _monomials(P.n, deg):
             first = differential(Poly.monomial(P.n, expts), nu, P)
@@ -693,3 +758,136 @@ def no_go_residual(P: AlgebraPresentation, i: int, t: int,
     u, v = min(i, t), max(i, t)
     return _d_combination(_relation_combination(P, u, v), nu, P).get(
         i, Poly.zero(P.n))
+
+
+# -- closed-form certificates ------------------------------------------------------
+#
+# Each certificate decides one witness check from the family's scalars and
+# generator maps, with no differential, wedge or product.  It answers True or
+# False where its argument applies, and None where it does not, in which case
+# the sampled check decides.
+
+
+def certify_connectedness(nu: AffineAutomorphismFamily) -> bool | None:
+    """``True`` when ker d = constants follows from the family's scalars.
+
+    Write a PBW monomial ``m = D_n^{k_n} ... D_1^{k_1}`` as its decreasing
+    word.  Only the positions holding the letter ``a`` give ``dD_a``, so
+    ``d_a(m) = 0`` when ``k_a = 0``.  For ``k_a > 0`` the position after
+    ``i`` earlier letters ``a`` gives ``nu_a(prefix) suffix``, whose part of
+    top degree is ``prod_{j>a} lam_aj^{k_j} lam_aa^i m/D_a``.  So the part of
+    ``d_a(m)`` of degree ``deg m - 1`` is
+
+        prod_{j>a} lam_aj^{k_j} [k_a]_{lam_aa} m/D_a,
+        [k]_lam = 1 + lam + ... + lam^(k-1).
+
+    Take a nonconstant ``p`` and an index ``a`` that some monomial of the top
+    part of ``p`` contains.  Lower monomials of ``p`` give ``d_a`` terms of
+    lower degree, and the monomials ``m/D_a`` are distinct, so ``d_a(p) != 0``
+    as long as every ``lam_aj`` with ``j > a`` is nonzero and no
+    ``[k]_{lam_aa}`` vanishes; over Q the second means ``lam_aa != -1``.
+    Then ker d is the constants, and in particular no monomial of any degree
+    is closed, which is what :func:`check_connectedness` samples.
+
+    Otherwise the argument does not apply, and ``None`` asks for the sample.
+    A diagonal ``lam_aa = -1`` does leave a closed nonconstant element:
+    ``d(D_a^2) = dD_a ((1 + lam_aa) D_a + mu_aa) = d(mu_aa D_a)``, which the
+    monomial sample cannot see.
+    """
+    n = nu.n
+    for a in range(1, n + 1):
+        if nu.lam(a, a) == -1 or any(nu.lam(a, j) == 0
+                                     for j in range(a + 1, n + 1)):
+            return None
+    return True
+
+
+def certify_d_squared(nu: AffineAutomorphismFamily,
+                      auto: AutomorphismReport) -> bool | None:
+    """``True`` when d∘d = 0 follows from the family's scalars.
+
+    Let ``d_a`` be the ``dD_a`` coefficient of d.  :func:`form_differential`
+    gives ``d(dD_a q) = -dD_a ^ d(q)``, and :func:`_merge_twist` sorts
+    ``dD_b dD_a = -lam_ab dD_a dD_b`` for ``a < b``, so the ``dD_a dD_b``
+    coefficient of ``d(d(p))`` is ``-Phi(p)`` with
+
+        Phi = d_b d_a - lam_ab d_a d_b.
+
+    :func:`differential` is the positional sum on decreasing words, which is
+    exact in the free algebra, where it is a twisted derivation:
+    ``d_a(pq) = d_a(p) q + nu_a(p) d_a(q)`` with ``nu_a`` the algebra map
+    ``D_j -> lam_aj D_j + mu_aj``.  The argument runs there, so it needs
+    neither the relations nor Leibniz compatibility.  Expanding both
+    products,
+
+        Phi(pq) = Phi(p) q + nu_a nu_b(p) Phi(q) + X(p) d_b(q) + Y(p) d_a(q),
+        X = nu_b d_a - lam_ab d_a nu_b,   Y = d_b nu_a - lam_ab nu_a d_b,
+
+    where the second term uses ``nu_a nu_b = nu_b nu_a``.  That holds on the
+    free algebra once it holds on generators (``pairwise-commute``), and then
+    ``X(pq) = X(p) nu_b(q) + nu_a nu_b(p) X(q)`` and
+    ``Y(pq) = Y(p) nu_a(q) + nu_a nu_b(p) Y(q)``.  On generators
+    ``Y(D_j) = (lam_aj - lam_ab) [j = b] = 0`` and
+    ``X(D_j) = (1 - lam_ab lam_ba) [j = a]``, and all three maps kill 1.  So
+    when every ``lam_ab lam_ba = 1``, X and Y vanish on every word by
+    induction on its length, Phi then is a twisted derivation that kills
+    every ``D_j``, and ``d(d(p)) = 0`` in every degree, which is what
+    :func:`check_d_squared` samples.  The forced family always has
+    ``lam_ab lam_ba = 1``, since ``lam_ab = g(a, b) / g(b, a)``.
+
+    Otherwise the argument does not apply, and ``None`` asks for the sample.
+    """
+    if auto.pairwise_commute and all(
+            nu.lam(a, b) * nu.lam(b, a) == 1
+            for a, b in combinations(range(1, nu.n + 1), 2)):
+        return True
+    return None
+
+
+def certify_integrating_form(nu: AffineAutomorphismFamily,
+                             auto: AutomorphismReport, k: int,
+                             which: str = "both") -> bool:
+    """:func:`check_integrating_form` in degree ``k`` at expand degree 0 and
+    project degree 1, from the generator maps alone.
+
+    The check first computes the dual constants ``c_J = 1 / merge(J^c, J)``
+    of both slots, and raises ``ZeroDivisionError`` on a zero merge factor.
+    ``merge(J^c, J)`` is the product of ``-lam_uj`` over ``u`` in ``J`` and
+    ``j > u`` outside it, and for ``0 < k < n`` some ``J`` of size ``k`` or
+    ``n - k`` splits any given pair ``u < j``; so the check raises exactly
+    when ``0 < k < n`` and some ``lam_uj`` with ``u < j`` is zero, and then
+    the same call raises here.
+
+    Expand at degree 0 tests ``omega' = dD_K`` alone, and the dual
+    ``dD_{K^c} c_K`` wedged with it is ``merge(K^c, K) c_K dD_all = dD_all``,
+    so it passes.  Project at degree 1 tests, on 1 and on each ``D_j``, the
+    composite twist ``nu_K o nu_omega^-1 o nu_{K^c}`` times the constant
+    ``merge(K, K^c) c_{K^c} = 1`` (the check's docstring gives the
+    reduction).  It builds the inverse volume twist first, so a singular
+    volume twist raises the same :class:`CalculusError` here.  The composite
+    fixes 1, and fixes ``D_j`` exactly when its generator map sends ``D_j``
+    to itself.  When the maps commute pairwise (``pairwise-commute``) it
+    does for every ``K``: the maps of ``K^c`` and then of ``K`` compose to
+    the volume twist, whatever the order.  Otherwise each composite is
+    folded out.  ``"both"`` passes exactly when project does.
+    """
+    n = nu.n
+    if 0 < k < n and any(nu.lam(u, j) == 0
+                         for u, j in combinations(range(1, n + 1), 2)):
+        _dual_bases(k, nu, n)  # raises on the first zero merge factor
+    if which == "expand":
+        return True
+    inverse = _omega_inverse_maps(nu)
+    if auto.pairwise_commute:
+        return True
+    indices = range(1, n + 1)
+    for K in combinations(indices, k):
+        first = nu.composed(a for a in indices if a not in K)
+        last = nu.composed(K)
+        for j in indices:
+            lam, mu = ONE, ZERO
+            for lk, mk in (first[j], inverse[j], last[j]):
+                lam, mu = lam * lk, lam * mk + mu
+            if lam != 1 or mu != 0:
+                return False
+    return True

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 
 from .engine import Poly, monomial_word
-from .scalars import format_rational, rational
+from .scalars import format_rational, parse_rational, rational
 
 __all__ = ["ExpressionError", "MAX_LITERAL_DIGITS", "MAX_TERM_DEGREE",
            "parse_poly", "format_poly", "format_word"]
@@ -103,8 +103,12 @@ def parse_poly(text: str, n: int) -> dict:
         saw_coeff = False
         saw_factor = False
         if idx < len(tokens) and tokens[idx][0] == "num":
-            _check_digits(tokens[idx][1], tokens[idx][2])
-            coeff = rational(tokens[idx][1])
+            literal, col = tokens[idx][1], tokens[idx][2]
+            _check_digits(literal, col)
+            try:
+                coeff = parse_rational(literal)
+            except ValueError as exc:  # a zero denominator
+                raise ExpressionError(str(exc), col) from None
             saw_coeff = True
             idx += 1
             if idx < len(tokens) and tokens[idx][0] == "op" and tokens[idx][1] == "*":
@@ -173,11 +177,10 @@ def format_poly(p: Poly) -> str:
     """Canonical one-line rendering of a normal-form polynomial."""
     if p.is_zero():
         return "0"
-    keys = sorted(p.terms, key=lambda m: (sum(m), monomial_word(m)), reverse=True)
+    terms = sorted(((sum(m), monomial_word(m), c) for m, c in p.terms.items()),
+                   key=lambda term: term[:2], reverse=True)
     pieces = []
-    for m in keys:
-        c = p.terms[m]
-        word = monomial_word(m)
+    for _, word, c in terms:
         neg = c < 0
         mag = -c if neg else c
         if not word:

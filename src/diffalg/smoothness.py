@@ -1,8 +1,9 @@
 """Differential-smoothness decision with machine-checkable evidence.
 
 The decision is three-valued.  ``Smooth`` always comes with a twisting
-family (the witness) that :func:`verify_witness` checks, proving the
-volume-form identities on module generators; ``NotSmooth`` comes with an
+family (the witness) that :func:`verify_witness` checks, proving each check
+in closed form from the family's scalars where the argument applies and
+sampling it where it does not; ``NotSmooth`` comes with an
 obstruction — an interacting index, a non-coupling index, and the nonzero
 residual that survives in the ``dD_i`` slot no matter which affine family
 is tried; everything outside the reach of the implemented constructions
@@ -17,6 +18,7 @@ from functools import partial
 
 from .calculus import (
     AffineAutomorphismFamily, CalculusError, build_automorphisms,
+    certify_connectedness, certify_d_squared, certify_integrating_form,
     check_connectedness, check_d_squared, check_integrating_form,
     leibniz_defects, no_go_residual, shift_ansatz, verify_automorphisms,
 )
@@ -151,10 +153,27 @@ class WitnessReport:
     # automorphism checks come from one pass, whose time is recorded on
     # relations-preserved (pairwise-commute and bijective record 0)
     seconds: tuple = field(default=(), compare=False)
+    # how each check was decided, aligned with ``checks``: "closed-form"
+    # (an exact decision, in every degree) or "sampled" (on every monomial
+    # up to a degree bound)
+    methods: tuple = field(default=(), compare=False)
 
     @property
     def ok(self) -> bool:
         return all(passed for _, passed in self.checks)
+
+
+CLOSED_FORM, SAMPLED = "closed-form", "sampled"
+
+
+def _decide(certificate, sample) -> tuple:
+    """``(passed, method)``: the certificate's answer, or the sample's where
+    there is no certificate or it returns ``None`` (a certificate that always
+    answers comes with no sample)."""
+    passed = None if certificate is None else certificate()
+    if passed is None:
+        return sample(), SAMPLED
+    return passed, CLOSED_FORM
 
 
 def verify_witness(P: AlgebraPresentation, verdict: SmoothnessVerdict,
@@ -163,43 +182,63 @@ def verify_witness(P: AlgebraPresentation, verdict: SmoothnessVerdict,
                    connectedness_degree: int = 5) -> WitnessReport:
     """Run every calculus check against a Smooth verdict's witness.
 
-    By default the volume-form identities of
-    :func:`~diffalg.calculus.check_integrating_form` are proved on module
-    generators: ``integral-expand-k*`` at coefficient degree 0 and
-    ``integral-project-k*`` at degree at most 1, which implies them in every
-    degree (the check's docstring gives the argument).  An explicit
-    ``degree_bound`` instead samples both on every coefficient monomial up
-    to that degree, as a cross-check; a negative bound would test no
-    monomial at all, so it raises :class:`SmoothnessError`.
+    The automorphism checks and ``leibniz`` are exact finite computations on
+    generators and pair relations.  The others are decided by the closed-form
+    certificates of :mod:`~diffalg.calculus`, each of which proves its check
+    in every degree from the family's scalars, and fall back to sampling
+    where a certificate's premises fail:
+
+    * ``d-squared-zero``: :func:`~diffalg.calculus.certify_d_squared` when the
+      maps commute pairwise and every ``lam_ab lam_ba = 1``; otherwise
+      :func:`~diffalg.calculus.check_d_squared` to ``dd_degree``.
+    * ``connectedness``: :func:`~diffalg.calculus.certify_connectedness` when
+      every ``lam_aj`` with ``j > a`` is nonzero and no ``lam_aa`` is -1;
+      otherwise :func:`~diffalg.calculus.check_connectedness` to
+      ``connectedness_degree``.
+    * ``integral-expand-k*`` and ``integral-project-k*``:
+      :func:`~diffalg.calculus.certify_integrating_form`, which decides
+      :func:`~diffalg.calculus.check_integrating_form` at expand degree 0 and
+      project degree 1; those prove both identities in every degree (the
+      check's docstring gives the argument).  An explicit ``degree_bound``
+      instead samples both on every coefficient monomial up to that degree,
+      as a cross-check; a negative bound would test no monomial at all, so
+      it raises :class:`SmoothnessError`.
+
+    Every certificate answers exactly as its sampled check would, so the
+    check list does not depend on the route; ``WitnessReport.methods`` says
+    which one each check took.
     """
     if verdict.witness is None:
         raise SmoothnessError("the verdict carries no witness to verify")
     nu = verdict.witness
-    if degree_bound is None:
-        expand_degree, project_degree = 0, 1
-    elif degree_bound < 0:
+    if degree_bound is not None and degree_bound < 0:
         raise SmoothnessError(
             f"the degree bound must be nonnegative, got {degree_bound}")
-    else:
-        expand_degree = project_degree = degree_bound
     start = time.perf_counter()
     auto = verify_automorphisms(nu, P)
     checks = [("relations-preserved", auto.relations_preserved),
               ("pairwise-commute", auto.pairwise_commute),
               ("bijective", auto.bijective)]
     seconds = [time.perf_counter() - start, 0.0, 0.0]
-    steps = [("leibniz", lambda: not leibniz_defects(P, nu)),
-             ("d-squared-zero", partial(check_d_squared, P, nu, dd_degree)),
-             ("connectedness",
+    methods = [CLOSED_FORM] * 3
+    steps = [("leibniz", lambda: not leibniz_defects(P, nu), None),
+             ("d-squared-zero", partial(certify_d_squared, nu, auto),
+              partial(check_d_squared, P, nu, dd_degree)),
+             ("connectedness", partial(certify_connectedness, nu),
               partial(check_connectedness, P, nu, connectedness_degree))]
     for k in range(P.n):
-        steps.append((f"integral-expand-k{k}", partial(
-            check_integrating_form, P, nu, k, expand_degree, which="expand")))
-        steps.append((f"integral-project-k{k}", partial(
-            check_integrating_form, P, nu, k, project_degree, which="project")))
-    for name, check in steps:
+        for which in ("expand", "project"):
+            if degree_bound is None:
+                step = (partial(certify_integrating_form, nu, auto, k, which),
+                        None)
+            else:
+                step = (None, partial(check_integrating_form, P, nu, k,
+                                      degree_bound, which=which))
+            steps.append((f"integral-{which}-k{k}",) + step)
+    for name, certificate, sample in steps:
         start = time.perf_counter()
-        passed = check()
+        passed, method = _decide(certificate, sample)
         seconds.append(time.perf_counter() - start)
         checks.append((name, passed))
-    return WitnessReport(tuple(checks), tuple(seconds))
+        methods.append(method)
+    return WitnessReport(tuple(checks), tuple(seconds), tuple(methods))

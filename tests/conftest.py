@@ -11,8 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from diffalg.calculus import (GradedForm, _dual_bases, _monomials, basis_form,
-                              differential, left_multiply, nu_omega_inverse,
+from diffalg.calculus import (AutomorphismReport, GradedForm,
+                              _apply_map_to_word, _dual_bases, _monomials,
+                              _relation_combination, basis_form,
+                              check_connectedness, check_d_squared,
+                              check_integrating_form, differential,
+                              leibniz_defects, left_multiply, nu_omega_inverse,
                               pi_omega, right_multiply, wedge)
 from diffalg.engine import Poly, multiply, normal_form, power
 from diffalg.presentation import AlgebraPresentation
@@ -152,6 +156,61 @@ def full_sum_integrating_form(P, nu, k, degree_bound=3, which="both"):
                 if total != omega_prime:
                     return False
     return True
+
+
+def letter_by_letter_automorphisms(nu, P):
+    """``calculus.verify_automorphisms`` with the image of every relation word
+    built by ``calculus._apply_map_to_word``: letter by letter through
+    ``multiply`` on a word with an ascent, closed form on a PBW monomial."""
+    n = P.n
+    failures = []
+    bijective = True
+    for a in range(1, n + 1):
+        for j in range(1, n + 1):
+            if nu.lam(a, j) == 0:
+                bijective = False
+                failures.append(f"nu_{a} sends D{j} to a constant")
+    relations_ok = True
+    for a in range(1, n + 1):
+        for u, v in combinations(range(1, n + 1), 2):
+            image = Poly.zero(n)
+            for word, c in _relation_combination(P, u, v).items():
+                image = image + _apply_map_to_word(nu.map_of(a), word, P).scale(c)
+            if not image.is_zero():
+                relations_ok = False
+                failures.append(f"nu_{a} breaks the relation of the pair ({u},{v})")
+    commute_ok = True
+    for a, b in combinations(range(1, n + 1), 2):
+        for j in range(1, n + 1):
+            la, ma = nu.lam(a, j), nu.mu(a, j)
+            lb, mb = nu.lam(b, j), nu.mu(b, j)
+            if lb * ma + mb != la * mb + ma:
+                commute_ok = False
+                failures.append(
+                    f"nu_{a} and nu_{b} disagree on D{j} depending on order")
+    return AutomorphismReport(relations_ok, commute_ok, bijective, tuple(failures))
+
+
+def sampled_check_list(P, nu, degree_bound=None):
+    """The check list of ``smoothness.verify_witness`` with no certificate:
+    relation images letter by letter, ``d-squared-zero`` on every monomial of
+    degree <= 4, connectedness on every monomial of degree <= 5, and the
+    volume-form identities at expand degree 0 and project degree 1, or both
+    at ``degree_bound``."""
+    auto = letter_by_letter_automorphisms(nu, P)
+    checks = [("relations-preserved", auto.relations_preserved),
+              ("pairwise-commute", auto.pairwise_commute),
+              ("bijective", auto.bijective),
+              ("leibniz", not leibniz_defects(P, nu)),
+              ("d-squared-zero", check_d_squared(P, nu, 4)),
+              ("connectedness", check_connectedness(P, nu, 5))]
+    expand, project = (0, 1) if degree_bound is None else (degree_bound,) * 2
+    for k in range(P.n):
+        checks.append((f"integral-expand-k{k}", check_integrating_form(
+            P, nu, k, expand, which="expand")))
+        checks.append((f"integral-project-k{k}", check_integrating_form(
+            P, nu, k, project, which="project")))
+    return tuple(checks)
 
 
 # -- four generators ---------------------------------------------------------

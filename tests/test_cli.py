@@ -128,6 +128,13 @@ def test_reduce_rejects_bad_expression(capsys):
                    "expression (column 4)\n")
 
 
+@pytest.mark.parametrize("command", ["reduce", "d"])
+def test_zero_denominator_exits_with_one_error_line(capsys, command):
+    rc, out, err = run(capsys, command, FIXTURES / "p1.dalg", "1/0")
+    assert (rc, out, err) == (2, "", "error: bad expression: zero denominator "
+                                     "in rational '1/0' (column 1)\n")
+
+
 def test_d_of_a_written_word(capsys):
     rc, out, err = run(capsys, "d", FIXTURES / "p1.dalg", "D1 D2")
     assert (rc, out, err) == (0, "d: dD1 * (D2) + dD2 * (D1 - 1)\n", "")

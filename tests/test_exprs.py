@@ -61,6 +61,23 @@ def test_error_messages_and_columns(text, fragment, col):
     assert err.value.col == col
 
 
+@pytest.mark.parametrize("text,literal,col", [
+    ("1/0", "1/0", 1),
+    ("D1 - 0/0", "0/0", 6),
+    ("D2 + 3/000 * D1", "3/000", 6),
+])
+def test_zero_denominator_is_a_grammar_error(text, literal, col):
+    with pytest.raises(ExpressionError) as err:
+        parse_poly(text, 3)
+    assert str(err.value) == (f"zero denominator in rational {literal!r} "
+                              f"(column {col})")
+    assert err.value.col == col
+
+
+def test_a_zero_numerator_over_a_nonzero_denominator_is_zero():
+    assert parse_poly("0/5 + D1 + 3/010 D1", 3) == {(1,): rational(13, 10)}
+
+
 def test_empty_expression_has_no_column():
     with pytest.raises(ExpressionError) as err:
         parse_poly("   ", 3)
