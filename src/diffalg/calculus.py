@@ -72,7 +72,7 @@ __all__ = [
     "nu_omega", "nu_omega_inverse", "check_connectedness",
     "check_integrating_form", "leibniz_defects", "check_d_squared",
     "no_go_residual", "certify_connectedness", "certify_d_squared",
-    "certify_integrating_form",
+    "certify_expansion", "certify_projection",
 ]
 
 
@@ -693,8 +693,8 @@ def check_integrating_form(P: AlgebraPresentation,
     ``D_j -> a_j D_j + b_j``.  It fixes every ``m`` up to ``c`` exactly
     when ``c = 1`` (the identity at 1) and ``a_j = 1``, ``b_j = 0`` (at each
     ``D_j``).  Neither argument needs the twists to be automorphisms.
-    :func:`certify_integrating_form` decides bounds 0 and 1 from the
-    generator maps alone.
+    :func:`certify_expansion` decides bound 0 from the family's scalars, and
+    :func:`certify_projection` bound 1 when the maps commute pairwise.
     """
     n = P.n
     # the dual dD_{J^c} * c_J of each dD_J, for the basis sets of each slot
@@ -844,50 +844,52 @@ def certify_d_squared(nu: AffineAutomorphismFamily,
     return None
 
 
-def certify_integrating_form(nu: AffineAutomorphismFamily,
-                             auto: AutomorphismReport, k: int,
-                             which: str = "both") -> bool:
-    """:func:`check_integrating_form` in degree ``k`` at expand degree 0 and
-    project degree 1, from the generator maps alone.
+def certify_expansion(nu: AffineAutomorphismFamily, k: int) -> bool:
+    """:func:`check_integrating_form` with ``which="expand"`` in degree ``k``
+    at degree 0, from the family's scalars.
 
     The check first computes the dual constants ``c_J = 1 / merge(J^c, J)``
     of both slots, and raises ``ZeroDivisionError`` on a zero merge factor.
     ``merge(J^c, J)`` is the product of ``-lam_uj`` over ``u`` in ``J`` and
-    ``j > u`` outside it, and for ``0 < k < n`` some ``J`` of size ``k`` or
-    ``n - k`` splits any given pair ``u < j``; so the check raises exactly
-    when ``0 < k < n`` and some ``lam_uj`` with ``u < j`` is zero, and then
-    the same call raises here.
+    ``j > u`` outside it, and for ``0 < k < n`` some ``J`` of size ``k``
+    splits any given pair ``u < j``; so the check raises exactly when
+    ``0 < k < n`` and some ``lam_uj`` with ``u < j`` is zero, and then the
+    same call raises here.
 
-    Expand at degree 0 tests ``omega' = dD_K`` alone, and the dual
-    ``dD_{K^c} c_K`` wedged with it is ``merge(K^c, K) c_K dD_all = dD_all``,
-    so it passes.  Project at degree 1 tests, on 1 and on each ``D_j``, the
-    composite twist ``nu_K o nu_omega^-1 o nu_{K^c}`` times the constant
-    ``merge(K, K^c) c_{K^c} = 1`` (the check's docstring gives the
-    reduction).  It builds the inverse volume twist first, so a singular
-    volume twist raises the same :class:`CalculusError` here.  The composite
-    fixes 1, and fixes ``D_j`` exactly when its generator map sends ``D_j``
-    to itself.  When the maps commute pairwise (``pairwise-commute``) it
-    does for every ``K``: the maps of ``K^c`` and then of ``K`` compose to
-    the volume twist, whatever the order.  Otherwise each composite is
-    folded out.  ``"both"`` passes exactly when project does.
+    :func:`~diffalg.smoothness.verify_witness` never reaches this raise: a
+    zero ``lam_uj`` also makes the volume twist singular, so
+    ``integral-project-k0`` raises :class:`CalculusError` first.
+
+    Otherwise it passes: expand at degree 0 tests ``omega' = dD_K`` alone,
+    and the dual ``dD_{K^c} c_K`` wedged with it is
+    ``merge(K^c, K) c_K dD_all = dD_all``.
     """
     n = nu.n
     if 0 < k < n and any(nu.lam(u, j) == 0
                          for u, j in combinations(range(1, n + 1), 2)):
         _dual_bases(k, nu, n)  # raises on the first zero merge factor
-    if which == "expand":
-        return True
-    inverse = _omega_inverse_maps(nu)
-    if auto.pairwise_commute:
-        return True
-    indices = range(1, n + 1)
-    for K in combinations(indices, k):
-        first = nu.composed(a for a in indices if a not in K)
-        last = nu.composed(K)
-        for j in indices:
-            lam, mu = ONE, ZERO
-            for lk, mk in (first[j], inverse[j], last[j]):
-                lam, mu = lam * lk, lam * mk + mu
-            if lam != 1 or mu != 0:
-                return False
+    return True
+
+
+def certify_projection(nu: AffineAutomorphismFamily,
+                       auto: AutomorphismReport, k: int) -> bool | None:
+    """``True`` when :func:`check_integrating_form` with ``which="project"``
+    in degree ``k`` at degree 1 follows from maps that commute pairwise.
+
+    Project at degree 1 tests, on 1 and on each ``D_j``, the composite twist
+    ``nu_K o nu_omega^-1 o nu_{K^c}`` times the constant
+    ``merge(K, K^c) c_{K^c} = 1`` (the check's docstring gives the
+    reduction).  The composite fixes 1.  When the maps commute pairwise
+    (``pairwise-commute``), the maps of ``K^c`` and then of ``K`` compose to
+    the volume twist, whatever the order, so the composite is the identity
+    for every ``K``.  The check raises the dual constants' ``ZeroDivisionError``
+    (see :func:`certify_expansion`) and then a singular volume twist's
+    :class:`CalculusError`; so does this certificate, in the same order.
+
+    Otherwise the argument does not apply, and ``None`` asks for the sample.
+    """
+    if not auto.pairwise_commute:
+        return None
+    certify_expansion(nu, k)  # the same dual constants
+    _omega_inverse_maps(nu)  # raises on a singular volume twist
     return True

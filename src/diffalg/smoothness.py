@@ -18,7 +18,8 @@ from functools import partial
 
 from .calculus import (
     AffineAutomorphismFamily, CalculusError, build_automorphisms,
-    certify_connectedness, certify_d_squared, certify_integrating_form,
+    certify_connectedness, certify_d_squared, certify_expansion,
+    certify_projection,
     check_connectedness, check_d_squared, check_integrating_form,
     leibniz_defects, no_go_residual, shift_ansatz, verify_automorphisms,
 )
@@ -195,11 +196,14 @@ def verify_witness(P: AlgebraPresentation, verdict: SmoothnessVerdict,
       every ``lam_aj`` with ``j > a`` is nonzero and no ``lam_aa`` is -1;
       otherwise :func:`~diffalg.calculus.check_connectedness` to
       ``connectedness_degree``.
-    * ``integral-expand-k*`` and ``integral-project-k*``:
-      :func:`~diffalg.calculus.certify_integrating_form`, which decides
+    * ``integral-expand-k*`` and ``integral-project-k*``: the identities of
       :func:`~diffalg.calculus.check_integrating_form` at expand degree 0 and
-      project degree 1; those prove both identities in every degree (the
-      check's docstring gives the argument).  An explicit ``degree_bound``
+      project degree 1, which prove both in every degree (the check's
+      docstring gives the argument).
+      :func:`~diffalg.calculus.certify_expansion` always decides the first;
+      :func:`~diffalg.calculus.certify_projection` decides the second when
+      the maps commute pairwise, and otherwise the check samples it at
+      degree 1.  An explicit ``degree_bound``
       instead samples both on every coefficient monomial up to that degree,
       as a cross-check; a negative bound would test no monomial at all, so
       it raises :class:`SmoothnessError`.
@@ -227,14 +231,18 @@ def verify_witness(P: AlgebraPresentation, verdict: SmoothnessVerdict,
              ("connectedness", partial(certify_connectedness, nu),
               partial(check_connectedness, P, nu, connectedness_degree))]
     for k in range(P.n):
-        for which in ("expand", "project"):
-            if degree_bound is None:
-                step = (partial(certify_integrating_form, nu, auto, k, which),
-                        None)
-            else:
-                step = (None, partial(check_integrating_form, P, nu, k,
-                                      degree_bound, which=which))
-            steps.append((f"integral-{which}-k{k}",) + step)
+        if degree_bound is None:
+            steps += [(f"integral-expand-k{k}",
+                       partial(certify_expansion, nu, k), None),
+                      (f"integral-project-k{k}",
+                       partial(certify_projection, nu, auto, k),
+                       partial(check_integrating_form, P, nu, k, 1,
+                               which="project"))]
+        else:
+            steps += [(f"integral-{which}-k{k}", None,
+                       partial(check_integrating_form, P, nu, k, degree_bound,
+                               which=which))
+                      for which in ("expand", "project")]
     for name, certificate, sample in steps:
         start = time.perf_counter()
         passed, method = _decide(certificate, sample)

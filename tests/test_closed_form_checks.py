@@ -17,7 +17,7 @@ import random
 import pytest
 
 from diffalg.calculus import (AffineAutomorphismFamily, build_automorphisms,
-                              certify_connectedness, certify_integrating_form,
+                              certify_connectedness, certify_expansion,
                               check_integrating_form, verify_automorphisms)
 from diffalg.cli import main
 from diffalg.presentation import load_presentation
@@ -125,12 +125,6 @@ def test_perturbed_families_match_sampled(name, P):
                                       + ("lam", rational(-1))]))
     for index, family in enumerate(families):
         assert_matches_sampled(P, family, bounds=(None, 2) if index == 0 else (None,))
-        auto = verify_automorphisms(family, P)
-        for k in range(P.n):
-            for which, bound in (("expand", 0), ("project", 1)):
-                assert outcome(lambda: certify_integrating_form(
-                    family, auto, k, which)) == outcome(lambda: check_integrating_form(
-                        P, family, k, bound, which=which)), (k, which)
 
 
 def test_perturbations_reach_every_route():
@@ -155,6 +149,7 @@ def test_perturbations_reach_every_route():
     assert {"k1:ZeroDivisionError", "CalculusError",
             "d-squared-zero:sampled", "connectedness:sampled",
             "d-squared-zero:closed-form", "connectedness:closed-form",
+            "integral-project-k1:sampled", "integral-project-k1:closed-form",
             "relations-preserved:FAIL", "d-squared-zero:FAIL",
             "integral-project-k1:FAIL"} <= seen
 
@@ -203,7 +198,9 @@ def test_minus_one_rows_are_found():
 @pytest.mark.parametrize("P,verdict", MINUS_ONE_ROWS)
 def test_minus_one_row_matches_sampled(P, verdict):
     assert_matches_sampled(P, verdict.witness)
-    assert methods(P, verdict.witness)["connectedness"] == "sampled"
+    got = methods(P, verdict.witness)
+    assert {check for check, method in got.items() if method == "sampled"} == {
+        "connectedness"}
 
 
 # -- which route each check takes -------------------------------------------------------
@@ -239,22 +236,28 @@ def test_connectedness_declines_a_zero_above_the_diagonal(p3):
     assert certify_connectedness(with_entries(nu, [(2, 1, "lam", rational(0))])) is True
 
 
-def test_project_folds_noncommuting_maps_in_order(p3):
-    """On D1, nu_1 and nu_2 shift by +1 and -1 and nu_3 doubles: the maps do
-    not commute, and yet the projection holds in degree 1, since applying
-    the maps of K before those of K^c gives the volume twist for every K of
-    size 1.  Taken in the other order, K = {1} would fail."""
+def test_expansion_raises_as_sampled_on_a_zero_merge_factor(p3):
+    nu = with_entries(build_automorphisms(p3), [(1, 3, "lam", rational(0))])
+    got = [outcome(lambda: certify_expansion(nu, k)) for k in range(3)]
+    assert got == [True, ZeroDivisionError, ZeroDivisionError]
+    assert got == [outcome(lambda: check_integrating_form(p3, nu, k, 0, which="expand"))
+                   for k in range(3)]
+
+
+def test_projection_samples_maps_that_do_not_commute(p3):
+    """On D1, nu_1 and nu_2 shift by +1 and -1 and nu_3 doubles, so the maps
+    do not commute and the projection certificate declines."""
     one, zero = rational(1), rational(0)
     fixed = (one, zero)
     nu = AffineAutomorphismFamily(3, (((one, one), fixed, fixed),
                                       ((one, -one), fixed, fixed),
                                       ((2 * one, zero), fixed, fixed)))
-    auto = verify_automorphisms(nu, p3)
-    assert not auto.pairwise_commute
-    got = [certify_integrating_form(nu, auto, k, "project") for k in range(3)]
-    assert got == [check_integrating_form(p3, nu, k, 1, which="project")
-                   for k in range(3)]
-    assert got[1]
+    assert not verify_automorphisms(nu, p3).pairwise_commute
+    got = methods(p3, nu)
+    assert {check for check, method in got.items()
+            if check.startswith("integral-") and method == "sampled"} == {
+        f"integral-project-k{k}" for k in range(3)}
+    assert_matches_sampled(p3, nu)
 
 
 def test_an_explicit_bound_samples_the_volume_form(b1):
