@@ -257,23 +257,6 @@ def _twist_terms(terms: dict, key: tuple, nu: AffineAutomorphismFamily,
     return _apply_to_terms(nu.composed(key), terms, n, _powers(nu, key))
 
 
-def _apply_map_to_word(nu_map: dict, word, P: AlgebraPresentation) -> Poly:
-    """``nu_map`` applied to a free word, by definition: in closed form on a
-    PBW monomial, letter by letter through ``multiply`` otherwise.  The
-    relation check takes a shorter route (:func:`_relation_image`); this one
-    stays as its reference."""
-    if all(a >= b for a, b in zip(word, word[1:])):  # a PBW monomial
-        return Poly(P.n, _apply_to_terms(
-            nu_map, {word_exponents(word, P.n): ONE}, P.n, {}))
-    # a word with an ascent is not a PBW monomial: its image needs the relations
-    out = Poly.one(P.n)
-    for letter in word:
-        lam, mu = nu_map[letter]
-        img = Poly.generator(P.n, letter).scale(lam) + Poly.scalar(P.n, mu)
-        out = multiply(out, img, P)
-    return out
-
-
 def apply_automorphism(nu_map: dict, p: Poly, P: AlgebraPresentation) -> Poly:
     """Extend one generator map multiplicatively and apply it to ``p``."""
     return Poly(P.n, _apply_to_terms(nu_map, p.terms, P.n, {}))

@@ -19,8 +19,8 @@ from .exprs import ExpressionError, format_poly, parse_poly
 from .presentation import PresentationError, load_presentation, validate_presentation
 from .scalars import format_rational
 from .smoothness import decide_smoothness, verify_witness
-from .templates import (_fmt_components, _fmt_indices, generate_templates,
-                        render_template)
+from .templates import (_build_skeleton, _fmt_components, _fmt_indices,
+                        _template_args, render_template)
 
 __all__ = ["main"]
 
@@ -188,9 +188,12 @@ def _cmd_d(args) -> int:
     return 0
 
 
-# Largest n that ``tables`` enumerates per mode.  Every row is built before
-# the first is printed; on a 2-core x86-64 container (Python 3.11) paper
-# n = 9 takes 4.6 s and 244 MiB, full n = 7 1.8 s and 97 MiB, n = 8 13 s.
+# Largest n that ``tables`` enumerates per mode.  Rows are built, printed and
+# dropped one at a time, so memory stays flat (peak RSS about 18 MiB at each n
+# below), and time, which grows 4-7x per generator, sets the caps.  On a
+# 2-core x86-64 container (Python 3.11, 2026-10-18, output to /dev/null):
+# paper n = 9 takes 4.4-6.1 s and n = 10 21 s; full n = 7 takes 1.6-2.2 s and
+# n = 8 13 s.
 MAX_TABLES_N = {"paper": 9, "full": 7}
 
 
@@ -200,15 +203,16 @@ def _cmd_tables(args) -> int:
         raise _CliError(f"n must be at most {cap} for --mode {args.mode}, "
                         f"got {args.n}")
     try:
-        rows = generate_templates(args.n, args.mode)
+        count = sum(1 for _ in _template_args(args.n, args.mode))
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
     print(f"n: {args.n}")
     print(f"mode: {args.mode}")
-    print(f"count: {len(rows)}")
-    for index, skel in enumerate(rows, start=1):
+    print(f"count: {count}")
+    # one row is held at a time: built, printed, dropped
+    for index, row in enumerate(_template_args(args.n, args.mode), start=1):
         print()
-        print(render_template(skel, index))
+        print(render_template(_build_skeleton(*row), index))
     return 0
 
 

@@ -55,10 +55,22 @@ ascent into a descent.  So from the one-step rewrite of D_b D_c on, every
 choice of ascent gives the same normal form, and the right side equals
 last-ascent rewriting of D_a D_b D_c term for term.  The two sides are
 compared as integer forms, A/d and B/e, by A e == B d on the same monomials.
+
+A context lives exactly as long as its presentation.  ``_contexts`` is keyed
+by ``id(P)`` and the context holds no reference to P, so the table keeps no
+presentation alive and a lookup never hashes coefficients.  A finalizer on P
+removes its entry.  An id is reused only by an object allocated after P's
+memory is freed, and the finalizer is a weakref callback, which runs while P
+is being deallocated (or, for cyclic garbage, before the collector frees
+it), before its memory is released.  So no other object can carry P's id
+while P's entry exists, and a lookup never finds a dead presentation's
+context.  Presentations equal in value but distinct as objects get a
+context each; they build the same entries.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm
@@ -270,10 +282,10 @@ def _same(p: tuple, q: tuple) -> bool:
 
 
 class _Context:
-    __slots__ = ("P", "rules", "nf_cache", "pbw_report")
+    __slots__ = ("n", "rules", "nf_cache", "pbw_report")
 
     def __init__(self, P: AlgebraPresentation):
-        self.P = P
+        self.n = P.n
         # (a, b) with a < b  ->  the integer rule (Q, X, Y, G)
         self.rules = {(a, b): _rule(P, a, b)
                       for a in range(1, P.n + 1) for b in range(a + 1, P.n + 1)}
@@ -284,13 +296,15 @@ class _Context:
         self.pbw_report = None
 
 
-_contexts: dict[AlgebraPresentation, _Context] = {}
+# id(P) -> the context of the live presentation P; the entry goes with P
+_contexts: dict[int, _Context] = {}
 
 
 def _context(P: AlgebraPresentation) -> _Context:
-    ctx = _contexts.get(P)
+    ctx = _contexts.get(id(P))
     if ctx is None:
-        ctx = _contexts[P] = _Context(P)
+        ctx = _contexts[id(P)] = _Context(P)
+        weakref.finalize(P, _contexts.pop, id(P), None)
     return ctx
 
 
@@ -385,7 +399,7 @@ def _nf_word(ctx: _Context, word: Word, depth_left: int) -> tuple:
     k = 1
     while k < len(word) and word[k - 1] >= word[k]:
         k += 1
-    return _fold(ctx, {word_exponents(word[:k], ctx.P.n): 1}, 1, word[k:])
+    return _fold(ctx, {word_exponents(word[:k], ctx.n): 1}, 1, word[k:])
 
 
 def normal_form(w, P: AlgebraPresentation) -> Poly:
@@ -441,7 +455,7 @@ class PBWReport:
 def _triple_sides(ctx: _Context, a: int, b: int, c: int) -> tuple:
     """(D_a D_b).D_c and D_a.(D_b D_c) as integer forms."""
     left = _nf_word(ctx, (a, b, c), 3)
-    d_a = tuple(int(i == a) for i in range(1, ctx.P.n + 1))
+    d_a = tuple(int(i == a) for i in range(1, ctx.n + 1))
     return left, _product(ctx, ({d_a: 1}, 1), _nf_word(ctx, (b, c), 2))
 
 

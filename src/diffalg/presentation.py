@@ -37,7 +37,8 @@ class PresentationError(ValueError):
 class AlgebraPresentation:
     """Immutable coefficient data (n, g, x) of a diffusion-algebra presentation."""
 
-    __slots__ = ("n", "_g", "_x", "_sig", "_hash")
+    # __weakref__ lets the engine free a presentation's context with it
+    __slots__ = ("n", "_g", "_x", "_sig", "_hash", "__weakref__")
 
     def __init__(self, n: int, g: dict, x: dict):
         self.n = n
@@ -91,6 +92,18 @@ class AlgebraPresentation:
 # Characters of an offending token that an error message repeats.
 QUOTED_TOKEN_CHARS = 20
 
+# Largest generator count a file may declare, refused before any n x n table
+# is built.  ``check-pbw`` is the costliest command at large n (every triple
+# is checked, O(n^3)); on the uniform table g = 3/2, x_i = (-1)^i i/3, which
+# is PBW, it took 1.6 s at n = 40, 3.0-3.2 s and 87-102 MiB at n = 48, 8.9 s
+# and 246 MiB at n = 64 and 37 s at n = 96, while ``classify`` took 0.03 s at
+# 48 (2-core x86-64 container, Python 3.11, 2026-10-18).  The tests and
+# fixtures use at most 12.
+MAX_GENERATORS = 48
+
+# Violations ``validate_presentation`` lists one by one; the rest are counted.
+MAX_LISTED_VIOLATIONS = 10
+
 
 def _quoted(token: str) -> str:
     """``token`` as an error quotes it: whole when short, else its head and length."""
@@ -135,6 +148,9 @@ def parse_presentation(text: str) -> AlgebraPresentation:
                 n = int(tokens[2])
             except ValueError:
                 fail(f"invalid integer {_quoted(tokens[2])}", line.find(tokens[2]) + 1)
+            if n > MAX_GENERATORS:
+                fail(f"n must be at most {MAX_GENERATORS}, got {_quoted(tokens[2])}",
+                     line.find(tokens[2]) + 1)
         elif head == "g":
             if len(tokens) != 5 or tokens[3] != "=":
                 fail("expected 'g I J = RATIONAL'")
@@ -191,13 +207,18 @@ def load_presentation(path) -> AlgebraPresentation:
 def validate_presentation(P: AlgebraPresentation) -> list[str]:
     """Structural validation. Returns a list of violations (empty = valid).
 
-    Family-specific coefficient restrictions are the classifier's concern.
+    At most ``MAX_LISTED_VIOLATIONS`` zero leading coefficients are listed;
+    a last entry counts the rest.  Family-specific coefficient restrictions
+    are the classifier's concern.
     """
     violations = []
     if P.n < 2:
         violations.append(f"degenerate generator count n = {P.n} (need n >= 2)")
-    for i in range(1, P.n + 1):
-        for j in range(i + 1, P.n + 1):
-            if P.g(i, j) == 0:
-                violations.append(f"zero leading coefficient g({i}, {j})")
+    zeros = [(i, j) for i in range(1, P.n + 1) for j in range(i + 1, P.n + 1)
+             if P.g(i, j) == 0]
+    for i, j in zeros[:MAX_LISTED_VIOLATIONS]:
+        violations.append(f"zero leading coefficient g({i}, {j})")
+    if len(zeros) > MAX_LISTED_VIOLATIONS:
+        violations.append(f"{len(zeros) - MAX_LISTED_VIOLATIONS} more zero "
+                          f"leading coefficients")
     return violations

@@ -470,26 +470,28 @@ def _partitions_sorted(items):
     return sorted(parts, key=lambda p: (len(p), p))
 
 
-def _nine_small_rows() -> list:
-    rows = [
-        _build_skeleton(3, "A_I", (1, 2, 3), (), (), (), ()),
-        _build_skeleton(3, "A_II", (1, 2, 3), (), (), (), ()),
-        _build_skeleton(3, "B", (1, 3), (2,), (), (), ()),
-        _build_skeleton(3, "B", (1, 3), (), (), ((2,),), ()),
-        _build_skeleton(3, "B", (1, 2), (), ((3,),), (), ()),
-        _build_skeleton(3, "B", (2, 3), (), ((1,),), (), ()),
-        _build_skeleton(3, "C", (1,), (), (), (), ((2, 3),)),
-        _build_skeleton(3, "C", (1,), (), (), (), ((2,), (3,))),
-        _build_skeleton(3, "D", (), (), (), (), ((1, 2, 3),), loose=True),
-    ]
-    return rows
+# Build arguments of the nine small cases (``mode="paper"``, ``n == 3``).
+_NINE_SMALL_ROWS = (
+    (3, "A_I", (1, 2, 3), (), (), (), (), False, False),
+    (3, "A_II", (1, 2, 3), (), (), (), (), False, False),
+    (3, "B", (1, 3), (2,), (), (), (), False, False),
+    (3, "B", (1, 3), (), (), ((2,),), (), False, False),
+    (3, "B", (1, 2), (), ((3,),), (), (), False, False),
+    (3, "B", (2, 3), (), ((1,),), (), (), False, False),
+    (3, "C", (1,), (), (), (), ((2, 3),), False, False),
+    (3, "C", (1,), (), (), (), ((2,), (3,)), False, False),
+    (3, "D", (), (), (), (), ((1, 2, 3),), True, False),
+)
 
 
-def generate_templates(n: int, mode: str = "paper") -> list:
-    """Enumerate the template rows for ``n`` generators (see the module notes).
+def _template_args(n: int, mode: str):
+    """The rows for ``n`` generators as ``_build_skeleton`` arguments, one at a time.
 
     Both modes walk I, then S, then a component partition of the remaining
-    indices, in the same order; they differ only where the notes say.
+    indices, in the same order; they differ only where the module notes
+    say.  The arguments are small tuples, so a caller can count the rows
+    and then build each one and drop it.  The checks of ``n`` and ``mode``
+    run at the first ``next``.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
@@ -497,7 +499,8 @@ def generate_templates(n: int, mode: str = "paper") -> list:
         raise ValueError(f"unknown mode: {mode!r}")
     paper = mode == "paper"
     if paper and n == 3:
-        return _nine_small_rows()
+        yield from _NINE_SMALL_ROWS
+        return
     everything = tuple(range(1, n + 1))
 
     def partitions(I, members):  # noqa: E741
@@ -508,7 +511,6 @@ def generate_templates(n: int, mode: str = "paper") -> list:
     # (family, sizes of I, whether bystanders are enumerated)
     shapes = (("A_I", range(3, n + 1), True), ("A_II", range(3, n + 1), False),
               ("B", (2,), True), ("C", (1,), False), ("D", (0,), False))
-    rows: list = []
     for family, sizes, bystanders in shapes:
         for size in sizes:
             for I in combinations(everything, size):  # noqa: E741
@@ -522,10 +524,13 @@ def generate_templates(n: int, mode: str = "paper") -> list:
                         # is the tagged T part; otherwise it is R itself
                         comps = ((*_tag_components(I, part), ()) if size >= 2
                                  else ((), (), part))
-                        rows.append(_build_skeleton(
-                            n, family, I, S, *comps,
-                            dense=paper and family == "D"))
-    return rows
+                        yield (n, family, I, S, *comps,
+                               False, paper and family == "D")
+
+
+def generate_templates(n: int, mode: str = "paper") -> list:
+    """Enumerate the template rows for ``n`` generators (see the module notes)."""
+    return [_build_skeleton(*args) for args in _template_args(n, mode)]
 
 
 def _fmt_indices(indices) -> str:

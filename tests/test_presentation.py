@@ -1,8 +1,11 @@
 """Presentation parsing, rendering, and structural validation."""
 
+import time
+
 import pytest
 
-from diffalg.presentation import (AlgebraPresentation, PresentationError,
+from diffalg.presentation import (MAX_GENERATORS, MAX_LISTED_VIOLATIONS,
+                                  AlgebraPresentation, PresentationError,
                                   load_presentation, parse_presentation,
                                   validate_presentation)
 from diffalg.scalars import rational
@@ -115,3 +118,34 @@ def test_validate_flags_zero_leading():
 def test_validate_accepts_fixtures(p1, p2, p3, p4, b1):
     for P in (p1, p2, p3, p4, b1):
         assert validate_presentation(P) == []
+
+
+# -- the generator-count cap ------------------------------------------------------
+
+def test_cli_refuses_a_huge_generator_count_at_once(capsys, tmp_path):
+    path = tmp_path / "huge.dalg"
+    path.write_text("n = 99999999\n")
+    for command in ("check-pbw", "classify"):
+        start = time.monotonic()
+        rc, out, err = run(capsys, command, path)
+        assert time.monotonic() - start < 1
+        assert rc == 2 and out == ""
+        assert err == (f"error: {path}: line 1, col 5: n must be at most "
+                       f"{MAX_GENERATORS}, got '99999999'\n")
+
+
+def test_the_cap_itself_is_accepted():
+    assert parse_presentation(f"n = {MAX_GENERATORS}\n").n == MAX_GENERATORS
+    with pytest.raises(PresentationError, match="n must be at most"):
+        parse_presentation(f"n = {MAX_GENERATORS + 1}\n")
+
+
+def test_validate_lists_a_bounded_number_of_violations():
+    P = AlgebraPresentation(MAX_GENERATORS, {}, {})
+    violations = validate_presentation(P)
+    assert len(violations) == MAX_LISTED_VIOLATIONS + 1
+    assert violations[:2] == ["zero leading coefficient g(1, 2)",
+                              "zero leading coefficient g(1, 3)"]
+    pairs = MAX_GENERATORS * (MAX_GENERATORS - 1) // 2
+    assert violations[-1] == (f"{pairs - MAX_LISTED_VIOLATIONS} more zero "
+                              f"leading coefficients")
