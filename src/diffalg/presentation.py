@@ -95,10 +95,10 @@ QUOTED_TOKEN_CHARS = 20
 # Largest generator count a file may declare, refused before any n x n table
 # is built.  ``check-pbw`` is the costliest command at large n (every triple
 # is checked, O(n^3)); on the uniform table g = 3/2, x_i = (-1)^i i/3, which
-# is PBW, it took 1.6 s at n = 40, 3.0-3.2 s and 87-102 MiB at n = 48, 8.9 s
-# and 246 MiB at n = 64 and 37 s at n = 96, while ``classify`` took 0.03 s at
-# 48 (2-core x86-64 container, Python 3.11, 2026-10-18).  The tests and
-# fixtures use at most 12.
+# is PBW, it took 1.6 s at n = 40, 3.0-3.2 s and 74-102 MiB at n = 48, 8.9 s
+# and 246 MiB at n = 64 and 37 s at n = 96, while ``classify`` took 0.03 s
+# and ``smooth`` (which checks PBW first) 6.9 s at 48 (2-core x86-64
+# container, Python 3.11, 2026-10-18).  The tests and fixtures use at most 12.
 MAX_GENERATORS = 48
 
 # Violations ``validate_presentation`` lists one by one; the rest are counted.
