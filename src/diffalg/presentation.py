@@ -50,12 +50,18 @@ class AlgebraPresentation:
         full_x = {i: x.get(i, ZERO) for i in range(1, n + 1)}
         self._g = full_g
         self._x = full_x
-        self._sig = (
-            n,
-            tuple(full_g[k] for k in sorted(full_g)),
-            tuple(full_x[i] for i in range(1, n + 1)),
-        )
-        self._hash = hash(self._sig)
+        # the value compared and hashed, built on the first __eq__ or __hash__
+        self._sig = None
+        self._hash = None
+
+    def _signature(self) -> tuple:
+        if self._sig is None:
+            self._sig = (
+                self.n,
+                tuple(self._g[k] for k in sorted(self._g)),
+                tuple(self._x[i] for i in range(1, self.n + 1)),
+            )
+        return self._sig
 
     def g(self, i: int, j: int):
         return self._g[(i, j)]
@@ -68,9 +74,12 @@ class AlgebraPresentation:
         return range(1, self.n + 1)
 
     def __eq__(self, other):
-        return isinstance(other, AlgebraPresentation) and self._sig == other._sig
+        return (isinstance(other, AlgebraPresentation)
+                and self._signature() == other._signature())
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self._signature())
         return self._hash
 
     def __repr__(self):
@@ -93,12 +102,13 @@ class AlgebraPresentation:
 QUOTED_TOKEN_CHARS = 20
 
 # Largest generator count a file may declare, refused before any n x n table
-# is built.  ``check-pbw`` is the costliest command at large n (every triple
-# is checked, O(n^3)); on the uniform table g = 3/2, x_i = (-1)^i i/3, which
-# is PBW, it took 1.6 s at n = 40, 3.0-3.2 s and 74-102 MiB at n = 48, 8.9 s
-# and 246 MiB at n = 64 and 37 s at n = 96, while ``classify`` took 0.03 s
-# and ``smooth`` (which checks PBW first) 6.9 s at 48 (2-core x86-64
-# container, Python 3.11, 2026-10-18).  The tests and fixtures use at most 12.
+# is built.  ``smooth`` is the costliest command at large n: its witness
+# check maps each of the n(n-1)/2 relations by each of the n automorphisms.
+# On the uniform table g = 3/2, x_i = (-1)^i i/3, which is PBW, ``smooth``
+# took 4.5 s and 22 MiB peak RSS at n = 48 and 10.4 s at n = 64, while
+# ``check-pbw`` took 0.06 s at 48 and 0.10 s at 64 and ``classify`` 0.02 s at
+# 48 (2-core x86-64 container, Python 3.11, 2026-10-18).  The tests and
+# fixtures use at most 12.
 MAX_GENERATORS = 48
 
 # Violations ``validate_presentation`` lists one by one; the rest are counted.

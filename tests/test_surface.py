@@ -31,7 +31,7 @@ def test_bench_probe_reads_the_engine_tables():
     P = build(3, {(1, 2): 7, (2, 1): 1, (1, 3): 7, (3, 1): 1, (2, 3): 7, (3, 2): 1},
               {1: 1, 2: 1, 3: 1})
     _, before = probe_engine(engine)
-    engine.is_pbw(P)
+    engine.normal_form((1, 2, 3), P)
     contexts, words = probe_engine(engine)
     assert contexts is not None and words is not None
     assert contexts >= 1 and words > (before or 0)
