@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .classify import Decomposition, FamilyIdentification, decompose, identify_family
-from .engine import (Poly, _add_term, _iadd, multiply, normal_form,
+from .engine import (Poly, _add_term, _context, _iadd, multiply,
                      word_exponents)
 from .presentation import AlgebraPresentation
 from .scalars import ONE, ZERO, rational
@@ -86,9 +86,11 @@ class AffineAutomorphismFamily:
 
     Composed generator maps are derived once per family and kept in
     ``_memo`` (keyed by index tuple, plus the inverse volume twist), next to
-    the binomial expansions of their powers (see :func:`_powers`) and the
+    the binomial expansions of their powers (see :func:`_powers`), the
     differentials of the PBW monomials that were asked for (keyed
-    ``("d", exponents)``, see :func:`_monomial_d`); the memo takes no part
+    ``("d", exponents)``, see :func:`_monomial_d`), the entries as integers
+    (see :func:`_integer_columns`) and whether an upper ``lam`` is zero (see
+    :func:`_upper_lam_zero`); the memo takes no part
     in equality or hashing, and is freed with the family.  Two equal
     families keep separate memos.
     """
@@ -288,76 +290,114 @@ class AutomorphismReport:
         return self.relations_preserved and self.pairwise_commute and self.bijective
 
 
-def _unit(n: int, a: int) -> tuple:
-    return tuple(int(j == a) for j in range(1, n + 1))
+def _integer_columns(nu: AffineAutomorphismFamily) -> tuple:
+    """``cols[a-1][j-1] = (L, M, e)`` with ``nu_a(D_j) = (L D_j + M) / e``.
 
-
-def _relation_image(nu_map: dict, relation: tuple, n: int) -> dict:
-    """Image under ``nu_map`` of a pair relation, in normal form.
-
-    ``relation`` is ``(u, v, quadratic, s, c_u, c_v)`` for the relation
-    ``c D_u D_v + c' D_v D_u + c_u D_u + c_v D_v`` with ``s = c + c'`` and
-    ``quadratic`` the normal form of ``c D_u D_v + c' D_v D_u``.  Both
-    ``(lam_u D_u + mu_u)(lam_v D_v + mu_v)`` and the product in the other
-    order are ``lam_u lam_v`` times the word plus the same
-    ``lam_u mu_v D_u + mu_u lam_v D_v + mu_u mu_v``, so the image is
-
-        lam_u lam_v quadratic + s (lam_u mu_v D_u + mu_u lam_v D_v + mu_u mu_v)
-            + c_u (lam_u D_u + mu_u) + c_v (lam_v D_v + mu_v),
-
-    one normal form per pair, shared by every map, plus scalar terms.
+    Each entry's ``lam`` and ``mu`` are put over one positive denominator
+    ``e``, the lcm of theirs, so ``L = 0`` exactly when ``lam = 0``.  Made
+    once per family and kept in ``_memo`` under ``"integers"``.
     """
-    u, v, quadratic, s, c_u, c_v = relation
-    lam_u, mu_u = nu_map[u]
-    lam_v, mu_v = nu_map[v]
-    out: dict = {}
-    scale = lam_u * lam_v
-    if scale != 0:
-        _iadd(out, quadratic, scale)
-    for m, c in ((_unit(n, u), lam_u * (s * mu_v + c_u)),
-                 (_unit(n, v), lam_v * (s * mu_u + c_v)),
-                 ((0,) * n, s * mu_u * mu_v + c_u * mu_u + c_v * mu_v)):
-        if c != 0:
-            _add_term(out, m, c)
-    return out
+    cols = nu._memo.get("integers")
+    if cols is None:
+        cols = []
+        for row in nu.table:
+            col = []
+            for lam, mu in row:
+                e = math.lcm(lam.denominator, mu.denominator)
+                col.append((lam.numerator * (e // lam.denominator),
+                            mu.numerator * (e // mu.denominator), e))
+            cols.append(tuple(col))
+        cols = nu._memo["integers"] = tuple(cols)
+    return cols
+
+
+def _relation_integers(P: AlgebraPresentation, u: int, v: int) -> tuple:
+    """``(c, c2, c_u, c_v)`` with the relation of ``u < v`` written as
+    ``c D_u D_v + c2 D_v D_u + c_u D_u + c_v D_v``, as coprime integers.
+
+    That relation is ``g(u,v) D_u D_v - g(v,u) D_v D_u - x_v D_u + x_u D_v``
+    times one nonzero rational: the engine's rule ``(Q, X, Y, G)`` reads
+    ``G D_u D_v -> Q D_v D_u + X D_u + Y D_v``.  Every identity decided from
+    these four is homogeneous of degree 1 in them, so the common factor
+    changes no answer.
+    """
+    Q, X, Y, G = _context(P).rules[(u, v)]
+    return G, -Q, -X, -Y
 
 
 def verify_automorphisms(nu: AffineAutomorphismFamily,
                          P: AlgebraPresentation) -> AutomorphismReport:
     """Bijectivity, relation preservation and pairwise commutation, exactly.
 
-    A map preserves the relations when it sends each pair relation to 0 in
-    normal form (see :func:`_relation_image`).
+    Every test is an integer identity in the family's columns
+    ``nu_a(D_j) = (L D_j + M) / e`` (see :func:`_integer_columns`) and the
+    relations' integer coefficients (see :func:`_relation_integers`); no
+    polynomial is built.
+
+    *Bijective*: ``nu_a`` sends ``D_j`` to a constant exactly when ``L = 0``.
+
+    *Commute*: ``nu_b(nu_a(D_j)) = lam_a lam_b D_j + lam_a mu_b + mu_a``, so
+    ``nu_a`` and ``nu_b`` agree on ``D_j`` in either order iff
+    ``lam_b mu_a + mu_b = lam_a mu_b + mu_a``; times ``e_a e_b`` that is
+    ``L_b M_a + M_b e_a = L_a M_b + M_a e_b``.
+
+    *Relations*: write the relation of ``u < v`` as
+    ``c D_u D_v + c' D_v D_u + c_u D_u + c_v D_v`` with ``s = c + c'`` and
+    ``(lam_u, mu_u), (lam_v, mu_v)`` the images of ``D_u, D_v`` under
+    ``nu_a``.  Both ``(lam_u D_u + mu_u)(lam_v D_v + mu_v)`` and the product
+    in the other order are ``lam_u lam_v`` times the word plus the same
+    ``lam_u mu_v D_u + mu_u lam_v D_v + mu_u mu_v``, so the image is
+
+        lam_u lam_v (c D_u D_v + c' D_v D_u)
+            + s (lam_u mu_v D_u + mu_u lam_v D_v + mu_u mu_v)
+            + c_u (lam_u D_u + mu_u) + c_v (lam_v D_v + mu_v).
+
+    The leading coefficient ``c`` is ``g(u, v) != 0``, so the relation is
+    the rewriting rule of ``D_u D_v`` itself, and the normal form of
+    ``c D_u D_v + c' D_v D_u`` is ``-c_u D_u - c_v D_v``.  The image in
+    normal form is then a combination of ``D_u``, ``D_v`` and 1 alone, and
+    is zero iff these three coefficients are:
+
+        D_u:  lam_u (c_u (1 - lam_v) + s mu_v)
+        D_v:  lam_v (c_v (1 - lam_u) + s mu_u)
+        1:    s mu_u mu_v + c_u mu_u + c_v mu_v
+
+    Times ``e_u e_v`` they are ``L_u (c_u (e_v - L_v) + s M_v)``,
+    ``L_v (c_v (e_u - L_u) + s M_u)`` and
+    ``s M_u M_v + c_u M_u e_v + c_v M_v e_u``.
+
+    Raises ``ValueError`` on the first zero leading coefficient ``g(u, v)``,
+    ``u < v``, in ``(u, v)`` order: no relation rewrites that pair, and the
+    argument above needs the rule.  The failure messages come in the order
+    bijective, relations (by map, then by pair), commute.
     """
     n = P.n
-    failures = []
-    bijective = True
-    for a in range(1, n + 1):
-        for j in range(1, n + 1):
-            if nu.lam(a, j) == 0:
-                bijective = False
-                failures.append(f"nu_{a} sends D{j} to a constant")
     relations = []
     for u, v in combinations(range(1, n + 1), 2):
-        comb = _relation_combination(P, u, v)
-        c, c_rev = comb.get((u, v), ZERO), comb.get((v, u), ZERO)
-        quadratic = normal_form({(u, v): c, (v, u): c_rev}, P).terms
-        relations.append((u, v, quadratic, c + c_rev, comb.get((u,), ZERO),
-                          comb.get((v,), ZERO)))
+        if P.g(u, v) == 0:
+            raise ValueError(f"zero leading coefficient g({u}, {v})")
+        c, c2, c_u, c_v = _relation_integers(P, u, v)
+        relations.append((u, v, c + c2, c_u, c_v))
+    cols = _integer_columns(nu)
+    failures = [f"nu_{a} sends D{j} to a constant"
+                for a, col in enumerate(cols, start=1)
+                for j, (L, _, _) in enumerate(col, start=1) if L == 0]
+    bijective = not failures
     relations_ok = True
-    for a in range(1, n + 1):
-        nu_map = nu.map_of(a)
-        for relation in relations:
-            if _relation_image(nu_map, relation, n):
+    for a, col in enumerate(cols, start=1):
+        for u, v, s, c_u, c_v in relations:
+            L_u, M_u, e_u = col[u - 1]
+            L_v, M_v, e_v = col[v - 1]
+            if ((L_u and c_u * (e_v - L_v) + s * M_v)
+                    or (L_v and c_v * (e_u - L_u) + s * M_u)
+                    or s * M_u * M_v + c_u * M_u * e_v + c_v * M_v * e_u):
                 relations_ok = False
-                failures.append(f"nu_{a} breaks the relation of the pair "
-                                f"({relation[0]},{relation[1]})")
+                failures.append(f"nu_{a} breaks the relation of the pair ({u},{v})")
     commute_ok = True
     for a, b in combinations(range(1, n + 1), 2):
-        for j in range(1, n + 1):
-            la, ma = nu.lam(a, j), nu.mu(a, j)
-            lb, mb = nu.lam(b, j), nu.mu(b, j)
-            if lb * ma + mb != la * mb + ma:
+        for j, ((la, ma, ea), (lb, mb, eb)) in enumerate(
+                zip(cols[a - 1], cols[b - 1]), start=1):
+            if lb * ma + mb * ea != la * mb + ma * eb:
                 commute_ok = False
                 failures.append(
                     f"nu_{a} and nu_{b} disagree on D{j} depending on order")
@@ -369,8 +409,8 @@ def _d_combination(comb: dict, nu: AffineAutomorphismFamily,
                    P: AlgebraPresentation) -> dict:
     """Apply the positional differential to a pair relation combination.
 
-    Serves :func:`leibniz_defects` and :func:`no_go_residual`; PBW monomials
-    go through :func:`_monomial_d`.  Returns the one-form coefficients as
+    Serves :func:`no_go_residual`; PBW monomials go through
+    :func:`_monomial_d`.  Returns the one-form coefficients as
     ``{a: Poly}`` with zero entries dropped.  Each term
     ``nu_l(prefix) * suffix`` is built directly, as the monomials of
     ``nu_l(prefix)`` with the suffix exponents added, which is exact on a
@@ -706,10 +746,36 @@ def check_integrating_form(P: AlgebraPresentation,
 
 def leibniz_defects(P: AlgebraPresentation,
                     nu: AffineAutomorphismFamily) -> tuple:
-    """Pairs whose relation is not annihilated by the differential."""
+    """Pairs whose relation is not annihilated by the differential.
+
+    With the relation of ``u < v`` written as
+    ``c D_u D_v + c' D_v D_u + c_u D_u + c_v D_v`` (see
+    :func:`_relation_integers`), the positional sum on its words is
+
+        d(D_u D_v) = dD_u D_v + dD_v (lam_vu D_u + mu_vu)
+        d(D_v D_u) = dD_v D_u + dD_u (lam_uv D_v + mu_uv)
+
+    and ``d(D_u) = dD_u``, ``d(D_v) = dD_v``, so d of the relation is
+
+        dD_u ((c + c' lam_uv) D_v + c' mu_uv + c_u)
+            + dD_v ((c lam_vu + c') D_u + c mu_vu + c_v).
+
+    It vanishes iff these four scalars do; with ``c = g(u, v)``,
+    ``c' = -g(v, u)``, ``c_u = -x_v`` and ``c_v = x_u`` they are
+    ``g(u,v) - g(v,u) lam_uv``, ``g(v,u) mu_uv + x_v``,
+    ``g(u,v) lam_vu - g(v,u)`` and ``g(u,v) mu_vu + x_u`` up to sign.  Over
+    the integer columns (see :func:`_integer_columns`) each is a
+    cross-product.  Nothing is rewritten, so the identities hold on every
+    table, a zero leading coefficient included.
+    """
+    cols = _integer_columns(nu)
     bad = []
     for u, v in combinations(range(1, P.n + 1), 2):
-        if _d_combination(_relation_combination(P, u, v), nu, P):
+        c, c2, c_u, c_v = _relation_integers(P, u, v)
+        L_uv, M_uv, e_uv = cols[u - 1][v - 1]
+        L_vu, M_vu, e_vu = cols[v - 1][u - 1]
+        if (c * e_uv + c2 * L_uv or c2 * M_uv + c_u * e_uv
+                or c * L_vu + c2 * e_vu or c * M_vu + c_v * e_vu):
             bad.append((u, v))
     return tuple(bad)
 
@@ -848,10 +914,21 @@ def certify_expansion(nu: AffineAutomorphismFamily, k: int) -> bool:
     ``merge(K^c, K) c_K dD_all = dD_all``.
     """
     n = nu.n
-    if 0 < k < n and any(nu.lam(u, j) == 0
-                         for u, j in combinations(range(1, n + 1), 2)):
+    if 0 < k < n and _upper_lam_zero(nu):
         _dual_bases(k, nu, n)  # raises on the first zero merge factor
     return True
+
+
+def _upper_lam_zero(nu: AffineAutomorphismFamily) -> bool:
+    """Whether some ``lam_uj`` with ``u < j`` is zero, read once per family
+    from the integer columns and kept in ``_memo`` under ``"upper-lam-zero"``."""
+    flag = nu._memo.get("upper-lam-zero")
+    if flag is None:
+        cols = _integer_columns(nu)
+        flag = nu._memo["upper-lam-zero"] = any(
+            cols[u - 1][j - 1][0] == 0
+            for u, j in combinations(range(1, nu.n + 1), 2))
+    return flag
 
 
 def certify_projection(nu: AffineAutomorphismFamily,

@@ -113,7 +113,11 @@ MAX_DEGREE_BOUND = 12
 # of the Smooth fixtures and one instantiated template row per theorem case
 # verified in under 10 s on the same container; one more doubles that time or
 # worse.  At n = 7 the bound 2 took about 5 s and 3 about 20 s (2026-10-18, as
-# above), so from n = 7 on only --degree-bound <= 2 is accepted.
+# above), so from n = 7 on only --degree-bound <= 2 is accepted.  Re-measured
+# once the automorphism and Leibniz checks became integer identities, at full
+# speed: at the caps 5.0 s (n = 4), 2.6 s (5), 2.2 s (6) and 1.1-1.4 s (7), and
+# one above them 11-15 s, 10-13 s, 10.4 s and 7.1 s.  The caps are kept, so
+# that every accepted command prints what it printed before.
 _DEGREE_BOUND_CAPS = {4: 7, 5: 5, 6: 3}
 
 

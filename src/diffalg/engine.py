@@ -266,7 +266,7 @@ def _rule(P: AlgebraPresentation, a: int, b: int) -> tuple:
     X = xb.numerator * gd * hd * xad
     Y = -xa.numerator * gd * hd * xbd
     G = g.numerator * hd * xad * xbd
-    s = gcd(Q, X, Y, G)
+    s = gcd(Q, X, Y, G) or 1  # a zero relation stays zero
     if G < 0:
         s = -s
     return Q // s, X // s, Y // s, G // s

@@ -103,12 +103,14 @@ QUOTED_TOKEN_CHARS = 20
 
 # Largest generator count a file may declare, refused before any n x n table
 # is built.  ``smooth`` is the costliest command at large n: its witness
-# check maps each of the n(n-1)/2 relations by each of the n automorphisms.
-# On the uniform table g = 3/2, x_i = (-1)^i i/3, which is PBW, ``smooth``
-# took 4.5 s and 22 MiB peak RSS at n = 48 and 10.4 s at n = 64, while
-# ``check-pbw`` took 0.06 s at 48 and 0.10 s at 64 and ``classify`` 0.02 s at
-# 48 (2-core x86-64 container, Python 3.11, 2026-10-18).  The tests and
-# fixtures use at most 12.
+# check decides three integer identities for each of the n(n-1)/2 relations
+# under each of the n automorphisms.  On the uniform table g = 3/2,
+# x_i = (-1)^i i/3, which is PBW, ``smooth`` took 0.20-0.21 s and 22 MiB peak
+# RSS at n = 48, 0.41-0.45 s at 64 and 1.1-1.3 s at 96, while ``check-pbw``
+# took 0.06 s at 48 and 0.10 s at 64 and ``classify`` 0.02 s at 48 (2-core
+# x86-64 container, Python 3.11, 2026-10-18).  The cap was set when ``smooth``
+# took 4.5 s at 48 and has not been raised since.  The tests and fixtures use
+# at most 12.
 MAX_GENERATORS = 48
 
 # Violations ``validate_presentation`` lists one by one; the rest are counted.

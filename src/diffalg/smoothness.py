@@ -183,11 +183,15 @@ def verify_witness(P: AlgebraPresentation, verdict: SmoothnessVerdict,
                    connectedness_degree: int = 5) -> WitnessReport:
     """Run every calculus check against a Smooth verdict's witness.
 
-    The automorphism checks and ``leibniz`` are exact finite computations on
-    generators and pair relations.  The others are decided by the closed-form
-    certificates of :mod:`~diffalg.calculus`, each of which proves its check
-    in every degree from the family's scalars, and fall back to sampling
-    where a certificate's premises fail:
+    The automorphism checks and ``leibniz`` are integer identities in the
+    family's scalars and the relations' coefficients, decided per generator
+    and pair relation with no polynomial built
+    (:func:`~diffalg.calculus.verify_automorphisms` and
+    :func:`~diffalg.calculus.leibniz_defects` give the derivations).  The
+    others are decided by the closed-form certificates of
+    :mod:`~diffalg.calculus`, each of which proves its check in every degree
+    from the family's scalars, and fall back to sampling where a
+    certificate's premises fail:
 
     * ``d-squared-zero``: :func:`~diffalg.calculus.certify_d_squared` when the
       maps commute pairwise and every ``lam_ab lam_ba = 1``; otherwise

@@ -12,13 +12,14 @@ from pathlib import Path
 import pytest
 
 from diffalg.calculus import (AutomorphismReport, GradedForm,
-                              _apply_to_terms, _dual_bases, _monomials,
-                              _relation_combination, basis_form,
+                              _apply_to_terms, _d_combination, _dual_bases,
+                              _monomials, _relation_combination, basis_form,
                               check_connectedness, check_d_squared,
                               check_integrating_form, differential,
-                              leibniz_defects, left_multiply, nu_omega_inverse,
-                              pi_omega, right_multiply, wedge)
-from diffalg.engine import Poly, multiply, normal_form, power, word_exponents
+                              left_multiply, nu_omega_inverse, pi_omega,
+                              right_multiply, wedge)
+from diffalg.engine import (Poly, _add_term, _iadd, multiply, normal_form,
+                            power, word_exponents)
 from diffalg.presentation import AlgebraPresentation
 from diffalg.scalars import ONE, rational
 
@@ -161,8 +162,7 @@ def full_sum_integrating_form(P, nu, k, degree_bound=3, which="both"):
 def apply_map_to_word(nu_map, word, P):
     """``nu_map`` applied to a free word, by definition: in closed form on a
     PBW monomial, letter by letter through ``multiply`` otherwise.  The
-    relation check takes a shorter route (``calculus._relation_image``);
-    this one is its reference."""
+    reference for the images of relation words."""
     if all(a >= b for a, b in zip(word, word[1:])):  # a PBW monomial
         return Poly(P.n, _apply_to_terms(
             nu_map, {word_exponents(word, P.n): ONE}, P.n, {}))
@@ -175,10 +175,11 @@ def apply_map_to_word(nu_map, word, P):
     return out
 
 
-def letter_by_letter_automorphisms(nu, P):
-    """``calculus.verify_automorphisms`` with the image of every relation word
-    built by ``apply_map_to_word``: letter by letter through ``multiply`` on
-    a word with an ascent, closed form on a PBW monomial."""
+def automorphism_report(nu, P, breaks):
+    """``calculus.verify_automorphisms`` over ``Fraction``s, with the relation
+    of ``u < v`` broken by ``nu_a`` where ``breaks(a, u, v)``: the bijective,
+    relation and commute failures in that order, each loop as it was before
+    the checks became integer identities."""
     n = P.n
     failures = []
     bijective = True
@@ -190,10 +191,7 @@ def letter_by_letter_automorphisms(nu, P):
     relations_ok = True
     for a in range(1, n + 1):
         for u, v in combinations(range(1, n + 1), 2):
-            image = Poly.zero(n)
-            for word, c in _relation_combination(P, u, v).items():
-                image = image + apply_map_to_word(nu.map_of(a), word, P).scale(c)
-            if not image.is_zero():
+            if breaks(a, u, v):
                 relations_ok = False
                 failures.append(f"nu_{a} breaks the relation of the pair ({u},{v})")
     commute_ok = True
@@ -208,17 +206,79 @@ def letter_by_letter_automorphisms(nu, P):
     return AutomorphismReport(relations_ok, commute_ok, bijective, tuple(failures))
 
 
+def letter_by_letter_automorphisms(nu, P):
+    """``calculus.verify_automorphisms`` with the image of every relation word
+    built by ``apply_map_to_word``: letter by letter through ``multiply`` on
+    a word with an ascent, closed form on a PBW monomial."""
+    def breaks(a, u, v):
+        image = Poly.zero(P.n)
+        for word, c in _relation_combination(P, u, v).items():
+            image = image + apply_map_to_word(nu.map_of(a), word, P).scale(c)
+        return not image.is_zero()
+    return automorphism_report(nu, P, breaks)
+
+
+def relation_image(nu_map, relation, n):
+    """Image under ``nu_map`` of a pair relation, in normal form.
+
+    ``relation`` is ``(u, v, quadratic, s, c_u, c_v)`` for the relation
+    ``c D_u D_v + c' D_v D_u + c_u D_u + c_v D_v`` with ``s = c + c'`` and
+    ``quadratic`` the normal form of ``c D_u D_v + c' D_v D_u``.  Both
+    ``(lam_u D_u + mu_u)(lam_v D_v + mu_v)`` and the product in the other
+    order are ``lam_u lam_v`` times the word plus the same
+    ``lam_u mu_v D_u + mu_u lam_v D_v + mu_u mu_v``, so the image is
+
+        lam_u lam_v quadratic + s (lam_u mu_v D_u + mu_u lam_v D_v + mu_u mu_v)
+            + c_u (lam_u D_u + mu_u) + c_v (lam_v D_v + mu_v).
+    """
+    u, v, quadratic, s, c_u, c_v = relation
+    lam_u, mu_u = nu_map[u]
+    lam_v, mu_v = nu_map[v]
+    out = {}
+    scale = lam_u * lam_v
+    if scale != 0:
+        _iadd(out, quadratic, scale)
+    unit = [tuple(int(j == a) for j in range(1, n + 1)) for a in (u, v)]
+    for m, c in ((unit[0], lam_u * (s * mu_v + c_u)),
+                 (unit[1], lam_v * (s * mu_u + c_v)),
+                 ((0,) * n, s * mu_u * mu_v + c_u * mu_u + c_v * mu_v)):
+        if c != 0:
+            _add_term(out, m, c)
+    return out
+
+
+def normal_form_automorphisms(nu, P):
+    """``calculus.verify_automorphisms`` with each relation image built by
+    ``relation_image`` from one ``engine.normal_form`` per pair."""
+    relations = {}
+    for u, v in combinations(range(1, P.n + 1), 2):
+        comb = _relation_combination(P, u, v)
+        c, c_rev = comb.get((u, v), 0), comb.get((v, u), 0)
+        quadratic = normal_form({(u, v): c, (v, u): c_rev}, P).terms
+        relations[u, v] = (u, v, quadratic, c + c_rev, comb.get((u,), 0),
+                           comb.get((v,), 0))
+    return automorphism_report(nu, P, lambda a, u, v: bool(
+        relation_image(nu.map_of(a), relations[u, v], P.n)))
+
+
+def d_combination_leibniz_defects(P, nu):
+    """``calculus.leibniz_defects`` from the positional differential of each
+    pair relation, ``calculus._d_combination``, as polynomials."""
+    return tuple((u, v) for u, v in combinations(range(1, P.n + 1), 2)
+                 if _d_combination(_relation_combination(P, u, v), nu, P))
+
+
 def sampled_check_list(P, nu, degree_bound=None):
     """The check list of ``smoothness.verify_witness`` with no certificate:
-    relation images letter by letter, ``d-squared-zero`` on every monomial of
-    degree <= 4, connectedness on every monomial of degree <= 5, and the
-    volume-form identities at expand degree 0 and project degree 1, or both
-    at ``degree_bound``."""
+    relation images letter by letter, leibniz by ``_d_combination``,
+    ``d-squared-zero`` on every monomial of degree <= 4, connectedness on
+    every monomial of degree <= 5, and the volume-form identities at expand
+    degree 0 and project degree 1, or both at ``degree_bound``."""
     auto = letter_by_letter_automorphisms(nu, P)
     checks = [("relations-preserved", auto.relations_preserved),
               ("pairwise-commute", auto.pairwise_commute),
               ("bijective", auto.bijective),
-              ("leibniz", not leibniz_defects(P, nu)),
+              ("leibniz", not d_combination_leibniz_defects(P, nu)),
               ("d-squared-zero", check_d_squared(P, nu, 4)),
               ("connectedness", check_connectedness(P, nu, 5))]
     expand, project = (0, 1) if degree_bound is None else (degree_bound,) * 2
