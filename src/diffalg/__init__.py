@@ -32,8 +32,8 @@ from .presentation import (
 )
 from .scalars import format_rational, parse_rational, rational
 from .smoothness import (
-    Obstruction, SmoothnessError, SmoothnessVerdict, WitnessReport,
-    decide_smoothness, gk_dimension, verify_witness,
+    NotPbwError, Obstruction, SmoothnessError, SmoothnessVerdict,
+    WitnessReport, decide_smoothness, gk_dimension, verify_witness,
 )
 from .templates import (
     TemplateError, TemplateSkeleton, generate_templates, instantiate_template,
@@ -56,8 +56,9 @@ __all__ = [
     "ExpressionError", "format_poly", "format_word", "parse_poly",
     "AlgebraPresentation", "PresentationError", "load_presentation",
     "parse_presentation", "validate_presentation", "format_rational",
-    "parse_rational", "rational", "Obstruction", "SmoothnessError",
-    "SmoothnessVerdict", "WitnessReport", "decide_smoothness", "gk_dimension",
-    "verify_witness", "TemplateError", "TemplateSkeleton",
-    "generate_templates", "instantiate_template", "render_template",
+    "parse_rational", "rational", "NotPbwError", "Obstruction",
+    "SmoothnessError", "SmoothnessVerdict", "WitnessReport",
+    "decide_smoothness", "gk_dimension", "verify_witness", "TemplateError",
+    "TemplateSkeleton", "generate_templates", "instantiate_template",
+    "render_template",
 ]

@@ -23,10 +23,7 @@ obstruction they leave behind is exposed by :func:`no_go_residual`.
 
 On a PBW monomial ``D_n^{k_n} ... D_1^{k_1}`` the positional sum needs no
 relation: every letter of the prefix is ``>= l_k`` and every letter of the
-suffix ``<= l_k``, so each term is a PBW monomial already.  The same holds
-for the two-letter words of a pair relation, ascent or not: the first
-position has an empty prefix and the last an empty suffix, so no term ever
-multiplies a twisted prefix by a nonempty suffix.  The naive closed
+suffix ``<= l_k``, so each term is a PBW monomial already.  The naive closed
 form for a lowered partial (bring ``k_a * D_a^{k_a - 1}`` out front) is
 valid only for a linear twist; whenever some diagonal map is genuinely
 affine the positional sum differs from it by a geometric sum.
@@ -58,8 +55,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .classify import Decomposition, FamilyIdentification, decompose, identify_family
-from .engine import (Poly, _add_term, _context, _iadd, multiply,
-                     word_exponents)
+from .engine import Poly, _context, _iadd, multiply
 from .presentation import AlgebraPresentation
 from .scalars import ONE, ZERO, rational
 
@@ -264,20 +260,6 @@ def apply_automorphism(nu_map: dict, p: Poly, P: AlgebraPresentation) -> Poly:
     return Poly(P.n, _apply_to_terms(nu_map, p.terms, P.n, {}))
 
 
-def _relation_combination(P: AlgebraPresentation, u: int, v: int) -> dict:
-    """The pair relation as a free combination that reduces to zero."""
-    comb = {}
-    if P.g(u, v) != 0:
-        comb[(u, v)] = P.g(u, v)
-    if P.g(v, u) != 0:
-        comb[(v, u)] = -P.g(v, u)
-    if P.x(v) != 0:
-        comb[(u,)] = comb.get((u,), rational(0)) - P.x(v)
-    if P.x(u) != 0:
-        comb[(v,)] = comb.get((v,), rational(0)) + P.x(u)
-    return comb
-
-
 @dataclass(frozen=True)
 class AutomorphismReport:
     relations_preserved: bool
@@ -403,32 +385,6 @@ def verify_automorphisms(nu: AffineAutomorphismFamily,
                     f"nu_{a} and nu_{b} disagree on D{j} depending on order")
     return AutomorphismReport(relations_ok, commute_ok, bijective,
                               tuple(failures))
-
-
-def _d_combination(comb: dict, nu: AffineAutomorphismFamily,
-                   P: AlgebraPresentation) -> dict:
-    """Apply the positional differential to a pair relation combination.
-
-    Serves :func:`no_go_residual`; PBW monomials go through
-    :func:`_monomial_d`.  Returns the one-form coefficients as
-    ``{a: Poly}`` with zero entries dropped.  Each term
-    ``nu_l(prefix) * suffix`` is built directly, as the monomials of
-    ``nu_l(prefix)`` with the suffix exponents added, which is exact on a
-    word of at most two letters: at every position the prefix or the suffix
-    is empty.
-    """
-    n = P.n
-    out: dict = {}
-    for word, c in comb.items():
-        prefix, suffix = [0] * n, list(word_exponents(word, n))
-        for letter in word:
-            suffix[letter - 1] -= 1
-            image = _twist_terms({tuple(prefix): c}, (letter,), nu, n)
-            dst = out.setdefault(letter, {})
-            for e, v in image.items():
-                _add_term(dst, tuple(a + b for a, b in zip(e, suffix)), v)
-            prefix[letter - 1] += 1
-    return {a: Poly(n, terms) for a, terms in out.items() if terms}
 
 
 def _d_step(d_prev: dict, prev: tuple, i: int,
@@ -802,11 +758,21 @@ def no_go_residual(P: AlgebraPresentation, i: int, t: int,
     A well-defined differential needs this to vanish; for a one-sided pair
     it reduces to the pair's leading coefficient times ``D_t`` (transported
     when ``t`` precedes ``i``), which is nonzero whenever the presentation
-    is admissible.
+    is admissible.  With ``u < v`` the pair, the coefficients are those of
+    :func:`leibniz_defects`'s derivation, as exact rationals:
+
+        dD_u:  (g(u,v) - g(v,u) lam_uv) D_v - g(v,u) mu_uv - x_v
+        dD_v:  (g(u,v) lam_vu - g(v,u)) D_u + g(u,v) mu_vu + x_u
     """
     u, v = min(i, t), max(i, t)
-    return _d_combination(_relation_combination(P, u, v), nu, P).get(
-        i, Poly.zero(P.n))
+    g_uv, g_vu = P.g(u, v), P.g(v, u)
+    if i == u:
+        j, lin = v, g_uv - g_vu * nu.lam(u, v)
+        const = -g_vu * nu.mu(u, v) - P.x(v)
+    else:
+        j, lin = u, g_uv * nu.lam(v, u) - g_vu
+        const = g_uv * nu.mu(v, u) + P.x(u)
+    return Poly.generator(P.n, j).scale(lin) + Poly.scalar(P.n, const)
 
 
 # -- closed-form certificates ------------------------------------------------------
@@ -830,24 +796,22 @@ def certify_connectedness(nu: AffineAutomorphismFamily) -> bool | None:
         prod_{j>a} lam_aj^{k_j} [k_a]_{lam_aa} m/D_a,
         [k]_lam = 1 + lam + ... + lam^(k-1).
 
-    Take a nonconstant ``p`` and an index ``a`` that some monomial of the top
-    part of ``p`` contains.  Lower monomials of ``p`` give ``d_a`` terms of
-    lower degree, and the monomials ``m/D_a`` are distinct, so ``d_a(p) != 0``
-    as long as every ``lam_aj`` with ``j > a`` is nonzero and no
-    ``[k]_{lam_aa}`` vanishes; over Q the second means ``lam_aa != -1``.
-    Then ker d is the constants, and in particular no monomial of any degree
-    is closed, which is what :func:`check_connectedness` samples.
+    Take a nonconstant ``p`` and let ``a`` be the largest index that some
+    monomial of the top part of ``p`` contains.  No top monomial holding
+    ``D_a`` holds a larger letter, so the product of ``lam_aj`` is 1 for
+    each of them.  Lower monomials of ``p`` give ``d_a`` terms of lower
+    degree, and the monomials ``m/D_a`` are distinct, so ``d_a(p) != 0`` as
+    long as no ``[k]_{lam_aa}`` vanishes; over Q that means
+    ``lam_aa != -1``.  Then ker d is the constants, and in particular no
+    monomial of any degree is closed, which is what
+    :func:`check_connectedness` samples.
 
-    Otherwise the argument does not apply, and ``None`` asks for the sample.
     A diagonal ``lam_aa = -1`` does leave a closed nonconstant element:
     ``d(D_a^2) = dD_a ((1 + lam_aa) D_a + mu_aa) = d(mu_aa D_a)``, which the
-    monomial sample cannot see.
+    monomial sample cannot see.  There ``None`` asks for the sample.
     """
-    n = nu.n
-    for a in range(1, n + 1):
-        if nu.lam(a, a) == -1 or any(nu.lam(a, j) == 0
-                                     for j in range(a + 1, n + 1)):
-            return None
+    if any(nu.lam(a, a) == -1 for a in range(1, nu.n + 1)):
+        return None
     return True
 
 

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
-from .calculus import differential, shift_ansatz, verify_automorphisms
+from .calculus import differential, verify_automorphisms
 from .classify import decompose, identify_family
 from .engine import is_pbw, normal_form
 from .exprs import ExpressionError, format_poly, parse_poly
 from .presentation import PresentationError, load_presentation, validate_presentation
 from .scalars import format_rational
-from .smoothness import decide_smoothness, verify_witness
+from .smoothness import NotPbwError, decide_smoothness, verify_witness
 from .templates import (_build_skeleton, _fmt_components, _fmt_indices,
                         _template_args, render_template)
 
@@ -59,20 +60,18 @@ def format_form(coeffs: dict) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _report_not_pbw(P) -> bool:
-    """Print the first ambiguous triple of ``P``; False when there is none."""
-    report = is_pbw(P)
-    if report.pbw:
-        return False
-    a, b, c = report.first_failure
+def _print_not_pbw(triple) -> int:
+    """Print the first ambiguous triple; the exit code of a non-PBW table."""
+    a, b, c = triple
     print("pbw: false")
     print(f"triple: {a} {b} {c}")
-    return True
+    return 1
 
 
 def _cmd_check_pbw(args) -> int:
-    if _report_not_pbw(_load(args.file)):
-        return 1
+    report = is_pbw(_load(args.file))
+    if not report.pbw:
+        return _print_not_pbw(report.first_failure)
     print("pbw: true")
     return 0
 
@@ -138,11 +137,12 @@ def _smoothness_report(args) -> int:
     if bound is not None and bound > cap:
         raise _CliError(f"--degree-bound for {P.n} generators must be at most "
                         f"{cap}, got {bound}")
-    if _report_not_pbw(P):
-        return 1
     dec = decompose(P)
     fam = identify_family(P, dec)
-    verdict = decide_smoothness(P, dec, fam)
+    try:
+        verdict = decide_smoothness(P, dec, fam)
+    except NotPbwError as exc:
+        return _print_not_pbw(exc.triple)
     print(f"verdict: {_VERDICT_LINE[verdict.verdict]}")
     print(f"case: {verdict.theorem_case or '-'}")
     print(f"family: {fam.family}")
@@ -157,7 +157,7 @@ def _smoothness_report(args) -> int:
     for note in verdict.notes:
         print(f"note: {note}")
     if verdict.verdict == "NotSmooth":
-        ansatz_ok = verify_automorphisms(shift_ansatz(P, dec, fam), P)
+        ansatz_ok = verify_automorphisms(verdict.obstruction.family, P)
         state = "PASS" if ansatz_ok.relations_preserved else "FAIL"
         print(f"check:ansatz-relations: {state}")
         return 1
@@ -179,9 +179,10 @@ def _cmd_reduce(args) -> int:
 def _cmd_d(args) -> int:
     P = _load(args.file)
     comb = _parse_expr(args.expr, P.n)
-    if _report_not_pbw(P):
-        return 1
-    verdict = decide_smoothness(P)
+    try:
+        verdict = decide_smoothness(P)
+    except NotPbwError as exc:
+        return _print_not_pbw(exc.triple)
     if verdict.witness is None:
         print(f"verdict: {_VERDICT_LINE[verdict.verdict]}")
         for note in verdict.notes:
@@ -271,10 +272,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # the reader closed the pipe early: point stdout at devnull so that
+        # the flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -1,10 +1,8 @@
 """Exact rational scalars.
 
-All coefficient arithmetic in this package is exact rational arithmetic.
-gmpy2's mpq is used when available (noticeably faster on the dense reduction
-loops); the stdlib Fraction is a drop-in fallback with identical semantics.
-Both types are canonical (reduced, positive denominator), hash-compatible and
-render as "p/q" / "p" under str().
+All coefficient arithmetic in this package is exact rational arithmetic on
+the standard library's :class:`~fractions.Fraction`, which is canonical
+(reduced, positive denominator) and renders as "p/q" / "p" under str().
 """
 
 from __future__ import annotations
@@ -12,22 +10,14 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _mpq  # type: ignore[import-not-found]
+BACKEND = "fractions"
 
-    def rational(value=0, denominator=None):
-        if denominator is None:
-            return _mpq(value)
-        return _mpq(value, denominator)
 
-    BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    def rational(value=0, denominator=None):
-        if denominator is None:
-            return Fraction(value)
-        return Fraction(value, denominator)
+def rational(value=0, denominator=None):
+    if denominator is None:
+        return Fraction(value)
+    return Fraction(value, denominator)
 
-    BACKEND = "fractions"
 
 ZERO = rational(0)
 ONE = rational(1)

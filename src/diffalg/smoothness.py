@@ -27,13 +27,23 @@ from .classify import Decomposition, FamilyIdentification, decompose, identify_f
 from .engine import Poly, is_pbw
 from .presentation import AlgebraPresentation
 
-__all__ = ["SmoothnessError", "Obstruction", "SmoothnessVerdict",
-           "gk_dimension", "decide_smoothness", "WitnessReport",
-           "verify_witness"]
+__all__ = ["SmoothnessError", "NotPbwError", "Obstruction",
+           "SmoothnessVerdict", "gk_dimension", "decide_smoothness",
+           "WitnessReport", "verify_witness"]
 
 
 class SmoothnessError(ValueError):
     """Raised when the decision procedure cannot even start."""
+
+
+class NotPbwError(SmoothnessError):
+    """The ordered monomials are not a basis; ``triple`` reduces ambiguously."""
+
+    def __init__(self, triple: tuple):
+        a, b, c = triple
+        super().__init__(f"the ordered monomials are not a basis: the triple "
+                         f"({a},{b},{c}) reduces ambiguously")
+        self.triple = triple
 
 
 @dataclass(frozen=True)
@@ -41,6 +51,8 @@ class Obstruction:
     i: int
     t: int
     residual: Poly
+    # the candidate family the residual was computed from
+    family: AffineAutomorphismFamily = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -53,13 +65,14 @@ class SmoothnessVerdict:
 
 
 def gk_dimension(P: AlgebraPresentation) -> int:
-    """Growth dimension of a basis-ordered presentation (its generator count)."""
+    """Growth dimension of a basis-ordered presentation (its generator count).
+
+    Raises :class:`NotPbwError`, naming the first ambiguous triple, when the
+    ordered monomials are not a basis.
+    """
     report = is_pbw(P)
     if not report.pbw:
-        a, b, c = report.first_failure
-        raise SmoothnessError(
-            f"the ordered monomials are not a basis: the triple "
-            f"({a},{b},{c}) reduces ambiguously")
+        raise NotPbwError(report.first_failure)
     return P.n
 
 
@@ -75,6 +88,7 @@ def decide_smoothness(P: AlgebraPresentation,
                       dec: Decomposition | None = None,
                       fam: FamilyIdentification | None = None
                       ) -> SmoothnessVerdict:
+    """The three-valued verdict; raises :class:`NotPbwError` on non-PBW input."""
     gk_dimension(P)  # refuse non-confluent input outright
     if dec is None:
         dec = decompose(P)
@@ -94,7 +108,7 @@ def decide_smoothness(P: AlgebraPresentation,
         residual = no_go_residual(P, i, t, candidate)
         return SmoothnessVerdict(
             "NotSmooth",
-            obstruction=Obstruction(i, t, residual),
+            obstruction=Obstruction(i, t, residual, candidate),
             notes=(f"the pair ({min(i, t)},{max(i, t)}) couples one-sidedly "
                    f"while x{i} != 0, so pushing D{t} through dD{i} leaves "
                    f"a nonzero residual for every affine family",))
@@ -197,8 +211,8 @@ def verify_witness(P: AlgebraPresentation, verdict: SmoothnessVerdict,
       maps commute pairwise and every ``lam_ab lam_ba = 1``; otherwise
       :func:`~diffalg.calculus.check_d_squared` to ``dd_degree``.
     * ``connectedness``: :func:`~diffalg.calculus.certify_connectedness` when
-      every ``lam_aj`` with ``j > a`` is nonzero and no ``lam_aa`` is -1;
-      otherwise :func:`~diffalg.calculus.check_connectedness` to
+      no ``lam_aa`` is -1; otherwise
+      :func:`~diffalg.calculus.check_connectedness` to
       ``connectedness_degree``.
     * ``integral-expand-k*`` and ``integral-project-k*``: the identities of
       :func:`~diffalg.calculus.check_integrating_form` at expand degree 0 and

@@ -2,9 +2,9 @@
 
 By default ``verify_witness`` decides ``d-squared-zero``, connectedness and
 the volume-form identities by the certificates in ``calculus``, and relation
-preservation from one normal form per pair.  The oracle is
-``conftest.sampled_check_list``, which samples every check and builds every
-relation image letter by letter.  The check lists, or the type of the
+preservation and Leibniz compatibility as integer identities, with no normal
+form.  The oracle is ``conftest.sampled_check_list``, which samples every
+check and builds every relation image letter by letter.  The check lists, or the type of the
 exception raised, must be equal at the default and at ``degree_bound=2``:
 on the Smooth fixtures, one template row per theorem case, the planted wrong
 witnesses, seeded perturbations of those families (``lam = 0``, ``mu != 0``,
@@ -18,7 +18,8 @@ import pytest
 
 from diffalg.calculus import (AffineAutomorphismFamily, build_automorphisms,
                               certify_connectedness, certify_expansion,
-                              check_integrating_form, verify_automorphisms)
+                              check_connectedness, check_integrating_form,
+                              verify_automorphisms)
 from diffalg.cli import main
 from diffalg.presentation import load_presentation
 from diffalg.scalars import rational
@@ -229,11 +230,14 @@ def test_bench_like_rows_are_decided_in_closed_form():
     assert count >= 50
 
 
-def test_connectedness_declines_a_zero_above_the_diagonal(p3):
+def test_connectedness_certifies_a_zero_above_the_diagonal(p3):
     nu = build_automorphisms(p3)
     assert certify_connectedness(nu) is True
-    assert certify_connectedness(with_entries(nu, [(1, 2, "lam", rational(0))])) is None
-    assert certify_connectedness(with_entries(nu, [(2, 1, "lam", rational(0))])) is True
+    for a, j in ((1, 2), (2, 1)):
+        zeroed = with_entries(nu, [(a, j, "lam", rational(0))])
+        assert certify_connectedness(zeroed) is True
+        assert check_connectedness(p3, zeroed, 5) is True
+    assert certify_connectedness(with_entries(nu, [(2, 2, "lam", rational(-1))])) is None
 
 
 def test_expansion_raises_as_sampled_on_a_zero_merge_factor(p3):

@@ -1,8 +1,11 @@
-"""Import hygiene of the package: no module imports a name it never uses.
+"""Hygiene of the package: no module imports a name it never uses, and no
+module has an ``assert`` statement.
 
 A name a module lists in its ``__all__`` is exempt, which covers the
 re-exports of ``__init__.py``.  Names are read with :mod:`ast`, so a use
 inside an annotation counts and a mention in a docstring does not.
+``python -O`` removes every ``assert``, so no check of the package may
+hinge on one.
 """
 
 import ast
@@ -47,3 +50,21 @@ def test_check_sees_an_unused_import():
               "from .x import keep\n"
               "def f(p: Poly):\n    return p\n")
     assert unused_imports(source) == [(1, "normal_form"), (2, "os")]
+
+
+def assert_lines(source: str) -> list:
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_has_no_assert(path):
+    assert assert_lines(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_sees_an_assert():
+    source = ("def f(x):\n"
+              "    \"assert x\"\n"
+              "    assert x > 0, 'positive'\n"
+              "    return x\n")
+    assert assert_lines(source) == [3]

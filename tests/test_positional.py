@@ -1,6 +1,6 @@
 """The direct positional differential against its free-word reference.
 
-``calculus._d_combination`` adds exponents instead of multiplying, which is
+``conftest.d_combination`` adds exponents instead of multiplying, which is
 exact on PBW monomials and on words of at most two letters.  Here it is
 compared with ``conftest.free_word_differential``, which multiplies every
 term out, on every pair relation and every word of length at most 2, over
@@ -11,13 +11,13 @@ whose twists send a generator to a constant.
 import random
 from itertools import combinations, product
 
-from diffalg.calculus import (AffineAutomorphismFamily, _d_combination,
-                              _relation_combination, leibniz_defects,
+from diffalg.calculus import (AffineAutomorphismFamily, leibniz_defects,
                               no_go_residual)
 from diffalg.engine import Poly, is_pbw
 from diffalg.scalars import rational
 
-from conftest import build, free_word_differential
+from conftest import (build, d_combination, free_word_differential,
+                      relation_combination)
 
 TABLES = 240
 
@@ -57,10 +57,10 @@ def test_direct_differential_matches_free_word_reference():
         words = [()] + [(a,) for a in letters] + list(product(letters, repeat=2))
         combs = [{word: rational(rng.choice((1, -2, rational(3, 4))))}
                  for word in words]
-        relations = {(u, v): _relation_combination(P, u, v)
+        relations = {(u, v): relation_combination(P, u, v)
                      for u, v in combinations(letters, 2)}
         for comb in combs + list(relations.values()):
-            assert _d_combination(comb, nu, P) == \
+            assert d_combination(comb, nu, P) == \
                 free_word_differential(comb, nu, P), (P, nu, comb)
             checked += 1
 

@@ -1,0 +1,136 @@
+"""Each fact of a smoothness run is decided once, by one owner.
+
+``decide_smoothness`` is the only PBW check of a ``smooth``,
+``verify-calculus`` or ``d`` op, and its ``NotPbwError`` names the failing
+triple the CLI prints; a NotSmooth verdict's obstruction carries the shift
+family the CLI verifies, so the family is built once.  (``no_go_residual``
+in closed form is compared with the positional differential in
+``test_positional.py``.)  Also here: the connectedness certificate's one
+premise, and a reader that closes the pipe early.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
+
+import pytest
+
+import diffalg
+from diffalg import calculus, engine
+from diffalg.calculus import (AffineAutomorphismFamily, certify_connectedness,
+                              check_connectedness, no_go_residual)
+from diffalg.cli import main
+from diffalg.engine import is_pbw
+from diffalg.scalars import rational
+from diffalg.smoothness import NotPbwError, SmoothnessError, decide_smoothness
+
+from conftest import FIXTURES, build
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+LAMS = (0, 1, 2, rational(1, 2), 3)  # no -1
+MUS = (0, 0, 1, -1, rational(3, 2))
+
+
+def random_family(n, rng):
+    table = tuple(tuple((rational(rng.choice(LAMS)), rational(rng.choice(MUS)))
+                        for _ in range(n)) for _ in range(n))
+    return AffineAutomorphismFamily(n, table)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` wherever a ``diffalg`` module binds it; a list
+    that gets one entry per call."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("diffalg")
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+FIXTURE_FILES = sorted(p.name for p in FIXTURES.glob("*.dalg")
+                       if p.name not in ("malformed.dalg",))
+OPS = (("smooth",), ("verify-calculus",), ("d", "D1 D2 + 3 D2"))
+
+
+@pytest.mark.parametrize("name", FIXTURE_FILES)
+def test_one_pbw_check_and_one_shift_family_per_op(monkeypatch, capsys, name):
+    pbw_calls = count_calls(monkeypatch, engine, "is_pbw")
+    ansatz_calls = count_calls(monkeypatch, calculus, "shift_ansatz")
+    for command, *rest in OPS:
+        del pbw_calls[:], ansatz_calls[:]
+        main([command, str(FIXTURES / name), *rest])
+        out = capsys.readouterr().out
+        assert len(pbw_calls) == 1, (command, name)
+        not_smooth = "verdict: NOT-SMOOTH" in out
+        assert len(ansatz_calls) == (1 if not_smooth else 0), (command, name)
+
+
+def test_not_pbw_refusal_names_the_triple(p1m, capsys):
+    with pytest.raises(NotPbwError) as info:
+        decide_smoothness(p1m)
+    assert isinstance(info.value, SmoothnessError)
+    assert info.value.triple == is_pbw(p1m).first_failure == (1, 2, 3)
+    assert str(info.value) == ("the ordered monomials are not a basis: the "
+                               "triple (1,2,3) reduces ambiguously")
+    assert diffalg.NotPbwError is NotPbwError
+    path = str(FIXTURES / "nonpbw.dalg")
+    outs = []
+    for argv in (["check-pbw", path], ["smooth", path],
+                 ["verify-calculus", path], ["d", path, "D1"]):
+        assert main(argv) == 1
+        outs.append(capsys.readouterr())
+    assert len({o.out for o in outs}) == 1 and outs[0].out.startswith("pbw: false\n")
+    assert all(o.err == "" for o in outs)
+
+
+def test_obstruction_carries_the_family_it_used(p2):
+    verdict = decide_smoothness(p2)
+    ob = verdict.obstruction
+    assert verdict.verdict == "NotSmooth"
+    assert ob.family == calculus.shift_ansatz(p2)
+    assert ob.residual == no_go_residual(p2, ob.i, ob.t, ob.family)
+    # the family takes no part in equality
+    row = ((rational(2), rational(0)),) * p2.n
+    other = AffineAutomorphismFamily(p2.n, (row,) * p2.n)
+    assert other != ob.family
+    assert ob == type(ob)(ob.i, ob.t, ob.residual, other)
+
+
+def test_connectedness_certificate_needs_only_the_diagonal():
+    # no lam_aa = -1, some lam_aj = 0 above the diagonal: certified, and the
+    # monomial sample agrees
+    rng = random.Random("single-owner:connected")
+    upper_zeros = 0
+    for _ in range(60):
+        n = rng.randint(2, 3)
+        P = build(n, {(u, v): 1 for u in range(1, n + 1)
+                      for v in range(1, n + 1) if u != v}, {})
+        nu = random_family(n, rng)
+        upper_zeros += any(nu.lam(a, j) == 0
+                           for a, j in combinations(range(1, n + 1), 2))
+        assert certify_connectedness(nu) is True
+        assert check_connectedness(P, nu, 3) is True, nu
+    assert upper_zeros > 10
+
+
+def test_a_closed_pipe_ends_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "diffalg.cli", "tables", "6", "--mode", "full"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.stdout.readline() == b"n: 6\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
