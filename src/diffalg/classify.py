@@ -12,10 +12,10 @@ every non-interacting index is in S by convention, and when I is empty there
 is nothing but R.
 
 On top of the decomposition, :func:`identify_family` picks one of the five
-closed families (A_I, A_II, B, C, D), builds that family's template row for
-the decomposition (:mod:`diffalg.templates`) and solves the row's cells for
-its parameters; a table that disagrees with some cell is Inconsistent, with
-a list of concrete violations.  Throughout, the
+closed families (A_I, A_II, B, C, D), takes the cells of that family's
+template row for the decomposition (:mod:`diffalg.templates`) and solves
+them for its parameters; a table that disagrees with some cell is
+Inconsistent, with a list of concrete violations.  Throughout, the
 coefficient attached to the *written word* ``D_u D_v`` is ``P.g(u, v)``; for
 ``u < v`` that is the leading coefficient of the pair, otherwise the trailing
 one.
@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .presentation import AlgebraPresentation
-from .scalars import ONE, ZERO, format_rational
-from .templates import (_FREE, _G, _GI, _GO, _LK, _build_skeleton,
-                        _components, _fmt_components, _tag_components, _total)
+from .scalars import format_rational, rational
+from .templates import (_G, _GI, _GO, _LK, _cell, _components, _family_params,
+                        _fmt_components, _roles, _tag_components)
 
 __all__ = ["Decomposition", "decompose", "FamilyIdentification", "identify_family"]
 
@@ -51,11 +51,13 @@ class Decomposition:
 
 
 def decompose(P: AlgebraPresentation) -> Decomposition:
-    I = tuple(a for a in P.generators if P.x(a) != 0)  # noqa: E741
-    R = tuple(a for a in P.generators if P.x(a) == 0)
+    x = P.x_ratios()
+    I = tuple(a for a, (num, _) in x.items() if num)  # noqa: E741
+    R = tuple(a for a, (num, _) in x.items() if not num)
+    g, _ = P.g_integers()
 
     def two_sided(u, v):
-        return P.g(u, v) != 0 and P.g(v, u) != 0
+        return g[u, v] and g[v, u]
 
     comps = _components(R, two_sided)
 
@@ -88,15 +90,22 @@ def _fmt(v) -> str:
     return format_rational(v)
 
 
-def _family(P: AlgebraPresentation, dec: Decomposition) -> str:
+def _family(g: dict, dec: Decomposition) -> str:
     if len(dec.I) >= 3:
-        trailing = (P.g(j, i) for i, j in combinations(dec.I, 2))
-        return "A_II" if all(v == 0 for v in trailing) else "A_I"
+        trailing = (g[j, i] for i, j in combinations(dec.I, 2))
+        return "A_II" if not any(trailing) else "A_I"
     return ("D", "C", "B")[len(dec.I)]
 
 
 _PATTERN = {"A_I": "uniform pattern", "A_II": "one-sided pattern",
             "B": "offset pattern", "C": "offset pattern", "D": "free pattern"}
+
+# what a free coefficient reads as: no pattern parameter, never zero-tested
+_UNNAMED = ((1, None),)
+
+
+def _unnamed(a: int, b: int) -> tuple:
+    return _UNNAMED
 
 
 def identify_family(P: AlgebraPresentation, dec: Decomposition | None = None
@@ -112,84 +121,116 @@ def identify_family(P: AlgebraPresentation, dec: Decomposition | None = None
     found.  Otherwise the first reading of the parameter alone defines it and
     every other reading is checked on its own, as is every word the row
     gives coefficient 0.  Every leading word must be nonzero.
+
+    The cells come from ``templates._cell``, the one definition of the
+    patterns, with each free coefficient left unnamed: it matches any
+    table.  Coefficients are read as the presentation's integer numerators
+    over its one g denominator, so readings add and compare as integers; a
+    D row divides each relation by its lead, so its trailing words are read
+    as exact ratios.  A ``Fraction`` is built only for what is reported.
     """
     if dec is None:
         dec = decompose(P)
     I = dec.I  # noqa: E741
-    family = _family(P, dec)
+    g, den = P.g_integers()
+    family = _family(g, dec)
     wide = len(I) >= 2
-    skel = _build_skeleton(P.n, family, I, dec.S if wide else (),
-                           dec.T_circ, dec.T_bullet,
-                           () if wide else dec.R_components)
+    role = _roles(I, dec.S if wide else (), dec.T_circ, dec.T_bullet,
+                  () if wide else dec.R_components)
+    ranks: dict = {}
+
+    def use(name, *rank):
+        ranks.setdefault(name, rank)
+        return name
+
+    _family_params(family, I, use)
+    if family == "D":
+        value = rational  # a D row's readings are exact ratios already
+    else:
+        def value(v):
+            return rational(v, den)
     # A_II only fixes differences of the g<i>: anchor the largest at zero.
-    preset = {f"g{I[-1]}": ZERO} if family == "A_II" else {}
+    preset = {f"g{I[-1]}": 0} if family == "A_II" else {}
     values = dict(preset)
 
-    # free coefficients match any table, so only pattern parameters are read
-    holding = {name: [] for name, rank in zip(skel.params, skel.ranks)
-               if rank[0] != _FREE}
+    holding: dict = {}
     violations = []
-    for u, v, e_uv, e_vu in skel.cells:
-        lead, trail = P.g(u, v), P.g(v, u)
+    n = P.n
+    for u, v in combinations(range(1, n + 1), 2):
+        e_uv, e_vu = _cell(family, I, n, u, v, role[u], role[v], use, _unnamed)
+        lead, trail = g[u, v], g[v, u]
         if not lead:
             violations.append(f"coefficient of D{u} D{v} is 0, but the "
                               f"leading slot of every pair must be invertible")
+            if family == "D" and trail:
+                trail = rational(trail, den)
         elif family == "D":
             # every x vanishes, so a relation may be divided by its lead
-            lead, trail = ONE, trail / lead
+            lead, trail = 1, rational(trail, lead) if trail else 0
         for word in ((u, v, e_uv, lead), (v, u, e_vu, trail)):
-            if not word[2] and word[3]:
-                violations.append(_mismatch(family, I, word, ZERO))
-            for _, name in word[2]:
-                if name in holding:
-                    holding[name].append(word)
+            expr = word[2]
+            if expr is _UNNAMED:
+                continue
+            if not expr and word[3]:
+                violations.append(_mismatch(family, I, word, 0, value))
+            for _, name in expr:
+                if name in ranks:
+                    words = holding.get(name)
+                    if words is None:
+                        holding[name] = [word]
+                    else:
+                        words.append(word)
 
-    order = sorted((rank, name) for name, rank in zip(skel.params, skel.ranks)
-                   if holding.get(name))
+    order = sorted((ranks[name], name) for name in holding)
     for rank, name in order:
         if name in preset:
             continue
         readings = []
         for word in holding[name]:
             expr, actual = word[2], word[3]
+            if len(expr) == 1:  # the parameter alone, with sign +-1
+                positive = expr[0][0] > 0
+                readings.append((actual if positive else -actual, True, word,
+                                 positive))
+                continue
             rest = [(c, nm) for c, nm in expr if nm != name]
             if all(nm in values for _, nm in rest):
-                read = actual - _total(rest, values) if rest else actual
+                read = actual - sum(c * values[nm] for c, nm in rest)
                 positive = (1, name) in expr
                 alone = all(nm in preset for _, nm in rest)
                 readings.append((read if positive else -read, alone, word,
                                  positive))
         alone = [r for r in readings if r[1]]
         if alone and len(alone) < len(readings):
-            values[name] = value = alone[0][0]
+            values[name] = reference = alone[0][0]
             for read, _, word, positive in readings:
-                if read != value:
-                    shift = value - read if positive else read - value
+                if read != reference:
+                    shift = reference - read if positive else read - reference
                     violations.append(
-                        _mismatch(family, I, word, word[3] + shift))
+                        _mismatch(family, I, word, word[3] + shift, value))
         elif readings and all(r[0] == readings[0][0] for r in readings):
             values[name] = readings[0][0]
         elif readings:
-            violations.append(_disagreement(skel, rank, readings))
+            violations.append(_disagreement(dec, rank, readings, value))
 
-    params = {name: values[name] for _, name in order if name in values}
+    params = {name: value(values[name]) for _, name in order if name in values}
     params.update((f"x{i}", P.x(i)) for i in I)
     if violations:
         return FamilyIdentification("Inconsistent", params, tuple(violations))
     return FamilyIdentification(family, params)
 
 
-def _disagreement(skel, rank, readings) -> str:
+def _disagreement(dec, rank, readings, value) -> str:
     """One violation for a parameter whose readings take several values."""
     first: dict = {}
-    for value, _, word, _ in readings:
-        first.setdefault(value, word[:2])
+    for read, _, word, _ in readings:
+        first.setdefault(read, word[:2])
     kind, *index = rank
     if kind == _LK:
-        comp = skel.R_components[index[0] - 1]
+        comp = dec.R_components[index[0] - 1]
         listing = "; ".join(
-            f"index {v if u in skel.I else u} -> {_fmt(value)}"
-            for value, (u, v) in first.items())
+            f"index {v if u in dec.I else u} -> {_fmt(value(read))}"
+            for read, (u, v) in first.items())
         return (f"offset to the interacting index differs inside component "
                 f"{_fmt_components((comp,))}: {listing}")
     if kind == _G:
@@ -197,28 +238,28 @@ def _disagreement(skel, rank, readings) -> str:
     elif kind == _GI:
         subject = f"coupling of bystander {index[0]} to I"
     elif kind == _GO:
-        comp = _fmt_components((skel.T_circ[index[0] - 1],))
+        comp = _fmt_components((dec.T_circ[index[0] - 1],))
         subject = f"the signed coupling of component {comp} to I"
     else:  # gbp<k> (side 0) or gbm<k> (side 1)
         k, side = index
-        comp = _fmt_components((skel.T_bullet[k - 1],))
+        comp = _fmt_components((dec.T_bullet[k - 1],))
         subject = f"the {('lower', 'upper')[side]} side of component {comp}"
-    listing = "; ".join(f"D{u} D{v} -> {_fmt(value)}"
-                        for value, (u, v) in first.items())
+    listing = "; ".join(f"D{u} D{v} -> {_fmt(value(read))}"
+                        for read, (u, v) in first.items())
     return f"{subject} must carry a single coefficient, found {listing}"
 
 
-def _mismatch(family, I, word, expected) -> str:  # noqa: E741
+def _mismatch(family, I, word, expected, value) -> str:  # noqa: E741
     """The violation of one written word that disagrees with its cell."""
     u, v, expr, actual = word
     pattern = _PATTERN[family]
     inside = [a for a in (u, v) if a in I]
     if len(inside) == 1 and not expr:
         r = v if u in I else u
-        return (f"coefficient of D{u} D{v} is {_fmt(actual)}, so D{r} "
+        return (f"coefficient of D{u} D{v} is {_fmt(value(actual))}, so D{r} "
                 f"couples two-sidedly to I, which the {pattern} does not "
                 f"admit")
     where = (" on I" if len(inside) == 2
              else f" against D{inside[0]}" if inside else "")
-    return (f"coefficient of D{u} D{v} is {_fmt(actual)}, but the "
-            f"{pattern}{where} requires {_fmt(expected)}")
+    return (f"coefficient of D{u} D{v} is {_fmt(value(actual))}, but the "
+            f"{pattern}{where} requires {_fmt(value(expected))}")

@@ -21,7 +21,7 @@ from .presentation import PresentationError, load_presentation, validate_present
 from .scalars import format_rational
 from .smoothness import NotPbwError, decide_smoothness, verify_witness
 from .templates import (_build_skeleton, _fmt_components, _fmt_indices,
-                        _template_args, render_template)
+                        _RowCache, _template_args, render_template)
 
 __all__ = ["main"]
 
@@ -137,12 +137,11 @@ def _smoothness_report(args) -> int:
     if bound is not None and bound > cap:
         raise _CliError(f"--degree-bound for {P.n} generators must be at most "
                         f"{cap}, got {bound}")
-    dec = decompose(P)
-    fam = identify_family(P, dec)
     try:
-        verdict = decide_smoothness(P, dec, fam)
+        verdict = decide_smoothness(P)
     except NotPbwError as exc:
         return _print_not_pbw(exc.triple)
+    dec, fam = verdict.decomposition, verdict.identification
     print(f"verdict: {_VERDICT_LINE[verdict.verdict]}")
     print(f"case: {verdict.theorem_case or '-'}")
     print(f"family: {fam.family}")
@@ -194,11 +193,14 @@ def _cmd_d(args) -> int:
 
 
 # Largest n that ``tables`` enumerates per mode.  Rows are built, printed and
-# dropped one at a time, so memory stays flat (peak RSS about 18 MiB at each n
-# below), and time, which grows 4-7x per generator, sets the caps.  On a
-# 2-core x86-64 container (Python 3.11, 2026-10-18, output to /dev/null):
-# paper n = 9 takes 4.4-6.1 s and n = 10 21 s; full n = 7 takes 1.6-2.2 s and
-# n = 8 13 s.
+# dropped one at a time; they share cells and lines through one cache, which
+# keeps only the entries of the current family and interacting set.  So
+# memory stays flat (peak RSS 19-22 MiB at each n below), and time, which
+# grows 3-6x per generator, sets the caps.  On a 2-core x86-64 container
+# (Python 3.11, 2026-10-18, output to /dev/null): paper n = 9 takes 2.6-3.5 s
+# and n = 10 9-12 s; full n = 7 takes 1.1-1.3 s and n = 8 6.7-6.8 s.  The caps
+# were set when paper n = 9 took 4.4-6.1 s and full n = 8 13 s; raising one
+# changes which inputs are refused, so it is a change of its own.
 MAX_TABLES_N = {"paper": 9, "full": 7}
 
 
@@ -214,10 +216,12 @@ def _cmd_tables(args) -> int:
     print(f"n: {args.n}")
     print(f"mode: {args.mode}")
     print(f"count: {count}")
-    # one row is held at a time: built, printed, dropped
+    # one row is held at a time: built, printed, dropped; the rows share
+    # the cells and lines of one cache
+    cache = _RowCache()
     for index, row in enumerate(_template_args(args.n, args.mode), start=1):
         print()
-        print(render_template(_build_skeleton(*row), index))
+        print(render_template(_build_skeleton(*row, cache=cache), index, cache))
     return 0
 
 

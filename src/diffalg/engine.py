@@ -257,19 +257,22 @@ def word_exponents(word: Word, n: int) -> Exponents:
 def _rule(P: AlgebraPresentation, a: int, b: int) -> tuple:
     """(Q, X, Y, G) with G D_a D_b -> Q D_b D_a + X D_a + Y D_b, coprime, G > 0.
 
-    The four coefficients of the relation are put over one denominator by
-    integer products alone.
+    With g(a,b) = A/L and g(b,a) = B/L over the presentation's one g
+    denominator L, and x(a) = p/r, x(b) = s/t, the rule times A r t is
+    A r t D_a D_b -> B r t D_b D_a + s L r D_a - p L t D_b: integer products
+    alone.
     """
-    g, h, xa, xb = P.g(a, b), P.g(b, a), P.x(a), P.x(b)
-    gd, hd, xad, xbd = g.denominator, h.denominator, xa.denominator, xb.denominator
-    Q = h.numerator * gd * xad * xbd
-    X = xb.numerator * gd * hd * xad
-    Y = -xa.numerator * gd * hd * xbd
-    G = g.numerator * hd * xad * xbd
-    s = gcd(Q, X, Y, G) or 1  # a zero relation stays zero
+    nums, L = P.g_integers()
+    x = P.x_ratios()
+    (p, r), (s, t) = x[a], x[b]
+    Q = nums[b, a] * r * t
+    X = s * L * r
+    Y = -p * L * t
+    G = nums[a, b] * r * t
+    d = gcd(Q, X, Y, G) or 1  # a zero relation stays zero
     if G < 0:
-        s = -s
-    return Q // s, X // s, Y // s, G // s
+        d = -d
+    return Q // d, X // d, Y // d, G // d
 
 
 def _add_over(dst: dict, den: int, c: int, nums: dict, d: int) -> int:
@@ -503,13 +506,11 @@ def diamond_check_triple(P: AlgebraPresentation, a: int, b: int, c: int) -> Trip
 def _integer_table(P: AlgebraPresentation) -> dict:
     """Every g(i, j) times the lcm of their denominators, as ints.
 
-    Raises ValueError on the first zero leading coefficient g(i, j), i < j,
-    in (i, j) order: no relation rewrites that pair.
+    The presentation's own table; read, never written.  Raises ValueError
+    on the first zero leading coefficient g(i, j), i < j, in (i, j) order:
+    no relation rewrites that pair.
     """
-    ratios = {(i, j): P.g(i, j).as_integer_ratio() for i in range(1, P.n + 1)
-              for j in range(1, P.n + 1) if i != j}
-    den = lcm(*(d for _, d in ratios.values()))
-    table = {pair: v * (den // d) for pair, (v, d) in ratios.items()}
+    table, _ = P.g_integers()
     for (i, j), v in table.items():
         if i < j and not v:
             raise ValueError(f"zero leading coefficient g({i}, {j})")
@@ -537,7 +538,7 @@ def is_pbw(P: AlgebraPresentation) -> PBWReport:
     if any.  Raises ValueError on a zero leading coefficient.
     """
     g = _integer_table(P)
-    x = {i: bool(P.x(i)) for i in range(1, P.n + 1)}
+    x = {i: num != 0 for i, (num, _) in P.x_ratios().items()}
     first_failure = next((t for t in combinations(range(1, P.n + 1), 3)
                           if not _resolves(g, x, *t)), None)
     return PBWReport(first_failure is None, first_failure)

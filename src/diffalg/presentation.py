@@ -13,11 +13,23 @@ line, whitespace-insensitive around tokens):
 
     line := "n = " INT | "g " INT INT " = " RATIONAL | "x " INT " = " RATIONAL
     RATIONAL := "-"? DIGITS ("/" DIGITS)?
+
+Storage is integer.  The parser reads each literal as a reduced integer ratio
+(``scalars.parse_ratio``) and builds no ``Fraction``.  An
+``AlgebraPresentation`` keeps every g(i, j) as an integer numerator over one
+positive denominator, the lcm of the g denominators (``g_integers``), and
+every x(i) as its reduced ratio (``x_ratios``).  The PBW check and the
+engine's rewriting rules read these integers directly, and zero tests read
+the numerators.  ``P.g`` and ``P.x`` return exact ``Fraction`` values, each
+built on its first use and kept, so equality, hashing and ``render`` see the
+same rationals as before.
 """
 
 from __future__ import annotations
 
-from .scalars import ZERO, format_rational, parse_rational
+from math import lcm
+
+from .scalars import format_rational, parse_ratio, rational
 
 
 class PresentationError(ValueError):
@@ -34,22 +46,45 @@ class PresentationError(ValueError):
         self.col = col
 
 
+_ZERO_RATIO = (0, 1)
+
+
 class AlgebraPresentation:
-    """Immutable coefficient data (n, g, x) of a diffusion-algebra presentation."""
+    """Immutable coefficient data (n, g, x) of a diffusion-algebra presentation.
+
+    ``g`` and ``x`` map (i, j) and i to rationals (``Fraction`` or ``int``);
+    absent entries are 0.
+    """
 
     # __weakref__ lets the engine free a presentation's context with it
-    __slots__ = ("n", "_g", "_x", "_sig", "_hash", "__weakref__")
+    __slots__ = ("n", "_g", "_den", "_x", "_gq", "_xq", "_sig", "_hash",
+                 "__weakref__")
 
     def __init__(self, n: int, g: dict, x: dict):
+        self._store(n, {k: v.as_integer_ratio() for k, v in g.items()},
+                    {k: v.as_integer_ratio() for k, v in x.items()})
+
+    @classmethod
+    def _from_ratios(cls, n: int, g: dict, x: dict) -> "AlgebraPresentation":
+        """A presentation from reduced (numerator, denominator > 0) pairs."""
+        P = object.__new__(cls)
+        P._store(n, g, x)
+        return P
+
+    def _store(self, n: int, g: dict, x: dict) -> None:
         self.n = n
-        full_g = {}
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j:
-                    full_g[(i, j)] = g.get((i, j), ZERO)
-        full_x = {i: x.get(i, ZERO) for i in range(1, n + 1)}
-        self._g = full_g
-        self._x = full_x
+        nums = {(i, j): 0 for i in range(1, n + 1) for j in range(1, n + 1)
+                if i != j}
+        given = [(key, ratio) for key, ratio in g.items() if key in nums]
+        den = lcm(*(d for _, (_, d) in given))
+        for key, (num, d) in given:
+            nums[key] = num * (den // d)
+        self._g = nums
+        self._den = den
+        self._x = {i: x.get(i, _ZERO_RATIO) for i in range(1, n + 1)}
+        # the Fraction values, each built on its first use
+        self._gq = {}
+        self._xq = {}
         # the value compared and hashed, built on the first __eq__ or __hash__
         self._sig = None
         self._hash = None
@@ -58,16 +93,37 @@ class AlgebraPresentation:
         if self._sig is None:
             self._sig = (
                 self.n,
-                tuple(self._g[k] for k in sorted(self._g)),
-                tuple(self._x[i] for i in range(1, self.n + 1)),
+                tuple(self.g(i, j) for i, j in self._g),
+                tuple(self.x(i) for i in range(1, self.n + 1)),
             )
         return self._sig
 
     def g(self, i: int, j: int):
-        return self._g[(i, j)]
+        try:
+            return self._gq[i, j]
+        except KeyError:
+            value = self._gq[i, j] = rational(self._g[i, j], self._den)
+            return value
 
     def x(self, i: int):
-        return self._x[i]
+        try:
+            return self._xq[i]
+        except KeyError:
+            value = self._xq[i] = rational(*self._x[i])
+            return value
+
+    def g_integers(self) -> tuple:
+        """(nums, den) with g(i, j) = nums[(i, j)] / den for every pair i != j.
+
+        ``den`` > 0 is the lcm of the denominators of the g, and ``nums``
+        lists the pairs in lexicographic order.  Both belong to the
+        presentation: callers read them and never write to them.
+        """
+        return self._g, self._den
+
+    def x_ratios(self) -> dict:
+        """i -> (numerator, denominator > 0) of x(i), reduced; read only."""
+        return self._x
 
     @property
     def generators(self) -> range:
@@ -88,13 +144,12 @@ class AlgebraPresentation:
     def render(self) -> str:
         """Canonical text form; parse(render(P)) == P."""
         lines = [f"n = {self.n}"]
-        for (i, j) in sorted(self._g):
-            v = self._g[(i, j)]
-            if v != 0 or (i < j):
-                lines.append(f"g {i} {j} = {format_rational(v)}")
-        for i in range(1, self.n + 1):
-            if self._x[i] != 0:
-                lines.append(f"x {i} = {format_rational(self._x[i])}")
+        for (i, j), num in self._g.items():
+            if num or i < j:
+                lines.append(f"g {i} {j} = {format_rational(self.g(i, j))}")
+        for i, (num, _) in self._x.items():
+            if num:
+                lines.append(f"x {i} = {format_rational(self.x(i))}")
         return "\n".join(lines) + "\n"
 
 
@@ -124,9 +179,9 @@ def _quoted(token: str) -> str:
     return f"{token[:QUOTED_TOKEN_CHARS]!r}... ({len(token)} characters)"
 
 
-def _strip_comment(line: str) -> str:
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
+def _fail(message: str, lineno: int, line: str, token: str):
+    """Raise ``message`` at the first occurrence of ``token`` in the line."""
+    raise PresentationError(message, lineno, line.find(token) + 1)
 
 
 def parse_presentation(text: str) -> AlgebraPresentation:
@@ -134,81 +189,87 @@ def parse_presentation(text: str) -> AlgebraPresentation:
 
     Errors (all PresentationError with line/column): syntax errors, duplicate
     assignment, index out of range 1..n, explicit zero leading coefficient
-    g(i,j) = 0 with i < j, missing n declaration.
+    g(i,j) = 0 with i < j, missing n declaration.  An error points at the
+    offending value, or else at the line's first token.
     """
     n = None
     g: dict = {}
     x: dict = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line.strip():
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        comment = line.find("#")
+        if comment >= 0:
+            line = line[:comment]
         tokens = line.split()
-        col = line.find(tokens[0]) + 1
-
-        def fail(msg, c=col):
-            raise PresentationError(msg, lineno, c)
-
+        if not tokens:
+            continue
         head = tokens[0]
-        if head == "n":
-            if len(tokens) != 3 or tokens[1] != "=":
-                fail("expected 'n = INT'")
-            if n is not None:
-                fail("duplicate assignment of n")
-            try:
-                n = int(tokens[2])
-            except ValueError:
-                fail(f"invalid integer {_quoted(tokens[2])}", line.find(tokens[2]) + 1)
-            if n > MAX_GENERATORS:
-                fail(f"n must be at most {MAX_GENERATORS}, got {_quoted(tokens[2])}",
-                     line.find(tokens[2]) + 1)
-        elif head == "g":
+        if head == "g":
             if len(tokens) != 5 or tokens[3] != "=":
-                fail("expected 'g I J = RATIONAL'")
+                _fail("expected 'g I J = RATIONAL'", lineno, line, head)
             if n is None:
-                fail("'n = INT' must precede coefficient assignments")
+                _fail("'n = INT' must precede coefficient assignments",
+                      lineno, line, head)
             try:
                 i, j = int(tokens[1]), int(tokens[2])
             except ValueError:
-                fail("generator indices must be integers")
+                _fail("generator indices must be integers", lineno, line, head)
             if not (1 <= i <= n) or not (1 <= j <= n):
-                fail(f"index out of range 1..{n} in "
-                     f"{_quoted(f'g {tokens[1]} {tokens[2]}')}")
+                _fail(f"index out of range 1..{n} in "
+                      f"{_quoted(f'g {tokens[1]} {tokens[2]}')}", lineno, line, head)
             if i == j:
-                fail(f"g requires two distinct indices, got ({i}, {j})")
+                _fail(f"g requires two distinct indices, got ({i}, {j})",
+                      lineno, line, head)
             if (i, j) in g:
-                fail(f"duplicate assignment of g({i}, {j})")
+                _fail(f"duplicate assignment of g({i}, {j})", lineno, line, head)
             try:
-                value = parse_rational(tokens[4])
+                value = parse_ratio(tokens[4])
             except ValueError:
-                fail(f"invalid rational {_quoted(tokens[4])}", line.find(tokens[4]) + 1)
-            if i < j and value == 0:
-                fail(f"zero leading coefficient g({i}, {j}); relations require g(i, j) != 0 for i < j")
+                _fail(f"invalid rational {_quoted(tokens[4])}",
+                      lineno, line, tokens[4])
+            if i < j and not value[0]:
+                _fail(f"zero leading coefficient g({i}, {j}); relations require "
+                      f"g(i, j) != 0 for i < j", lineno, line, head)
             g[(i, j)] = value
         elif head == "x":
             if len(tokens) != 4 or tokens[2] != "=":
-                fail("expected 'x I = RATIONAL'")
+                _fail("expected 'x I = RATIONAL'", lineno, line, head)
             if n is None:
-                fail("'n = INT' must precede coefficient assignments")
+                _fail("'n = INT' must precede coefficient assignments",
+                      lineno, line, head)
             try:
                 i = int(tokens[1])
             except ValueError:
-                fail("generator index must be an integer")
+                _fail("generator index must be an integer", lineno, line, head)
             if not (1 <= i <= n):
-                fail(f"index out of range 1..{n} in {_quoted(f'x {tokens[1]}')}")
+                _fail(f"index out of range 1..{n} in {_quoted(f'x {tokens[1]}')}",
+                      lineno, line, head)
             if i in x:
-                fail(f"duplicate assignment of x({i})")
+                _fail(f"duplicate assignment of x({i})", lineno, line, head)
             try:
-                x[i] = parse_rational(tokens[3])
+                x[i] = parse_ratio(tokens[3])
             except ValueError:
-                fail(f"invalid rational {_quoted(tokens[3])}", line.find(tokens[3]) + 1)
+                _fail(f"invalid rational {_quoted(tokens[3])}",
+                      lineno, line, tokens[3])
+        elif head == "n":
+            if len(tokens) != 3 or tokens[1] != "=":
+                _fail("expected 'n = INT'", lineno, line, head)
+            if n is not None:
+                _fail("duplicate assignment of n", lineno, line, head)
+            try:
+                n = int(tokens[2])
+            except ValueError:
+                _fail(f"invalid integer {_quoted(tokens[2])}",
+                      lineno, line, tokens[2])
+            if n > MAX_GENERATORS:
+                _fail(f"n must be at most {MAX_GENERATORS}, got {_quoted(tokens[2])}",
+                      lineno, line, tokens[2])
         else:
-            fail(f"unrecognized statement {_quoted(head)}")
+            _fail(f"unrecognized statement {_quoted(head)}", lineno, line, head)
 
     if n is None:
         raise PresentationError("no 'n = INT' declaration found")
-    return AlgebraPresentation(n, g, x)
+    return AlgebraPresentation._from_ratios(n, g, x)
 
 
 def load_presentation(path) -> AlgebraPresentation:
@@ -226,8 +287,8 @@ def validate_presentation(P: AlgebraPresentation) -> list[str]:
     violations = []
     if P.n < 2:
         violations.append(f"degenerate generator count n = {P.n} (need n >= 2)")
-    zeros = [(i, j) for i in range(1, P.n + 1) for j in range(i + 1, P.n + 1)
-             if P.g(i, j) == 0]
+    nums, _ = P.g_integers()
+    zeros = [(i, j) for (i, j), num in nums.items() if i < j and not num]
     for i, j in zeros[:MAX_LISTED_VIOLATIONS]:
         violations.append(f"zero leading coefficient g({i}, {j})")
     if len(zeros) > MAX_LISTED_VIOLATIONS:

@@ -1,14 +1,17 @@
 """Exact rational scalars.
 
-All coefficient arithmetic in this package is exact rational arithmetic on
-the standard library's :class:`~fractions.Fraction`, which is canonical
-(reduced, positive denominator) and renders as "p/q" / "p" under str().
+Coefficients are exact rationals: the standard library's
+:class:`~fractions.Fraction`, which is canonical (reduced, positive
+denominator) and renders as "p/q" / "p" under str(), or the same reduced
+integer ratio as a (numerator, denominator) pair where a module computes on
+integers (``parse_ratio``).
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 BACKEND = "fractions"
 
@@ -23,20 +26,33 @@ ZERO = rational(0)
 ONE = rational(1)
 
 
+def parse_ratio(text: str) -> tuple:
+    """Parse "p" or "p/q" (optional leading minus) into a reduced integer ratio.
+
+    Returns (numerator, denominator) with denominator > 0 and no common
+    factor, the pair ``Fraction`` would hold.  Raises ValueError on
+    malformed input or zero denominator.
+    """
+    s = text.strip()
+    num, slash, den = s.partition("/")
+    if not slash:
+        return int(s), 1
+    p = int(num.strip())
+    q = int(den.strip())
+    if q == 0:
+        raise ValueError("zero denominator in rational %r" % text)
+    g = gcd(p, q)
+    if q < 0:
+        g = -g
+    return p // g, q // g
+
+
 def parse_rational(text: str):
     """Parse "p" or "p/q" (optional leading minus) into a scalar.
 
     Raises ValueError on malformed input or zero denominator.
     """
-    s = text.strip()
-    if "/" in s:
-        num, _, den = s.partition("/")
-        n = int(num.strip())
-        d = int(den.strip())
-        if d == 0:
-            raise ValueError("zero denominator in rational %r" % text)
-        return rational(n, d)
-    return rational(int(s))
+    return rational(*parse_ratio(text))
 
 
 def format_rational(q) -> str:

@@ -13,7 +13,7 @@ stays ``Undetermined`` with a note saying what is missing, never a guess.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 from .calculus import (
@@ -62,6 +62,11 @@ class SmoothnessVerdict:
     witness: AffineAutomorphismFamily | None = None
     obstruction: Obstruction | None = None
     notes: tuple = ()
+    # what ``decide_smoothness`` decided from, so a caller need not redo it
+    decomposition: Decomposition | None = field(
+        default=None, compare=False, repr=False)
+    identification: FamilyIdentification | None = field(
+        default=None, compare=False, repr=False)
 
 
 def gk_dimension(P: AlgebraPresentation) -> int:
@@ -88,13 +93,21 @@ def decide_smoothness(P: AlgebraPresentation,
                       dec: Decomposition | None = None,
                       fam: FamilyIdentification | None = None
                       ) -> SmoothnessVerdict:
-    """The three-valued verdict; raises :class:`NotPbwError` on non-PBW input."""
+    """The three-valued verdict; raises :class:`NotPbwError` on non-PBW input.
+
+    The verdict carries the decomposition and the family identification it
+    was decided from.
+    """
     gk_dimension(P)  # refuse non-confluent input outright
     if dec is None:
         dec = decompose(P)
     if fam is None:
         fam = identify_family(P, dec)
+    return replace(_verdict(P, dec, fam), decomposition=dec, identification=fam)
 
+
+def _verdict(P: AlgebraPresentation, dec: Decomposition,
+             fam: FamilyIdentification) -> SmoothnessVerdict:
     if not fam.consistent:
         return SmoothnessVerdict(
             "Undetermined",

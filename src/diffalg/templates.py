@@ -17,7 +17,9 @@ skips A_I rows without a bystander and marks its one D row dense; for
 
 The cells of a row are the one definition of its family's pattern:
 ``render_template`` prints them and :func:`diffalg.classify.identify_family`
-solves them for the parameters of a concrete table.
+solves them for the parameters of a concrete table.  The rows of one
+enumeration (``generate_templates``, the ``tables`` command) share their
+equal cells, restriction parts and lines through one ``_RowCache``.
 
 Parameter naming:
 
@@ -38,6 +40,7 @@ as ``g111`` could stand for (1, 11) or (11, 1).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -195,35 +198,25 @@ def _interacting_cell(family, I, a, t, role, k, use):  # noqa: E741
     return (lead, _ZERO) if a < t else (_ZERO, lead)
 
 
-def _build_skeleton(n, family, I, S, t_circ, t_bullet, r_comps,  # noqa: E741
-                    loose=False, dense=False) -> TemplateSkeleton:
-    """The template row of ``family`` on the given index structure.
+# the leading word of a fully non-interacting (D) row: coefficient 1
+_UNIT: tuple = ((1, None),)
 
-    Its cells are the one definition of the family pattern: generation
-    renders them and :func:`diffalg.classify.identify_family` solves them.
-    """
-    I = tuple(sorted(I))  # noqa: E741
-    S = tuple(sorted(S))
-    t_circ = tuple(tuple(sorted(c)) for c in t_circ)
-    t_bullet = tuple(tuple(sorted(c)) for c in t_bullet)
-    r_comps = tuple(tuple(sorted(c)) for c in r_comps)
 
-    role: dict = {}
-    for a in I:
-        role[a] = ("I", 0)
+def _roles(I, S, t_circ, t_bullet, r_comps) -> dict:  # noqa: E741
+    """Index -> (role, component number): "I", "S", or the component kind
+    "Tc", "Tb" or "R" with its 1-based place in its list."""
+    role = {a: ("I", 0) for a in I}
     for a in S:
         role[a] = ("S", 0)
     for tag, comps in (("Tc", t_circ), ("Tb", t_bullet), ("R", r_comps)):
         for k, comp in enumerate(comps, start=1):
             for a in comp:
                 role[a] = (tag, k)
+    return role
 
-    params: dict = {}
 
-    def use(name, *rank):
-        params.setdefault(name, rank)
-        return name
-
+def _family_params(family, I, use) -> None:  # noqa: E741
+    """Name the parameters that come before every cell of a ``family`` row."""
     if family in ("A_I", "B"):
         use("g", _G)
     if family == "B":
@@ -232,42 +225,124 @@ def _build_skeleton(n, family, I, S, t_circ, t_bullet, r_comps,  # noqa: E741
         for i in I:
             use(f"g{i}", _GI, i)
 
+
+def _cell(family, I, n, u, v, role_u, role_v, use, free) -> tuple:  # noqa: E741
+    """(expr_uv, expr_vu), the cell of the pair u < v with the given roles.
+
+    ``use(name, *rank)`` names each pattern parameter the cell reads, and
+    ``free(a, b)`` gives the expression of the free coefficient of the
+    written word D_a D_b, which no family pattern constrains.
+    """
+    ru, ku = role_u
+    rv, kv = role_v
+    if ru == "I" and rv == "I":
+        if family == "A_I":
+            return _sym("g"), _sym("g")
+        if family == "A_II":
+            return _diff(f"g{u}", f"g{v}"), _ZERO
+        return _sym("g"), _diff("g", "L")  # B
+    if ru == "I":
+        cell = _interacting_cell(family, I, u, v, rv, kv, use)
+    elif rv == "I":
+        cell = _interacting_cell(family, I, v, u, ru, ku, use)
+        cell = cell and cell[::-1]
+    else:
+        cell = None
+    if cell is not None:
+        return cell
+    # outside every closed pattern: a free leading coefficient, and a free
+    # trailing one inside a component; a D row divides each relation by its
+    # lead and keeps the trailing ratio inside a component
+    same = role_u == role_v
+    if family == "D":
+        trail = _sym(use(_pair_name("q", v, u, n), _Q, u, v)) if same else _ZERO
+        return _UNIT, trail
+    return free(u, v), (free(v, u) if same else _ZERO)
+
+
+class _RowCache:
+    """Cells, restrictions and text shared by the rows of one enumeration.
+
+    The rows of one n, family and interacting set I come out one after
+    another.  Among them the cell of a pair, and the parameters it names,
+    depend only on the roles of its two indices, and each part of the
+    restrictions on one set of indices or on the numbers of components.
+    The cache keeps the entries of one (n, family, I) and starts afresh
+    when a row of another arrives.  So it holds at most an entry per pair
+    and pair of roles, per set of indices and per pair of component counts,
+    whatever the number of rows, and it lives as long as the enumeration
+    that made it.
+    """
+
+    __slots__ = ("scope", "cells", "parts", "text")
+
+    def __init__(self):
+        self.scope = None
+        self.cells: dict = {}  # (u, v, role_u, role_v) -> (cell, named params)
+        self.parts: dict = {}  # part key, or id(cell) -> (cell, lead part)
+        # id(cell or part) -> (it, its lines), and ("head", S) -> lines
+        self.text: dict = {}
+
+    def enter(self, n, family, I) -> None:  # noqa: E741
+        """Keep the entries of (n, family, I), dropping any others."""
+        scope = (n, family, I)
+        if scope != self.scope:
+            self.scope = scope
+            self.cells = {}
+            self.parts = {}
+            self.text = {}
+
+
+def _build_skeleton(n, family, I, S, t_circ, t_bullet, r_comps,  # noqa: E741
+                    loose=False, dense=False, cache=None) -> TemplateSkeleton:
+    """The template row of ``family`` on the given index structure.
+
+    Its cells are the one definition of the family pattern: generation
+    renders them and :func:`diffalg.classify.identify_family` solves them.
+    Rows built through one ``cache`` (a ``_RowCache``) share their cells.
+    """
+    I = tuple(sorted(I))  # noqa: E741
+    S = tuple(sorted(S))
+    t_circ = tuple(tuple(sorted(c)) for c in t_circ)
+    t_bullet = tuple(tuple(sorted(c)) for c in t_bullet)
+    r_comps = tuple(tuple(sorted(c)) for c in r_comps)
+    if cache is None:
+        cache = _RowCache()
+    cache.enter(n, family, I)
+    memo = cache.cells
+    role = _roles(I, S, t_circ, t_bullet, r_comps)
+
+    params: dict = {}
+
+    def name_param(name, *rank):
+        params.setdefault(name, rank)
+        return name
+
+    _family_params(family, I, name_param)
+
+    # a name always comes with the same rank, so merging a cell's names
+    # keeps each parameter where it was first used
     cells = []
     for u, v in combinations(range(1, n + 1), 2):
-        ru, ku = role[u]
-        rv, kv = role[v]
-        cell = None
-        if ru == "I" and rv == "I":
-            if family == "A_I":
-                cell = (_sym("g"), _sym("g"))
-            elif family == "A_II":
-                cell = (_diff(f"g{u}", f"g{v}"), _ZERO)
-            else:  # B
-                cell = (_sym("g"), _diff("g", "L"))
-        elif ru == "I":
-            cell = _interacting_cell(family, I, u, v, rv, kv, use)
-        elif rv == "I":
-            cell = _interacting_cell(family, I, v, u, ru, ku, use)
-            cell = cell and cell[::-1]
-        if cell is None:
-            # outside every closed pattern: a free leading coefficient, and
-            # a free trailing one inside a component
-            same = (ru, ku) == (rv, kv)
-            if family == "D":
-                lead: tuple = ((1, None),)
-                trail = _ZERO
-                if same:
-                    trail = _sym(use(_pair_name("q", v, u, n), _Q, u, v))
-            else:
-                lead = _sym(use(_pair_name("g", u, v, n), _FREE))
-                trail = _ZERO
-                if same:
-                    trail = _sym(use(_pair_name("g", v, u, n), _FREE))
-            cell = (lead, trail)
-        cells.append((u, v) + cell)
+        key = (u, v, role[u], role[v])
+        entry = memo.get(key)
+        if entry is None:
+            named: dict = {}
+
+            def use(name, *rank):
+                named.setdefault(name, rank)
+                return name
+
+            def free(a, b):
+                return _sym(use(_pair_name("g", a, b, n), _FREE))
+
+            cell = (u, v) + _cell(family, I, n, u, v, role[u], role[v], use, free)
+            entry = memo[key] = (cell, named)
+        cells.append(entry[0])
+        params.update(entry[1])
 
     for i in I:
-        use(f"x{i}", _X, i)
+        name_param(f"x{i}", _X, i)
 
     return TemplateSkeleton(
         n=n, family=family, I=I, S=S, T_circ=t_circ, T_bullet=t_bullet,
@@ -276,73 +351,122 @@ def _build_skeleton(n, family, I, S, t_circ, t_bullet, r_comps,  # noqa: E741
         loose=loose, dense=dense)
 
 
-def _restrictions(skel: TemplateSkeleton) -> list:
-    """(left, right, enforced) for every "left != right" of the row.
+def _pattern_conditions(family, I, S):  # noqa: E741
+    """The family's named conditions on g, L and the g<i> of I and S."""
+    if family == "A_I":
+        yield _sym("g"), _ZERO, True
+        for s in S:
+            yield _sym(f"g{s}"), _ZERO, True
+    elif family == "A_II":
+        for i, j in combinations(I, 2):
+            yield _sym(f"g{i}"), _sym(f"g{j}"), True
+    elif family == "B":
+        yield _sym("g"), _ZERO, True
+        yield _sym("g"), _sym("L"), True
+        for s in S:
+            yield _sym(f"g{s}"), _ZERO, True
+            yield _sym(f"g{s}"), _sym("L"), True
+
+
+def _offset_conditions(k, comp):
+    """A C row's conditions on the couplings and the offset of its k-th component."""
+    for r in comp:
+        yield _sym(f"g{r}"), _ZERO, True
+        yield _sym(f"g{r}"), _sym(f"L{k}"), True
+
+
+def _component_conditions(family, I, circ, bullet):  # noqa: E741
+    """The conditions on the coefficients of ``circ`` circ and ``bullet``
+    bullet components.
+
+    A_II fixes the g<i> only up to a common shift, which go<k>, gbp<k> and
+    gbm<k> absorb; conditions that such a shift changes are shown but not
+    enforced (a vanishing g<a> + go<k> is caught as a zero leading slot).
+    """
+    invariant = family != "A_II"
+    for k in range(1, circ + 1):
+        yield _sym(f"go{k}"), _ZERO, invariant
+        if family == "A_II":
+            for i in I:
+                yield _sym(f"g{i}"), _sym(f"go{k}"), False
+        if family == "B":
+            yield _sym(f"go{k}"), _sym("L"), True
+    for k in range(1, bullet + 1):
+        yield _sym(f"gbp{k}"), _ZERO, invariant
+        yield _sym(f"gbm{k}"), _ZERO, invariant
+        if family == "A_II":
+            for i in I:
+                yield _sym(f"g{i}"), _negate(_sym(f"gbp{k}")), True
+                yield _sym(f"g{i}"), _sym(f"gbm{k}"), True
+
+
+def _dense_conditions(n):
+    """Every ratio of the fully-interlocked representative row is invertible."""
+    for u, v in combinations(range(1, n + 1), 2):
+        yield _sym(_pair_name("q", v, u, n)), _ZERO, True
+
+
+def _chain_conditions(prefix, comp, n):
+    """The two-sided chain that exhibits a pinned component's connectivity."""
+    for a, b in zip(comp, comp[1:]):
+        yield _sym(_pair_name(prefix, b, a, n)), _ZERO, False
+
+
+def _restriction_parts(skel: TemplateSkeleton, cache: _RowCache) -> list:
+    """The row's restrictions in order, as consecutive nonempty tuples of
+    (left, right, enforced), one for every "left != right".
 
     Family-specific named conditions come first, then the invertibility of
     every free leading coefficient, then the two-sided chain that exhibits
-    each pinned component's connectivity.
+    each pinned component's connectivity.  Equal parts of the rows of one
+    ``cache`` are one shared tuple.
     """
-    family, I, S, n = skel.family, skel.I, skel.S, skel.n  # noqa: E741
-    restrictions: list = []
+    cache.enter(skel.n, skel.family, skel.I)
+    parts = cache.parts
+    family, n = skel.family, skel.n
 
-    def require(left: tuple, right: tuple, enforced=True):
-        restrictions.append((left, right, enforced))
+    out = []
 
-    if family == "A_I":
-        require(_sym("g"), _ZERO)
-        for s in S:
-            require(_sym(f"g{s}"), _ZERO)
-    elif family == "A_II":
-        for i, j in combinations(I, 2):
-            require(_sym(f"g{i}"), _sym(f"g{j}"))
-    elif family == "B":
-        require(_sym("g"), _ZERO)
-        require(_sym("g"), _sym("L"))
-        for s in S:
-            require(_sym(f"g{s}"), _ZERO)
-            require(_sym(f"g{s}"), _sym("L"))
-    elif family == "C":
+    def part(key, conditions, *args):
+        got = parts.get(key)
+        if got is None:
+            got = parts[key] = tuple(conditions(*args))
+        if got:
+            out.append(got)
+
+    part(("pattern", skel.S), _pattern_conditions, family, skel.I, skel.S)
+    if family == "C":
         for k, comp in enumerate(skel.R_components, start=1):
-            for r in comp:
-                require(_sym(f"g{r}"), _ZERO)
-                require(_sym(f"g{r}"), _sym(f"L{k}"))
-
-    # A_II fixes the g<i> only up to a common shift, which go<k>, gbp<k> and
-    # gbm<k> absorb; conditions that such a shift changes are shown but not
-    # enforced (a vanishing g<a> + go<k> is caught as a zero leading slot).
-    invariant = family != "A_II"
-    for k in range(1, len(skel.T_circ) + 1):
-        require(_sym(f"go{k}"), _ZERO, invariant)
-        if family == "A_II":
-            for i in I:
-                require(_sym(f"g{i}"), _sym(f"go{k}"), False)
-        if family == "B":
-            require(_sym(f"go{k}"), _sym("L"))
-    for k in range(1, len(skel.T_bullet) + 1):
-        require(_sym(f"gbp{k}"), _ZERO, invariant)
-        require(_sym(f"gbm{k}"), _ZERO, invariant)
-        if family == "A_II":
-            for i in I:
-                require(_sym(f"g{i}"), _negate(_sym(f"gbp{k}")))
-                require(_sym(f"g{i}"), _sym(f"gbm{k}"))
-
+            part(("offsets", k, comp), _offset_conditions, k, comp)
+    part(("components", len(skel.T_circ), len(skel.T_bullet)),
+         _component_conditions, family, skel.I, len(skel.T_circ), len(skel.T_bullet))
     if skel.dense:
-        # fully-interlocked representative row: every ratio invertible
-        for u, v in combinations(range(1, n + 1), 2):
-            require(_sym(_pair_name("q", v, u, n)), _ZERO)
-        return restrictions
-    free = {name for name, rank in zip(skel.params, skel.ranks)
-            if rank[0] == _FREE}
-    for _, _, lead, _ in skel.cells:
-        if lead and lead[0][1] in free:
-            require(lead, _ZERO, False)
+        part(("dense",), _dense_conditions, n)
+        return out
+    free = None
+    for cell in skel.cells:
+        # keyed by identity: the entry holds the cell, so no other object
+        # can take its id while the entry exists
+        entry = parts.get(id(cell))
+        if entry is None:
+            if free is None:
+                free = {name for name, rank in zip(skel.params, skel.ranks)
+                        if rank[0] == _FREE}
+            lead = cell[2]
+            entry = parts[id(cell)] = (
+                cell, ((lead, _ZERO, False),) if lead and lead[0][1] in free else ())
+        if entry[1]:
+            out.append(entry[1])
     if not skel.loose:
         prefix = "q" if family == "D" else "g"
         for comp in skel.T_circ + skel.T_bullet + skel.R_components:
-            for a, b in zip(comp, comp[1:]):
-                require(_sym(_pair_name(prefix, b, a, n)), _ZERO, False)
-    return restrictions
+            part(("chain", comp), _chain_conditions, prefix, comp, n)
+    return out
+
+
+def _restrictions(skel: TemplateSkeleton) -> list:
+    """(left, right, enforced) for every "left != right" of the row, in order."""
+    return [r for part in _restriction_parts(skel, _RowCache()) for r in part]
 
 
 def _render_restriction(left: tuple, right: tuple) -> str:
@@ -434,12 +558,17 @@ def _canonical_partition(I, members):  # noqa: E741
 
 
 def _tag_components(I, comps):  # noqa: E741
-    """Split arbitrary components into (circ, bullet) by the gap criterion."""
-    gaps = list(zip(I, I[1:]))
+    """Split arbitrary components into (circ, bullet) by the gap criterion.
+
+    A component is bullet when it lies strictly inside one gap between
+    consecutive interacting indices: the gap above the interacting index
+    just below its least member also holds its greatest member.
+    """
     circ = []
     bullets = []
     for comp in comps:
-        if any(all(lo < t < hi for t in comp) for lo, hi in gaps):
+        k = bisect_left(I, min(comp))  # I[k - 1] < min(comp) < I[k]
+        if 0 < k < len(I) and max(comp) < I[k]:
             bullets.append(comp)
         else:
             circ.append(comp)
@@ -503,10 +632,16 @@ def _template_args(n: int, mode: str):
         return
     everything = tuple(range(1, n + 1))
 
+    # every partition of each member set, made once per enumeration
+    made: dict = {}
+
     def partitions(I, members):  # noqa: E741
         if paper:
             return (_canonical_partition(I, members),)
-        return _partitions_sorted(members)
+        found = made.get(members)
+        if found is None:
+            found = made[members] = _partitions_sorted(members)
+        return found
 
     # (family, sizes of I, whether bystanders are enumerated)
     shapes = (("A_I", range(3, n + 1), True), ("A_II", range(3, n + 1), False),
@@ -530,7 +665,8 @@ def _template_args(n: int, mode: str):
 
 def generate_templates(n: int, mode: str = "paper") -> list:
     """Enumerate the template rows for ``n`` generators (see the module notes)."""
-    return [_build_skeleton(*args) for args in _template_args(n, mode)]
+    cache = _RowCache()
+    return [_build_skeleton(*args, cache=cache) for args in _template_args(n, mode)]
 
 
 def _fmt_indices(indices) -> str:
@@ -543,20 +679,45 @@ def _fmt_components(comps) -> str:
     return " ".join("{" + ",".join(map(str, c)) + "}" for c in comps)
 
 
-def render_template(skel: TemplateSkeleton, index: int) -> str:
+def render_template(skel: TemplateSkeleton, index: int,
+                    cache: _RowCache | None = None) -> str:
+    """The text of row number ``index``.
+
+    Rows rendered through one ``cache`` (a ``_RowCache``) share the text of
+    their equal lines.
+    """
+    if cache is None:
+        cache = _RowCache()
+    cache.enter(skel.n, skel.family, skel.I)
+    text = cache.text
+    I = skel.I  # noqa: E741
+    head = text.get(("head", skel.S))  # the family, I and S lines
+    if head is None:
+        head = text["head", skel.S] = (f"family: {skel.family}\n"
+                                       f"I: {_fmt_indices(I)}\n"
+                                       f"S: {_fmt_indices(skel.S)}")
     lines = [
         f"template: {index}",
-        f"family: {skel.family}",
-        f"I: {_fmt_indices(skel.I)}",
-        f"S: {_fmt_indices(skel.S)}",
+        head,
         f"Tcirc: {_fmt_components(skel.T_circ)}",
         f"Tbullet: {_fmt_components(skel.T_bullet)}",
         f"R: {_fmt_components(skel.R_components)}",
     ]
-    for u, v, e_uv, e_vu in skel.cells:
-        relation = _render_relation(u, v, e_uv, e_vu, u in skel.I, v in skel.I)
-        lines.append(f"relation: {relation}")
-    for left, right, _ in _restrictions(skel):
-        lines.append(f"restriction: {_render_restriction(left, right)}")
+    # keyed by identity: each entry holds its object, so no other object
+    # can take that id while the entry exists
+    for cell in skel.cells:
+        entry = text.get(id(cell))
+        if entry is None:
+            u, v, e_uv, e_vu = cell
+            entry = text[id(cell)] = (cell, "relation: " + _render_relation(
+                u, v, e_uv, e_vu, u in I, v in I))
+        lines.append(entry[1])
+    for part in _restriction_parts(skel, cache):
+        entry = text.get(id(part))
+        if entry is None:
+            entry = text[id(part)] = (part, "\n".join(
+                f"restriction: {_render_restriction(left, right)}"
+                for left, right, _ in part))
+        lines.append(entry[1])
     lines.append(f"params: {' '.join(skel.params)}")
     return "\n".join(lines)

@@ -18,10 +18,13 @@ from diffalg.calculus import (AutomorphismReport, GradedForm,
                               check_integrating_form, differential,
                               left_multiply, nu_omega_inverse, pi_omega,
                               right_multiply, wedge)
+from diffalg.classify import FamilyIdentification, decompose
 from diffalg.engine import (Poly, _add_term, _iadd, multiply, normal_form,
                             power, word_exponents)
 from diffalg.presentation import AlgebraPresentation
-from diffalg.scalars import ONE, rational
+from diffalg.scalars import ONE, ZERO, format_rational, rational
+from diffalg.templates import (_FREE, _G, _GI, _GO, _LK, _build_skeleton,
+                               _fmt_components, _total)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -326,6 +329,126 @@ def sampled_check_list(P, nu, degree_bound=None):
         checks.append((f"integral-project-k{k}", check_integrating_form(
             P, nu, k, project, which="project")))
     return tuple(checks)
+
+
+# -- whole-row family identification ------------------------------------------
+
+_PATTERN = {"A_I": "uniform pattern", "A_II": "one-sided pattern",
+            "B": "offset pattern", "C": "offset pattern", "D": "free pattern"}
+
+
+def whole_row_identify_family(P, dec=None):
+    """``classify.identify_family`` as it was when it built the whole named
+    template row for the table and solved every cell with ``Fraction``s;
+    the oracle of the family, parameters and violations.
+    """
+    if dec is None:
+        dec = decompose(P)
+    I = dec.I  # noqa: E741
+    if len(I) >= 3:
+        trailing = (P.g(j, i) for i, j in combinations(I, 2))
+        family = "A_II" if all(v == 0 for v in trailing) else "A_I"
+    else:
+        family = ("D", "C", "B")[len(I)]
+    wide = len(I) >= 2
+    skel = _build_skeleton(P.n, family, I, dec.S if wide else (),
+                           dec.T_circ, dec.T_bullet,
+                           () if wide else dec.R_components)
+    preset = {f"g{I[-1]}": ZERO} if family == "A_II" else {}
+    values = dict(preset)
+    holding = {name: [] for name, rank in zip(skel.params, skel.ranks)
+               if rank[0] != _FREE}
+    violations = []
+    for u, v, e_uv, e_vu in skel.cells:
+        lead, trail = P.g(u, v), P.g(v, u)
+        if not lead:
+            violations.append(f"coefficient of D{u} D{v} is 0, but the "
+                              f"leading slot of every pair must be invertible")
+        elif family == "D":
+            lead, trail = ONE, trail / lead
+        for word in ((u, v, e_uv, lead), (v, u, e_vu, trail)):
+            if not word[2] and word[3]:
+                violations.append(_oracle_mismatch(family, I, word, ZERO))
+            for _, name in word[2]:
+                if name in holding:
+                    holding[name].append(word)
+
+    order = sorted((rank, name) for name, rank in zip(skel.params, skel.ranks)
+                   if holding.get(name))
+    for rank, name in order:
+        if name in preset:
+            continue
+        readings = []
+        for word in holding[name]:
+            expr, actual = word[2], word[3]
+            rest = [(c, nm) for c, nm in expr if nm != name]
+            if all(nm in values for _, nm in rest):
+                read = actual - _total(rest, values) if rest else actual
+                positive = (1, name) in expr
+                alone = all(nm in preset for _, nm in rest)
+                readings.append((read if positive else -read, alone, word,
+                                 positive))
+        alone = [r for r in readings if r[1]]
+        if alone and len(alone) < len(readings):
+            values[name] = value = alone[0][0]
+            for read, _, word, positive in readings:
+                if read != value:
+                    shift = value - read if positive else read - value
+                    violations.append(
+                        _oracle_mismatch(family, I, word, word[3] + shift))
+        elif readings and all(r[0] == readings[0][0] for r in readings):
+            values[name] = readings[0][0]
+        elif readings:
+            violations.append(_oracle_disagreement(skel, rank, readings))
+
+    params = {name: values[name] for _, name in order if name in values}
+    params.update((f"x{i}", P.x(i)) for i in I)
+    if violations:
+        return FamilyIdentification("Inconsistent", params, tuple(violations))
+    return FamilyIdentification(family, params)
+
+
+def _oracle_disagreement(skel, rank, readings):
+    first: dict = {}
+    for value, _, word, _ in readings:
+        first.setdefault(value, word[:2])
+    kind, *index = rank
+    if kind == _LK:
+        comp = skel.R_components[index[0] - 1]
+        listing = "; ".join(
+            f"index {v if u in skel.I else u} -> {format_rational(value)}"
+            for value, (u, v) in first.items())
+        return (f"offset to the interacting index differs inside component "
+                f"{_fmt_components((comp,))}: {listing}")
+    if kind == _G:
+        subject = "the interacting set"
+    elif kind == _GI:
+        subject = f"coupling of bystander {index[0]} to I"
+    elif kind == _GO:
+        comp = _fmt_components((skel.T_circ[index[0] - 1],))
+        subject = f"the signed coupling of component {comp} to I"
+    else:
+        k, side = index
+        comp = _fmt_components((skel.T_bullet[k - 1],))
+        subject = f"the {('lower', 'upper')[side]} side of component {comp}"
+    listing = "; ".join(f"D{u} D{v} -> {format_rational(value)}"
+                        for value, (u, v) in first.items())
+    return f"{subject} must carry a single coefficient, found {listing}"
+
+
+def _oracle_mismatch(family, I, word, expected):  # noqa: E741
+    u, v, expr, actual = word
+    pattern = _PATTERN[family]
+    inside = [a for a in (u, v) if a in I]
+    if len(inside) == 1 and not expr:
+        r = v if u in I else u
+        return (f"coefficient of D{u} D{v} is {format_rational(actual)}, so D{r} "
+                f"couples two-sidedly to I, which the {pattern} does not "
+                f"admit")
+    where = (" on I" if len(inside) == 2
+             else f" against D{inside[0]}" if inside else "")
+    return (f"coefficient of D{u} D{v} is {format_rational(actual)}, but the "
+            f"{pattern}{where} requires {format_rational(expected)}")
 
 
 # -- four generators ---------------------------------------------------------

@@ -1,6 +1,8 @@
 """Presentation parsing, rendering, and structural validation."""
 
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -149,3 +151,85 @@ def test_validate_lists_a_bounded_number_of_violations():
     pairs = MAX_GENERATORS * (MAX_GENERATORS - 1) // 2
     assert violations[-1] == (f"{pairs - MAX_LISTED_VIOLATIONS} more zero "
                               f"leading coefficients")
+
+
+# -- integer storage ---------------------------------------------------------------
+
+ODD_TEXT = """n = 4
+g 1 2 = 6/4
+g 2 1 = -0
+g 1 3 = -12/-8
+g 3 1 = 00012/0008
+g 1 4 = +3
+g 2 3 = 1_0
+g 3 2 = -7/21
+g 2 4 = -5
+g 3 4 = 1/3
+x 1 = 4/2
+x 3 = -1/6
+x 4 = 0
+"""
+
+
+def _from_fractions(P):
+    """The same table through the public constructor, from Fractions."""
+    g = {(i, j): Fraction(P.g(i, j)) for i in P.generators for j in P.generators
+         if i != j}
+    return AlgebraPresentation(P.n, g, {i: Fraction(P.x(i)) for i in P.generators})
+
+
+def test_parse_render_parse_round_trips(p1, p2, p3, b1, c4, d4):
+    texts = [ODD_TEXT] + [(FIXTURES / f"{name}.dalg").read_text()
+                          for name in ("p1", "p3", "c_nonuniform", "inconsistent")]
+    texts += [P.render() for P in (p1, p2, p3, b1, c4, d4)]
+    for text in texts:
+        P = parse_presentation(text)
+        again = parse_presentation(P.render())
+        assert again == P and hash(again) == hash(P)
+        assert again.render() == P.render()
+
+
+def test_parsed_equals_and_hashes_as_built_from_fractions(p1, b1):
+    for P in (parse_presentation(ODD_TEXT), load_presentation(FIXTURES / "p1.dalg"),
+              load_presentation(FIXTURES / "b1.dalg")):
+        built = _from_fractions(P)
+        assert built == P and hash(built) == hash(P)
+        assert built.g_integers() == P.g_integers()
+        assert built.x_ratios() == P.x_ratios()
+    assert load_presentation(FIXTURES / "p1.dalg") == p1
+    assert hash(load_presentation(FIXTURES / "b1.dalg")) == hash(b1)
+    assert parse_presentation(ODD_TEXT) != p1
+
+
+def test_coefficients_are_fractions_over_one_integer_table():
+    P = parse_presentation(ODD_TEXT)
+    assert P.g(1, 2) == Fraction(3, 2) and P.g(3, 1) == Fraction(3, 2)
+    assert P.g(2, 1) == 0 and P.g(4, 1) == 0 and P.g(1, 4) == 3
+    assert P.x(1) == 2 and P.x(3) == Fraction(-1, 6) and P.x(2) == P.x(4) == 0
+    for i in P.generators:
+        assert type(P.x(i)) is Fraction
+        for j in P.generators:
+            if i != j:
+                assert type(P.g(i, j)) is Fraction
+    # built once, then kept
+    assert P.g(1, 2) is P.g(1, 2) and P.x(3) is P.x(3)
+    nums, den = P.g_integers()
+    assert den == 6 and list(nums) == sorted(nums)
+    assert all(Fraction(v, den) == P.g(i, j) for (i, j), v in nums.items())
+    assert P.x_ratios() == {1: (2, 1), 2: (0, 1), 3: (-1, 6), 4: (0, 1)}
+    with pytest.raises(KeyError):
+        P.g(2, 2)
+
+
+def test_a_literal_at_the_digit_limit_parses_and_one_beyond_is_quoted(capsys, tmp_path):
+    digits = sys.get_int_max_str_digits()
+    big = "7" * digits
+    P = parse_presentation(f"n = 2\ng 1 2 = {big}/3\nx 1 = -{big}\n")
+    assert P.g(1, 2) == Fraction(int(big), 3) and P.x(1) == -int(big)
+    assert parse_presentation(P.render()) == P
+    path = tmp_path / "beyond.dalg"
+    path.write_text(f"n = 2\ng 1 2 = {'7' * (digits + 1)}\n")
+    rc, out, err = run(capsys, "classify", path)
+    assert (rc, out) == (2, "")
+    assert err == (f"error: {path}: line 2, col 9: invalid rational "
+                   f"'77777777777777777777'... ({digits + 1} characters)\n")

@@ -2,11 +2,13 @@
 
 ``decide_smoothness`` is the only PBW check of a ``smooth``,
 ``verify-calculus`` or ``d`` op, and its ``NotPbwError`` names the failing
-triple the CLI prints; a NotSmooth verdict's obstruction carries the shift
-family the CLI verifies, so the family is built once.  (``no_go_residual``
-in closed form is compared with the positional differential in
-``test_positional.py``.)  Also here: the connectedness certificate's one
-premise, and a reader that closes the pipe early.
+triple the CLI prints before anything is classified; its verdict carries
+the decomposition and family identification the CLI prints; a NotSmooth
+verdict's obstruction carries the shift family the CLI verifies, so the
+family is built once.  (``no_go_residual`` in closed form is compared with
+the positional differential in ``test_positional.py``.)  Also here: the
+connectedness certificate's one premise, and a reader that closes the pipe
+early.
 """
 
 import os
@@ -19,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import diffalg
-from diffalg import calculus, engine
+from diffalg import calculus, classify, engine
 from diffalg.calculus import (AffineAutomorphismFamily, certify_connectedness,
                               check_connectedness, no_go_residual)
 from diffalg.cli import main
@@ -92,6 +94,23 @@ def test_not_pbw_refusal_names_the_triple(p1m, capsys):
         outs.append(capsys.readouterr())
     assert len({o.out for o in outs}) == 1 and outs[0].out.startswith("pbw: false\n")
     assert all(o.err == "" for o in outs)
+
+
+def test_a_non_pbw_table_is_refused_before_it_is_classified(monkeypatch, capsys):
+    decompositions = count_calls(monkeypatch, classify, "decompose")
+    identifications = count_calls(monkeypatch, classify, "identify_family")
+    nonpbw = str(FIXTURES / "nonpbw.dalg")
+    for argv in (["smooth", nonpbw], ["verify-calculus", nonpbw], ["d", nonpbw, "D1"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().out == "pbw: false\ntriple: 1 2 3\n"
+    assert decompositions == [] and identifications == []
+    # a PBW table is classified once, and the verdict carries what it used
+    assert main(["smooth", str(FIXTURES / "p1.dalg")]) == 0
+    capsys.readouterr()
+    assert len(decompositions) == len(identifications) == 1
+    verdict = decide_smoothness(*decompositions[0])
+    assert verdict.decomposition == classify.decompose(*decompositions[0])
+    assert verdict.identification.family == "A_I"
 
 
 def test_obstruction_carries_the_family_it_used(p2):
