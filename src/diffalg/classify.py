@@ -175,11 +175,7 @@ def identify_family(P: AlgebraPresentation, dec: Decomposition | None = None
                 violations.append(_mismatch(family, I, word, 0, value))
             for _, name in expr:
                 if name in ranks:
-                    words = holding.get(name)
-                    if words is None:
-                        holding[name] = [word]
-                    else:
-                        words.append(word)
+                    holding.setdefault(name, []).append(word)
 
     order = sorted((ranks[name], name) for name in holding)
     for rank, name in order:
@@ -188,11 +184,6 @@ def identify_family(P: AlgebraPresentation, dec: Decomposition | None = None
         readings = []
         for word in holding[name]:
             expr, actual = word[2], word[3]
-            if len(expr) == 1:  # the parameter alone, with sign +-1
-                positive = expr[0][0] > 0
-                readings.append((actual if positive else -actual, True, word,
-                                 positive))
-                continue
             rest = [(c, nm) for c, nm in expr if nm != name]
             if all(nm in values for _, nm in rest):
                 read = actual - sum(c * values[nm] for c, nm in rest)

@@ -506,15 +506,15 @@ def diamond_check_triple(P: AlgebraPresentation, a: int, b: int, c: int) -> Trip
 def _integer_table(P: AlgebraPresentation) -> dict:
     """Every g(i, j) times the lcm of their denominators, as ints.
 
-    The presentation's own table; read, never written.  Raises ValueError
-    on the first zero leading coefficient g(i, j), i < j, in (i, j) order:
-    no relation rewrites that pair.
+    A copy: writing to it leaves the presentation as it was.  Raises
+    ValueError on the first zero leading coefficient g(i, j), i < j, in
+    (i, j) order: no relation rewrites that pair.
     """
     table, _ = P.g_integers()
     for (i, j), v in table.items():
         if i < j and not v:
             raise ValueError(f"zero leading coefficient g({i}, {j})")
-    return table
+    return dict(table)
 
 
 def _resolves(g: dict, x: dict, a: int, b: int, c: int) -> bool:

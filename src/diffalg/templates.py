@@ -274,14 +274,15 @@ class _RowCache:
     that made it.
     """
 
-    __slots__ = ("scope", "cells", "parts", "text")
+    __slots__ = ("scope", "cells", "parts", "relations")
 
     def __init__(self):
         self.scope = None
         self.cells: dict = {}  # (u, v, role_u, role_v) -> (cell, named params)
-        self.parts: dict = {}  # part key, or id(cell) -> (cell, lead part)
-        # id(cell or part) -> (it, its lines), and ("head", S) -> lines
-        self.text: dict = {}
+        # the key of a restriction part, or a cell for the part on its lead
+        #   -> [the part's restrictions, their lines once rendered]
+        self.parts: dict = {}
+        self.relations: dict = {}  # cell -> its relation line
 
     def enter(self, n, family, I) -> None:  # noqa: E741
         """Keep the entries of (n, family, I), dropping any others."""
@@ -290,7 +291,7 @@ class _RowCache:
             self.scope = scope
             self.cells = {}
             self.parts = {}
-            self.text = {}
+            self.relations = {}
 
 
 def _build_skeleton(n, family, I, S, t_circ, t_bullet, r_comps,  # noqa: E741
@@ -413,13 +414,15 @@ def _chain_conditions(prefix, comp, n):
 
 
 def _restriction_parts(skel: TemplateSkeleton, cache: _RowCache) -> list:
-    """The row's restrictions in order, as consecutive nonempty tuples of
-    (left, right, enforced), one for every "left != right".
+    """The row's restrictions in order, as the ``cache.parts`` entries
+    [restrictions, lines] of its nonempty parts.
 
+    The restrictions of a part are a tuple of (left, right, enforced), one
+    for every "left != right"; ``render_template`` fills in their lines.
     Family-specific named conditions come first, then the invertibility of
     every free leading coefficient, then the two-sided chain that exhibits
     each pinned component's connectivity.  Equal parts of the rows of one
-    ``cache`` are one shared tuple.
+    ``cache`` are one shared entry.
     """
     cache.enter(skel.n, skel.family, skel.I)
     parts = cache.parts
@@ -428,11 +431,11 @@ def _restriction_parts(skel: TemplateSkeleton, cache: _RowCache) -> list:
     out = []
 
     def part(key, conditions, *args):
-        got = parts.get(key)
-        if got is None:
-            got = parts[key] = tuple(conditions(*args))
-        if got:
-            out.append(got)
+        entry = parts.get(key)
+        if entry is None:
+            entry = parts[key] = [tuple(conditions(*args)), None]
+        if entry[0]:
+            out.append(entry)
 
     part(("pattern", skel.S), _pattern_conditions, family, skel.I, skel.S)
     if family == "C":
@@ -445,18 +448,17 @@ def _restriction_parts(skel: TemplateSkeleton, cache: _RowCache) -> list:
         return out
     free = None
     for cell in skel.cells:
-        # keyed by identity: the entry holds the cell, so no other object
-        # can take its id while the entry exists
-        entry = parts.get(id(cell))
+        entry = parts.get(cell)
         if entry is None:
             if free is None:
                 free = {name for name, rank in zip(skel.params, skel.ranks)
                         if rank[0] == _FREE}
             lead = cell[2]
-            entry = parts[id(cell)] = (
-                cell, ((lead, _ZERO, False),) if lead and lead[0][1] in free else ())
-        if entry[1]:
-            out.append(entry[1])
+            entry = parts[cell] = [
+                ((lead, _ZERO, False),) if lead and lead[0][1] in free else (),
+                None]
+        if entry[0]:
+            out.append(entry)
     if not skel.loose:
         prefix = "q" if family == "D" else "g"
         for comp in skel.T_circ + skel.T_bullet + skel.R_components:
@@ -466,7 +468,7 @@ def _restriction_parts(skel: TemplateSkeleton, cache: _RowCache) -> list:
 
 def _restrictions(skel: TemplateSkeleton) -> list:
     """(left, right, enforced) for every "left != right" of the row, in order."""
-    return [r for part in _restriction_parts(skel, _RowCache()) for r in part]
+    return [r for part in _restriction_parts(skel, _RowCache()) for r in part[0]]
 
 
 def _render_restriction(left: tuple, right: tuple) -> str:
@@ -689,35 +691,28 @@ def render_template(skel: TemplateSkeleton, index: int,
     if cache is None:
         cache = _RowCache()
     cache.enter(skel.n, skel.family, skel.I)
-    text = cache.text
+    relations = cache.relations
     I = skel.I  # noqa: E741
-    head = text.get(("head", skel.S))  # the family, I and S lines
-    if head is None:
-        head = text["head", skel.S] = (f"family: {skel.family}\n"
-                                       f"I: {_fmt_indices(I)}\n"
-                                       f"S: {_fmt_indices(skel.S)}")
     lines = [
         f"template: {index}",
-        head,
+        f"family: {skel.family}",
+        f"I: {_fmt_indices(I)}",
+        f"S: {_fmt_indices(skel.S)}",
         f"Tcirc: {_fmt_components(skel.T_circ)}",
         f"Tbullet: {_fmt_components(skel.T_bullet)}",
         f"R: {_fmt_components(skel.R_components)}",
     ]
-    # keyed by identity: each entry holds its object, so no other object
-    # can take that id while the entry exists
     for cell in skel.cells:
-        entry = text.get(id(cell))
-        if entry is None:
+        line = relations.get(cell)
+        if line is None:
             u, v, e_uv, e_vu = cell
-            entry = text[id(cell)] = (cell, "relation: " + _render_relation(
-                u, v, e_uv, e_vu, u in I, v in I))
-        lines.append(entry[1])
+            line = relations[cell] = "relation: " + _render_relation(
+                u, v, e_uv, e_vu, u in I, v in I)
+        lines.append(line)
     for part in _restriction_parts(skel, cache):
-        entry = text.get(id(part))
-        if entry is None:
-            entry = text[id(part)] = (part, "\n".join(
-                f"restriction: {_render_restriction(left, right)}"
-                for left, right, _ in part))
-        lines.append(entry[1])
+        if part[1] is None:
+            part[1] = "\n".join(f"restriction: {_render_restriction(left, right)}"
+                                 for left, right, _ in part[0])
+        lines.append(part[1])
     lines.append(f"params: {' '.join(skel.params)}")
     return "\n".join(lines)

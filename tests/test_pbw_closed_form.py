@@ -124,6 +124,22 @@ def test_a_999_digit_numerator():
     assert_agrees_with_the_fold(skewed)
 
 
+def test_writing_to_the_integer_table_leaves_the_presentation_alone():
+    changed = 0
+    for seed in SEEDS:
+        P = _random_table(seed)
+        before = is_pbw(P)
+        g = {(i, j): P.g(i, j) for i in P.generators for j in P.generators if i != j}
+        table = engine._integer_table(P)
+        for (i, j) in table:
+            table[i, j] = 1 if i < j else 0  # a commuting table: always PBW
+        changed += not before.pbw
+        assert is_pbw(P) == before
+        assert {key: P.g(*key) for key in g} == g
+        assert engine._integer_table(P) != table
+    assert changed  # some tables would have read as PBW after the write
+
+
 def test_zero_leading_coefficient_is_refused():
     # an unvalidated presentation; the CLI refuses it before is_pbw runs
     g = {(1, 2): Fraction(1), (1, 3): Fraction(0), (2, 3): Fraction(0),
