@@ -186,7 +186,11 @@ def identify_family(P: AlgebraPresentation, dec: Decomposition | None = None
             expr, actual = word[2], word[3]
             rest = [(c, nm) for c, nm in expr if nm != name]
             if all(nm in values for _, nm in rest):
-                read = actual - sum(c * values[nm] for c, nm in rest)
+                # term by term, so a parameter read alone costs no
+                # arithmetic: a D row's readings are Fractions
+                read = actual
+                for c, nm in rest:
+                    read -= c * values[nm]
                 positive = (1, name) in expr
                 alone = all(nm in preset for _, nm in rest)
                 readings.append((read if positive else -read, alone, word,
