@@ -10,33 +10,56 @@ increasing pair D_a D_b (a < b), which is replaced using the defining relation
 Normal forms are those of first-ascent rewriting, computed without rewriting
 words.  First-ascent rewriting of X.Y never touches Y before X is normal, so
 the normal form of w_1 ... w_k is the left fold that starts from 1 and
-replaces each monomial m by R[(m, w_i)] = normal form of m D_{w_i}, letter
-by letter, on every presentation, PBW or not.  Each context holds the table R.
+replaces each monomial m by the normal form of m D_{w_i}, letter by letter,
+on every presentation, PBW or not.
 
-An entry is derived from a smaller one.  If every letter of m is >= b, m D_b
-is already normal.  Otherwise let a < b be the smallest letter of m, so that
-m D_b = m' D_a D_b with m' = m - e_a.  Its first ascent is the final pair,
-because m' D_a is normal.  Rewriting it gives m' D_b D_a, m' D_a = m and
-m' D_b; in m' D_b D_a the rewriting finishes m' D_b first, and its monomials
+Write m as u ℓ: u holds the letters of m that are >= b and ℓ those < b.  The
+first ascent of u ℓ D_b, if any, lies in ℓ D_b, and every word that rewriting
+ℓ D_b reaches has letters <= b only, none above the last letter of u.  So the
+junction never becomes an ascent, u is never touched, and u followed by a
+normal monomial in letters <= b is normal:
+
+    normal form of m D_b = u R[(ℓ, b)],   R[(ℓ, b)] = normal form of ℓ D_b,
+
+where u times such a monomial adds exponents.  Each context holds the table R,
+keyed by the lower part ℓ and b alone, so one entry serves every upper part.
+
+An entry is derived from a smaller one.  If ℓ is empty, m D_b is already
+normal.  Otherwise let a < b be the smallest letter of ℓ, so that
+ℓ D_b = ℓ' D_a D_b with ℓ' = ℓ - e_a.  Its first ascent is the final pair,
+because ℓ' D_a is normal.  Rewriting it gives ℓ' D_b D_a, ℓ' D_a = ℓ and
+ℓ' D_b; in ℓ' D_b D_a the rewriting finishes ℓ' D_b first, and its monomials
 have only letters >= a, so appending D_a leaves them normal:
 
-    R[(m, b)] = q shift_a(R[(m', b)]) + (x(b)/g(a,b)) m - (x(a)/g(a,b)) R[(m', b)]
+    R[(ℓ, b)] = q shift_a(R[(ℓ', b)]) + (x(b)/g(a,b)) ℓ - (x(a)/g(a,b)) R[(ℓ', b)]
 
-where shift_a appends D_a (adds 1 to k_a).  A chain of such steps is at most
-deg(m) long; it is evaluated with an explicit list, not by recursion, and
-every entry on it is stored, so the table grows with the number of monomials
-met, not of free words.  ``multiply(p, q)`` folds each monomial of q, spelled
-as its decreasing word, onto p.
+where shift_a appends D_a (adds 1 to k_a), and R[(1, b)] = D_b.  A chain of
+such steps is at most deg(ℓ) long; it is evaluated with an explicit list, not
+by recursion, and every entry on it is stored, so the table grows with the
+number of lower parts met, not of monomials or free words.
+``multiply(p, q)`` folds each monomial of q, spelled as its decreasing word,
+onto p.
+
+Inside the fold a monomial is one int: k_a fills the bit field of width W
+that starts at bit W (a - 1).  A context's W holds the degree bound of the
+call, which bounds every exponent the call reaches, so no field carries into
+the next: shift_a and u ℓ are one addition each, ℓ is m & (e_b - 1), and the
+smallest letter of ℓ is the field of its lowest set bit.  R keys the entry of
+(ℓ, b) by the packed ℓ D_b, ℓ + e_b: b is its largest letter and occurs once,
+so the key names both.  A call whose degree bound does not fit widens W and
+drops the table, whose keys were packed at the old width.  Monomials are
+packed where a fold starts and unpacked to exponent tuples where its result
+becomes a Poly.
 
 The scalars inside the fold are integers.  Each rule is kept as coprime
 integers (Q, X, Y, G), G > 0, with G D_a D_b -> Q D_b D_a + X D_a + Y D_b,
 made from the numerators and denominators of g(a,b), g(b,a), x(a), x(b) by
 products alone.  A combination is an integer form (nums, den): integer
-numerators over one positive denominator.  With R[(m - e_a, b)] = B/e,
+numerators over one positive denominator.  With R[(ℓ', b)] = B/e,
 
-    R[(m, b)] = (Q shift_a(B) + Y B + X e m) / (G e).
+    R[(ℓ, b)] = (Q shift_a(B) + Y B + X e ℓ) / (G e).
 
-Folding by D_b sums c R[(m, b)] over the lcm of the entries' denominators,
+Folding by D_b sums c u R[(ℓ, b)] over the lcm of the entries' denominators,
 rescaling the partial sum when an entry's denominator does not divide it.
 Sums are not reduced on the way; a Fraction is built only for each term of
 a result, and Fraction reduces it.  Integer arithmetic is exact and a
@@ -275,8 +298,8 @@ def _rule(P: AlgebraPresentation, a: int, b: int) -> tuple:
     return Q // d, X // d, Y // d, G // d
 
 
-def _add_over(dst: dict, den: int, c: int, nums: dict, d: int) -> int:
-    """dst/den += c nums/d; returns dst's new denominator, lcm(den, d)."""
+def _add_over(dst: dict, den: int, c: int, nums: dict, d: int, u: int = 0) -> int:
+    """dst/den += c u nums/d, u a packed monomial; returns dst's new denominator, lcm(den, d)."""
     if den % d:
         f = d // gcd(den, d)
         for m in dst:
@@ -284,27 +307,17 @@ def _add_over(dst: dict, den: int, c: int, nums: dict, d: int) -> int:
         den *= f
     c *= den // d
     if not dst:
-        dst.update({m: c * v for m, v in nums.items()})
+        dst.update({u + m: c * v for m, v in nums.items()})
         return den
     get = dst.get
     for m, v in nums.items():
+        m += u
         v = get(m, 0) + c * v
         if v:
             dst[m] = v
         else:
             del dst[m]
     return den
-
-
-def _int_form(terms: dict) -> tuple:
-    """A {exponents: rational} map as (nums, den), den the lcm of its denominators."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
-
-
-def _poly(n: int, nums: dict, den: int) -> Poly:
-    """The Poly of an integer form: one reduced rational per term."""
-    return Poly(n, {m: rational(v, den) for m, v in nums.items()})
 
 
 def _same(p: tuple, q: tuple) -> bool:
@@ -316,19 +329,36 @@ def _same(p: tuple, q: tuple) -> bool:
 # ---------------------------------------------------------------------------
 # per-presentation context
 
+# Largest exponent the fields of a new context hold, 8 bits each; a call of
+# larger degree widens them, so no input is refused.
+_DEFAULT_DEGREE = 255
+
 
 class _Context:
-    __slots__ = ("n", "rules", "nf_cache")
+    __slots__ = ("n", "rules", "nf_cache", "width", "shifts", "units")
 
     def __init__(self, P: AlgebraPresentation):
         self.n = P.n
         # (a, b) with a < b  ->  the integer rule (Q, X, Y, G)
         self.rules = {(a, b): _rule(P, a, b)
                       for a in range(1, P.n + 1) for b in range(a + 1, P.n + 1)}
-        # R[(m, b)] = normal form of m D_b as (nums, den), stored only for
-        # products that need a rewrite; a dict of tables, the shape the
-        # benchmark probe reads
+        # R[(ℓ, b)] = normal form of ℓ D_b as (nums, den), keyed by the packed
+        # ℓ D_b and stored only for a nonempty ℓ; a dict of tables, the shape
+        # the benchmark probe reads
         self.nf_cache = {"R": {}}
+        self.width = 0
+        self.fit(_DEFAULT_DEGREE)
+
+    def fit(self, degree: int) -> None:
+        """Make every exponent field hold ``degree``, the bound of a call.
+
+        A wider field drops R, whose keys and terms are packed at the old width.
+        """
+        if degree >> self.width:
+            self.width = width = degree.bit_length()
+            self.shifts = tuple(range(0, width * self.n, width))
+            self.units = tuple(1 << s for s in self.shifts)  # units[a - 1] = e_a
+            self.nf_cache["R"].clear()
 
 
 # id(P) -> the context of the live presentation P; the entry goes with P
@@ -343,62 +373,83 @@ def _context(P: AlgebraPresentation) -> _Context:
     return ctx
 
 
-def _right_entry(ctx: _Context, m: Exponents, b: int) -> tuple:
-    """R[(m, b)], the normal form of m D_b, for a monomial m with a letter below b.
+def _pack(ctx: _Context, expts) -> int:
+    """An exponent tuple as one int, k_a in the field of letter a."""
+    return sum(k << s for k, s in zip(expts, ctx.shifts))
 
-    Strips the smallest letter a of m until it reaches a stored entry or a
-    monomial with no letter below b, then stores every entry on the way back:
-    with R[(m - e_a, b)] = B/e, R[(m, b)] = (Q shift_a(B) + Y B + X e m)/(G e).
+
+def _unpack(ctx: _Context, m: int) -> Exponents:
+    """The exponent tuple of a packed monomial."""
+    field = (1 << ctx.width) - 1
+    return tuple([(m >> s) & field for s in ctx.shifts])
+
+
+def _int_form(ctx: _Context, terms: dict) -> tuple:
+    """A {exponents: rational} map as packed (nums, den), den the lcm of its denominators."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {_pack(ctx, m): c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
+def _poly(ctx: _Context, nums: dict, den: int) -> Poly:
+    """The Poly of a packed integer form: one reduced rational per term."""
+    return Poly(ctx.n, {_unpack(ctx, m): rational(v, den) for m, v in nums.items()})
+
+
+def _right_entry(ctx: _Context, low: int, b: int) -> tuple:
+    """R[(ℓ, b)], the normal form of ℓ D_b, for a packed ℓ != 1 of letters below b.
+
+    Strips the smallest letter a of ℓ until it reaches a stored entry or the
+    empty monomial, then stores every entry on the way back: with
+    R[(ℓ - e_a, b)] = B/e, R[(ℓ, b)] = (Q shift_a(B) + Y B + X e ℓ)/(G e).
     """
     table = ctx.nf_cache["R"]
-    k = b - 1
+    units, width = ctx.units, ctx.width
+    e_b = units[b - 1]
     chain = []
     while True:
-        for a in range(k):
-            if m[a]:
-                break
-        else:
-            below = ({m[:k] + (m[k] + 1,) + m[b:]: 1}, 1)
+        a = ((low & -low).bit_length() - 1) // width  # the smallest letter, from 0
+        chain.append((low, a))
+        low -= units[a]
+        if not low:
+            below = ({e_b: 1}, 1)
             break
-        chain.append((m, a))
-        m = m[:a] + (m[a] - 1,) + m[a + 1:]
-        below = table.get((m, b))
+        below = table.get(low + e_b)
         if below is not None:
             break
-    for m, a in reversed(chain):
+    for low, a in reversed(chain):
         Q, X, Y, G = ctx.rules[(a + 1, b)]
         nums, e = below
-        if Q:
-            entry = {v[:a] + (v[a] + 1,) + v[a + 1:]: Q * c for v, c in nums.items()}
-        else:
-            entry = {}
+        e_a = units[a]
+        entry = {v + e_a: Q * c for v, c in nums.items()} if Q else {}
         if X:
-            _add_term(entry, m, X * e)
+            _add_term(entry, low, X * e)
         if Y:
             _add_over(entry, 1, Y, nums, 1)  # entry += Y B, both over 1
-        table[(m, b)] = below = (entry, G * e)
+        table[low + e_b] = below = (entry, G * e)
     return below
 
 
 def _times_generator(ctx: _Context, nums: dict, den: int, b: int) -> tuple:
-    """Normal form of (nums/den) D_b, the sum of c R[(m, b)], as (nums, den).
+    """Normal form of (nums/den) D_b, the sum of c u R[(ℓ, b)], as (nums, den).
 
     The sum is kept over the lcm of the entries' denominators; it is not
     reduced, since a gcd over every coefficient at every letter costs more
     than the larger integers do.
     """
     table = ctx.nf_cache["R"]
-    k = b - 1
+    e_b = ctx.units[b - 1]
+    below = e_b - 1  # the fields of the letters below b
     out: dict = {}
     common = 1
     for m, c in nums.items():
-        if any(m[:k]):
-            entry = table.get((m, b))
+        low = m & below
+        if low:
+            entry = table.get(low + e_b)
             if entry is None:
-                entry = _right_entry(ctx, m, b)
-            common = _add_over(out, common, c, *entry)
+                entry = _right_entry(ctx, low, b)
+            common = _add_over(out, common, c, *entry, m - low)
         else:  # no letter of m is below b, so m D_b is already normal
-            _add_term(out, m[:k] + (m[k] + 1,) + m[b:], c * common)
+            _add_term(out, m + e_b, c * common)
     return out, den * common
 
 
@@ -410,23 +461,24 @@ def _fold(ctx: _Context, nums: dict, den: int, word: Word) -> tuple:
 
 
 def _product(ctx: _Context, p: tuple, q: tuple) -> tuple:
-    """p q for integer forms p, q: each monomial of q folded onto p, over one denominator."""
+    """p q for packed integer forms: each monomial of q folded onto p, over one denominator."""
     pn, pd = p
     qn, qd = q
     out: dict = {}
     common = 1
     for m, c in qn.items():
-        common = _add_over(out, common, c, *_fold(ctx, pn, pd, monomial_word(m)))
+        common = _add_over(out, common, c, *_fold(ctx, pn, pd, monomial_word(_unpack(ctx, m))))
     return out, common * qd
 
 
 def _nf_word(ctx: _Context, word: Word, depth_left: int) -> tuple:
-    """Normal form of one word, as a new integer form (nums, den).
+    """Normal form of one word, as a new packed integer form (nums, den).
 
-    ``depth_left`` is the caller's rewrite budget.  Every table chain met
-    while folding a word of degree d takes fewer than d rewrites, so
-    ``normal_form`` passes d; a word that still needs a rewrite when no
-    budget is left raises instead, by a check that ``python -O`` keeps.
+    The caller has fitted ``ctx`` to the word's degree.  ``depth_left`` is
+    its rewrite budget.  Every table chain met while folding a word of
+    degree d takes fewer than d rewrites, so ``normal_form`` passes d; a word
+    that still needs a rewrite when no budget is left raises instead, by a
+    check that ``python -O`` keeps.
     """
     if depth_left <= 0 and any(a < b for a, b in zip(word, word[1:])):
         raise RuntimeError("reduction exceeded the degree*(degree+inversions) bound")
@@ -434,7 +486,8 @@ def _nf_word(ctx: _Context, word: Word, depth_left: int) -> tuple:
     k = 1
     while k < len(word) and word[k - 1] >= word[k]:
         k += 1
-    return _fold(ctx, {word_exponents(word[:k], ctx.n): 1}, 1, word[k:])
+    units = ctx.units
+    return _fold(ctx, {sum(units[a - 1] for a in word[:k]): 1}, 1, word[k:])
 
 
 def normal_form(w, P: AlgebraPresentation) -> Poly:
@@ -449,13 +502,14 @@ def normal_form(w, P: AlgebraPresentation) -> Poly:
         combination = {tuple(word): c for word, c in w.items()}
     else:
         combination = {tuple(w): ONE}
+    ctx.fit(max(map(len, combination), default=0))
     out: dict = {}
     common = 1
     for word, coeff in combination.items():
         if coeff:
             nums, den = _nf_word(ctx, word, len(word))
             common = _add_over(out, common, coeff.numerator, nums, den * coeff.denominator)
-    return _poly(P.n, out, common)
+    return _poly(ctx, out, common)
 
 
 def multiply(p: Poly, q: Poly, P: AlgebraPresentation) -> Poly:
@@ -464,7 +518,9 @@ def multiply(p: Poly, q: Poly, P: AlgebraPresentation) -> Poly:
         return q.scale(p.constant())
     if q.is_scalar():
         return p.scale(q.constant())
-    return _poly(P.n, *_product(_context(P), _int_form(p.terms), _int_form(q.terms)))
+    ctx = _context(P)
+    ctx.fit(p.degree() + q.degree())
+    return _poly(ctx, *_product(ctx, _int_form(ctx, p.terms), _int_form(ctx, q.terms)))
 
 
 def power(p: Poly, k: int, P: AlgebraPresentation) -> Poly:
@@ -497,10 +553,10 @@ def diamond_check_triple(P: AlgebraPresentation, a: int, b: int, c: int) -> Trip
     if not (1 <= a < b < c <= P.n):
         raise ValueError(f"triple must satisfy 1 <= a < b < c <= n, got {(a, b, c)}")
     ctx = _context(P)
+    ctx.fit(3)
     left = _nf_word(ctx, (a, b, c), 3)
-    d_a = tuple(int(i == a) for i in range(1, P.n + 1))
-    right = _product(ctx, ({d_a: 1}, 1), _nf_word(ctx, (b, c), 2))
-    return TripleCheck(_same(left, right), _poly(P.n, *left), _poly(P.n, *right))
+    right = _product(ctx, ({ctx.units[a - 1]: 1}, 1), _nf_word(ctx, (b, c), 2))
+    return TripleCheck(_same(left, right), _poly(ctx, *left), _poly(ctx, *right))
 
 
 def _integer_table(P: AlgebraPresentation) -> dict:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 
-from .engine import Poly, monomial_word
+from .engine import Poly
 from .scalars import format_rational, parse_rational, rational
 
 __all__ = ["ExpressionError", "MAX_LITERAL_DIGITS", "MAX_TERM_DEGREE",
@@ -173,22 +173,43 @@ def format_word(word: tuple) -> str:
     return " ".join(parts)
 
 
+def _monomial_text(expts) -> str:
+    """Render the PBW monomial D_n^{k_n}...D_1^{k_1} as ``format_word`` renders its word."""
+    parts = []
+    a = len(expts)
+    for k in reversed(expts):
+        if k:
+            parts.append(f"D{a}" if k == 1 else f"D{a}^{k}")
+        a -= 1
+    return " ".join(parts)
+
+
+def _term_order(term) -> tuple:
+    """Sort key of a (monomial, coefficient) term: (degree, monomial_word(m)) in effect.
+
+    Of two decreasing words of one length, the first letter that differs is
+    the highest generator whose exponents differ, and the word with more of
+    it is larger; so the reversed exponent tuples compare as the words do.
+    """
+    m = term[0]
+    return sum(m), m[::-1]
+
+
 def format_poly(p: Poly) -> str:
     """Canonical one-line rendering of a normal-form polynomial."""
     if p.is_zero():
         return "0"
-    terms = sorted(((sum(m), monomial_word(m), c) for m, c in p.terms.items()),
-                   key=lambda term: term[:2], reverse=True)
     pieces = []
-    for _, word, c in terms:
+    for m, c in sorted(p.terms.items(), key=_term_order, reverse=True):
         neg = c < 0
         mag = -c if neg else c
-        if not word:
+        text = _monomial_text(m)
+        if not text:
             body = format_rational(mag)
         elif mag == 1:
-            body = format_word(word)
+            body = text
         else:
-            body = f"{format_rational(mag)} * {format_word(word)}"
+            body = f"{format_rational(mag)} * {text}"
         if not pieces:
             pieces.append(f"-{body}" if neg else body)
         else:

@@ -273,8 +273,18 @@ def parse_presentation(text: str) -> AlgebraPresentation:
 
 
 def load_presentation(path) -> AlgebraPresentation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_presentation(fh.read())
+    """Read and parse a presentation file; a byte that is not UTF-8 is a PresentationError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the first bad one decode, so its column is exact
+        start = data.rfind(b"\n", 0, exc.start) + 1
+        raise PresentationError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}",
+                                data.count(b"\n", 0, exc.start) + 1,
+                                len(data[start:exc.start].decode("utf-8")) + 1) from None
+    return parse_presentation(text)
 
 
 def validate_presentation(P: AlgebraPresentation) -> list[str]:

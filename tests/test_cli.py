@@ -52,6 +52,16 @@ def test_malformed_file(capsys):
     assert err == f"error: {path}: line 3, col 1: expected 'g I J = RATIONAL'\n"
 
 
+@pytest.mark.parametrize("argv", [["check-pbw"], ["classify"], ["smooth"],
+                                  ["verify-calculus"], ["reduce", "D1"], ["d", "D1"]])
+def test_non_utf8_file_exits_with_one_error_line(capsys, tmp_path, argv):
+    path = tmp_path / "bad.dalg"
+    path.write_bytes(b"n = 3\ng 1 2 = 1 \xff\n")
+    rc, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert (rc, out) == (2, "")
+    assert err == f"error: {path}: line 2, col 11: invalid UTF-8 byte 0xff\n"
+
+
 # -- classify --------------------------------------------------------------------
 
 def test_classify_uniform_triple(capsys):

@@ -1,9 +1,11 @@
 """Expression grammar: parsing, canonical rendering, and error locations."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffalg.engine import Poly
+from diffalg.engine import Poly, monomial_word
 from diffalg.exprs import ExpressionError, format_poly, format_word, parse_poly
 from diffalg.scalars import rational
 
@@ -103,6 +105,19 @@ def test_format_zero_scalars_and_signs():
     assert format_poly(Poly.scalar(3, rational(3, 2))) == "3/2"
     assert format_poly(poly_of(3, {(1,): -1})) == "-D1"
     assert format_poly(poly_of(3, {(2, 2, 1): rational(5, 3)})) == "5/3 * D2^2 D1"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_terms_render_and_sort_as_their_decreasing_words(n):
+    # format_poly works from exponents; (degree, word) is the order and
+    # format_word the text that the terms' decreasing words give
+    rng = random.Random(f"format-order:{n}")
+    monomials = {tuple(rng.choice((0, 0, 1, 2, 3, 11)) for _ in range(n))
+                 for _ in range(300)}
+    by_word = sorted(monomials, key=lambda m: (sum(m), monomial_word(m)), reverse=True)
+    p = Poly(n, {m: rational(1) for m in monomials})
+    words = [format_word(monomial_word(m)) or "1" for m in by_word]
+    assert format_poly(p) == " + ".join(words)
 
 
 # -- round trip ---------------------------------------------------------------

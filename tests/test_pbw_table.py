@@ -8,6 +8,7 @@ triple check with FIRST and LAST, including on tables that are not PBW,
 where the two orders give different answers.
 """
 
+import heapq
 import random
 import time
 from decimal import Decimal
@@ -48,12 +49,27 @@ def _triples(n: int) -> list:
             for b in range(a + 1, n + 1) for c in range(b + 1, n + 1)]
 
 
+def _rank(word: tuple) -> tuple:
+    """Heap key that pops longer words first, and at one length those with more
+    ascending pairs of letters (i < j with word[i] < word[j])."""
+    ascending = sum(a < b for i, a in enumerate(word) for b in word[i + 1:])
+    return -len(word), -ascending, word
+
+
 def rewrite(P: AlgebraPresentation, word: tuple, order: str) -> dict:
-    """Normal form of ``word`` by rewriting one ascent at a time, FIRST or LAST."""
+    """Normal form of ``word`` by rewriting one ascent at a time, FIRST or LAST.
+
+    A rewrite either drops a letter or turns one ascending pair of letters
+    into a descending pair, so every word it makes ranks below the word it
+    rewrote.  Taking words in rank order, each word is rewritten once, with
+    every contribution to its coefficient already summed.
+    """
     todo = {tuple(word): Fraction(1)}
+    heap = [_rank(tuple(word))]
     done: dict = {}
-    while todo:
-        w, c = todo.popitem()
+    while heap:
+        w = heapq.heappop(heap)[2]
+        c = todo.pop(w)
         if c == 0:
             continue
         ascents = [p for p in range(len(w) - 1) if w[p] < w[p + 1]]
@@ -68,7 +84,10 @@ def rewrite(P: AlgebraPresentation, word: tuple, order: str) -> dict:
                            (w[:p] + (a,) + w[p + 2:], P.x(b) / g),
                            (w[:p] + (b,) + w[p + 2:], -P.x(a) / g)):
             if coeff != 0:
-                todo[new] = todo.get(new, 0) + c * coeff
+                if new not in todo:
+                    todo[new] = 0
+                    heapq.heappush(heap, _rank(new))
+                todo[new] += c * coeff
     return {m: c for m, c in done.items() if c != 0}
 
 
