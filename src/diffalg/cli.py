@@ -20,8 +20,7 @@ from .exprs import ExpressionError, format_poly, parse_poly
 from .presentation import PresentationError, load_presentation, validate_presentation
 from .scalars import format_rational
 from .smoothness import NotPbwError, decide_smoothness, verify_witness
-from .templates import (_build_skeleton, _fmt_components, _fmt_indices,
-                        _RowCache, _template_args, render_template)
+from .templates import _fmt_components, _fmt_indices, tables_text
 
 __all__ = ["main"]
 
@@ -192,15 +191,18 @@ def _cmd_d(args) -> int:
     return 0
 
 
-# Largest n that ``tables`` enumerates per mode.  Rows are built, printed and
-# dropped one at a time; they share cells and lines through one cache, which
-# keeps only the entries of the current family and interacting set.  So
-# memory stays flat (peak RSS 19-22 MiB at each n below), and time, which
-# grows 3-6x per generator, sets the caps.  On a 2-core x86-64 container
-# (Python 3.11, 2026-10-18, output to /dev/null): paper n = 9 takes 2.6-3.5 s
-# and n = 10 9-12 s; full n = 7 takes 1.1-1.3 s and n = 8 6.7-6.8 s.  The caps
-# were set when paper n = 9 took 4.4-6.1 s and full n = 8 13 s; raising one
-# changes which inputs are refused, so it is a change of its own.
+# Largest n that ``tables`` enumerates per mode.  Rows are rendered, written
+# and dropped one at a time; they share cells, lines and restriction parts
+# through one cache, which keeps only the entries of the current family.  The
+# one list held is that of the enumeration's (family, I, S) blocks, whose
+# sizes give the count: about 1700 blocks for full n = 7, but one per row in
+# paper mode, so there memory grows with the row count.  Time, which grows
+# 3-6x per generator, sets the caps.  On a 2-core x86-64 container (Python
+# 3.11, 2026-10-19, output to /dev/null, three runs each): paper n = 9 takes
+# 1.5 s at a peak RSS of 24.6 MiB and n = 10 3.3-5.0 s at 38.3 MiB; full
+# n = 7 takes 0.54-0.56 s at 18.6 MiB and n = 8 2.2-3.3 s at 22.4 MiB.  The
+# caps were set when paper n = 9 took 4.4-6.1 s and full n = 8 13 s; raising
+# one changes which inputs are refused, so it is a change of its own.
 MAX_TABLES_N = {"paper": 9, "full": 7}
 
 
@@ -210,18 +212,11 @@ def _cmd_tables(args) -> int:
         raise _CliError(f"n must be at most {cap} for --mode {args.mode}, "
                         f"got {args.n}")
     try:
-        count = sum(1 for _ in _template_args(args.n, args.mode))
+        text = tables_text(args.n, args.mode)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
-    print(f"n: {args.n}")
-    print(f"mode: {args.mode}")
-    print(f"count: {count}")
-    # one row is held at a time: built, printed, dropped; the rows share
-    # the cells and lines of one cache
-    cache = _RowCache()
-    for index, row in enumerate(_template_args(args.n, args.mode), start=1):
-        print()
-        print(render_template(_build_skeleton(*row, cache=cache), index, cache))
+    # one row is held at a time: rendered, written, dropped
+    sys.stdout.writelines(text)
     return 0
 
 

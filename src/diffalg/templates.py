@@ -15,11 +15,17 @@ the remaining indices.  ``mode="paper"`` takes only the canonical partition
 skips A_I rows without a bystander and marks its one D row dense; for
 ``n == 3`` it is the list of nine small cases instead.
 
-The cells of a row are the one definition of its family's pattern:
-``render_template`` prints them and :func:`diffalg.classify.identify_family`
+The cells of a row (``_cell``) are the one definition of its family's
+pattern: one renderer prints them and :func:`diffalg.classify.identify_family`
 solves them for the parameters of a concrete table.  The rows of one
-enumeration (``generate_templates``, the ``tables`` command) share their
-equal cells, restriction parts and lines through one ``_RowCache``.
+enumeration (``generate_templates``, the ``tables`` command) share one
+``_RowCache``: an entry per pair and pair of roles holds the cell, the
+parameters it names, its ``relation:`` line and the restriction on its lead,
+and equal restriction parts are one entry.  So ``tables_text`` renders each
+row straight from its index tuple, as one pass over the pairs plus the
+shared parts, and ``render_template`` renders a skeleton from the same
+entries.  ``_template_blocks`` walks the enumeration once, in (family, I, S)
+blocks whose sizes give the row count.
 
 Parameter naming:
 
@@ -203,15 +209,17 @@ _UNIT: tuple = ((1, None),)
 
 
 def _roles(I, S, t_circ, t_bullet, r_comps) -> dict:  # noqa: E741
-    """Index -> (role, component number): "I", "S", or the component kind
-    "Tc", "Tb" or "R" with its 1-based place in its list."""
-    role = {a: ("I", 0) for a in I}
+    """Index -> (role, number): "I" with the index's 1-based place in I,
+    "S" with 0, or the component kind "Tc", "Tb" or "R" with the 1-based
+    place of the index's component in its list."""
+    role = {a: ("I", k) for k, a in enumerate(I, start=1)}
     for a in S:
         role[a] = ("S", 0)
     for tag, comps in (("Tc", t_circ), ("Tb", t_bullet), ("R", r_comps)):
         for k, comp in enumerate(comps, start=1):
+            kind = (tag, k)
             for a in comp:
-                role[a] = (tag, k)
+                role[a] = kind
     return role
 
 
@@ -263,35 +271,102 @@ def _cell(family, I, n, u, v, role_u, role_v, use, free) -> tuple:  # noqa: E741
 class _RowCache:
     """Cells, restrictions and text shared by the rows of one enumeration.
 
-    The rows of one n, family and interacting set I come out one after
-    another.  Among them the cell of a pair, and the parameters it names,
-    depend only on the roles of its two indices, and each part of the
-    restrictions on one set of indices or on the numbers of components.
-    The cache keeps the entries of one (n, family, I) and starts afresh
-    when a row of another arrives.  So it holds at most an entry per pair
-    and pair of roles, per set of indices and per pair of component counts,
-    whatever the number of rows, and it lives as long as the enumeration
-    that made it.
+    The rows of one n and family come out one after another.  Among them
+    the cell of a pair depends only on the roles of its two indices (an
+    interacting index's role carries its place in I), and so do the
+    parameters it names, its ``relation:`` line and the restriction on its
+    lead.  The cache keeps one entry per pair and pair of roles, and pairs
+    of roles with equal cells share one.  Each other part of the
+    restrictions depends on I and on one set of indices or on the numbers
+    of components; those parts are kept for one I at a time.  A row is then
+    one pass over its pairs, plus the shared parts.  The cache starts afresh
+    when a row of another n or family arrives, so it holds at most an entry
+    per pair and pair of roles, per set of indices and per pair of
+    component counts, whatever the number of rows, and it lives as long as
+    the enumeration that made it.
     """
 
-    __slots__ = ("scope", "cells", "parts", "relations")
+    __slots__ = ("scope", "pair_list", "pairs", "cells", "parts", "head", "tail")
 
     def __init__(self):
         self.scope = None
-        self.cells: dict = {}  # (u, v, role_u, role_v) -> (cell, named params)
-        # the key of a restriction part, or a cell for the part on its lead
-        #   -> [the part's restrictions, their lines once rendered]
-        self.parts: dict = {}
-        self.relations: dict = {}  # cell -> its relation line
 
     def enter(self, n, family, I) -> None:  # noqa: E741
-        """Keep the entries of (n, family, I), dropping any others."""
+        """Keep the entries of (n, family), and the parts of I, dropping
+        any others."""
         scope = (n, family, I)
-        if scope != self.scope:
-            self.scope = scope
-            self.cells = {}
-            self.parts = {}
-            self.relations = {}
+        if scope == self.scope:
+            return
+        if self.scope is None or self.scope[:2] != scope[:2]:
+            self.pair_list = tuple(combinations(range(1, n + 1), 2))
+            # (u, v, role_u, role_v) -> [cell, the parameters it names (name
+            #   -> rank), the restriction part on its lead or None, its
+            #   relation line once rendered]
+            self.pairs: dict = {}
+            # (cell, whether u and v interact) -> its entry
+            self.cells: dict = {}
+        self.scope = scope
+        # the key of a restriction part
+        #   -> [the part's restrictions, their lines once rendered]
+        self.parts: dict = {}
+        # the parameters named before and after every cell of a row
+        head = self.head = {}
+
+        def use(name, *rank):
+            head.setdefault(name, rank)
+            return name
+
+        _family_params(family, I, use)
+        self.tail = {f"x{i}": (_X, i) for i in I}
+
+    def pair(self, u, v, role_u, role_v) -> list:
+        """Make the entry of the pair u < v with the given roles."""
+        n, family, I = self.scope  # noqa: E741
+        named: dict = {}
+
+        def use(name, *rank):
+            named.setdefault(name, rank)
+            return name
+
+        def free(a, b):
+            return _sym(use(_pair_name("g", a, b, n), _FREE))
+
+        cell = (u, v) + _cell(family, I, n, u, v, role_u, role_v, use, free)
+        # a free leading coefficient must be invertible
+        lead = cell[2]
+        part = ([((lead, _ZERO, False),), None]
+                if lead and named.get(lead[0][1]) == (_FREE,) else None)
+        entry = self.cells.setdefault((cell, role_u[0] == "I", role_v[0] == "I"),
+                                      [cell, named, part, None])
+        self.pairs[u, v, role_u, role_v] = entry
+        return entry
+
+
+def _pair_entries(cache: _RowCache, row) -> list:
+    """The ``cache`` entry of every pair u < v of ``row``, in order.
+
+    A row is the tuple (n, family, I, S, T_circ, T_bullet, R_components,
+    loose, dense) of sorted indices and components.
+    """
+    n, family, I, S, t_circ, t_bullet, r_comps = row[:7]  # noqa: E741
+    cache.enter(n, family, I)
+    role = _roles(I, S, t_circ, t_bullet, r_comps)
+    get = cache.pairs.get
+    return [get((u, v, role[u], role[v])) or cache.pair(u, v, role[u], role[v])
+            for u, v in cache.pair_list]
+
+
+def _row_params(cache: _RowCache, entries) -> dict:
+    """Parameter name -> report rank, in order of first use in the row.
+
+    A name always comes with the same rank, so merging a cell's names keeps
+    each parameter where it was first used.
+    """
+    params = dict(cache.head)
+    for entry in entries:
+        params.update(entry[1])
+    params.update(cache.tail)
+    return params
 
 
 def _build_skeleton(n, family, I, S, t_circ, t_bullet, r_comps,  # noqa: E741
@@ -309,47 +384,20 @@ def _build_skeleton(n, family, I, S, t_circ, t_bullet, r_comps,  # noqa: E741
     r_comps = tuple(tuple(sorted(c)) for c in r_comps)
     if cache is None:
         cache = _RowCache()
-    cache.enter(n, family, I)
-    memo = cache.cells
-    role = _roles(I, S, t_circ, t_bullet, r_comps)
-
-    params: dict = {}
-
-    def name_param(name, *rank):
-        params.setdefault(name, rank)
-        return name
-
-    _family_params(family, I, name_param)
-
-    # a name always comes with the same rank, so merging a cell's names
-    # keeps each parameter where it was first used
-    cells = []
-    for u, v in combinations(range(1, n + 1), 2):
-        key = (u, v, role[u], role[v])
-        entry = memo.get(key)
-        if entry is None:
-            named: dict = {}
-
-            def use(name, *rank):
-                named.setdefault(name, rank)
-                return name
-
-            def free(a, b):
-                return _sym(use(_pair_name("g", a, b, n), _FREE))
-
-            cell = (u, v) + _cell(family, I, n, u, v, role[u], role[v], use, free)
-            entry = memo[key] = (cell, named)
-        cells.append(entry[0])
-        params.update(entry[1])
-
-    for i in I:
-        name_param(f"x{i}", _X, i)
-
+    entries = _pair_entries(
+        cache, (n, family, I, S, t_circ, t_bullet, r_comps, loose, dense))
+    params = _row_params(cache, entries)
     return TemplateSkeleton(
         n=n, family=family, I=I, S=S, T_circ=t_circ, T_bullet=t_bullet,
         R_components=r_comps, params=tuple(params),
-        ranks=tuple(params.values()), cells=tuple(cells),
+        ranks=tuple(params.values()), cells=tuple(e[0] for e in entries),
         loose=loose, dense=dense)
+
+
+def _skeleton_row(skel: TemplateSkeleton) -> tuple:
+    """The row tuple of ``skel`` (see ``_pair_entries``)."""
+    return (skel.n, skel.family, skel.I, skel.S, skel.T_circ, skel.T_bullet,
+            skel.R_components, skel.loose, skel.dense)
 
 
 def _pattern_conditions(family, I, S):  # noqa: E741
@@ -413,21 +461,20 @@ def _chain_conditions(prefix, comp, n):
         yield _sym(_pair_name(prefix, b, a, n)), _ZERO, False
 
 
-def _restriction_parts(skel: TemplateSkeleton, cache: _RowCache) -> list:
-    """The row's restrictions in order, as the ``cache.parts`` entries
+def _restriction_parts(cache: _RowCache, row, entries) -> list:
+    """The restrictions of ``row`` in order, as the ``cache`` entries
     [restrictions, lines] of its nonempty parts.
 
-    The restrictions of a part are a tuple of (left, right, enforced), one
-    for every "left != right"; ``render_template`` fills in their lines.
+    ``entries`` are the row's pair entries (``_pair_entries``).  The
+    restrictions of a part are a tuple of (left, right, enforced), one for
+    every "left != right"; ``_row_text`` fills in their lines.
     Family-specific named conditions come first, then the invertibility of
     every free leading coefficient, then the two-sided chain that exhibits
     each pinned component's connectivity.  Equal parts of the rows of one
     ``cache`` are one shared entry.
     """
-    cache.enter(skel.n, skel.family, skel.I)
+    n, family, I, S, t_circ, t_bullet, r_comps, loose, dense = row  # noqa: E741
     parts = cache.parts
-    family, n = skel.family, skel.n
-
     out = []
 
     def part(key, conditions, *args):
@@ -437,38 +484,29 @@ def _restriction_parts(skel: TemplateSkeleton, cache: _RowCache) -> list:
         if entry[0]:
             out.append(entry)
 
-    part(("pattern", skel.S), _pattern_conditions, family, skel.I, skel.S)
+    part(("pattern", S), _pattern_conditions, family, I, S)
     if family == "C":
-        for k, comp in enumerate(skel.R_components, start=1):
+        for k, comp in enumerate(r_comps, start=1):
             part(("offsets", k, comp), _offset_conditions, k, comp)
-    part(("components", len(skel.T_circ), len(skel.T_bullet)),
-         _component_conditions, family, skel.I, len(skel.T_circ), len(skel.T_bullet))
-    if skel.dense:
+    part(("components", len(t_circ), len(t_bullet)),
+         _component_conditions, family, I, len(t_circ), len(t_bullet))
+    if dense:
         part(("dense",), _dense_conditions, n)
         return out
-    free = None
-    for cell in skel.cells:
-        entry = parts.get(cell)
-        if entry is None:
-            if free is None:
-                free = {name for name, rank in zip(skel.params, skel.ranks)
-                        if rank[0] == _FREE}
-            lead = cell[2]
-            entry = parts[cell] = [
-                ((lead, _ZERO, False),) if lead and lead[0][1] in free else (),
-                None]
-        if entry[0]:
-            out.append(entry)
-    if not skel.loose:
+    out += [entry[2] for entry in entries if entry[2] is not None]
+    if not loose:
         prefix = "q" if family == "D" else "g"
-        for comp in skel.T_circ + skel.T_bullet + skel.R_components:
+        for comp in t_circ + t_bullet + r_comps:
             part(("chain", comp), _chain_conditions, prefix, comp, n)
     return out
 
 
 def _restrictions(skel: TemplateSkeleton) -> list:
     """(left, right, enforced) for every "left != right" of the row, in order."""
-    return [r for part in _restriction_parts(skel, _RowCache()) for r in part[0]]
+    cache = _RowCache()
+    row = _skeleton_row(skel)
+    parts = _restriction_parts(cache, row, _pair_entries(cache, row))
+    return [r for part in parts for r in part[0]]
 
 
 def _render_restriction(left: tuple, right: tuple) -> str:
@@ -601,28 +639,30 @@ def _partitions_sorted(items):
     return sorted(parts, key=lambda p: (len(p), p))
 
 
-# Build arguments of the nine small cases (``mode="paper"``, ``n == 3``).
-_NINE_SMALL_ROWS = (
-    (3, "A_I", (1, 2, 3), (), (), (), (), False, False),
-    (3, "A_II", (1, 2, 3), (), (), (), (), False, False),
-    (3, "B", (1, 3), (2,), (), (), (), False, False),
-    (3, "B", (1, 3), (), (), ((2,),), (), False, False),
-    (3, "B", (1, 2), (), ((3,),), (), (), False, False),
-    (3, "B", (2, 3), (), ((1,),), (), (), False, False),
-    (3, "C", (1,), (), (), (), ((2, 3),), False, False),
-    (3, "C", (1,), (), (), (), ((2,), (3,)), False, False),
-    (3, "D", (), (), (), (), ((1, 2, 3),), True, False),
+# The nine small cases (``mode="paper"``, ``n == 3``) as blocks of
+# ``_template_blocks``.
+_NINE_SMALL_BLOCKS = (
+    ("A_I", (1, 2, 3), (), False, False, ((),)),
+    ("A_II", (1, 2, 3), (), False, False, ((),)),
+    ("B", (1, 3), (2,), False, False, ((),)),
+    ("B", (1, 3), (), False, False, (((2,),),)),
+    ("B", (1, 2), (), False, False, (((3,),),)),
+    ("B", (2, 3), (), False, False, (((1,),),)),
+    ("C", (1,), (), False, False, (((2, 3),), ((2,), (3,)))),
+    ("D", (), (), True, False, (((1, 2, 3),),)),
 )
 
 
-def _template_args(n: int, mode: str):
-    """The rows for ``n`` generators as ``_build_skeleton`` arguments, one at a time.
+def _template_blocks(n: int, mode: str):
+    """The rows for ``n`` generators in blocks, one (family, I, S) at a time.
 
-    Both modes walk I, then S, then a component partition of the remaining
-    indices, in the same order; they differ only where the module notes
-    say.  The arguments are small tuples, so a caller can count the rows
-    and then build each one and drop it.  The checks of ``n`` and ``mode``
-    run at the first ``next``.
+    A block is (family, I, S, loose, dense, partitions): its rows are one
+    for each partition, into components, of the indices outside I and S.
+    Both modes walk I, then S, then a partition, in the same order; they
+    differ only where the module notes say.  The partition lists are shared
+    between blocks, so a caller can hold every block, sum the block sizes
+    to count the rows, and then make the rows one at a time (``_rows``).
+    The checks of ``n`` and ``mode`` run at the first ``next``.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
@@ -630,7 +670,7 @@ def _template_args(n: int, mode: str):
         raise ValueError(f"unknown mode: {mode!r}")
     paper = mode == "paper"
     if paper and n == 3:
-        yield from _NINE_SMALL_ROWS
+        yield from _NINE_SMALL_BLOCKS
         return
     everything = tuple(range(1, n + 1))
 
@@ -649,6 +689,7 @@ def _template_args(n: int, mode: str):
     shapes = (("A_I", range(3, n + 1), True), ("A_II", range(3, n + 1), False),
               ("B", (2,), True), ("C", (1,), False), ("D", (0,), False))
     for family, sizes, bystanders in shapes:
+        dense = paper and family == "D"
         for size in sizes:
             for I in combinations(everything, size):  # noqa: E741
                 rest = tuple(a for a in everything if a not in I)
@@ -656,19 +697,46 @@ def _template_args(n: int, mode: str):
                     if paper and family == "A_I" and not S:
                         continue
                     t_members = tuple(a for a in rest if a not in S)
-                    for part in partitions(I, t_members):
-                        # with two or more interacting indices the partition
-                        # is the tagged T part; otherwise it is R itself
-                        comps = ((*_tag_components(I, part), ()) if size >= 2
-                                 else ((), (), part))
-                        yield (n, family, I, S, *comps,
-                               False, paper and family == "D")
+                    yield (family, I, S, False, dense,
+                           partitions(I, t_members))
+
+
+def _rows(n: int, blocks):
+    """The row tuple (see ``_pair_entries``) of every row of ``blocks``."""
+    for family, I, S, loose, dense, partitions in blocks:  # noqa: E741
+        # with two or more interacting indices a partition is the tagged T
+        # part; otherwise it is R itself
+        wide = len(I) >= 2
+        for part in partitions:
+            comps = (*_tag_components(I, part), ()) if wide else ((), (), part)
+            yield (n, family, I, S, *comps, loose, dense)
 
 
 def generate_templates(n: int, mode: str = "paper") -> list:
     """Enumerate the template rows for ``n`` generators (see the module notes)."""
     cache = _RowCache()
-    return [_build_skeleton(*args, cache=cache) for args in _template_args(n, mode)]
+    return [_build_skeleton(*row, cache=cache)
+            for row in _rows(n, _template_blocks(n, mode))]
+
+
+def tables_text(n: int, mode: str):
+    """The text of ``diffalg tables n --mode mode``, one row at a time.
+
+    Checks ``n`` and ``mode`` at once (a ``ValueError``), then returns an
+    iterator over the header and the text of each row, each ending in a
+    newline.  The enumeration is walked once: its blocks give the count,
+    and each row is rendered from its row tuple and then dropped.
+    """
+    blocks = list(_template_blocks(n, mode))
+    return _tables_chunks(n, mode, blocks)
+
+
+def _tables_chunks(n, mode, blocks):
+    count = sum(len(block[-1]) for block in blocks)
+    yield f"n: {n}\nmode: {mode}\ncount: {count}\n"
+    cache = _RowCache()
+    for index, row in enumerate(_rows(n, blocks), start=1):
+        yield f"\n{_row_text(cache, index, row)}\n"
 
 
 def _fmt_indices(indices) -> str:
@@ -681,38 +749,38 @@ def _fmt_components(comps) -> str:
     return " ".join("{" + ",".join(map(str, c)) + "}" for c in comps)
 
 
-def render_template(skel: TemplateSkeleton, index: int,
-                    cache: _RowCache | None = None) -> str:
-    """The text of row number ``index``.
+def render_template(skel: TemplateSkeleton, index: int) -> str:
+    """The text of row number ``index``."""
+    return _row_text(_RowCache(), index, _skeleton_row(skel))
 
-    Rows rendered through one ``cache`` (a ``_RowCache``) share the text of
-    their equal lines.
-    """
-    if cache is None:
-        cache = _RowCache()
-    cache.enter(skel.n, skel.family, skel.I)
-    relations = cache.relations
-    I = skel.I  # noqa: E741
-    lines = [
+
+def _row_text(cache: _RowCache, index: int, row) -> str:
+    """The text of row number ``index``, from its row tuple."""
+    entries = _pair_entries(cache, row)
+    _, family, I, S, t_circ, t_bullet, r_comps = row[:7]  # noqa: E741
+    return "\n".join([
         f"template: {index}",
-        f"family: {skel.family}",
+        f"family: {family}",
         f"I: {_fmt_indices(I)}",
-        f"S: {_fmt_indices(skel.S)}",
-        f"Tcirc: {_fmt_components(skel.T_circ)}",
-        f"Tbullet: {_fmt_components(skel.T_bullet)}",
-        f"R: {_fmt_components(skel.R_components)}",
-    ]
-    for cell in skel.cells:
-        line = relations.get(cell)
-        if line is None:
-            u, v, e_uv, e_vu = cell
-            line = relations[cell] = "relation: " + _render_relation(
-                u, v, e_uv, e_vu, u in I, v in I)
-        lines.append(line)
-    for part in _restriction_parts(skel, cache):
-        if part[1] is None:
-            part[1] = "\n".join(f"restriction: {_render_restriction(left, right)}"
-                                 for left, right, _ in part[0])
-        lines.append(part[1])
-    lines.append(f"params: {' '.join(skel.params)}")
-    return "\n".join(lines)
+        f"S: {_fmt_indices(S)}",
+        f"Tcirc: {_fmt_components(t_circ)}",
+        f"Tbullet: {_fmt_components(t_bullet)}",
+        f"R: {_fmt_components(r_comps)}",
+        *[entry[3] or _relation_line(entry, I) for entry in entries],
+        *[part[1] or _restriction_lines(part)
+          for part in _restriction_parts(cache, row, entries)],
+        f"params: {' '.join(_row_params(cache, entries))}"])
+
+
+def _relation_line(entry: list, I) -> str:  # noqa: E741
+    """Render the ``relation:`` line of a pair entry into its last slot."""
+    u, v, e_uv, e_vu = entry[0]
+    entry[3] = "relation: " + _render_relation(u, v, e_uv, e_vu, u in I, v in I)
+    return entry[3]
+
+
+def _restriction_lines(part: list) -> str:
+    """Render the ``restriction:`` lines of a part into its last slot."""
+    part[1] = "\n".join(f"restriction: {_render_restriction(left, right)}"
+                         for left, right, _ in part[0])
+    return part[1]

@@ -266,12 +266,15 @@ def test_tables_rejects_small_n(capsys):
 
 
 @pytest.mark.parametrize("mode,n,digest", [
+    ("full", 3, "2b43782aad61d80975d1f643d91545a4b2a8c4ee1294e359801d2448bef19d7d"),
+    ("full", 4, "c86a4ca6f95d42ae022c128585a3b99a86c47f47dc5c8375e270bbedfe0b4370"),
     ("full", 5, "c37ac0475e395fb7763f5bb3c784ffbd505c47ae87872e84cd4b60623bf5d9dc"),
     ("full", 6, "b3382c652ec9cdbe1dfd5078886da6aa964ddeecfb0fca56cab5ccc5aacfa648"),
     ("full", 7, "5a759257b2a79d2fe5eaf35dff578c643fcd7cc98fc7b4858bca6e59354cc400"),
     ("paper", 5, "9c188a4eab37d2a1d1ab90092c3545c915354539fea3f483e8cdbb779f27e0c8"),
     ("paper", 6, "9b329d44f10f2b7d9a3d0e2c16faabb5c1c9fa81f457d562dd4a5c63f72f3718"),
     ("paper", 7, "8207052a4c3e3763e1555766359d3d57fd99eb877b91b246b46401ca001d13b5"),
+    ("paper", 8, "76ec2c0719cc563ff91bc0328ef5b1f7804e24f5c6224436f66ba651038c4a95"),
 ])
 def test_tables_output_digest_is_pinned(capsys, mode, n, digest):
     # beyond the golden files: one enumerator serves both modes, and any

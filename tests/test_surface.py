@@ -1,5 +1,6 @@
 """The package's public names and the engine state the benchmark probe reads."""
 
+import importlib
 import types
 from pathlib import Path
 
@@ -23,6 +24,15 @@ def _load_tracing():
     module = types.ModuleType("bench_tracing")
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
     return module
+
+
+def test_every_traced_function_resolves_in_its_layer():
+    # the bench tracer wraps these by name and has no default for a missing
+    # one, so a function moved out of its module breaks every traced run
+    for layer, names in _load_tracing().LAYERS.items():
+        module = importlib.import_module(f"diffalg.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
 
 
 def test_bench_probe_reads_the_engine_tables():

@@ -9,6 +9,7 @@ instantiates to an ordered-basis presentation).
 import pytest
 
 from diffalg.classify import decompose, identify_family
+from diffalg.cli import main
 from diffalg.engine import is_pbw
 from diffalg.scalars import rational
 from diffalg.templates import (TemplateError, generate_templates,
@@ -66,6 +67,16 @@ def test_rendering_matches_golden(n, name):
     blocks = text.rstrip("\n").split("\n\n")
     rows = rows_of(n)
     assert blocks[0] == f"n: {n}\nmode: paper\ncount: {len(rows)}"
+    assert blocks[1:] == [render_template(r, i) for i, r in enumerate(rows, 1)]
+
+
+def test_rendered_rows_match_the_tables_command(capsys):
+    # generate_templates and the tables command enumerate and render through
+    # separate routes; at n = 6 (1820 rows) they must agree row for row
+    rows = rows_of(6, "full")
+    assert main(["tables", "6", "--mode", "full"]) == 0
+    blocks = capsys.readouterr().out.rstrip("\n").split("\n\n")
+    assert blocks[0] == f"n: 6\nmode: full\ncount: {len(rows)}"
     assert blocks[1:] == [render_template(r, i) for i, r in enumerate(rows, 1)]
 
 
