@@ -276,7 +276,8 @@ class _RowCache:
     interacting index's role carries its place in I), and so do the
     parameters it names, its ``relation:`` line and the restriction on its
     lead.  The cache keeps one entry per pair and pair of roles, and pairs
-    of roles with equal cells share one.  Each other part of the
+    of roles that give equal cells, with the same indices interacting,
+    share one.  Each other part of the
     restrictions depends on I and on one set of indices or on the numbers
     of components; those parts are kept for one I at a time.  A row is then
     one pass over its pairs, plus the shared parts.  The cache starts afresh
