@@ -845,10 +845,36 @@ def certify_d_squared(nu: AffineAutomorphismFamily,
     when every ``lam_ab lam_ba = 1``, X and Y vanish on every word by
     induction on its length, Phi then is a twisted derivation that kills
     every ``D_j``, and ``d(d(p)) = 0`` in every degree, which is what
-    :func:`check_d_squared` samples.  The forced family always has
-    ``lam_ab lam_ba = 1``, since ``lam_ab = g(a, b) / g(b, a)``.
+    :func:`check_d_squared` samples.
 
-    Otherwise the argument does not apply, and ``None`` asks for the sample.
+    Both premises hold for every family :func:`build_automorphisms` returns
+    on a PBW table, so there this answers ``True``.  A family exists only
+    when every pair is two-sided, every ``g(u, v)`` nonzero.  For ``a != b``,
+    ``lam_ab lam_ba = 1`` since ``lam_ab = g(a, b) / g(b, a)``.  The maps
+    ``nu_a`` and ``nu_b`` commute on ``D_j`` iff
+    ``mu_aj (lam_bj - 1) = mu_bj (lam_aj - 1)``.  For ``j`` not in
+    ``{a, b}`` the entries ``(g(a, j) D_j - x_j) / g(j, a)`` turn the
+    difference of the two sides, times ``g(j, a) g(j, b)``, into
+
+        x_j [(g(a, j) - g(j, a)) - (g(b, j) - g(j, b))].
+
+    Up to sign, that bracket is the linear factor of one row of the
+    ``engine`` docstring's table, whose ``a < b < c`` are here ``{a, b, j}``
+    sorted: the ``D_b D_a`` row when ``j`` is the largest, ``D_c D_a`` when
+    it is the middle and ``D_c D_b`` when it is the smallest.  The row's
+    other factors are ``x_j`` and a trailing ``g``, which is nonzero, so the
+    triple resolves only if this is zero.  For
+    ``j = a`` the condition is trivial unless ``nu_a`` has an interacting
+    diagonal, ``a`` in I and ``|I| >= 2``.  That diagonal is forced from
+    ``o = min(I - {a})``, ``lam_aa = g(o, a) / g(a, o)`` and
+    ``mu_aa = -x_a / g(a, o)``, so the condition is the one above for the
+    triple ``{o, b, a}`` and the letter ``a``, trivial when ``b = o``; and
+    ``j = b`` is the same with ``a`` and ``b`` swapped.
+
+    The sampled fallback stays, for the foreign families that
+    :func:`~diffalg.smoothness.verify_witness` also checks: there the
+    premises are not necessary, and a noncommuting family can pass the
+    sample.  Where they fail, ``None`` asks for the sample.
     """
     if auto.pairwise_commute and all(
             nu.lam(a, b) * nu.lam(b, a) == 1
@@ -910,7 +936,10 @@ def certify_projection(nu: AffineAutomorphismFamily,
     (see :func:`certify_expansion`) and then a singular volume twist's
     :class:`CalculusError`; so does this certificate, in the same order.
 
-    Otherwise the argument does not apply, and ``None`` asks for the sample.
+    Every family :func:`build_automorphisms` returns on a PBW table commutes
+    pairwise (:func:`certify_d_squared` gives the proof), so there this
+    never samples.  On a family that does not commute the argument does not
+    apply, and ``None`` asks for the sample.
     """
     if not auto.pairwise_commute:
         return None

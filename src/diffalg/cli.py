@@ -191,18 +191,14 @@ def _cmd_d(args) -> int:
     return 0
 
 
-# Largest n that ``tables`` enumerates per mode.  Rows are rendered, written
-# and dropped one at a time; they share cells, lines and restriction parts
-# through one cache, which keeps only the entries of the current family.  The
-# one list held is that of the enumeration's (family, I, S) blocks, whose
-# sizes give the count: about 1700 blocks for full n = 7, but one per row in
-# paper mode, so there memory grows with the row count.  Time, which grows
-# 3-6x per generator, sets the caps.  On a 2-core x86-64 container (Python
-# 3.11, 2026-10-19, output to /dev/null, three runs each): paper n = 9 takes
-# 1.5 s at a peak RSS of 24.6 MiB and n = 10 3.3-5.0 s at 38.3 MiB; full
-# n = 7 takes 0.54-0.56 s at 18.6 MiB and n = 8 2.2-3.3 s at 22.4 MiB.  The
-# caps were set when paper n = 9 took 4.4-6.1 s and full n = 8 13 s; raising
-# one changes which inputs are refused, so it is a change of its own.
+# Largest n that ``tables`` enumerates per mode.  The count is closed-form
+# and rows are rendered, written and dropped one at a time; only full mode's
+# partition lists grow with n.  Time, 3-6x per generator, sets the caps.
+# On a 2-core x86-64 container (Python 3.11, 2026-10-19, output to
+# /dev/null): paper n = 9 takes 1.0-1.5 s at a peak RSS of 18.8-19.2 MiB and
+# n = 10 3.3-4.7 s at 19.1-19.3 MiB; full n = 7 takes 0.4-0.6 s at 18.4-18.8
+# MiB and n = 8 2.4-3.5 s at 21.2-21.5 MiB.  Raising a cap changes which
+# inputs are refused, so it is a change of its own.
 MAX_TABLES_N = {"paper": 9, "full": 7}
 
 

@@ -471,17 +471,11 @@ def _product(ctx: _Context, p: tuple, q: tuple) -> tuple:
     return out, common * qd
 
 
-def _nf_word(ctx: _Context, word: Word, depth_left: int) -> tuple:
+def _nf_word(ctx: _Context, word: Word) -> tuple:
     """Normal form of one word, as a new packed integer form (nums, den).
 
-    The caller has fitted ``ctx`` to the word's degree.  ``depth_left`` is
-    its rewrite budget.  Every table chain met while folding a word of
-    degree d takes fewer than d rewrites, so ``normal_form`` passes d; a word
-    that still needs a rewrite when no budget is left raises instead, by a
-    check that ``python -O`` keeps.
+    The caller has fitted ``ctx`` to the word's degree.
     """
-    if depth_left <= 0 and any(a < b for a, b in zip(word, word[1:])):
-        raise RuntimeError("reduction exceeded the degree*(degree+inversions) bound")
     # the fold starts after the longest non-increasing prefix, which is normal
     k = 1
     while k < len(word) and word[k - 1] >= word[k]:
@@ -507,7 +501,7 @@ def normal_form(w, P: AlgebraPresentation) -> Poly:
     common = 1
     for word, coeff in combination.items():
         if coeff:
-            nums, den = _nf_word(ctx, word, len(word))
+            nums, den = _nf_word(ctx, word)
             common = _add_over(out, common, coeff.numerator, nums, den * coeff.denominator)
     return _poly(ctx, out, common)
 
@@ -554,8 +548,8 @@ def diamond_check_triple(P: AlgebraPresentation, a: int, b: int, c: int) -> Trip
         raise ValueError(f"triple must satisfy 1 <= a < b < c <= n, got {(a, b, c)}")
     ctx = _context(P)
     ctx.fit(3)
-    left = _nf_word(ctx, (a, b, c), 3)
-    right = _product(ctx, ({ctx.units[a - 1]: 1}, 1), _nf_word(ctx, (b, c), 2))
+    left = _nf_word(ctx, (a, b, c))
+    right = _product(ctx, ({ctx.units[a - 1]: 1}, 1), _nf_word(ctx, (b, c)))
     return TripleCheck(_same(left, right), _poly(ctx, *left), _poly(ctx, *right))
 
 

@@ -193,6 +193,10 @@ class WitnessReport:
 
 CLOSED_FORM, SAMPLED = "closed-form", "sampled"
 
+# The degrees to which verify_witness samples d∘d = 0 and connectedness
+# where a certificate's premises fail.
+DD_DEGREE, CONNECTEDNESS_DEGREE = 4, 5
+
 
 def _decide(certificate, sample) -> tuple:
     """``(passed, method)``: the certificate's answer, or the sample's where
@@ -205,9 +209,7 @@ def _decide(certificate, sample) -> tuple:
 
 
 def verify_witness(P: AlgebraPresentation, verdict: SmoothnessVerdict,
-                   degree_bound: int | None = None,
-                   dd_degree: int = 4,
-                   connectedness_degree: int = 5) -> WitnessReport:
+                   degree_bound: int | None = None) -> WitnessReport:
     """Run every calculus check against a Smooth verdict's witness.
 
     The automorphism checks and ``leibniz`` are integer identities in the
@@ -222,11 +224,11 @@ def verify_witness(P: AlgebraPresentation, verdict: SmoothnessVerdict,
 
     * ``d-squared-zero``: :func:`~diffalg.calculus.certify_d_squared` when the
       maps commute pairwise and every ``lam_ab lam_ba = 1``; otherwise
-      :func:`~diffalg.calculus.check_d_squared` to ``dd_degree``.
+      :func:`~diffalg.calculus.check_d_squared` to ``DD_DEGREE``.
     * ``connectedness``: :func:`~diffalg.calculus.certify_connectedness` when
       no ``lam_aa`` is -1; otherwise
       :func:`~diffalg.calculus.check_connectedness` to
-      ``connectedness_degree``.
+      ``CONNECTEDNESS_DEGREE``.
     * ``integral-expand-k*`` and ``integral-project-k*``: the identities of
       :func:`~diffalg.calculus.check_integrating_form` at expand degree 0 and
       project degree 1, which prove both in every degree (the check's
@@ -258,9 +260,9 @@ def verify_witness(P: AlgebraPresentation, verdict: SmoothnessVerdict,
     methods = [CLOSED_FORM] * 3
     steps = [("leibniz", lambda: not leibniz_defects(P, nu), None),
              ("d-squared-zero", partial(certify_d_squared, nu, auto),
-              partial(check_d_squared, P, nu, dd_degree)),
+              partial(check_d_squared, P, nu, DD_DEGREE)),
              ("connectedness", partial(certify_connectedness, nu),
-              partial(check_connectedness, P, nu, connectedness_degree))]
+              partial(check_connectedness, P, nu, CONNECTEDNESS_DEGREE))]
     for k in range(P.n):
         if degree_bound is None:
             steps += [(f"integral-expand-k{k}",

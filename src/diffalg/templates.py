@@ -15,17 +15,15 @@ the remaining indices.  ``mode="paper"`` takes only the canonical partition
 skips A_I rows without a bystander and marks its one D row dense; for
 ``n == 3`` it is the list of nine small cases instead.
 
-The cells of a row (``_cell``) are the one definition of its family's
-pattern: one renderer prints them and :func:`diffalg.classify.identify_family`
-solves them for the parameters of a concrete table.  The rows of one
-enumeration (``generate_templates``, the ``tables`` command) share one
-``_RowCache``: an entry per pair and pair of roles holds the cell, the
-parameters it names, its ``relation:`` line and the restriction on its lead,
-and equal restriction parts are one entry.  So ``tables_text`` renders each
-row straight from its index tuple, as one pass over the pairs plus the
-shared parts, and ``render_template`` renders a skeleton from the same
-entries.  ``_template_blocks`` walks the enumeration once, in (family, I, S)
-blocks whose sizes give the row count.
+One row type, ``TemplateSkeleton``, carries a row from enumeration to text:
+the tuple (n, family, I, S, T_circ, T_bullet, R_components, loose, dense).
+Its cells (``_cell``) are the one definition of its family's pattern: one
+renderer prints them and :func:`diffalg.classify.identify_family` solves
+them.  The rows of one enumeration share a ``_RowCache`` that holds, per
+pair and pair of roles, the cell, the parameters it names, its
+``relation:`` line and the restriction on its lead, and holds equal
+restriction parts once.  ``_row_count`` gives the number of rows in closed
+form, so ``tables_text`` prints it first and then holds one row at a time.
 
 Parameter naming:
 
@@ -47,8 +45,9 @@ as ``g111`` could stand for (1, 11) or (11, 1).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import combinations
+from collections import namedtuple
+from itertools import chain, combinations
+from math import comb
 
 from .presentation import AlgebraPresentation
 from .scalars import ONE, ZERO, format_rational, rational
@@ -146,20 +145,29 @@ def _render_relation(u: int, v: int, e_uv: tuple, e_vu: tuple,
 _G, _L, _GI, _LK, _GO, _GB, _Q, _X, _FREE = range(9)
 
 
-@dataclass(frozen=True)
-class TemplateSkeleton:
-    n: int
-    family: str
-    I: tuple  # noqa: E741
-    S: tuple
-    T_circ: tuple
-    T_bullet: tuple
-    R_components: tuple
-    params: tuple         # parameter names, in order of first use
-    ranks: tuple          # report rank of each parameter (see _G.._FREE)
-    cells: tuple          # (u, v, expr_uv, expr_vu) for every pair u < v
-    loose: bool = False   # components need not be connected
-    dense: bool = False   # every ratio of the free row is invertible
+class TemplateSkeleton(namedtuple(
+        "TemplateSkeleton",
+        "n family I S T_circ T_bullet R_components loose dense",
+        defaults=(False, False))):
+    """A template row on sorted indices and components.  ``loose`` rows need
+    not keep components connected; ``dense`` rows pin every free ratio."""
+
+    __slots__ = ()
+
+    @property
+    def params(self) -> tuple:
+        """Parameter names, in order of first use."""
+        return tuple(_row_params(*_fresh_entries(self)))
+
+    @property
+    def ranks(self) -> tuple:
+        """The report rank of each parameter (see ``_G`` .. ``_FREE``)."""
+        return tuple(_row_params(*_fresh_entries(self)).values())
+
+    @property
+    def cells(self) -> tuple:
+        """(u, v, expr_uv, expr_vu) for every pair u < v."""
+        return tuple(entry[0] for entry in _fresh_entries(self)[1])
 
 
 def _pair_name(prefix: str, a: int, b: int, n: int) -> str:
@@ -344,11 +352,7 @@ class _RowCache:
 
 
 def _pair_entries(cache: _RowCache, row) -> list:
-    """The ``cache`` entry of every pair u < v of ``row``, in order.
-
-    A row is the tuple (n, family, I, S, T_circ, T_bullet, R_components,
-    loose, dense) of sorted indices and components.
-    """
+    """The ``cache`` entry of every pair u < v of ``row``, in order."""
     n, family, I, S, t_circ, t_bullet, r_comps = row[:7]  # noqa: E741
     cache.enter(n, family, I)
     role = _roles(I, S, t_circ, t_bullet, r_comps)
@@ -370,35 +374,21 @@ def _row_params(cache: _RowCache, entries) -> dict:
     return params
 
 
+def _fresh_entries(row) -> tuple:
+    """A new ``_RowCache`` and the entries of ``row``'s pairs in it."""
+    cache = _RowCache()
+    return cache, _pair_entries(cache, row)
+
+
 def _build_skeleton(n, family, I, S, t_circ, t_bullet, r_comps,  # noqa: E741
-                    loose=False, dense=False, cache=None) -> TemplateSkeleton:
-    """The template row of ``family`` on the given index structure.
-
-    Its cells are the one definition of the family pattern: generation
-    renders them and :func:`diffalg.classify.identify_family` solves them.
-    Rows built through one ``cache`` (a ``_RowCache``) share their cells.
-    """
-    I = tuple(sorted(I))  # noqa: E741
-    S = tuple(sorted(S))
-    t_circ = tuple(tuple(sorted(c)) for c in t_circ)
-    t_bullet = tuple(tuple(sorted(c)) for c in t_bullet)
-    r_comps = tuple(tuple(sorted(c)) for c in r_comps)
-    if cache is None:
-        cache = _RowCache()
-    entries = _pair_entries(
-        cache, (n, family, I, S, t_circ, t_bullet, r_comps, loose, dense))
-    params = _row_params(cache, entries)
+                    loose=False, dense=False) -> TemplateSkeleton:
+    """The template row of ``family`` on the given indices and components,
+    each sorted."""
     return TemplateSkeleton(
-        n=n, family=family, I=I, S=S, T_circ=t_circ, T_bullet=t_bullet,
-        R_components=r_comps, params=tuple(params),
-        ranks=tuple(params.values()), cells=tuple(e[0] for e in entries),
-        loose=loose, dense=dense)
-
-
-def _skeleton_row(skel: TemplateSkeleton) -> tuple:
-    """The row tuple of ``skel`` (see ``_pair_entries``)."""
-    return (skel.n, skel.family, skel.I, skel.S, skel.T_circ, skel.T_bullet,
-            skel.R_components, skel.loose, skel.dense)
+        n, family, tuple(sorted(I)), tuple(sorted(S)),
+        *(tuple(tuple(sorted(c)) for c in comps)
+          for comps in (t_circ, t_bullet, r_comps)),
+        loose, dense)
 
 
 def _pattern_conditions(family, I, S):  # noqa: E741
@@ -502,14 +492,6 @@ def _restriction_parts(cache: _RowCache, row, entries) -> list:
     return out
 
 
-def _restrictions(skel: TemplateSkeleton) -> list:
-    """(left, right, enforced) for every "left != right" of the row, in order."""
-    cache = _RowCache()
-    row = _skeleton_row(skel)
-    parts = _restriction_parts(cache, row, _pair_entries(cache, row))
-    return [r for part in parts for r in part[0]]
-
-
 def _render_restriction(left: tuple, right: tuple) -> str:
     return f"{_render_expr(left)} != {_render_expr(right)}"
 
@@ -523,26 +505,30 @@ def instantiate_template(skel: TemplateSkeleton, values: dict
     each pinned component are all checked, so the result always decomposes
     back onto the template's index structure.
     """
+    cache, entries = _fresh_entries(skel)
+    params = _row_params(cache, entries)
     vals = {}
     for key, raw in values.items():
-        if key not in skel.params:
+        if key not in params:
             raise TemplateError(f"unknown parameter: {key}")
         vals[key] = rational(raw)
-    for name in skel.params:
+    for name in params:
         if name not in vals:
             raise TemplateError(f"missing parameter: {name}")
 
-    for left, right, enforced in _restrictions(skel):
-        if enforced and _total(left, vals) == _total(right, vals):
-            raise TemplateError(
-                f"restriction violated: {_render_restriction(left, right)}")
+    for part in _restriction_parts(cache, skel, entries):
+        for left, right, enforced in part[0]:
+            if enforced and _total(left, vals) == _total(right, vals):
+                raise TemplateError(
+                    f"restriction violated: {_render_restriction(left, right)}")
     for i in skel.I:
         if vals[f"x{i}"] == 0:
             raise TemplateError(
                 f"x{i} must be nonzero on the interacting set")
 
     g: dict = {}
-    for u, v, e_uv, e_vu in skel.cells:
+    for entry in entries:
+        u, v, e_uv, e_vu = entry[0]
         lead = _total(e_uv, vals)
         if lead == 0:
             raise TemplateError(
@@ -591,11 +577,11 @@ def _canonical_partition(I, members):  # noqa: E741
     single block.  With fewer than two interacting indices there is no gap,
     so all members form one block.
     """
-    gaps = list(zip(I, I[1:]))
-    outside = tuple(t for t in members
-                    if not any(lo < t < hi for lo, hi in gaps))
-    inside = (tuple(t for t in members if lo < t < hi) for lo, hi in gaps)
-    return tuple(block for block in (outside, *inside) if block)
+    blocks: dict = {}
+    for t in members:
+        # k for the gap between I[k - 1] and I[k], 0 outside every gap
+        blocks.setdefault(bisect_left(I, t) % (len(I) or 1), []).append(t)
+    return tuple(tuple(block) for _, block in sorted(blocks.items()))
 
 
 def _tag_components(I, comps):  # noqa: E741
@@ -640,38 +626,40 @@ def _partitions_sorted(items):
     return sorted(parts, key=lambda p: (len(p), p))
 
 
-# The nine small cases (``mode="paper"``, ``n == 3``) as blocks of
-# ``_template_blocks``.
-_NINE_SMALL_BLOCKS = (
-    ("A_I", (1, 2, 3), (), False, False, ((),)),
-    ("A_II", (1, 2, 3), (), False, False, ((),)),
-    ("B", (1, 3), (2,), False, False, ((),)),
-    ("B", (1, 3), (), False, False, (((2,),),)),
-    ("B", (1, 2), (), False, False, (((3,),),)),
-    ("B", (2, 3), (), False, False, (((1,),),)),
-    ("C", (1,), (), False, False, (((2, 3),), ((2,), (3,)))),
-    ("D", (), (), True, False, (((1, 2, 3),),)),
+# The nine small cases (``mode="paper"``, ``n == 3``).
+_NINE_SMALL_ROWS = (
+    TemplateSkeleton(3, "A_I", (1, 2, 3), (), (), (), ()),
+    TemplateSkeleton(3, "A_II", (1, 2, 3), (), (), (), ()),
+    TemplateSkeleton(3, "B", (1, 3), (2,), (), (), ()),
+    TemplateSkeleton(3, "B", (1, 3), (), (), ((2,),), ()),
+    TemplateSkeleton(3, "B", (1, 2), (), ((3,),), (), ()),
+    TemplateSkeleton(3, "B", (2, 3), (), ((1,),), (), ()),
+    TemplateSkeleton(3, "C", (1,), (), (), (), ((2, 3),)),
+    TemplateSkeleton(3, "C", (1,), (), (), (), ((2,), (3,))),
+    TemplateSkeleton(3, "D", (), (), (), (), ((1, 2, 3),), True),
 )
 
 
-def _template_blocks(n: int, mode: str):
-    """The rows for ``n`` generators in blocks, one (family, I, S) at a time.
-
-    A block is (family, I, S, loose, dense, partitions): its rows are one
-    for each partition, into components, of the indices outside I and S.
-    Both modes walk I, then S, then a partition, in the same order; they
-    differ only where the module notes say.  The partition lists are shared
-    between blocks, so a caller can hold every block, sum the block sizes
-    to count the rows, and then make the rows one at a time (``_rows``).
-    The checks of ``n`` and ``mode`` run at the first ``next``.
-    """
+def _check(n: int, mode: str) -> None:
     if n < 3:
         raise ValueError("n must be at least 3")
     if mode not in ("paper", "full"):
         raise ValueError(f"unknown mode: {mode!r}")
+
+
+def _template_rows(n: int, mode: str):
+    """Every template row for ``n`` generators, in order.
+
+    Both modes walk the family, then I, then S, then a partition into
+    components of the indices outside I and S; they differ only where the
+    module notes say.  With two or more interacting indices a partition is
+    the tagged T part, otherwise it is R itself.  The checks of ``n`` and
+    ``mode`` run at the first ``next``.
+    """
+    _check(n, mode)
     paper = mode == "paper"
     if paper and n == 3:
-        yield from _NINE_SMALL_BLOCKS
+        yield from _NINE_SMALL_ROWS
         return
     everything = tuple(range(1, n + 1))
 
@@ -698,26 +686,45 @@ def _template_blocks(n: int, mode: str):
                     if paper and family == "A_I" and not S:
                         continue
                     t_members = tuple(a for a in rest if a not in S)
-                    yield (family, I, S, False, dense,
-                           partitions(I, t_members))
+                    for part in partitions(I, t_members):
+                        comps = ((*_tag_components(I, part), ()) if size >= 2
+                                 else ((), (), part))
+                        # tuple.__new__ skips the Python-level __new__
+                        # that namedtuple writes, a call per row
+                        yield tuple.__new__(TemplateSkeleton, (
+                            n, family, I, S, *comps, False, dense))
 
 
-def _rows(n: int, blocks):
-    """The row tuple (see ``_pair_entries``) of every row of ``blocks``."""
-    for family, I, S, loose, dense, partitions in blocks:  # noqa: E741
-        # with two or more interacting indices a partition is the tagged T
-        # part; otherwise it is R itself
-        wide = len(I) >= 2
-        for part in partitions:
-            comps = (*_tag_components(I, part), ()) if wide else ((), (), part)
-            yield (n, family, I, S, *comps, loose, dense)
+def _row_count(n: int, mode: str) -> int:
+    """The number of rows of ``_template_rows(n, mode)``, in closed form.
+
+    A_I and A_II take every I of each size s >= 3, B every I of size 2, C
+    of size 1 and D the empty I; the m = n - s indices outside I are split
+    into the bystanders S (A_I and B only) and components.  Paper mode takes
+    one partition, so a row is a choice of I and S: per I, 2^m - 1 nonempty
+    S for A_I, one row for A_II, 2^(n-2) for B and one for C, and one D row;
+    at n = 3 it is the nine small cases.  Full mode takes every partition,
+    Bell(k) of k members.  Summed over the bystander sets, sum_k C(m, k) *
+    Bell(k) = Bell(m + 1), so an I gives Bell(m + 1) A_I rows, Bell(m) A_II
+    rows, Bell(n - 1) B or C rows, and D has Bell(n).
+    """
+    _check(n, mode)
+    sizes = range(3, n + 1)
+    if mode == "paper":
+        if n == 3:
+            return len(_NINE_SMALL_ROWS)
+        return (sum(comb(n, s) * 2 ** (n - s) for s in sizes)
+                + comb(n, 2) * 2 ** (n - 2) + n + 1)
+    bell = [1]
+    for m in range(n):
+        bell.append(sum(comb(m, k) * bell[k] for k in range(m + 1)))
+    return (sum(comb(n, s) * (bell[n - s + 1] + bell[n - s]) for s in sizes)
+            + (comb(n, 2) + n) * bell[n - 1] + bell[n])
 
 
 def generate_templates(n: int, mode: str = "paper") -> list:
     """Enumerate the template rows for ``n`` generators (see the module notes)."""
-    cache = _RowCache()
-    return [_build_skeleton(*row, cache=cache)
-            for row in _rows(n, _template_blocks(n, mode))]
+    return list(_template_rows(n, mode))
 
 
 def tables_text(n: int, mode: str):
@@ -725,19 +732,14 @@ def tables_text(n: int, mode: str):
 
     Checks ``n`` and ``mode`` at once (a ``ValueError``), then returns an
     iterator over the header and the text of each row, each ending in a
-    newline.  The enumeration is walked once: its blocks give the count,
-    and each row is rendered from its row tuple and then dropped.
+    newline.  The count is closed-form, so each row is rendered from the
+    enumeration and then dropped.
     """
-    blocks = list(_template_blocks(n, mode))
-    return _tables_chunks(n, mode, blocks)
-
-
-def _tables_chunks(n, mode, blocks):
-    count = sum(len(block[-1]) for block in blocks)
-    yield f"n: {n}\nmode: {mode}\ncount: {count}\n"
+    header = f"n: {n}\nmode: {mode}\ncount: {_row_count(n, mode)}\n"
     cache = _RowCache()
-    for index, row in enumerate(_rows(n, blocks), start=1):
-        yield f"\n{_row_text(cache, index, row)}\n"
+    return chain((header,), (
+        f"\n{_row_text(cache, index, row)}\n"
+        for index, row in enumerate(_template_rows(n, mode), start=1)))
 
 
 def _fmt_indices(indices) -> str:
@@ -752,11 +754,11 @@ def _fmt_components(comps) -> str:
 
 def render_template(skel: TemplateSkeleton, index: int) -> str:
     """The text of row number ``index``."""
-    return _row_text(_RowCache(), index, _skeleton_row(skel))
+    return _row_text(_RowCache(), index, skel)
 
 
 def _row_text(cache: _RowCache, index: int, row) -> str:
-    """The text of row number ``index``, from its row tuple."""
+    """The text of row number ``index``."""
     entries = _pair_entries(cache, row)
     _, family, I, S, t_circ, t_bullet, r_comps = row[:7]  # noqa: E741
     return "\n".join([

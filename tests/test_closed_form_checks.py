@@ -13,23 +13,27 @@ witnesses, seeded perturbations of those families (``lam = 0``, ``mu != 0``,
 """
 
 import random
+from itertools import permutations
 
 import pytest
 
-from diffalg.calculus import (AffineAutomorphismFamily, build_automorphisms,
-                              certify_connectedness, certify_expansion,
-                              check_connectedness, check_integrating_form,
-                              verify_automorphisms)
+from diffalg.calculus import (AffineAutomorphismFamily, CalculusError,
+                              build_automorphisms, certify_connectedness,
+                              certify_expansion, check_connectedness,
+                              check_integrating_form, verify_automorphisms)
+from diffalg.classify import decompose
 from diffalg.cli import main
+from diffalg.engine import is_pbw
 from diffalg.presentation import load_presentation
 from diffalg.scalars import rational
 from diffalg.smoothness import (SmoothnessVerdict, decide_smoothness,
                                 verify_witness)
 from diffalg.templates import TemplateError, generate_templates, instantiate_template
 
-from conftest import letter_by_letter_automorphisms, sampled_check_list
+from conftest import build, letter_by_letter_automorphisms, sampled_check_list
 from test_form_oracles import SMOOTH_FIXTURES
 from test_generators import SMOOTH_ROWS, _coupled_instance
+from test_roundtrip import seeded_instance
 from test_twist import WRONG_WITNESSES, fixture, perturb
 
 
@@ -228,6 +232,51 @@ def test_bench_like_rows_are_decided_in_closed_form():
         assert set(got.values()) == {"closed-form"}, (P, got)
         count += 1
     assert count >= 50
+
+
+# -- the premises of the d-squared and projection certificates ------------------------
+
+def pbw_families():
+    """``(P, nu)`` for every family ``build_automorphisms`` returns on seeded
+    PBW tables: the full rows for n = 3..5 at generic values, and tables with
+    g(i, j) = k + c_i - c_j at random x."""
+    rng = random.Random("premises")
+    tables = [seeded_instance(skel, rng)
+              for n in (3, 4, 5) for skel in generate_templates(n, "full")]
+    for _ in range(600):
+        n = rng.choice((3, 4, 5))
+        k = rng.choice((2, 3, -3))
+        c = [rng.choice((0, 1)) for _ in range(n + 1)]
+        tables.append(build(
+            n, {(i, j): k + c[i] - c[j] for i, j in permutations(range(1, n + 1), 2)},
+            {i: rng.choice((0, 0, 1, -2)) for i in range(1, n + 1)}))
+    for P in tables:
+        if not is_pbw(P).pbw:
+            continue
+        try:
+            nu = build_automorphisms(P)
+        except CalculusError:  # a one-sided pair leaves no family
+            continue
+        yield P, nu
+
+
+def test_families_on_pbw_tables_meet_the_certificate_premises():
+    # certify_d_squared's docstring proves that these families commute, so
+    # d-squared-zero and the projections never fall back to a sample
+    count = wide = constrained = 0
+    for P, nu in pbw_families():
+        assert verify_automorphisms(nu, P).pairwise_commute, P
+        got = methods(P, nu)
+        assert got["d-squared-zero"] == "closed-form", P
+        assert {got[f"integral-project-k{k}"] for k in range(P.n)} == {
+            "closed-form"}, P
+        count += 1
+        wide += len(decompose(P).I) >= 2
+        r = range(1, P.n + 1)
+        # commuting on some D_j is a real condition: mu_aj (lam_bj - 1) != 0
+        constrained += any(nu.mu(a, j) * (nu.lam(b, j) - 1)
+                           for a in r for b in r for j in r if a != b)
+    assert count >= 150 and wide >= 60 and constrained >= 40
 
 
 def test_connectedness_certifies_a_zero_above_the_diagonal(p3):

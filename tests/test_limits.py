@@ -1,22 +1,16 @@
 """Input limits and correctness bounds that must hold without ``assert``."""
 
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from diffalg.cli import MAX_DEGREE_BOUND, MAX_TABLES_N, max_degree_bound
-from diffalg.engine import _context, _nf_word
 from diffalg.exprs import MAX_LITERAL_DIGITS, MAX_TERM_DEGREE, parse_poly
 from diffalg.smoothness import SmoothnessError, decide_smoothness, verify_witness
 
-from conftest import FIXTURES, build
+from conftest import FIXTURES
 from test_cli import run, witness_lines
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # -- --degree-bound ---------------------------------------------------------------
@@ -48,29 +42,6 @@ def test_cli_verifies_three_generators_at_the_cap(capsys):
     assert rc == 0 and err == ""
     assert out.endswith(witness_lines(3, 2))
     assert time.monotonic() - start < 60
-
-
-# -- the rewrite-depth bound --------------------------------------------------------
-
-def test_rewrite_depth_bound_raises():
-    # a table no other test builds, so no cached normal form answers first
-    P = build(2, {(1, 2): 3, (2, 1): 5}, {1: 7})
-    with pytest.raises(RuntimeError, match=r"reduction exceeded the "
-                                           r"degree\*\(degree\+inversions\) bound"):
-        _nf_word(_context(P), (1, 2), 0)
-
-
-def test_rewrite_depth_bound_survives_optimized_mode():
-    code = ("from diffalg.presentation import load_presentation\n"
-            "from diffalg.engine import _context, _nf_word\n"
-            f"P = load_presentation({str(FIXTURES / 'p3.dalg')!r})\n"
-            "try:\n"
-            "    _nf_word(_context(P), (1, 2), 0)\n"
-            "except RuntimeError:\n"
-            "    print('raised')\n")
-    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                          text=True, timeout=60, env={"PYTHONPATH": str(SRC)})
-    assert done.stdout == "raised\n", done.stderr
 
 
 # -- the degree bound per generator count ---------------------------------------------

@@ -111,8 +111,7 @@ def test_split_components_stay_undetermined():
 
 def test_witness_report_names_and_order(p3):
     verdict = decide_smoothness(p3)
-    report = verify_witness(p3, verdict, degree_bound=1,
-                            dd_degree=2, connectedness_degree=2)
+    report = verify_witness(p3, verdict, degree_bound=1)
     assert [name for name, _ in report.checks] == [
         "relations-preserved", "pairwise-commute", "bijective",
         "leibniz", "d-squared-zero", "connectedness",

@@ -5,7 +5,7 @@ import types
 from pathlib import Path
 
 import diffalg
-from diffalg import engine
+from diffalg import engine, templates
 
 from conftest import build
 
@@ -33,6 +33,17 @@ def test_every_traced_function_resolves_in_its_layer():
         module = importlib.import_module(f"diffalg.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def test_template_rows_carry_what_the_bench_reads():
+    # the bench takes len() of generate_templates and reads these attributes
+    # off each row it instantiates
+    rows = templates.generate_templates(3, "full")
+    assert type(rows) is list and rows
+    for row in rows:
+        for name in ("n", "family", "I", "S", "T_circ", "T_bullet",
+                     "R_components", "params"):
+            assert hasattr(row, name), name
 
 
 def test_bench_probe_reads_the_engine_tables():

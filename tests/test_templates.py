@@ -8,12 +8,14 @@ instantiates to an ordered-basis presentation).
 
 import pytest
 
+from diffalg import templates
 from diffalg.classify import decompose, identify_family
 from diffalg.cli import main
 from diffalg.engine import is_pbw
 from diffalg.scalars import rational
-from diffalg.templates import (TemplateError, generate_templates,
-                               instantiate_template, render_template)
+from diffalg.templates import (TemplateError, _row_count, generate_templates,
+                               instantiate_template, render_template,
+                               tables_text)
 
 from conftest import GOLDEN
 
@@ -36,9 +38,40 @@ def signature(skel):
     (5, "paper", 137),
     (3, "full", 19),
     (4, "full", 79),
+    (6, "paper", 480),
+    (7, "paper", 1619),
+    (8, "paper", 5290),
+    (9, "paper", 16877),
+    (5, "full", 364),
+    (6, "full", 1820),
+    (7, "full", 9776),
+    (8, "full", 56024),
 ])
 def test_row_counts(n, mode, count):
-    assert len(rows_of(n, mode)) == count
+    # the closed form that tables prints must match the enumeration
+    assert len(rows_of(n, mode)) == count == _row_count(n, mode)
+
+
+def test_tables_text_prints_the_count_before_any_row(monkeypatch):
+    pulled = []
+    walk = templates._template_rows
+
+    def counted(n, mode):
+        for row in walk(n, mode):
+            pulled.append(row)
+            yield row
+
+    monkeypatch.setattr(templates, "_template_rows", counted)
+    text = tables_text(9, "paper")
+    assert next(text) == "n: 9\nmode: paper\ncount: 16877\n"
+    assert pulled == []
+    assert next(text).startswith("\ntemplate: 1\nfamily: A_I\n")
+    assert len(pulled) == 1
+    # the arguments are checked at the call, not at the first row
+    with pytest.raises(ValueError, match="n must be at least 3"):
+        tables_text(2, "paper")
+    with pytest.raises(ValueError, match="unknown mode"):
+        tables_text(3, "everything")
 
 
 def test_rows_are_distinct():
