@@ -263,9 +263,66 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _plain_commands() -> dict:
+    """command -> (its positional dests, every other attribute ``parse_args`` sets).
+
+    Read off ``_build_parser``: the option defaults, the ``set_defaults``
+    values (``func``) and the command's name.  A command is here only when
+    each of its positionals takes its token as given, with no ``type``,
+    ``nargs`` or ``choices``, so ``tables`` is not.  argparse keeps these
+    definitions in private attributes (``_actions``, ``_defaults``); the
+    argv tests of ``tests/test_cli.py`` fail if a release changes them.
+    """
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    plain = {}
+    for name, sub in commands.choices.items():
+        positionals = [a for a in sub._actions if not a.option_strings]
+        if any(a.type or a.nargs or a.choices for a in positionals):
+            continue
+        fixed = dict(sub._defaults)
+        fixed.update((a.dest, a.default) for a in sub._actions
+                     if a.option_strings and a.default is not argparse.SUPPRESS)
+        fixed[commands.dest] = name
+        plain[name] = (tuple(a.dest for a in positionals), fixed)
+    return plain
+
+
+def _plain_args(argv):
+    """The namespace ``parse_args`` gives a plain ``argv``, or None for any other argv.
+
+    ``argv`` is plain when it is a command of ``_plain_commands`` followed by
+    exactly one token for each of its positionals, and none of those tokens
+    starts with "-".
+    """
+    plain = _plain_commands().get(argv[0]) if argv else None
+    if plain is None:
+        return None
+    dests, fixed = plain
+    values = argv[1:]
+    if len(values) != len(dests) or any(v.startswith("-") for v in values):
+        return None
+    args = argparse.Namespace(**fixed)
+    for dest, value in zip(dests, values):
+        setattr(args, dest, value)
+    return args
+
+
+def main(argv=None) -> int:
+    # A plain argv skips argparse: exactly `<command> FILE` or `<command> FILE
+    # EXPR` for a command whose positionals are plain strings (all but
+    # `tables`), with no token starting with "-".  parse_args takes 17-33 us
+    # on `check-pbw FILE` and 19-40 us on `reduce FILE EXPR`, _plain_args
+    # 1.7-3.9 us (timeit, 2-core x86-64 container, Python 3.11, as the host's
+    # speed varied); parse_args was 14-28% of a check-pbw op of the classify
+    # benchmark and 8-14% of a classify op (in process, 2184 ops of each).
+    # Every other argv, None included, goes through parse_args, so help,
+    # usage and error text come from argparse alone.
+    args = None if argv is None else _plain_args(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

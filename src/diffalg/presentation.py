@@ -8,17 +8,26 @@ of the defining quadratic relations: for every pair i < j,
 with the leading coefficient g(i,j) (i < j) required to be nonzero.  Unspecified
 g(j,i) and x(i) default to 0.
 
-File grammar (UTF-8 text, '#' starts a comment to end of line, one statement per
-line, whitespace-insensitive around tokens):
+File grammar (UTF-8 text).  A line is a ``str.splitlines`` line: CR LF, a
+lone CR, a form feed, U+2028 and the other Unicode line boundaries end a
+line as LF does, and line numbers count them.  '#' starts a comment to the
+end of its line.  One statement per line; its tokens are separated by
+whitespace (``str.split``), so "n=3" is one token and not a statement:
 
-    line := "n = " INT | "g " INT INT " = " RATIONAL | "x " INT " = " RATIONAL
-    RATIONAL := "-"? DIGITS ("/" DIGITS)?
+    line     := "n" "=" INT | "g" INT INT "=" RATIONAL | "x" INT "=" RATIONAL
+    RATIONAL := INT | INT "/" INT
+
+An INT is whatever ``int()`` reads in base 10: an optional sign, decimal
+digits (non-ASCII ones included) and single underscores between digits, at
+most ``sys.get_int_max_str_digits()`` digits.  A denominator may be negative
+but not zero.
 
 Storage is integer.  The parser reads each literal as a reduced integer ratio
-(``scalars.parse_ratio``) and builds no ``Fraction``.  An
-``AlgebraPresentation`` keeps every g(i, j) as an integer numerator over one
-positive denominator, the lcm of the g denominators (``g_integers``), and
-every x(i) as its reduced ratio (``x_ratios``).  The PBW check and the
+and builds no ``Fraction``.  An ``AlgebraPresentation`` keeps every g(i, j)
+as an integer numerator over one positive denominator, the lcm of the g
+denominators (``g_integers``), and every x(i) as its reduced ratio
+(``x_ratios``).  The parser fills that integer table in its one pass over the
+text, raising the denominator as new ones are read.  The PBW check and the
 engine's rewriting rules read these integers directly, and zero tests read
 the numerators.  ``P.g`` and ``P.x`` return exact ``Fraction`` values, each
 built on its first use and kept, so equality, hashing and ``render`` see the
@@ -27,7 +36,8 @@ same rationals as before.
 
 from __future__ import annotations
 
-from math import lcm
+import functools
+from math import gcd, lcm
 
 from .scalars import format_rational, parse_ratio, rational
 
@@ -61,27 +71,30 @@ class AlgebraPresentation:
                  "__weakref__")
 
     def __init__(self, n: int, g: dict, x: dict):
-        self._store(n, {k: v.as_integer_ratio() for k, v in g.items()},
-                    {k: v.as_integer_ratio() for k, v in x.items()})
-
-    @classmethod
-    def _from_ratios(cls, n: int, g: dict, x: dict) -> "AlgebraPresentation":
-        """A presentation from reduced (numerator, denominator > 0) pairs."""
-        P = object.__new__(cls)
-        P._store(n, g, x)
-        return P
-
-    def _store(self, n: int, g: dict, x: dict) -> None:
-        self.n = n
         nums = {(i, j): 0 for i in range(1, n + 1) for j in range(1, n + 1)
                 if i != j}
-        given = [(key, ratio) for key, ratio in g.items() if key in nums]
+        given = [(key, v.as_integer_ratio()) for key, v in g.items() if key in nums]
         den = lcm(*(d for _, (_, d) in given))
         for key, (num, d) in given:
             nums[key] = num * (den // d)
+        ratios = {i: v.as_integer_ratio() for i, v in x.items()}
+        self._store(n, nums, den,
+                    {i: ratios.get(i, _ZERO_RATIO) for i in range(1, n + 1)})
+
+    @classmethod
+    def _from_integers(cls, n: int, nums: dict, den: int,
+                       x: dict) -> "AlgebraPresentation":
+        """A presentation that owns its tables, shaped as ``g_integers`` and
+        ``x_ratios`` return them."""
+        P = object.__new__(cls)
+        P._store(n, nums, den, x)
+        return P
+
+    def _store(self, n: int, nums: dict, den: int, x: dict) -> None:
+        self.n = n
         self._g = nums
         self._den = den
-        self._x = {i: x.get(i, _ZERO_RATIO) for i in range(1, n + 1)}
+        self._x = x
         # the Fraction values, each built on its first use
         self._gq = {}
         self._xq = {}
@@ -184,6 +197,44 @@ def _fail(message: str, lineno: int, line: str, token: str):
     raise PresentationError(message, lineno, line.find(token) + 1)
 
 
+@functools.cache
+def _pair_keys(n: int) -> dict:
+    """(str(i), str(j)) -> (i, j) for each pair i != j of 1..n, in g table order.
+
+    The g keys of a presentation on n generators, by the plain spelling of
+    their index tokens; shared by every parse, so read only.
+    ``parse_presentation`` asks only for 0 <= n <= MAX_GENERATORS, which
+    bounds the cache.
+    """
+    spelled = [str(i) for i in range(n + 1)]
+    indices = range(1, n + 1)
+    return {(spelled[i], spelled[j]): (i, j) for i in indices for j in indices
+            if i != j}
+
+
+def _checked_pair(tokens: list, n: int, given: set, lineno: int, line: str) -> tuple:
+    """The key of a g line that ``_pair_keys`` does not give, or that is taken.
+
+    Reads the indices with ``int()`` and raises the first of: not integers,
+    out of range, equal, assigned before.  A key that passes was spelled
+    another way (a sign, a leading zero, an underscore, other digits).
+    """
+    head = tokens[0]
+    try:
+        i, j = int(tokens[1]), int(tokens[2])
+    except ValueError:
+        _fail("generator indices must be integers", lineno, line, head)
+    if not (1 <= i <= n) or not (1 <= j <= n):
+        _fail(f"index out of range 1..{n} in "
+              f"{_quoted(f'g {tokens[1]} {tokens[2]}')}", lineno, line, head)
+    if i == j:
+        _fail(f"g requires two distinct indices, got ({i}, {j})",
+              lineno, line, head)
+    if (i, j) in given:
+        _fail(f"duplicate assignment of g({i}, {j})", lineno, line, head)
+    return i, j
+
+
 def parse_presentation(text: str) -> AlgebraPresentation:
     """Parse presentation-file contents.
 
@@ -191,15 +242,21 @@ def parse_presentation(text: str) -> AlgebraPresentation:
     assignment, index out of range 1..n, explicit zero leading coefficient
     g(i,j) = 0 with i < j, missing n declaration.  An error points at the
     offending value, or else at the line's first token.
+
+    One pass: the ``n`` line makes the integer g table, all zeros, and each
+    g line writes its numerator over ``den``, the lcm of the denominators
+    read so far; a denominator that does not divide ``den`` raises it and
+    rescales the numerators already written.
     """
     n = None
-    g: dict = {}
+    pairs = nums = None
+    den = 1
+    given: set = set()
     x: dict = {}
 
     for lineno, line in enumerate(text.splitlines(), start=1):
-        comment = line.find("#")
-        if comment >= 0:
-            line = line[:comment]
+        if "#" in line:
+            line = line[:line.find("#")]
         tokens = line.split()
         if not tokens:
             continue
@@ -210,27 +267,25 @@ def parse_presentation(text: str) -> AlgebraPresentation:
             if n is None:
                 _fail("'n = INT' must precede coefficient assignments",
                       lineno, line, head)
+            key = pairs.get((tokens[1], tokens[2]))
+            if key is None or key in given:
+                key = _checked_pair(tokens, n, given, lineno, line)
+            literal = tokens[4]
             try:
-                i, j = int(tokens[1]), int(tokens[2])
+                num, d = parse_ratio(literal) if "/" in literal else (int(literal), 1)
             except ValueError:
-                _fail("generator indices must be integers", lineno, line, head)
-            if not (1 <= i <= n) or not (1 <= j <= n):
-                _fail(f"index out of range 1..{n} in "
-                      f"{_quoted(f'g {tokens[1]} {tokens[2]}')}", lineno, line, head)
-            if i == j:
-                _fail(f"g requires two distinct indices, got ({i}, {j})",
-                      lineno, line, head)
-            if (i, j) in g:
-                _fail(f"duplicate assignment of g({i}, {j})", lineno, line, head)
-            try:
-                value = parse_ratio(tokens[4])
-            except ValueError:
-                _fail(f"invalid rational {_quoted(tokens[4])}",
-                      lineno, line, tokens[4])
-            if i < j and not value[0]:
+                _fail(f"invalid rational {_quoted(literal)}", lineno, line, literal)
+            i, j = key
+            if i < j and not num:
                 _fail(f"zero leading coefficient g({i}, {j}); relations require "
                       f"g(i, j) != 0 for i < j", lineno, line, head)
-            g[(i, j)] = value
+            if den % d:
+                scale = d // gcd(den, d)
+                den *= scale
+                for written in given:
+                    nums[written] *= scale
+            given.add(key)
+            nums[key] = num * (den // d)
         elif head == "x":
             if len(tokens) != 4 or tokens[2] != "=":
                 _fail("expected 'x I = RATIONAL'", lineno, line, head)
@@ -264,17 +319,23 @@ def parse_presentation(text: str) -> AlgebraPresentation:
             if n > MAX_GENERATORS:
                 _fail(f"n must be at most {MAX_GENERATORS}, got {_quoted(tokens[2])}",
                       lineno, line, tokens[2])
+            # a negative n shares the empty table of 0: the cache stays bounded
+            pairs = _pair_keys(max(n, 0))
+            nums = dict.fromkeys(pairs.values(), 0)
         else:
             _fail(f"unrecognized statement {_quoted(head)}", lineno, line, head)
 
     if n is None:
         raise PresentationError("no 'n = INT' declaration found")
-    return AlgebraPresentation._from_ratios(n, g, x)
+    ratios = dict.fromkeys(range(1, n + 1), _ZERO_RATIO)
+    ratios.update(x)
+    return AlgebraPresentation._from_integers(n, nums, den, ratios)
 
 
 def load_presentation(path) -> AlgebraPresentation:
     """Read and parse a presentation file; a byte that is not UTF-8 is a PresentationError."""
-    with open(path, "rb") as fh:
+    # unbuffered: the whole file in one read, with no buffer object to build
+    with open(path, "rb", buffering=0) as fh:
         data = fh.read()
     try:
         text = data.decode("utf-8")

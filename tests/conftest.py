@@ -7,6 +7,7 @@ fixtures, so the two implementations stay comparable line by line.
 
 import re
 from itertools import combinations
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,9 @@ from diffalg.calculus import (AutomorphismReport, GradedForm,
 from diffalg.classify import FamilyIdentification, decompose
 from diffalg.engine import (Poly, _add_term, _iadd, multiply, normal_form,
                             power, word_exponents)
-from diffalg.presentation import AlgebraPresentation
-from diffalg.scalars import ONE, ZERO, format_rational, rational
+from diffalg.presentation import (MAX_GENERATORS, AlgebraPresentation,
+                                  PresentationError, _fail, _quoted)
+from diffalg.scalars import ONE, ZERO, format_rational, parse_ratio, rational
 from diffalg.templates import (_FREE, _G, _GI, _GO, _LK, _build_skeleton,
                                _fmt_components, _total)
 
@@ -449,6 +451,99 @@ def _oracle_mismatch(family, I, word, expected):  # noqa: E741
              else f" against D{inside[0]}" if inside else "")
     return (f"coefficient of D{u} D{v} is {format_rational(actual)}, but the "
             f"{pattern}{where} requires {format_rational(expected)}")
+
+
+# -- the presentation parser, line by line -----------------------------------
+
+def reference_parse_presentation(text):
+    """(n, nums, den, x) that ``parse_presentation(text)`` must hold, or its error.
+
+    An oracle for the one-pass parser: each line is checked in full, every
+    literal read by ``parse_ratio``, and the integer g table built in a
+    second pass from the ratios, with ``nums`` in ``g_integers`` order and
+    ``x`` as ``x_ratios`` gives it.
+    """
+    n = None
+    g: dict = {}
+    x: dict = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        comment = line.find("#")
+        if comment >= 0:
+            line = line[:comment]
+        tokens = line.split()
+        if not tokens:
+            continue
+        head = tokens[0]
+        if head == "g":
+            if len(tokens) != 5 or tokens[3] != "=":
+                _fail("expected 'g I J = RATIONAL'", lineno, line, head)
+            if n is None:
+                _fail("'n = INT' must precede coefficient assignments",
+                      lineno, line, head)
+            try:
+                i, j = int(tokens[1]), int(tokens[2])
+            except ValueError:
+                _fail("generator indices must be integers", lineno, line, head)
+            if not (1 <= i <= n) or not (1 <= j <= n):
+                _fail(f"index out of range 1..{n} in "
+                      f"{_quoted(f'g {tokens[1]} {tokens[2]}')}", lineno, line, head)
+            if i == j:
+                _fail(f"g requires two distinct indices, got ({i}, {j})",
+                      lineno, line, head)
+            if (i, j) in g:
+                _fail(f"duplicate assignment of g({i}, {j})", lineno, line, head)
+            try:
+                value = parse_ratio(tokens[4])
+            except ValueError:
+                _fail(f"invalid rational {_quoted(tokens[4])}",
+                      lineno, line, tokens[4])
+            if i < j and not value[0]:
+                _fail(f"zero leading coefficient g({i}, {j}); relations require "
+                      f"g(i, j) != 0 for i < j", lineno, line, head)
+            g[(i, j)] = value
+        elif head == "x":
+            if len(tokens) != 4 or tokens[2] != "=":
+                _fail("expected 'x I = RATIONAL'", lineno, line, head)
+            if n is None:
+                _fail("'n = INT' must precede coefficient assignments",
+                      lineno, line, head)
+            try:
+                i = int(tokens[1])
+            except ValueError:
+                _fail("generator index must be an integer", lineno, line, head)
+            if not (1 <= i <= n):
+                _fail(f"index out of range 1..{n} in {_quoted(f'x {tokens[1]}')}",
+                      lineno, line, head)
+            if i in x:
+                _fail(f"duplicate assignment of x({i})", lineno, line, head)
+            try:
+                x[i] = parse_ratio(tokens[3])
+            except ValueError:
+                _fail(f"invalid rational {_quoted(tokens[3])}",
+                      lineno, line, tokens[3])
+        elif head == "n":
+            if len(tokens) != 3 or tokens[1] != "=":
+                _fail("expected 'n = INT'", lineno, line, head)
+            if n is not None:
+                _fail("duplicate assignment of n", lineno, line, head)
+            try:
+                n = int(tokens[2])
+            except ValueError:
+                _fail(f"invalid integer {_quoted(tokens[2])}",
+                      lineno, line, tokens[2])
+            if n > MAX_GENERATORS:
+                _fail(f"n must be at most {MAX_GENERATORS}, got {_quoted(tokens[2])}",
+                      lineno, line, tokens[2])
+        else:
+            _fail(f"unrecognized statement {_quoted(head)}", lineno, line, head)
+    if n is None:
+        raise PresentationError("no 'n = INT' declaration found")
+
+    den = lcm(*(d for _, d in g.values()))
+    nums = {(i, j): 0 for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+    for key, (num, d) in g.items():
+        nums[key] = num * (den // d)
+    return n, nums, den, {i: x.get(i, (0, 1)) for i in range(1, n + 1)}
 
 
 # -- four generators ---------------------------------------------------------

@@ -1,6 +1,8 @@
 """End-to-end command-line behaviour: exact output bytes and exit codes."""
 
+import argparse
 import hashlib
+import sys
 
 import pytest
 
@@ -321,3 +323,150 @@ def test_smooth_reports_a_one_sided_bystander_pair(capsys, tmp_path):
 
 def test_parser_is_built_once_per_process():
     assert cli._build_parser() is cli._build_parser()
+
+
+# -- argv handling: the plain-argv path and argparse ------------------------------
+
+PLAIN_ARGV = [["check-pbw", "F"], ["classify", "F"], ["smooth", "F"],
+              ["verify-calculus", "F"], ["reduce", "F", "D1 D2"], ["d", "F", "D1 D2"]]
+
+ARGV_CORPUS = PLAIN_ARGV + [
+    ["tables", "5"],
+    ["smooth", "F", "--degree-bound", "2"],
+    ["check-pbw", "-h"], ["check-pbw", "-"], ["check-pbw", "--help"],
+    ["check-pbw", "--", "F"], ["reduce", "--", "F", "D1"],
+    ["reduce", "F", "-D1"], ["reduce", "F", "- D1"], ["reduce", "F", ""],
+    ["check-pbw", ""],
+    ["reduce", "F"], ["check-pbw"], ["check-pbw", "F", "extra"], ["d", "F", "D1", "D2"],
+    ["frobnicate", "F"], ["check", "F"], [],
+]
+
+
+def _argv(argv):
+    return [str(FIXTURES / "p1.dalg") if a == "F" else a for a in argv]
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=repr)
+def test_plain_path_declines_or_equals_parse_args(capsys, argv):
+    argv = _argv(argv)
+    fast = cli._plain_args(argv)
+    try:
+        slow = cli._build_parser().parse_args(argv)
+    except SystemExit:
+        assert fast is None
+    else:
+        assert fast is None or fast == slow
+    capsys.readouterr()
+
+
+def test_argv_none_reads_sys_argv(capsys, monkeypatch):
+    argv = _argv(["reduce", "F", "D1 D2"])
+    monkeypatch.setattr(sys, "argv", ["diffalg"] + argv)
+    assert (main(), capsys.readouterr().out) == (0, "D2 D1 - D2 + D1\n")
+    assert run(capsys, *argv) == (0, "D2 D1 - D2 + D1\n", "")
+
+
+def test_plain_commands_run_without_argparse(capsys, monkeypatch):
+    # the count behind the plain path's saving: no parse_args call at all
+    expected = [run(capsys, *_argv(argv)) for argv in PLAIN_ARGV]
+
+    def refuse(self, args=None, namespace=None):
+        raise AssertionError(f"parse_args({args!r})")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    assert [run(capsys, *_argv(argv)) for argv in PLAIN_ARGV] == expected
+
+
+# The argparse path's text, recorded before the plain path existed.  argparse
+# wraps usage to the terminal width, so COLUMNS is fixed.
+ARGPARSE_TEXT = [
+    ([], 2,
+     "",
+     ('usage: diffalg [-h]\n'
+      '               {check-pbw,classify,smooth,verify-calculus,reduce,d,tables} ...\n'
+      'diffalg: error: the following arguments are required: command\n')),
+    (['--help'], 0,
+     ('usage: diffalg [-h]\n'
+      '               {check-pbw,classify,smooth,verify-calculus,reduce,d,tables} ...\n'
+      '\n'
+      'Ordered-basis checks, classification, and verified differential calculi for\n'
+      'inhomogeneous quadratic exchange algebras.\n'
+      '\n'
+      'positional arguments:\n'
+      '  {check-pbw,classify,smooth,verify-calculus,reduce,d,tables}\n'
+      '    check-pbw           test rewriting confluence on all triples\n'
+      '    classify            decompose the index set and identify the family\n'
+      '    smooth              decide differential smoothness and verify the witness\n'
+      '    verify-calculus     run every calculus check on the derived witness\n'
+      '    reduce              normal form of a polynomial expression\n'
+      '    d                   differential of a polynomial expression\n'
+      '    tables              enumerate relation templates\n'
+      '\n'
+      'options:\n'
+      '  -h, --help            show this help message and exit\n'),
+     ""),
+    (['check-pbw', '--help'], 0,
+     ('usage: diffalg check-pbw [-h] file\n'
+      '\n'
+      'positional arguments:\n'
+      '  file\n'
+      '\n'
+      'options:\n'
+      '  -h, --help  show this help message and exit\n'),
+     ""),
+    (['smooth', '-h'], 0,
+     ('usage: diffalg smooth [-h] [--degree-bound DEGREE_BOUND] file\n'
+      '\n'
+      'positional arguments:\n'
+      '  file\n'
+      '\n'
+      'options:\n'
+      '  -h, --help            show this help message and exit\n'
+      '  --degree-bound DEGREE_BOUND\n'
+      '                        sample the volume-form identities on every coefficient\n'
+      '                        monomial up to this degree (0 to 12), as a cross-check\n'
+      '                        of the default proof on module generators\n'),
+     ""),
+    (['frobnicate'], 2,
+     "",
+     ('usage: diffalg [-h]\n'
+      '               {check-pbw,classify,smooth,verify-calculus,reduce,d,tables} ...\n'
+      "diffalg: error: argument command: invalid choice: 'frobnicate' (choose from "
+      "'check-pbw', 'classify', 'smooth', 'verify-calculus', 'reduce', 'd', 'tables')\n")),
+    (['check-pbw'], 2,
+     "",
+     ('usage: diffalg check-pbw [-h] file\n'
+      'diffalg check-pbw: error: the following arguments are required: file\n')),
+    (['check-pbw', 'F', 'extra'], 2,
+     "",
+     ('usage: diffalg [-h]\n'
+      '               {check-pbw,classify,smooth,verify-calculus,reduce,d,tables} ...\n'
+      'diffalg: error: unrecognized arguments: extra\n')),
+    (['reduce', 'F'], 2,
+     "",
+     ('usage: diffalg reduce [-h] file expr\n'
+      'diffalg reduce: error: the following arguments are required: expr\n')),
+    (['tables', 'x'], 2,
+     "",
+     ('usage: diffalg tables [-h] [--mode {paper,full}] n\n'
+      "diffalg tables: error: argument n: invalid int value: 'x'\n")),
+    (['tables', '5', '--mode', 'odd'], 2,
+     "",
+     ('usage: diffalg tables [-h] [--mode {paper,full}] n\n'
+      "diffalg tables: error: argument --mode: invalid choice: 'odd' (choose from "
+      "'paper', 'full')\n")),
+    (['smooth', 'F', '--degree-bound', 'x'], 2,
+     "",
+     ('usage: diffalg smooth [-h] [--degree-bound DEGREE_BOUND] file\n'
+      "diffalg smooth: error: argument --degree-bound: invalid int value: 'x'\n")),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", ARGPARSE_TEXT,
+                         ids=[repr(row[0]) for row in ARGPARSE_TEXT])
+def test_argparse_text_is_pinned(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(_argv(argv))
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == (code, out, err)

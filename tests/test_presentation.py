@@ -1,5 +1,6 @@
 """Presentation parsing, rendering, and structural validation."""
 
+import random
 import sys
 import time
 from fractions import Fraction
@@ -12,7 +13,7 @@ from diffalg.presentation import (MAX_GENERATORS, MAX_LISTED_VIOLATIONS,
                                   validate_presentation)
 from diffalg.scalars import rational
 
-from conftest import FIXTURES, build
+from conftest import FIXTURES, build, reference_parse_presentation
 from test_cli import run
 
 
@@ -80,6 +81,12 @@ def test_equality_and_hash(p1, p1m):
     ("n = 3\ng 1 2 = 1/0\n", 2, "invalid rational"),
     ("n = 3\nfoo 1 2\n", 2, "unrecognized statement 'foo'"),
     ("# nothing\n", None, "no 'n = INT' declaration"),
+    # str.splitlines ends a line at each of these, and the reported line counts them
+    ("n = 3\r\ng 1 2 = 1\r\ng 1 2 = 2\r\n", 3, "duplicate assignment of g(1, 2)"),
+    ("n = 3\rg 1 2 = 1\rg 1 1 = 2\r", 3, "two distinct indices"),
+    ("n = 3\x0cg 1 2 = 1\x0cx 1 = 1/0\n", 3, "invalid rational"),
+    ("n = 3\u2028g 1 2 = 1\u2028g 1 4 = 2\n", 3, "index out of range 1..3"),
+    ("n = 3\n\u2028\x0c\r\ng 2 3 = 0\n", 5, "zero leading coefficient"),
 ])
 def test_parse_errors(text, line, fragment):
     with pytest.raises(PresentationError) as exc:
@@ -178,8 +185,26 @@ def _from_fractions(P):
     return AlgebraPresentation(P.n, g, {i: Fraction(P.x(i)) for i in P.generators})
 
 
+# tabs, a comment straight after a value, a non-ASCII digit (U+0663 ARABIC-INDIC
+# DIGIT THREE, which int() reads as 3) and a line that is only whitespace
+ODD_FORMS = ("n\t=\t3\n"
+             "g 1 2 = 3/2# lead\n"
+             "g\t2\t1\t=\t-\u0663\n"
+             " \t \n"
+             "g 1 \u0663 = 1_0\t#\n"
+             "g 2 3 = \u0663/4\n"
+             "x \u0663 = -1/\u0663\n")
+
+
+def test_odd_forms_read_as_int_reads_them():
+    P = parse_presentation(ODD_FORMS)
+    assert P.g(1, 2) == Fraction(3, 2) and P.g(2, 1) == -3
+    assert P.g(1, 3) == 10 and P.g(2, 3) == Fraction(3, 4)
+    assert P.x(3) == Fraction(-1, 3) and P.x(1) == 0
+
+
 def test_parse_render_parse_round_trips(p1, p2, p3, b1, c4, d4):
-    texts = [ODD_TEXT] + [(FIXTURES / f"{name}.dalg").read_text()
+    texts = [ODD_TEXT, ODD_FORMS] + [(FIXTURES / f"{name}.dalg").read_text()
                           for name in ("p1", "p3", "c_nonuniform", "inconsistent")]
     texts += [P.render() for P in (p1, p2, p3, b1, c4, d4)]
     for text in texts:
@@ -233,3 +258,116 @@ def test_a_literal_at_the_digit_limit_parses_and_one_beyond_is_quoted(capsys, tm
     assert (rc, out) == (2, "")
     assert err == (f"error: {path}: line 2, col 9: invalid rational "
                    f"'77777777777777777777'... ({digits + 1} characters)\n")
+
+
+# -- parity with the line-by-line reference parser ----------------------------------
+
+def _literal(rng, zero=False):
+    num = 0 if zero else rng.randint(1, 25) * rng.choice((1, -1))
+    den = rng.choice((1, 1, 1, 2, 3, 4, 6, 9))
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _workload_lines(rng, n):
+    """Statement lines shaped like the benchmark's inputs: every lead, most
+    trailing slots, some x, fractional and negative literals."""
+    lines = [f"n = {n}"]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i < j or (i > j and rng.random() < 0.8):
+                lines.append(f"g {i} {j} = {_literal(rng, zero=i > j and rng.random() < 0.1)}")
+    lines += [f"x {i} = {_literal(rng)}" for i in range(1, n + 1) if rng.random() < 0.5]
+    if rng.random() < 0.3:
+        body = lines[1:]
+        rng.shuffle(body)
+        lines[1:] = body
+    return lines
+
+
+def _mutants(rng, lines, n):
+    """Single-token mutations of a statement list, one list of lines each."""
+    def edited(k, tokens):
+        copy = lines[:]
+        copy[k] = " ".join(tokens)
+        return copy
+
+    def inserted(line):
+        copy = lines[:]
+        copy.insert(rng.randint(1, len(lines)), line)
+        return copy
+
+    out = []
+    k = rng.randrange(len(lines))
+    tokens = lines[k].split()
+    at = rng.randrange(len(tokens))
+    out.append(edited(k, tokens[:at] + tokens[at + 1:]))
+    out.append(edited(k, tokens[:at + 1] + tokens[at:]))
+    at = rng.randrange(len(tokens) - 1)
+    out.append(edited(k, tokens[:at] + [tokens[at + 1], tokens[at]] + tokens[at + 2:]))
+    out.append(edited(k, tokens[:-1] + ["1/0"]))
+
+    k = rng.randrange(1, len(lines))
+    tokens = lines[k].split()
+    at = rng.choice((1, 2)) if tokens[0] == "g" else 1
+    for index in ("0", str(n + 1), rng.choice(("a", "1.5", "\u00bd"))):
+        out.append(edited(k, tokens[:at] + [index] + tokens[at + 1:]))
+    out.append(inserted(lines[k]))
+
+    g_lines = [k for k, line in enumerate(lines) if line.startswith("g")]
+    k = rng.choice(g_lines)
+    tokens = lines[k].split()
+    out.append(edited(k, tokens[:2] + [tokens[1]] + tokens[3:]))
+    respelled = tokens[:1] + [rng.choice(("0", "+", "0_")) + tokens[1]] + tokens[2:]
+    out.append(edited(k, respelled))
+    out.append(inserted(" ".join(respelled)))
+    lead = rng.choice([k for k in g_lines
+                       if int(lines[k].split()[1]) < int(lines[k].split()[2])])
+    out.append(edited(lead, lines[lead].split()[:4] + [rng.choice(("0", "-0", "0/7"))]))
+    out.append([f"x {rng.randint(1, n)} = 1"] + lines)
+    return out
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except PresentationError as exc:
+        return str(exc), exc.line, exc.col
+
+
+def _one_pass(text):
+    P = parse_presentation(text)
+    nums, den = P.g_integers()
+    return P.n, list(nums.items()), den, list(P.x_ratios().items())
+
+
+def _reference(text):
+    n, nums, den, x = reference_parse_presentation(text)
+    return n, list(nums.items()), den, list(x.items())
+
+
+ERROR_KINDS = ("expected 'n = INT'", "expected 'g I J = RATIONAL'",
+               "expected 'x I = RATIONAL'", "generator indices must be integers",
+               "generator index must be an integer", "index out of range",
+               "g requires two distinct indices", "duplicate assignment of g(",
+               "duplicate assignment of x(", "invalid rational", "invalid integer",
+               "zero leading coefficient", "must precede", "unrecognized statement")
+
+
+def test_one_pass_parser_matches_the_line_by_line_reference():
+    rng = random.Random(20261019)
+    texts = []
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        lines = _workload_lines(rng, n)
+        for variant in [lines] + _mutants(rng, lines, n):
+            end = rng.choice(("\n", "\n", "\r\n", "\x0c", "\u2028"))
+            texts.append(end.join(variant) + end)
+    outcomes = []
+    for text in texts:
+        expected = _outcome(_reference, text)
+        assert _outcome(_one_pass, text) == expected, text
+        outcomes.append(expected)
+    # the corpus parses and reaches every error a statement line can raise
+    messages = [o[0] for o in outcomes if isinstance(o[0], str)]
+    assert 200 < len(messages) < len(texts) - 200
+    assert [kind for kind in ERROR_KINDS if not any(kind in m for m in messages)] == []
