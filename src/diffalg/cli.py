@@ -15,8 +15,8 @@ import sys
 
 from .calculus import differential, verify_automorphisms
 from .classify import decompose, identify_family
-from .engine import is_pbw, normal_form
-from .exprs import ExpressionError, format_poly, parse_poly
+from .engine import is_pbw, normal_form, normal_form_terms
+from .exprs import ExpressionError, format_poly, format_terms, parse_poly
 from .presentation import PresentationError, load_presentation, validate_presentation
 from .scalars import format_rational
 from .smoothness import NotPbwError, decide_smoothness, verify_witness
@@ -170,7 +170,7 @@ def _smoothness_report(args) -> int:
 def _cmd_reduce(args) -> int:
     P = _load(args.file)
     comb = _parse_expr(args.expr, P.n)
-    print(format_poly(normal_form(comb, P)))
+    print(format_terms(normal_form_terms(comb, P)))
     return 0
 
 

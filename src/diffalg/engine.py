@@ -49,7 +49,7 @@ smallest letter of ℓ is the field of its lowest set bit.  R keys the entry of
 so the key names both.  A call whose degree bound does not fit widens W and
 drops the table, whose keys were packed at the old width.  Monomials are
 packed where a fold starts and unpacked to exponent tuples where its result
-becomes a Poly.
+becomes a Poly or is rendered.
 
 The scalars inside the fold are integers.  Each rule is kept as coprime
 integers (Q, X, Y, G), G > 0, with G D_a D_b -> Q D_b D_a + X D_a + Y D_b,
@@ -66,6 +66,21 @@ a result, and Fraction reduces it.  Integer arithmetic is exact and a
 rational has one reduced form, so each coefficient equals the one Fraction
 arithmetic over the same recurrence gives, term for term; a term whose
 numerator sums to 0 is dropped, as a Fraction sum of 0 was.
+
+A result that is only printed needs no Fraction at all.
+``normal_form_terms`` reduces each term v/den of the fold's (nums, den) by
+one gcd(v, den), which gives the pair Fraction would hold since den > 0,
+and sorts the terms on (total degree, packed monomial), descending.  No
+field carries, and the field of a higher letter lies above that of a lower
+one, so two packed monomials compare as their reversed exponent tuples do,
+which at one degree is the order of their decreasing words
+(``exprs._term_order``).  The degree is the sum of the unpacked exponents.
+Reading it as the packed int mod 2^W - 1 (each field's unit is 1 mod
+2^W - 1) would be wrong: the degree bound allows a degree of exactly
+2^W - 1, as in D_1^255 at the default 8-bit width, and that residue is 0,
+the constant's.  ``exprs.format_terms`` renders the triples, and
+``format_poly`` feeds it a Poly's terms in the same order, so the text is
+one either way.
 
 Two overlapping patterns D_a D_b, D_b D_c force a < b < c, so the words
 D_a D_b D_c exhaust the critical pairs, and the system is confluent iff each
@@ -434,12 +449,14 @@ def _times_generator(ctx: _Context, nums: dict, den: int, b: int) -> tuple:
 
     The sum is kept over the lcm of the entries' denominators; it is not
     reduced, since a gcd over every coefficient at every letter costs more
-    than the larger integers do.
+    than the larger integers do.  Each entry is added inline, as
+    ``_add_over`` would add it: this loop runs once per term and letter.
     """
     table = ctx.nf_cache["R"]
     e_b = ctx.units[b - 1]
     below = e_b - 1  # the fields of the letters below b
     out: dict = {}
+    get = out.get
     common = 1
     for m, c in nums.items():
         low = m & below
@@ -447,9 +464,28 @@ def _times_generator(ctx: _Context, nums: dict, den: int, b: int) -> tuple:
             entry = table.get(low + e_b)
             if entry is None:
                 entry = _right_entry(ctx, low, b)
-            common = _add_over(out, common, c, *entry, m - low)
+            terms, d = entry
+            if common % d:
+                f = d // gcd(common, d)
+                for k in out:
+                    out[k] *= f
+                common *= f
+            c *= common // d
+            m -= low
+            for k, v in terms.items():
+                k += m
+                v = get(k, 0) + c * v
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
         else:  # no letter of m is below b, so m D_b is already normal
-            _add_term(out, m + e_b, c * common)
+            m += e_b
+            v = get(m, 0) + c * common
+            if v:
+                out[m] = v
+            else:
+                del out[m]
     return out, den * common
 
 
@@ -484,14 +520,8 @@ def _nf_word(ctx: _Context, word: Word) -> tuple:
     return _fold(ctx, {sum(units[a - 1] for a in word[:k]): 1}, 1, word[k:])
 
 
-def normal_form(w, P: AlgebraPresentation) -> Poly:
-    """Normal form of a word, a {word: coefficient} combination, or a Poly.
-
-    The result is supported on decreasing-index monomials only.
-    """
-    ctx = _context(P)
-    if isinstance(w, Poly):
-        return Poly(P.n, {m: c for m, c in w.terms.items() if c})
+def _fold_combination(ctx: _Context, w) -> tuple:
+    """Normal form of a word or a {word: coefficient} combination, as packed (nums, den)."""
     if isinstance(w, dict):
         combination = {tuple(word): c for word, c in w.items()}
     else:
@@ -503,7 +533,37 @@ def normal_form(w, P: AlgebraPresentation) -> Poly:
         if coeff:
             nums, den = _nf_word(ctx, word)
             common = _add_over(out, common, coeff.numerator, nums, den * coeff.denominator)
-    return _poly(ctx, out, common)
+    return out, common
+
+
+def normal_form(w, P: AlgebraPresentation) -> Poly:
+    """Normal form of a word, a {word: coefficient} combination, or a Poly.
+
+    The result is supported on decreasing-index monomials only.
+    """
+    if isinstance(w, Poly):
+        return Poly(P.n, {m: c for m, c in w.terms.items() if c})
+    ctx = _context(P)
+    return _poly(ctx, *_fold_combination(ctx, w))
+
+
+def normal_form_terms(w, P: AlgebraPresentation) -> list:
+    """Normal form of a word or a {word: coefficient} combination, ready to render.
+
+    Returns ``(exponents, num, den)`` triples, num/den reduced with den > 0,
+    in rendering order: total degree descending, then the reversed exponent
+    tuple descending, which is the order of the packed monomials.  No
+    Fraction is built (see the module docstring).
+    """
+    ctx = _context(P)
+    nums, den = _fold_combination(ctx, w)
+    rows = []
+    for m, v in nums.items():
+        expts = _unpack(ctx, m)
+        g = gcd(v, den)
+        rows.append((sum(expts), m, expts, v // g, den // g))
+    rows.sort(reverse=True)
+    return [row[2:] for row in rows]
 
 
 def multiply(p: Poly, q: Poly, P: AlgebraPresentation) -> Poly:

@@ -22,10 +22,10 @@ from __future__ import annotations
 import re
 
 from .engine import Poly
-from .scalars import format_rational, parse_rational, rational
+from .scalars import format_ratio, parse_rational, rational
 
 __all__ = ["ExpressionError", "MAX_LITERAL_DIGITS", "MAX_TERM_DEGREE",
-           "parse_poly", "format_poly", "format_word"]
+           "parse_poly", "format_poly", "format_terms", "format_word"]
 
 # Largest total degree of one term.  Far above what reduces in seconds on an
 # inhomogeneous table, but it keeps a written exponent from allocating a word
@@ -195,23 +195,32 @@ def _term_order(term) -> tuple:
     return sum(m), m[::-1]
 
 
-def format_poly(p: Poly) -> str:
-    """Canonical one-line rendering of a normal-form polynomial."""
-    if p.is_zero():
-        return "0"
+def format_terms(terms) -> str:
+    """Canonical one-line rendering of ``(exponents, num, den)`` normal-form terms.
+
+    The terms come in rendering order, each a reduced ratio num/den with
+    den > 0 (``engine.normal_form_terms`` gives them so); no terms is "0".
+    """
     pieces = []
-    for m, c in sorted(p.terms.items(), key=_term_order, reverse=True):
-        neg = c < 0
-        mag = -c if neg else c
-        text = _monomial_text(m)
+    for expts, num, den in terms:
+        neg = num < 0
+        if neg:
+            num = -num
+        text = _monomial_text(expts)
         if not text:
-            body = format_rational(mag)
-        elif mag == 1:
+            body = format_ratio(num, den)
+        elif num == 1 and den == 1:
             body = text
         else:
-            body = f"{format_rational(mag)} * {text}"
+            body = f"{format_ratio(num, den)} * {text}"
         if not pieces:
             pieces.append(f"-{body}" if neg else body)
         else:
             pieces.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(pieces)
+    return " ".join(pieces) if pieces else "0"
+
+
+def format_poly(p: Poly) -> str:
+    """Canonical one-line rendering of a normal-form polynomial."""
+    return format_terms((m, c.numerator, c.denominator)
+                        for m, c in sorted(p.terms.items(), key=_term_order, reverse=True))

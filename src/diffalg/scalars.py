@@ -32,13 +32,18 @@ def parse_ratio(text: str) -> tuple:
     Returns (numerator, denominator) with denominator > 0 and no common
     factor, the pair ``Fraction`` would hold.  Raises ValueError on
     malformed input or zero denominator.
+
+    Whitespace around the text and around either side of "/" is skipped by
+    ``int()`` itself.  That is every character ``str.strip()`` removes but
+    the four ASCII separators U+001C..U+001F, which ``int()`` refuses; the
+    parsers split their text on whitespace (``str.split``, whose whitespace
+    includes those four) before they call this, so no token carries one.
     """
-    s = text.strip()
-    num, slash, den = s.partition("/")
+    num, slash, den = text.partition("/")
     if not slash:
-        return int(s), 1
-    p = int(num.strip())
-    q = int(den.strip())
+        return int(text), 1
+    p = int(num)
+    q = int(den)
     if q == 0:
         raise ValueError("zero denominator in rational %r" % text)
     g = gcd(p, q)
@@ -55,12 +60,16 @@ def parse_rational(text: str):
     return rational(*parse_ratio(text))
 
 
-def format_rational(q) -> str:
-    """Canonical text form: "p" for integers, "p/q" otherwise."""
+def format_ratio(num: int, den: int) -> str:
+    """Canonical text of the reduced ratio num/den, den > 0: "p" or "p/q"."""
     try:
-        return str(q)
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         # str() refuses integers longer than sys.get_int_max_str_digits();
         # Decimal converts an int exactly and prints it without that limit.
-        num = str(Decimal(q.numerator))
-        return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+        return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
+
+
+def format_rational(q) -> str:
+    """Canonical text form: "p" for integers, "p/q" otherwise."""
+    return format_ratio(q.numerator, q.denominator)
