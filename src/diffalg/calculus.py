@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .classify import Decomposition, FamilyIdentification, decompose, identify_family
-from .engine import Poly, _context, _iadd, multiply
+from .engine import Poly, _iadd, multiply
 from .presentation import AlgebraPresentation
 from .scalars import ONE, ZERO, rational
 
@@ -144,26 +144,32 @@ def build_automorphisms(P: AlgebraPresentation,
             "the coefficient table matches no closed pattern: "
             + "; ".join(fam.violations))
     n = P.n
+    # g(i, j) = g[i, j] / L and x(j) = p / r, so g(a, j) / g(j, a) is
+    # g[a, j] / g[j, a] and -x(j) / g(j, a) is -p L / (r g[j, a])
+    g, L = P.g_integers()
+    x = P.x_ratios()
     interacting = set(dec.I)
     table = []
     for a in range(1, n + 1):
         row = []
         for j in range(1, n + 1):
             if j != a:
-                den = P.g(j, a)
+                den = g[j, a]
                 if den == 0:
                     raise CalculusError(
                         f"no affine family exists: the pair ({j},{a}) is "
                         f"one-sided, so D{j} cannot be pushed through dD{a}")
-                row.append((P.g(a, j) / den, -P.x(j) / den))
+                p, r = x[j]
+                row.append((rational(g[a, j], den), rational(-p * L, r * den)))
             elif a in interacting and len(interacting) >= 2:
                 other = min(i for i in interacting if i != a)
-                num, den = P.g(other, a), P.g(a, other)
+                den = g[a, other]
                 if den == 0:
                     raise CalculusError(
                         f"no affine family exists: the pair ({a},{other}) "
                         f"is one-sided on its trailing slot")
-                row.append((num / den, -P.x(a) / den))
+                p, r = x[a]
+                row.append((rational(g[other, a], den), rational(-p * L, r * den)))
             else:
                 row.append((rational(1), rational(0)))
         table.append(tuple(row))
@@ -293,28 +299,13 @@ def _integer_columns(nu: AffineAutomorphismFamily) -> tuple:
     return cols
 
 
-def _relation_integers(P: AlgebraPresentation, u: int, v: int) -> tuple:
-    """``(c, c2, c_u, c_v)`` with the relation of ``u < v`` written as
-    ``c D_u D_v + c2 D_v D_u + c_u D_u + c_v D_v``, as coprime integers.
-
-    That relation is ``g(u,v) D_u D_v - g(v,u) D_v D_u - x_v D_u + x_u D_v``
-    times one nonzero rational: the engine's rule ``(Q, X, Y, G)`` reads
-    ``G D_u D_v -> Q D_v D_u + X D_u + Y D_v``.  Every identity decided from
-    these four is homogeneous of degree 1 in them, so the common factor
-    changes no answer.
-    """
-    Q, X, Y, G = _context(P).rules[(u, v)]
-    return G, -Q, -X, -Y
-
-
 def verify_automorphisms(nu: AffineAutomorphismFamily,
                          P: AlgebraPresentation) -> AutomorphismReport:
     """Bijectivity, relation preservation and pairwise commutation, exactly.
 
     Every test is an integer identity in the family's columns
     ``nu_a(D_j) = (L D_j + M) / e`` (see :func:`_integer_columns`) and the
-    relations' integer coefficients (see :func:`_relation_integers`); no
-    polynomial is built.
+    relations' integer coefficients; no polynomial is built.
 
     *Bijective*: ``nu_a`` sends ``D_j`` to a constant exactly when ``L = 0``.
 
@@ -323,11 +314,16 @@ def verify_automorphisms(nu: AffineAutomorphismFamily,
     ``lam_b mu_a + mu_b = lam_a mu_b + mu_a``; times ``e_a e_b`` that is
     ``L_b M_a + M_b e_a = L_a M_b + M_a e_b``.
 
-    *Relations*: write the relation of ``u < v`` as
-    ``c D_u D_v + c' D_v D_u + c_u D_u + c_v D_v`` with ``s = c + c'`` and
-    ``(lam_u, mu_u), (lam_v, mu_v)`` the images of ``D_u, D_v`` under
-    ``nu_a``.  Both ``(lam_u D_u + mu_u)(lam_v D_v + mu_v)`` and the product
-    in the other order are ``lam_u lam_v`` times the word plus the same
+    *Relations*: the presentation's rule ``(Q, X, Y, G)`` of ``u < v``
+    (``AlgebraPresentation.relations``) is the relation
+    ``c D_u D_v + c' D_v D_u + c_u D_u + c_v D_v`` with
+    ``(c, c', c_u, c_v) = (G, -Q, -X, -Y)``, a nonzero rational multiple of
+    ``g(u,v) D_u D_v - g(v,u) D_v D_u - x_v D_u + x_u D_v``; every identity
+    below is homogeneous of degree 1 in the four, so the multiple changes no
+    answer.  Let ``s = c + c'`` and ``(lam_u, mu_u), (lam_v, mu_v)`` the
+    images of ``D_u, D_v`` under ``nu_a``.  Both
+    ``(lam_u D_u + mu_u)(lam_v D_v + mu_v)`` and the product in the other
+    order are ``lam_u lam_v`` times the word plus the same
     ``lam_u mu_v D_u + mu_u lam_v D_v + mu_u mu_v``, so the image is
 
         lam_u lam_v (c D_u D_v + c' D_v D_u)
@@ -354,12 +350,12 @@ def verify_automorphisms(nu: AffineAutomorphismFamily,
     bijective, relations (by map, then by pair), commute.
     """
     n = P.n
-    relations = []
-    for u, v in combinations(range(1, n + 1), 2):
-        if P.g(u, v) == 0:
-            raise ValueError(f"zero leading coefficient g({u}, {v})")
-        c, c2, c_u, c_v = _relation_integers(P, u, v)
-        relations.append((u, v, c + c2, c_u, c_v))
+    if P.zero_leads():
+        u, v = P.zero_leads()[0]
+        raise ValueError(f"zero leading coefficient g({u}, {v})")
+    # s = c + c' = G - Q, c_u = -X, c_v = -Y
+    relations = [(u, v, G - Q, -X, -Y)
+                 for (u, v), (Q, X, Y, G) in P.relations().items()]
     cols = _integer_columns(nu)
     failures = [f"nu_{a} sends D{j} to a constant"
                 for a, col in enumerate(cols, start=1)
@@ -706,7 +702,7 @@ def leibniz_defects(P: AlgebraPresentation,
 
     With the relation of ``u < v`` written as
     ``c D_u D_v + c' D_v D_u + c_u D_u + c_v D_v`` (see
-    :func:`_relation_integers`), the positional sum on its words is
+    :func:`verify_automorphisms`), the positional sum on its words is
 
         d(D_u D_v) = dD_u D_v + dD_v (lam_vu D_u + mu_vu)
         d(D_v D_u) = dD_v D_u + dD_u (lam_uv D_v + mu_uv)
@@ -726,8 +722,8 @@ def leibniz_defects(P: AlgebraPresentation,
     """
     cols = _integer_columns(nu)
     bad = []
-    for u, v in combinations(range(1, P.n + 1), 2):
-        c, c2, c_u, c_v = _relation_integers(P, u, v)
+    for (u, v), (Q, X, Y, G) in P.relations().items():
+        c, c2, c_u, c_v = G, -Q, -X, -Y
         L_uv, M_uv, e_uv = cols[u - 1][v - 1]
         L_vu, M_vu, e_vu = cols[v - 1][u - 1]
         if (c * e_uv + c2 * L_uv or c2 * M_uv + c_u * e_uv

@@ -51,11 +51,11 @@ drops the table, whose keys were packed at the old width.  Monomials are
 packed where a fold starts and unpacked to exponent tuples where its result
 becomes a Poly or is rendered.
 
-The scalars inside the fold are integers.  Each rule is kept as coprime
-integers (Q, X, Y, G), G > 0, with G D_a D_b -> Q D_b D_a + X D_a + Y D_b,
-made from the numerators and denominators of g(a,b), g(b,a), x(a), x(b) by
-products alone.  A combination is an integer form (nums, den): integer
-numerators over one positive denominator.  With R[(ℓ', b)] = B/e,
+The scalars inside the fold are integers.  Each rule is the presentation's
+relation as coprime integers (Q, X, Y, G), G D_a D_b -> Q D_b D_a + X D_a +
+Y D_b (``AlgebraPresentation.relations``).  A combination is an integer form
+(nums, den): integer numerators over one positive denominator.  With
+R[(ℓ', b)] = B/e,
 
     R[(ℓ, b)] = (Q shift_a(B) + Y B + X e ℓ) / (G e).
 
@@ -128,15 +128,15 @@ homogeneous of degree 1 in g, so its zero test is exact, and the x need only
 zero tests.
 
 A context lives exactly as long as its presentation.  ``_contexts`` is keyed
-by ``id(P)`` and the context holds no reference to P, so the table keeps no
-presentation alive and a lookup never hashes coefficients.  A finalizer on P
-removes its entry.  An id is reused only by an object allocated after P's
-memory is freed, and the finalizer is a weakref callback, which runs while P
-is being deallocated (or, for cyclic garbage, before the collector frees
-it), before its memory is released.  So no other object can carry P's id
-while P's entry exists, and a lookup never finds a dead presentation's
-context.  Presentations equal in value but distinct as objects get a
-context each; they build the same entries.
+by ``id(P)`` and the context holds no reference to P (only P's relations
+dict), so the table keeps no presentation alive and a lookup never hashes
+coefficients.  A finalizer on P removes its entry.  An id is reused only by
+an object allocated after P's memory is freed, and the finalizer is a
+weakref callback, which runs while P is being deallocated (or, for cyclic
+garbage, before the collector frees it), before its memory is released.  So
+no other object can carry P's id while P's entry exists, and a lookup never
+finds a dead presentation's context.  Presentations equal in value but
+distinct as objects get a context each; they build the same entries.
 """
 
 from __future__ import annotations
@@ -292,27 +292,6 @@ def word_exponents(word: Word, n: int) -> Exponents:
 # integer forms: a combination sum c_m m / den is kept as ({m: c_m}, den)
 
 
-def _rule(P: AlgebraPresentation, a: int, b: int) -> tuple:
-    """(Q, X, Y, G) with G D_a D_b -> Q D_b D_a + X D_a + Y D_b, coprime, G > 0.
-
-    With g(a,b) = A/L and g(b,a) = B/L over the presentation's one g
-    denominator L, and x(a) = p/r, x(b) = s/t, the rule times A r t is
-    A r t D_a D_b -> B r t D_b D_a + s L r D_a - p L t D_b: integer products
-    alone.
-    """
-    nums, L = P.g_integers()
-    x = P.x_ratios()
-    (p, r), (s, t) = x[a], x[b]
-    Q = nums[b, a] * r * t
-    X = s * L * r
-    Y = -p * L * t
-    G = nums[a, b] * r * t
-    d = gcd(Q, X, Y, G) or 1  # a zero relation stays zero
-    if G < 0:
-        d = -d
-    return Q // d, X // d, Y // d, G // d
-
-
 def _add_over(dst: dict, den: int, c: int, nums: dict, d: int, u: int = 0) -> int:
     """dst/den += c u nums/d, u a packed monomial; returns dst's new denominator, lcm(den, d)."""
     if den % d:
@@ -355,8 +334,7 @@ class _Context:
     def __init__(self, P: AlgebraPresentation):
         self.n = P.n
         # (a, b) with a < b  ->  the integer rule (Q, X, Y, G)
-        self.rules = {(a, b): _rule(P, a, b)
-                      for a in range(1, P.n + 1) for b in range(a + 1, P.n + 1)}
+        self.rules = P.relations()
         # R[(ℓ, b)] = normal form of ℓ D_b as (nums, den), keyed by the packed
         # ℓ D_b and stored only for a nonempty ℓ; a dict of tables, the shape
         # the benchmark probe reads
@@ -613,20 +591,6 @@ def diamond_check_triple(P: AlgebraPresentation, a: int, b: int, c: int) -> Trip
     return TripleCheck(_same(left, right), _poly(ctx, *left), _poly(ctx, *right))
 
 
-def _integer_table(P: AlgebraPresentation) -> dict:
-    """Every g(i, j) times the lcm of their denominators, as ints.
-
-    A copy: writing to it leaves the presentation as it was.  Raises
-    ValueError on the first zero leading coefficient g(i, j), i < j, in
-    (i, j) order: no relation rewrites that pair.
-    """
-    table, _ = P.g_integers()
-    for (i, j), v in table.items():
-        if i < j and not v:
-            raise ValueError(f"zero leading coefficient g({i}, {j})")
-    return dict(table)
-
-
 def _resolves(g: dict, x: dict, a: int, b: int, c: int) -> bool:
     """Whether D_a D_b D_c resolves: each of the six products in the
     module docstring has a zero factor.  ``x`` holds whether each x_i != 0."""
@@ -647,7 +611,10 @@ def is_pbw(P: AlgebraPresentation) -> PBWReport:
     nothing is folded.  Reports the lexicographically first failing triple,
     if any.  Raises ValueError on a zero leading coefficient.
     """
-    g = _integer_table(P)
+    if P.zero_leads():
+        i, j = P.zero_leads()[0]
+        raise ValueError(f"zero leading coefficient g({i}, {j})")
+    g, _ = P.g_integers()
     x = {i: num != 0 for i, (num, _) in P.x_ratios().items()}
     first_failure = next((t for t in combinations(range(1, P.n + 1), 3)
                           if not _resolves(g, x, *t)), None)

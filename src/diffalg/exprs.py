@@ -68,7 +68,7 @@ def _tokenize(text: str):
         m = _TOKEN.match(text, pos)
         if m is None:
             raise ExpressionError(f"unexpected character {text[pos]!r}", pos + 1)
-        if m.lastgroup != "ws" and not (m.lastgroup == "gi"):
+        if m.lastgroup != "ws":
             if m.group("gen"):
                 _check_digits(m.group("gi"), pos + 1)
                 tokens.append(("gen", int(m.group("gi")), pos + 1))
@@ -113,6 +113,9 @@ def parse_poly(text: str, n: int) -> dict:
             idx += 1
             if idx < len(tokens) and tokens[idx][0] == "op" and tokens[idx][1] == "*":
                 idx += 1
+                if idx >= len(tokens) or tokens[idx][0] != "gen":
+                    raise ExpressionError("expected a generator factor after '*'",
+                                          tokens[idx - 1][2])
         while idx < len(tokens) and tokens[idx][0] == "gen":
             g = tokens[idx][1]
             col = tokens[idx][2]

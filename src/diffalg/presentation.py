@@ -27,11 +27,12 @@ and builds no ``Fraction``.  An ``AlgebraPresentation`` keeps every g(i, j)
 as an integer numerator over one positive denominator, the lcm of the g
 denominators (``g_integers``), and every x(i) as its reduced ratio
 (``x_ratios``).  The parser fills that integer table in its one pass over the
-text, raising the denominator as new ones are read.  The PBW check and the
-engine's rewriting rules read these integers directly, and zero tests read
-the numerators.  ``P.g`` and ``P.x`` return exact ``Fraction`` values, each
-built on its first use and kept, so equality, hashing and ``render`` see the
-same rationals as before.
+text, raising the denominator as new ones are read.  The presentation reads
+its own facts off that table: the zero leading coefficients (``zero_leads``)
+when it is stored, and the relations as integers (``relations``) built on
+their first use and kept.  The PBW check, the engine and the witness checks
+read these.  Equality, hashing and ``render`` read the integers, and ``P.g``
+and ``P.x`` build an exact ``Fraction`` on each call.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import functools
 from math import gcd, lcm
 
-from .scalars import format_rational, parse_ratio, rational
+from .scalars import format_ratio, parse_ratio, rational
 
 
 class PresentationError(ValueError):
@@ -63,17 +64,30 @@ class AlgebraPresentation:
     """Immutable coefficient data (n, g, x) of a diffusion-algebra presentation.
 
     ``g`` and ``x`` map (i, j) and i to rationals (``Fraction`` or ``int``);
-    absent entries are 0.
+    absent entries are 0, and a key outside the table is a ValueError.
+
+    Two presentations are equal when their ``(n, den, g numerators, x
+    ratios)`` are.  That form is canonical: both constructors take ``den``
+    as the lcm of the reduced g denominators, so equal g values give one
+    ``den`` and one numerator each, and every x ratio is reduced with a
+    positive denominator.
     """
 
     # __weakref__ lets the engine free a presentation's context with it
-    __slots__ = ("n", "_g", "_den", "_x", "_gq", "_xq", "_sig", "_hash",
+    __slots__ = ("n", "_g", "_den", "_x", "_zero_leads", "_relations",
                  "__weakref__")
 
     def __init__(self, n: int, g: dict, x: dict):
         nums = {(i, j): 0 for i in range(1, n + 1) for j in range(1, n + 1)
                 if i != j}
-        given = [(key, v.as_integer_ratio()) for key, v in g.items() if key in nums]
+        for key in g:
+            if key not in nums:
+                raise ValueError(f"g key {key!r} is not a pair of distinct "
+                                 f"indices in 1..{n}")
+        for i in x:
+            if i not in range(1, n + 1):
+                raise ValueError(f"x key {i!r} is not an index in 1..{n}")
+        given = [(key, v.as_integer_ratio()) for key, v in g.items()]
         den = lcm(*(d for _, (_, d) in given))
         for key, (num, d) in given:
             nums[key] = num * (den // d)
@@ -95,35 +109,15 @@ class AlgebraPresentation:
         self._g = nums
         self._den = den
         self._x = x
-        # the Fraction values, each built on its first use
-        self._gq = {}
-        self._xq = {}
-        # the value compared and hashed, built on the first __eq__ or __hash__
-        self._sig = None
-        self._hash = None
-
-    def _signature(self) -> tuple:
-        if self._sig is None:
-            self._sig = (
-                self.n,
-                tuple(self.g(i, j) for i, j in self._g),
-                tuple(self.x(i) for i in range(1, self.n + 1)),
-            )
-        return self._sig
+        self._zero_leads = [key for key, num in nums.items()
+                            if not num and key[0] < key[1]]
+        self._relations = None  # built by the first relations()
 
     def g(self, i: int, j: int):
-        try:
-            return self._gq[i, j]
-        except KeyError:
-            value = self._gq[i, j] = rational(self._g[i, j], self._den)
-            return value
+        return rational(self._g[i, j], self._den)
 
     def x(self, i: int):
-        try:
-            return self._xq[i]
-        except KeyError:
-            value = self._xq[i] = rational(*self._x[i])
-            return value
+        return rational(*self._x[i])
 
     def g_integers(self) -> tuple:
         """(nums, den) with g(i, j) = nums[(i, j)] / den for every pair i != j.
@@ -138,31 +132,67 @@ class AlgebraPresentation:
         """i -> (numerator, denominator > 0) of x(i), reduced; read only."""
         return self._x
 
+    def zero_leads(self) -> list:
+        """The pairs (i, j), i < j, with g(i, j) = 0, in lexicographic order;
+        read only.  No relation rewrites such a pair."""
+        return self._zero_leads
+
+    def relations(self) -> dict:
+        """(a, b) with a < b -> (Q, X, Y, G), coprime, G >= 0, read only:
+        the relation of the pair as the rule G D_a D_b -> Q D_b D_a + X D_a + Y D_b.
+
+        With g(a,b) = A/L and g(b,a) = B/L over the presentation's one g
+        denominator L, and x(a) = p/r, x(b) = s/t, the relation times L r t
+        is A r t D_a D_b -> B r t D_b D_a + s L r D_a - p L t D_b: integer
+        products alone, then divided by their gcd.  G = 0 exactly on a zero
+        leading coefficient.  Built on the first call and kept; only the
+        commands that rewrite or check a twisting family ask for it.
+        """
+        if self._relations is None:
+            nums, L = self._g, self._den
+            x = self._x
+            relations = {}
+            for (a, b), A in nums.items():
+                if a < b:
+                    (p, r), (s, t) = x[a], x[b]
+                    Q = nums[b, a] * r * t
+                    X = s * L * r
+                    Y = -p * L * t
+                    G = A * r * t
+                    d = gcd(Q, X, Y, G) or 1  # a zero relation stays zero
+                    if G < 0:
+                        d = -d
+                    relations[a, b] = Q // d, X // d, Y // d, G // d
+            self._relations = relations
+        return self._relations
+
     @property
     def generators(self) -> range:
         return range(1, self.n + 1)
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraPresentation)
-                and self._signature() == other._signature())
+                and self.n == other.n and self._den == other._den
+                and self._g == other._g and self._x == other._x)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._signature())
-        return self._hash
+        return hash((self.n, self._den, tuple(self._g.values()),
+                     tuple(self._x.values())))
 
     def __repr__(self):
         return f"AlgebraPresentation(n={self.n})"
 
     def render(self) -> str:
         """Canonical text form; parse(render(P)) == P."""
+        den = self._den
         lines = [f"n = {self.n}"]
         for (i, j), num in self._g.items():
             if num or i < j:
-                lines.append(f"g {i} {j} = {format_rational(self.g(i, j))}")
-        for i, (num, _) in self._x.items():
-            if num:
-                lines.append(f"x {i} = {format_rational(self.x(i))}")
+                k = gcd(num, den)
+                lines.append(f"g {i} {j} = {format_ratio(num // k, den // k)}")
+        for i, ratio in self._x.items():
+            if ratio[0]:
+                lines.append(f"x {i} = {format_ratio(*ratio)}")
         return "\n".join(lines) + "\n"
 
 
@@ -358,8 +388,7 @@ def validate_presentation(P: AlgebraPresentation) -> list[str]:
     violations = []
     if P.n < 2:
         violations.append(f"degenerate generator count n = {P.n} (need n >= 2)")
-    nums, _ = P.g_integers()
-    zeros = [(i, j) for (i, j), num in nums.items() if i < j and not num]
+    zeros = P.zero_leads()
     for i, j in zeros[:MAX_LISTED_VIOLATIONS]:
         violations.append(f"zero leading coefficient g({i}, {j})")
     if len(zeros) > MAX_LISTED_VIOLATIONS:

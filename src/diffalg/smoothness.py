@@ -162,10 +162,11 @@ def _verdict(P: AlgebraPresentation, dec: Decomposition,
         return _try_witness(P, dec, fam, "ii")
 
     # family D
-    one_sided = [(u, v) for u in P.generators for v in P.generators
-                 if u < v and (P.g(u, v) == 0 or P.g(v, u) == 0)]
+    g, _ = P.g_integers()
+    one_sided = next(((u, v) for (u, v), num in g.items()
+                      if u < v and not (num and g[v, u])), None)
     if one_sided:
-        u, v = one_sided[0]
+        u, v = one_sided
         return SmoothnessVerdict(
             "Undetermined",
             notes=(f"the pair ({u},{v}) couples one-sidedly; no affine "

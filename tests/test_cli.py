@@ -140,6 +140,13 @@ def test_reduce_rejects_bad_expression(capsys):
                    "expression (column 4)\n")
 
 
+@pytest.mark.parametrize("expr", ["2 * - D1", "3 *"])
+def test_reduce_refuses_a_dangling_star(capsys, expr):
+    rc, out, err = run(capsys, "reduce", FIXTURES / "p1.dalg", expr)
+    assert (rc, out, err) == (2, "", "error: bad expression: expected a generator "
+                                     "factor after '*' (column 3)\n")
+
+
 @pytest.mark.parametrize("command", ["reduce", "d"])
 def test_zero_denominator_exits_with_one_error_line(capsys, command):
     rc, out, err = run(capsys, command, FIXTURES / "p1.dalg", "1/0")

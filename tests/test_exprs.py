@@ -52,6 +52,11 @@ def test_whitespace_is_free_between_tokens():
     ("D1 ^", "exponent must be a nonnegative integer", 4),
     ("D1 ^ 1/2", "exponent must be a nonnegative integer", 4),
     ("3 4", "expected '+' or '-' between terms, got '4'", 3),
+    ("3 *", "expected a generator factor after '*'", 3),
+    ("2 * - D1", "expected a generator factor after '*'", 3),
+    ("D1 + 1/2*", "expected a generator factor after '*'", 9),
+    ("5 * 4", "expected a generator factor after '*'", 3),
+    ("5 * * D1", "expected a generator factor after '*'", 3),
     ("D1 + + D2", "expected a rational or a generator factor", 6),
     ("D1 @ 2", "unexpected character '@'", 4),
 ])

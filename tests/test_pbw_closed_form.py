@@ -8,6 +8,7 @@ perturbations is decided three ways: by the closed form, by
 last-ascent rewriting, and all three must agree.
 """
 
+import copy
 import random
 import time
 from fractions import Fraction
@@ -16,8 +17,10 @@ from itertools import combinations
 import pytest
 
 from diffalg import engine
+from diffalg.classify import identify_family
 from diffalg.engine import diamond_check_triple, is_pbw
 from diffalg.presentation import AlgebraPresentation
+from diffalg.smoothness import decide_smoothness, verify_witness
 from diffalg.templates import generate_templates
 
 from test_cli import run
@@ -47,7 +50,7 @@ def _random_table(seed: int) -> AlgebraPresentation:
 
 def closed_form(P: AlgebraPresentation) -> dict:
     """Triple -> whether the closed form says it resolves."""
-    g = engine._integer_table(P)
+    g = dict(P.g_integers()[0])
     x = {i: bool(P.x(i)) for i in P.generators}
     return {t: engine._resolves(g, x, *t) for t in combinations(P.generators, 3)}
 
@@ -124,20 +127,23 @@ def test_a_999_digit_numerator():
     assert_agrees_with_the_fold(skewed)
 
 
-def test_writing_to_the_integer_table_leaves_the_presentation_alone():
-    changed = 0
+def test_the_checks_leave_the_integer_table_alone():
+    """``g_integers`` and ``x_ratios`` hand out the presentation's own
+    tables; the PBW check, the classifier and a smoothness run read them
+    and write nothing back."""
+    smooth = 0
     for seed in SEEDS:
         P = _random_table(seed)
-        before = is_pbw(P)
-        g = {(i, j): P.g(i, j) for i in P.generators for j in P.generators if i != j}
-        table = engine._integer_table(P)
-        for (i, j) in table:
-            table[i, j] = 1 if i < j else 0  # a commuting table: always PBW
-        changed += not before.pbw
-        assert is_pbw(P) == before
-        assert {key: P.g(*key) for key in g} == g
-        assert engine._integer_table(P) != table
-    assert changed  # some tables would have read as PBW after the write
+        before = copy.deepcopy((P.g_integers(), P.x_ratios()))
+        report = is_pbw(P)
+        identify_family(P)
+        if report.pbw:
+            verdict = decide_smoothness(P)
+            if verdict.witness is not None:
+                smooth += 1
+                verify_witness(P, verdict)
+        assert (P.g_integers(), P.x_ratios()) == before, seed
+    assert smooth  # some tables reached the witness checks
 
 
 def test_zero_leading_coefficient_is_refused():

@@ -1,5 +1,6 @@
 """Presentation parsing, rendering, and structural validation."""
 
+import math
 import random
 import sys
 import time
@@ -236,14 +237,135 @@ def test_coefficients_are_fractions_over_one_integer_table():
         for j in P.generators:
             if i != j:
                 assert type(P.g(i, j)) is Fraction
-    # built once, then kept
-    assert P.g(1, 2) is P.g(1, 2) and P.x(3) is P.x(3)
     nums, den = P.g_integers()
     assert den == 6 and list(nums) == sorted(nums)
     assert all(Fraction(v, den) == P.g(i, j) for (i, j), v in nums.items())
     assert P.x_ratios() == {1: (2, 1), 2: (0, 1), 3: (-1, 6), 4: (0, 1)}
     with pytest.raises(KeyError):
         P.g(2, 2)
+
+
+BIG = "7" * 1000
+# spellings of one value side by side: unreduced, zero over a denominator,
+# a negative denominator and 1000-digit literals
+EQUAL_LITERALS = (("1/2", "2/4", "-3/-6"), ("0", "0/7", "-0/3"),
+                  ("-1/2", "3/-6", "-2/4"), (BIG, f"{BIG}0/10", f"-{BIG}/-1"),
+                  (f"{BIG}/3", f"{BIG}{BIG}/3{'0' * 999}3", f"{2 * int(BIG)}/6"))
+
+
+def _fraction_key(P):
+    """The value equality and hashing must agree with: every coefficient
+    as a Fraction."""
+    return (P.n, tuple(P.g(i, j) for i in P.generators for j in P.generators
+                       if i != j), tuple(P.x(i) for i in P.generators))
+
+
+def _spelled_table(rng, n):
+    """A random table and two texts of it whose literals are spelled apart."""
+    lines = ([], [])
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                group = rng.choice(EQUAL_LITERALS[:1] + EQUAL_LITERALS[2:]
+                                   if i < j else EQUAL_LITERALS)
+                for text in lines:
+                    text.append(f"g {i} {j} = {rng.choice(group)}")
+    for i in range(1, n + 1):
+        group = rng.choice(EQUAL_LITERALS)
+        for text in lines:
+            text.append(f"x {i} = {rng.choice(group)}")
+    return tuple(f"n = {n}\n" + "\n".join(text) + "\n" for text in lines)
+
+
+def test_integer_equality_and_hash_agree_with_fraction_values():
+    rng = random.Random("integer-equality")
+    tables = []
+    for _ in range(40):
+        texts = _spelled_table(rng, rng.randint(2, 4))
+        assert texts[0] != texts[1]
+        for text in texts:
+            P = parse_presentation(text)
+            tables += [P, _from_fractions(P)]
+    # one cell moved off its value makes a table no one else equals
+    P = tables[0]
+    nums, den = P.g_integers()
+    g = {key: P.g(*key) for key in nums}
+    g[2, 1] += Fraction(1, 10 ** 999)
+    tables.append(AlgebraPresentation(P.n, g, {i: P.x(i) for i in P.generators}))
+    keys = [_fraction_key(P) for P in tables]
+    equal_pairs = 0
+    for P, key in zip(tables, keys):
+        for Q, other in zip(tables, keys):
+            same = key == other
+            assert (P == Q) is same
+            if same:
+                equal_pairs += P is not Q
+                assert hash(P) == hash(Q)
+    # the four tables of each spelled pair are equal, one to another
+    assert all(tables[k] == tables[k + 1] == tables[k + 2] == tables[k + 3]
+               for k in range(0, 160, 4))
+    assert equal_pairs >= 40 * 12
+
+
+def test_keys_outside_the_table_are_refused():
+    with pytest.raises(ValueError, match=r"^g key \(1, 1\) is not a pair "
+                                         r"of distinct indices in 1\.\.2$"):
+        AlgebraPresentation(2, {(1, 2): 1, (1, 1): 5, (1, 3): 7}, {3: 4})
+    with pytest.raises(ValueError, match=r"^g key \(1, 3\) is not a pair"):
+        AlgebraPresentation(2, {(1, 2): 1, (1, 3): 7}, {})
+    with pytest.raises(ValueError, match=r"^x key 3 is not an index in 1\.\.2$"):
+        AlgebraPresentation(2, {(1, 2): 1}, {3: 4})
+    with pytest.raises(ValueError, match=r"^x key 0 is not an index"):
+        AlgebraPresentation(2, {(1, 2): 1}, {0: 4})
+    P = AlgebraPresentation(2, {(1, 2): 1}, {2: 4})
+    assert P.render() == "n = 2\ng 1 2 = 1\nx 2 = 4\n"
+
+
+def test_zero_leads_are_found_once_in_pair_order():
+    g = {(1, 2): 1, (2, 1): 0, (1, 3): 0, (3, 1): 1, (2, 3): 2}
+    P = AlgebraPresentation(4, g, {})
+    assert P.zero_leads() == [(1, 3), (1, 4), (2, 4), (3, 4)]
+    assert P.zero_leads() is P.zero_leads()
+    parsed = parse_presentation("n = 4\ng 1 2 = 1\ng 3 1 = 1\ng 2 3 = 2\n")
+    assert parsed == P and parsed.zero_leads() == P.zero_leads()
+    assert parse_presentation(ODD_TEXT).zero_leads() == []
+
+
+def test_relations_are_the_pair_relations_as_coprime_integers():
+    rng = random.Random("relations")
+    for _ in range(50):
+        n = rng.randint(2, 4)
+        g = {(i, j): Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+             for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+        x = {i: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+             for i in range(1, n + 1)}
+        P = AlgebraPresentation(n, g, x)
+        relations = P.relations()
+        assert P.relations() is relations
+        assert list(relations) == [(a, b) for a in range(1, n + 1)
+                                   for b in range(a + 1, n + 1)]
+        for (a, b), (Q, X, Y, G) in relations.items():
+            assert math.gcd(Q, X, Y, G) in (0, 1) and G >= 0
+            # G D_a D_b - Q D_b D_a - X D_a - Y D_b is a nonzero rational
+            # multiple of g(a,b) D_a D_b - g(b,a) D_b D_a - x(b) D_a + x(a) D_b
+            mine = (G, -Q, -X, -Y)
+            theirs = (g[a, b], -g[b, a], -x[b], x[a])
+            assert any(mine) == any(theirs) and (G == 0) == (g[a, b] == 0)
+            assert all(u * z == v * w for u, w in zip(mine, theirs)
+                       for v, z in zip(mine, theirs))
+
+
+def test_check_pbw_and_classify_build_no_relations(monkeypatch, capsys):
+    built = []
+    original = AlgebraPresentation.relations
+    monkeypatch.setattr(AlgebraPresentation, "relations",
+                        lambda P: built.append(P) or original(P))
+    for name in ("p1", "b1", "nonpbw", "c_nonuniform"):
+        for command in ("check-pbw", "classify"):
+            run(capsys, command, FIXTURES / f"{name}.dalg")
+    assert built == []
+    run(capsys, "reduce", FIXTURES / "p1.dalg", "D1 D2")
+    assert len(built) == 1
 
 
 def test_a_literal_at_the_digit_limit_parses_and_one_beyond_is_quoted(capsys, tmp_path):

@@ -7,8 +7,10 @@ the decomposition and family identification the CLI prints; a NotSmooth
 verdict's obstruction carries the shift family the CLI verifies, so the
 family is built once.  (``no_go_residual`` in closed form is compared with
 the positional differential in ``test_positional.py``.)  Also here: the
-connectedness certificate's one premise, and a reader that closes the pipe
-early.
+connectedness certificate's one premise, a reader that closes the pipe
+early, and the presentation as the one owner of its integer relations: a
+``smooth`` op builds no engine context, and ``build_automorphisms`` reads
+the integer table.
 """
 
 import os
@@ -26,6 +28,7 @@ from diffalg.calculus import (AffineAutomorphismFamily, certify_connectedness,
                               check_connectedness, no_go_residual)
 from diffalg.cli import main
 from diffalg.engine import is_pbw
+from diffalg.presentation import AlgebraPresentation
 from diffalg.scalars import rational
 from diffalg.smoothness import NotPbwError, SmoothnessError, decide_smoothness
 
@@ -153,3 +156,50 @@ def test_a_closed_pipe_ends_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+@pytest.mark.parametrize("name", FIXTURE_FILES)
+def test_smooth_builds_no_engine_context(monkeypatch, capsys, name):
+    """The witness checks read the presentation's own relations: a
+    ``smooth`` op rewrites nothing, so it needs no engine context."""
+    built = []
+
+    class Counted(engine._Context):
+        def __init__(self, P):
+            built.append(P.n)
+            super().__init__(P)
+
+    monkeypatch.setattr(engine, "_Context", Counted)
+    before = dict(engine._contexts)
+    main(["smooth", str(FIXTURES / name)])
+    capsys.readouterr()
+    assert built == [] and engine._contexts == before
+
+
+def test_build_automorphisms_reads_only_the_integer_table(monkeypatch, p1, b1):
+    """Its entries come from ``g_integers`` and ``x_ratios``: no coefficient
+    is read back as a Fraction and divided."""
+    tables = [p1, b1]
+    rng = random.Random("integer-table")
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        g = {(i, j): rational(rng.choice((1, 2, -3)), rng.choice((1, 2, 5)))
+             for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+        x = {i: rational(rng.randint(-2, 2), rng.randint(1, 3)) for i in range(1, n + 1)}
+        tables.append(AlgebraPresentation(n, g, x))
+    # the classifier reads x as Fractions, so it runs before the count
+    inputs = [(P, classify.decompose(P)) for P in tables]
+    inputs = [(P, dec, classify.identify_family(P, dec)) for P, dec in inputs]
+    calls = []
+    for name in ("g", "x"):
+        original = getattr(AlgebraPresentation, name)
+        monkeypatch.setattr(AlgebraPresentation, name,
+                            lambda P, *key, _f=original: calls.append(key) or _f(P, *key))
+    built = 0
+    for P, dec, fam in inputs:
+        try:
+            calculus.build_automorphisms(P, dec, fam)
+            built += 1
+        except calculus.CalculusError:
+            pass
+    assert calls == [] and built > 2
