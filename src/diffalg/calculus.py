@@ -51,7 +51,7 @@ the premises it needs; where they fail, the sampled ``check_*`` decides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .classify import Decomposition, FamilyIdentification, decompose, identify_family
@@ -76,31 +76,83 @@ class CalculusError(ValueError):
     """Raised when no twisting family exists for the requested data."""
 
 
-@dataclass(frozen=True)
 class AffineAutomorphismFamily:
-    """One affine generator map per index: ``nu_a(D_j) = lam(a,j) D_j + mu(a,j)``.
+    """One affine generator map per index: ``nu_a(D_j) = (L D_j + M) / e``.
+
+    ``cols[a-1][j-1] = (L, M, e)`` holds the map as integers with ``e > 0``
+    and ``gcd(L, M, e) = 1``; ``lam(a, j) = L / e`` and ``mu(a, j) = M / e``
+    build a ``Fraction`` on each call.  That form is canonical, so equality
+    and hashing compare ``(n, cols)``: two such triples of one map are
+    proportional, ``e' (L, M, e) = e (L', M', e')``, and taking gcds gives
+    ``e' = e``, so they are equal (and ``e`` is the lcm of the reduced
+    denominators of ``lam`` and ``mu``).  Every constructor divides its
+    triple by the gcd (:func:`_column`): ``build_automorphisms`` and
+    ``shift_ansatz`` from the presentation's integers, and the public one
+    from a table ``table[a-1][j-1] = (lam, mu)`` of rationals
+    (``Fraction`` or ``int``).
 
     Composed generator maps are derived once per family and kept in
     ``_memo`` (keyed by index tuple, plus the inverse volume twist), next to
-    the binomial expansions of their powers (see :func:`_powers`), the
+    the ``Fraction`` table they are composed from (``"table"``), the
+    binomial expansions of their powers (see :func:`_powers`), the
     differentials of the PBW monomials that were asked for (keyed
-    ``("d", exponents)``, see :func:`_monomial_d`), the entries as integers
-    (see :func:`_integer_columns`) and whether an upper ``lam`` is zero (see
-    :func:`_upper_lam_zero`); the memo takes no part
-    in equality or hashing, and is freed with the family.  Two equal
-    families keep separate memos.
+    ``("d", exponents)``, see :func:`_monomial_d`) and the entries whose
+    ``lam`` is zero (see :func:`_zero_lams`); the memo takes no part in
+    equality or hashing, and is freed with the family.  Two equal families
+    keep separate memos.
     """
 
-    n: int
-    table: tuple  # table[a-1][j-1] = (lam, mu)
-    _memo: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False, hash=False)
+    __slots__ = ("n", "cols", "_memo")
+
+    def __init__(self, n: int, table):
+        cols = []
+        for row in table:
+            col = []
+            for lam, mu in row:
+                (a, b), (c, d) = lam.as_integer_ratio(), mu.as_integer_ratio()
+                col.append(_column(a * d, c * b, b * d))
+            cols.append(tuple(col))
+        self._store(n, tuple(cols))
+
+    @classmethod
+    def _from_columns(cls, n: int, cols: tuple) -> "AffineAutomorphismFamily":
+        """A family over canonical columns, shaped as ``cols`` is."""
+        nu = object.__new__(cls)
+        nu._store(n, cols)
+        return nu
+
+    def _store(self, n: int, cols: tuple) -> None:
+        self.n = n
+        self.cols = cols
+        self._memo = {}
 
     def lam(self, a: int, j: int):
-        return self.table[a - 1][j - 1][0]
+        L, _, e = self.cols[a - 1][j - 1]
+        return rational(L, e)
 
     def mu(self, a: int, j: int):
-        return self.table[a - 1][j - 1][1]
+        _, M, e = self.cols[a - 1][j - 1]
+        return rational(M, e)
+
+    @property
+    def table(self) -> tuple:
+        """``table[a-1][j-1] = (lam, mu)`` as ``Fraction``s, built on first use."""
+        table = self._memo.get("table")
+        if table is None:
+            table = self._memo["table"] = tuple(
+                tuple((rational(L, e), rational(M, e)) for L, M, e in col)
+                for col in self.cols)
+        return table
+
+    def __eq__(self, other):
+        return (isinstance(other, AffineAutomorphismFamily)
+                and self.n == other.n and self.cols == other.cols)
+
+    def __hash__(self):
+        return hash((self.n, self.cols))
+
+    def __repr__(self):
+        return f"AffineAutomorphismFamily(n={self.n!r}, table={self.table!r})"
 
     def map_of(self, a: int) -> dict:
         return self.composed((a,))
@@ -114,16 +166,26 @@ class AffineAutomorphismFamily:
         key = tuple(indices)
         out = self._memo.get(key)
         if out is None:
+            table = self.table
             out = {}
             for j in range(1, self.n + 1):
                 lam, mu = ONE, ZERO
                 for k in key:
-                    lk, mk = self.table[k - 1][j - 1]
+                    lk, mk = table[k - 1][j - 1]
                     # D_j -> lam D_j + mu, then D_j -> lk D_j + mk inside it
                     lam, mu = lam * lk, lam * mk + mu
                 out[j] = (lam, mu)
             self._memo[key] = out
         return out
+
+
+def _column(L: int, M: int, e: int) -> tuple:
+    """The canonical column of ``(L D + M) / e``, ``e != 0``: over the gcd,
+    with ``e > 0``."""
+    k = math.gcd(L, M, e)
+    if e < 0:
+        k = -k
+    return L // k, M // k, e // k
 
 
 def build_automorphisms(P: AlgebraPresentation,
@@ -134,6 +196,15 @@ def build_automorphisms(P: AlgebraPresentation,
 
     Raises :class:`CalculusError` when some required pair is one-sided, i.e.
     when no affine family can make the differential well defined.
+
+    No ``lam`` of the family is zero.  Every ``g(j, a)`` with ``j != a`` is
+    the denominator of an entry off the diagonal, so a family exists only
+    when every ``g(u, v)`` is nonzero.  Then ``lam_aj = g(a, j) / g(j, a)``
+    off the diagonal, and ``lam_aa`` is 1 or ``g(o, a) / g(a, o)``, a ratio
+    of two of them.  So every map is bijective, and the raises of
+    :func:`certify_expansion` (a zero merge factor) and
+    :func:`certify_projection` (a singular volume twist) serve only foreign
+    families, such as the ones a test plants.
     """
     if dec is None:
         dec = decompose(P)
@@ -144,36 +215,35 @@ def build_automorphisms(P: AlgebraPresentation,
             "the coefficient table matches no closed pattern: "
             + "; ".join(fam.violations))
     n = P.n
-    # g(i, j) = g[i, j] / L and x(j) = p / r, so g(a, j) / g(j, a) is
-    # g[a, j] / g[j, a] and -x(j) / g(j, a) is -p L / (r g[j, a])
-    g, L = P.g_integers()
+    # g(i, j) = g[i, j] / den and x(j) = p / r, so an entry
+    # (g(s, t) D_j - x(j)) / g(t, s) is (g[s, t] r D_j - p den) / (r g[t, s])
+    g, den = P.g_integers()
     x = P.x_ratios()
     interacting = set(dec.I)
-    table = []
+    cols = []
     for a in range(1, n + 1):
-        row = []
+        col = []
         for j in range(1, n + 1):
             if j != a:
-                den = g[j, a]
-                if den == 0:
+                top, bottom = (a, j), (j, a)
+                if g[bottom] == 0:
                     raise CalculusError(
                         f"no affine family exists: the pair ({j},{a}) is "
                         f"one-sided, so D{j} cannot be pushed through dD{a}")
-                p, r = x[j]
-                row.append((rational(g[a, j], den), rational(-p * L, r * den)))
             elif a in interacting and len(interacting) >= 2:
                 other = min(i for i in interacting if i != a)
-                den = g[a, other]
-                if den == 0:
+                top, bottom = (other, a), (a, other)
+                if g[bottom] == 0:
                     raise CalculusError(
                         f"no affine family exists: the pair ({a},{other}) "
                         f"is one-sided on its trailing slot")
-                p, r = x[a]
-                row.append((rational(g[other, a], den), rational(-p * L, r * den)))
             else:
-                row.append((rational(1), rational(0)))
-        table.append(tuple(row))
-    return AffineAutomorphismFamily(n, tuple(table))
+                col.append((1, 0, 1))
+                continue
+            p, r = x[j]
+            col.append(_column(g[top] * r, -p * den, r * g[bottom]))
+        cols.append(tuple(col))
+    return AffineAutomorphismFamily._from_columns(n, tuple(cols))
 
 
 def shift_ansatz(P: AlgebraPresentation,
@@ -192,13 +262,12 @@ def shift_ansatz(P: AlgebraPresentation,
     if fam is None:
         fam = identify_family(P, dec)
     g = fam.params.get("g")
-    scale = rational(1) / g if g not in (None, 0) else rational(1)
-    n = P.n
-    one = rational(1)
-    table = tuple(
-        tuple((one, -scale * P.x(j)) for j in range(1, n + 1))
-        for _ in range(n))
-    return AffineAutomorphismFamily(n, table)
+    s, t = (1, 1) if g in (None, 0) else g.as_integer_ratio()
+    x = P.x_ratios()
+    # with x_b = p / r and g = s / t, x_b / g = p t / (r s)
+    col = tuple(_column(r * s, -p * t, r * s)
+                for p, r in (x[b] for b in range(1, P.n + 1)))
+    return AffineAutomorphismFamily._from_columns(P.n, (col,) * P.n)
 
 
 def _power_terms(lam, mu, k: int) -> list:
@@ -278,25 +347,15 @@ class AutomorphismReport:
         return self.relations_preserved and self.pairwise_commute and self.bijective
 
 
-def _integer_columns(nu: AffineAutomorphismFamily) -> tuple:
-    """``cols[a-1][j-1] = (L, M, e)`` with ``nu_a(D_j) = (L D_j + M) / e``.
-
-    Each entry's ``lam`` and ``mu`` are put over one positive denominator
-    ``e``, the lcm of theirs, so ``L = 0`` exactly when ``lam = 0``.  Made
-    once per family and kept in ``_memo`` under ``"integers"``.
-    """
-    cols = nu._memo.get("integers")
-    if cols is None:
-        cols = []
-        for row in nu.table:
-            col = []
-            for lam, mu in row:
-                e = math.lcm(lam.denominator, mu.denominator)
-                col.append((lam.numerator * (e // lam.denominator),
-                            mu.numerator * (e // mu.denominator), e))
-            cols.append(tuple(col))
-        cols = nu._memo["integers"] = tuple(cols)
-    return cols
+def _zero_lams(nu: AffineAutomorphismFamily) -> tuple:
+    """The ``(a, j)`` with ``lam_aj = 0``, that is ``L = 0``, row by row:
+    one scan per family, kept in ``_memo`` under ``"zero-lams"``."""
+    zeros = nu._memo.get("zero-lams")
+    if zeros is None:
+        zeros = nu._memo["zero-lams"] = tuple(
+            (a, j) for a, col in enumerate(nu.cols, start=1)
+            for j, (L, _, _) in enumerate(col, start=1) if L == 0)
+    return zeros
 
 
 def verify_automorphisms(nu: AffineAutomorphismFamily,
@@ -304,8 +363,8 @@ def verify_automorphisms(nu: AffineAutomorphismFamily,
     """Bijectivity, relation preservation and pairwise commutation, exactly.
 
     Every test is an integer identity in the family's columns
-    ``nu_a(D_j) = (L D_j + M) / e`` (see :func:`_integer_columns`) and the
-    relations' integer coefficients; no polynomial is built.
+    ``nu_a(D_j) = (L D_j + M) / e`` (``AffineAutomorphismFamily.cols``) and
+    the relations' integer coefficients; no polynomial is built.
 
     *Bijective*: ``nu_a`` sends ``D_j`` to a constant exactly when ``L = 0``.
 
@@ -356,10 +415,8 @@ def verify_automorphisms(nu: AffineAutomorphismFamily,
     # s = c + c' = G - Q, c_u = -X, c_v = -Y
     relations = [(u, v, G - Q, -X, -Y)
                  for (u, v), (Q, X, Y, G) in P.relations().items()]
-    cols = _integer_columns(nu)
-    failures = [f"nu_{a} sends D{j} to a constant"
-                for a, col in enumerate(cols, start=1)
-                for j, (L, _, _) in enumerate(col, start=1) if L == 0]
+    cols = nu.cols
+    failures = [f"nu_{a} sends D{j} to a constant" for a, j in _zero_lams(nu)]
     bijective = not failures
     relations_ok = True
     for a, col in enumerate(cols, start=1):
@@ -576,18 +633,27 @@ def pi_omega(tau: GradedForm) -> Poly:
     return tau.coeffs.get(full, Poly.zero(tau.n))
 
 
+def _require_regular_volume_twist(nu: AffineAutomorphismFamily) -> None:
+    """Raise :class:`CalculusError` when the volume twist ``nu_n o ... o nu_1``
+    is singular.  It sends ``D_j`` to ``(prod_a lam_aj) D_j + ...``, a
+    constant exactly when some ``lam_aj`` is zero; the first such ``j`` is
+    named."""
+    zeros = _zero_lams(nu)
+    if zeros:
+        j = min(j for _, j in zeros)
+        raise CalculusError(
+            f"the volume twist is singular: it sends D{j} to a constant")
+
+
 def _omega_inverse_maps(nu: AffineAutomorphismFamily) -> dict:
     """Inverse of the volume twist ``nu_n o ... o nu_1``; stored only once
     every generator inverts."""
     inverse = nu._memo.get("omega-inverse")
     if inverse is None:
-        inverse = {}
-        for j, (lam, mu) in nu.composed(range(1, nu.n + 1)).items():
-            if lam == 0:
-                raise CalculusError(
-                    f"the volume twist is singular: it sends D{j} to a constant")
-            inverse[j] = (ONE / lam, -mu / lam)
-        nu._memo["omega-inverse"] = inverse
+        _require_regular_volume_twist(nu)
+        inverse = nu._memo["omega-inverse"] = {
+            j: (ONE / lam, -mu / lam)
+            for j, (lam, mu) in nu.composed(range(1, nu.n + 1)).items()}
     return inverse
 
 
@@ -716,11 +782,11 @@ def leibniz_defects(P: AlgebraPresentation,
     ``c' = -g(v, u)``, ``c_u = -x_v`` and ``c_v = x_u`` they are
     ``g(u,v) - g(v,u) lam_uv``, ``g(v,u) mu_uv + x_v``,
     ``g(u,v) lam_vu - g(v,u)`` and ``g(u,v) mu_vu + x_u`` up to sign.  Over
-    the integer columns (see :func:`_integer_columns`) each is a
+    the integer columns (``AffineAutomorphismFamily.cols``) each is a
     cross-product.  Nothing is rewritten, so the identities hold on every
     table, a zero leading coefficient included.
     """
-    cols = _integer_columns(nu)
+    cols = nu.cols
     bad = []
     for (u, v), (Q, X, Y, G) in P.relations().items():
         c, c2, c_u, c_v = G, -Q, -X, -Y
@@ -806,8 +872,8 @@ def certify_connectedness(nu: AffineAutomorphismFamily) -> bool | None:
     ``d(D_a^2) = dD_a ((1 + lam_aa) D_a + mu_aa) = d(mu_aa D_a)``, which the
     monomial sample cannot see.  There ``None`` asks for the sample.
     """
-    if any(nu.lam(a, a) == -1 for a in range(1, nu.n + 1)):
-        return None
+    if any(col[a][0] == -col[a][2] for a, col in enumerate(nu.cols)):
+        return None  # some lam_aa = L / e is -1
     return True
 
 
@@ -872,11 +938,15 @@ def certify_d_squared(nu: AffineAutomorphismFamily,
     premises are not necessary, and a noncommuting family can pass the
     sample.  Where they fail, ``None`` asks for the sample.
     """
-    if auto.pairwise_commute and all(
-            nu.lam(a, b) * nu.lam(b, a) == 1
-            for a, b in combinations(range(1, nu.n + 1), 2)):
-        return True
-    return None
+    if not auto.pairwise_commute:
+        return None
+    cols = nu.cols
+    for a, b in combinations(range(nu.n), 2):
+        L_ab, _, e_ab = cols[a][b]
+        L_ba, _, e_ba = cols[b][a]
+        if L_ab * L_ba != e_ab * e_ba:  # lam_ab lam_ba != 1
+            return None
+    return True
 
 
 def certify_expansion(nu: AffineAutomorphismFamily, k: int) -> bool:
@@ -893,28 +963,19 @@ def certify_expansion(nu: AffineAutomorphismFamily, k: int) -> bool:
 
     :func:`~diffalg.smoothness.verify_witness` never reaches this raise: a
     zero ``lam_uj`` also makes the volume twist singular, so
-    ``integral-project-k0`` raises :class:`CalculusError` first.
+    ``integral-project-k0`` raises :class:`CalculusError` first.  Both
+    raises serve foreign families only: a family from
+    :func:`build_automorphisms` has no zero ``lam`` (its docstring gives the
+    argument).
 
     Otherwise it passes: expand at degree 0 tests ``omega' = dD_K`` alone,
     and the dual ``dD_{K^c} c_K`` wedged with it is
     ``merge(K^c, K) c_K dD_all = dD_all``.
     """
     n = nu.n
-    if 0 < k < n and _upper_lam_zero(nu):
+    if 0 < k < n and any(u < j for u, j in _zero_lams(nu)):
         _dual_bases(k, nu, n)  # raises on the first zero merge factor
     return True
-
-
-def _upper_lam_zero(nu: AffineAutomorphismFamily) -> bool:
-    """Whether some ``lam_uj`` with ``u < j`` is zero, read once per family
-    from the integer columns and kept in ``_memo`` under ``"upper-lam-zero"``."""
-    flag = nu._memo.get("upper-lam-zero")
-    if flag is None:
-        cols = _integer_columns(nu)
-        flag = nu._memo["upper-lam-zero"] = any(
-            cols[u - 1][j - 1][0] == 0
-            for u, j in combinations(range(1, nu.n + 1), 2))
-    return flag
 
 
 def certify_projection(nu: AffineAutomorphismFamily,
@@ -930,7 +991,8 @@ def certify_projection(nu: AffineAutomorphismFamily,
     the volume twist, whatever the order, so the composite is the identity
     for every ``K``.  The check raises the dual constants' ``ZeroDivisionError``
     (see :func:`certify_expansion`) and then a singular volume twist's
-    :class:`CalculusError`; so does this certificate, in the same order.
+    :class:`CalculusError`; so does this certificate, in the same order, from
+    the family's zero ``lam`` entries (:func:`_zero_lams`).
 
     Every family :func:`build_automorphisms` returns on a PBW table commutes
     pairwise (:func:`certify_d_squared` gives the proof), so there this
@@ -940,5 +1002,5 @@ def certify_projection(nu: AffineAutomorphismFamily,
     if not auto.pairwise_commute:
         return None
     certify_expansion(nu, k)  # the same dual constants
-    _omega_inverse_maps(nu)  # raises on a singular volume twist
+    _require_regular_volume_twist(nu)
     return True
