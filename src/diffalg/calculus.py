@@ -261,8 +261,8 @@ def shift_ansatz(P: AlgebraPresentation,
         dec = decompose(P)
     if fam is None:
         fam = identify_family(P, dec)
-    g = fam.params.get("g")
-    s, t = (1, 1) if g in (None, 0) else g.as_integer_ratio()
+    s, t = fam.ratios.get("g", (0, 1))
+    s, t = (s, t) if s else (1, 1)
     x = P.x_ratios()
     # with x_b = p / r and g = s / t, x_b / g = p t / (r s)
     col = tuple(_column(r * s, -p * t, r * s)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .presentation import AlgebraPresentation
-from .scalars import format_rational, rational
+from .scalars import format_ratio, rational, reduced
 from .templates import (_G, _GI, _GO, _LK, _cell, _components, _family_params,
                         _fmt_components, _roles, _tag_components)
 
@@ -78,23 +78,22 @@ def decompose(P: AlgebraPresentation) -> Decomposition:
 @dataclass(frozen=True)
 class FamilyIdentification:
     family: str  # "A_I", "A_II", "B", "C", "D", or "Inconsistent"
-    params: dict = field(compare=False)
+    # parameter -> its reduced integer ratio, in report order
+    ratios: dict = field(compare=False)
     violations: tuple = ()
+
+    @property
+    def params(self) -> dict:
+        """The parameters as ``Fraction``s, in report order, built per call."""
+        return {name: rational(*ratio) for name, ratio in self.ratios.items()}
 
     @property
     def consistent(self) -> bool:
         return self.family != "Inconsistent"
 
 
-def _fmt(v) -> str:
-    return format_rational(v)
-
-
-def _family(g: dict, dec: Decomposition) -> str:
-    if len(dec.I) >= 3:
-        trailing = (g[j, i] for i, j in combinations(dec.I, 2))
-        return "A_II" if not any(trailing) else "A_I"
-    return ("D", "C", "B")[len(dec.I)]
+def _fmt(num: int, den: int) -> str:
+    return format_ratio(*reduced(num, den))
 
 
 _PATTERN = {"A_I": "uniform pattern", "A_II": "one-sided pattern",
@@ -113,119 +112,117 @@ def identify_family(P: AlgebraPresentation, dec: Decomposition | None = None
     """Match the coefficient table against the template row of its family.
 
     The row's cells give every written word's coefficient as a ±1 linear
-    expression in named parameters.  Each parameter is read, in report
-    order, from the words whose other parameters are already known, so every
-    word is read once, for the last of its parameters.  When all readings of
-    a parameter have one form (the parameter alone, or beside known ones)
-    they must agree, and a disagreement is one violation listing the values
-    found.  Otherwise the first reading of the parameter alone defines it and
-    every other reading is checked on its own, as is every word the row
-    gives coefficient 0.  Every leading word must be nonzero.
+    expression in at most two named parameters.  One pass files each word
+    under the last of its parameters in report order; then each parameter,
+    in that order, reads its words by substituting the other, known one, so
+    every word is read once.  When all readings of a parameter have one
+    form (the parameter alone, or beside a known one) they must agree, and
+    a disagreement is one violation listing the values found.  Otherwise
+    the first reading of the parameter alone defines it and every other
+    reading is checked on its own, as is every word the row gives
+    coefficient 0.  Every leading word must be nonzero.
 
     The cells come from ``templates._cell``, the one definition of the
-    patterns, with each free coefficient left unnamed: it matches any
-    table.  Coefficients are read as the presentation's integer numerators
-    over its one g denominator, so readings add and compare as integers; a
-    D row divides each relation by its lead, so its trailing words are read
-    as exact ratios.  A ``Fraction`` is built only for what is reported.
+    patterns, with each free coefficient left unnamed.  A word's value is an
+    integer over a scale, the presentation's g denominator (a D row divides
+    each relation by its lead: the lead's numerator), so readings add and
+    compare as integers, and the parameters stay integer ratios.
     """
     if dec is None:
         dec = decompose(P)
     I = dec.I  # noqa: E741
     g, den = P.g_integers()
-    family = _family(g, dec)
+    if len(I) >= 3:  # A_II when every trailing coefficient on I vanishes
+        family = "A_I" if any(g[j, i] for i, j in combinations(I, 2)) else "A_II"
+    else:
+        family = ("D", "C", "B")[len(I)]
     wide = len(I) >= 2
     role = _roles(I, dec.S if wide else (), dec.T_circ, dec.T_bullet,
                   () if wide else dec.R_components)
-    ranks: dict = {}
+    ranks = _family_params(family, I)
 
     def use(name, *rank):
         ranks.setdefault(name, rank)
         return name
 
-    _family_params(family, I, use)
-    if family == "D":
-        value = rational  # a D row's readings are exact ratios already
-    else:
-        def value(v):
-            return rational(v, den)
     # A_II only fixes differences of the g<i>: anchor the largest at zero.
-    preset = {f"g{I[-1]}": 0} if family == "A_II" else {}
-    values = dict(preset)
-
-    holding: dict = {}
+    preset = f"g{I[-1]}" if family == "A_II" else None
+    # the last parameter of a word -> [(word, the parameter's sign there,
+    #   the sign and name of the other parameter or None)]
+    read_for: dict = {preset: ()} if preset else {}
     violations = []
     n = P.n
     for u, v in combinations(range(1, n + 1), 2):
         e_uv, e_vu = _cell(family, I, n, u, v, role[u], role[v], use, _unnamed)
         lead, trail = g[u, v], g[v, u]
+        scale = den
         if not lead:
             violations.append(f"coefficient of D{u} D{v} is 0, but the "
                               f"leading slot of every pair must be invertible")
-            if family == "D" and trail:
-                trail = rational(trail, den)
         elif family == "D":
-            # every x vanishes, so a relation may be divided by its lead
-            lead, trail = 1, rational(trail, lead) if trail else 0
-        for word in ((u, v, e_uv, lead), (v, u, e_vu, trail)):
+            scale = lead  # every x vanishes: divide the relation by its lead
+        for word in ((u, v, e_uv, lead, scale), (v, u, e_vu, trail, scale)):
             expr = word[2]
-            if expr is _UNNAMED:
+            if not expr:
+                if word[3]:
+                    violations.append(_mismatch(family, I, word, 0))
                 continue
-            if not expr and word[3]:
-                violations.append(_mismatch(family, I, word, 0, value))
-            for _, name in expr:
-                if name in ranks:
-                    holding.setdefault(name, []).append(word)
+            if len(expr) == 1:
+                (c, name), = expr
+                if name is None or name == preset:
+                    continue  # a free coefficient or a D row's unit lead
+                sign = other = None
+            else:
+                (c, name), (sign, other) = expr
+                if name == preset or (other != preset
+                                      and ranks[name] < ranks[other]):
+                    c, name, sign, other = sign, other, c, name
+            read_for.setdefault(name, []).append((word, c, sign, other))
 
-    order = sorted((ranks[name], name) for name in holding)
+    values = {preset: (0, den)} if preset else {}  # name -> (value, scale)
+    order = sorted((ranks[name], name) for name in read_for)
     for rank, name in order:
-        if name in preset:
-            continue
         readings = []
-        for word in holding[name]:
-            expr, actual = word[2], word[3]
-            rest = [(c, nm) for c, nm in expr if nm != name]
-            if all(nm in values for _, nm in rest):
-                # term by term, so a parameter read alone costs no
-                # arithmetic: a D row's readings are Fractions
-                read = actual
-                for c, nm in rest:
-                    read -= c * values[nm]
-                positive = (1, name) in expr
-                alone = all(nm in preset for _, nm in rest)
-                readings.append((read if positive else -read, alone, word,
-                                 positive))
+        for word, c, sign, other in read_for[name]:
+            read = word[3]
+            if other is not None:
+                if other not in values:
+                    continue
+                read -= sign * values[other][0]
+            readings.append((read if c > 0 else -read,
+                             other is None or other == preset, word, c > 0))
         alone = [r for r in readings if r[1]]
         if alone and len(alone) < len(readings):
-            values[name] = reference = alone[0][0]
+            reference = alone[0][0]
+            values[name] = reference, alone[0][2][4]
             for read, _, word, positive in readings:
                 if read != reference:
                     shift = reference - read if positive else read - reference
                     violations.append(
-                        _mismatch(family, I, word, word[3] + shift, value))
+                        _mismatch(family, I, word, word[3] + shift))
         elif readings and all(r[0] == readings[0][0] for r in readings):
-            values[name] = readings[0][0]
+            values[name] = readings[0][0], readings[0][2][4]
         elif readings:
-            violations.append(_disagreement(dec, rank, readings, value))
+            violations.append(_disagreement(dec, rank, readings))
 
-    params = {name: value(values[name]) for _, name in order if name in values}
-    params.update((f"x{i}", P.x(i)) for i in I)
-    if violations:
-        return FamilyIdentification("Inconsistent", params, tuple(violations))
-    return FamilyIdentification(family, params)
+    ratios = {name: reduced(*values[name]) for _, name in order if name in values}
+    x = P.x_ratios()
+    ratios.update((f"x{i}", x[i]) for i in I)
+    return FamilyIdentification("Inconsistent" if violations else family,
+                                ratios, tuple(violations))
 
 
-def _disagreement(dec, rank, readings, value) -> str:
+def _disagreement(dec, rank, readings) -> str:
     """One violation for a parameter whose readings take several values."""
     first: dict = {}
     for read, _, word, _ in readings:
-        first.setdefault(read, word[:2])
+        first.setdefault(read, word)
     kind, *index = rank
     if kind == _LK:
         comp = dec.R_components[index[0] - 1]
         listing = "; ".join(
-            f"index {v if u in dec.I else u} -> {_fmt(value(read))}"
-            for read, (u, v) in first.items())
+            f"index {w[1] if w[0] in dec.I else w[0]} -> {_fmt(read, w[4])}"
+            for read, w in first.items())
         return (f"offset to the interacting index differs inside component "
                 f"{_fmt_components((comp,))}: {listing}")
     if kind == _G:
@@ -239,22 +236,22 @@ def _disagreement(dec, rank, readings, value) -> str:
         k, side = index
         comp = _fmt_components((dec.T_bullet[k - 1],))
         subject = f"the {('lower', 'upper')[side]} side of component {comp}"
-    listing = "; ".join(f"D{u} D{v} -> {_fmt(value(read))}"
-                        for read, (u, v) in first.items())
+    listing = "; ".join(f"D{w[0]} D{w[1]} -> {_fmt(read, w[4])}"
+                        for read, w in first.items())
     return f"{subject} must carry a single coefficient, found {listing}"
 
 
-def _mismatch(family, I, word, expected, value) -> str:  # noqa: E741
+def _mismatch(family, I, word, expected) -> str:  # noqa: E741
     """The violation of one written word that disagrees with its cell."""
-    u, v, expr, actual = word
+    u, v, expr, actual, scale = word
     pattern = _PATTERN[family]
     inside = [a for a in (u, v) if a in I]
     if len(inside) == 1 and not expr:
         r = v if u in I else u
-        return (f"coefficient of D{u} D{v} is {_fmt(value(actual))}, so D{r} "
+        return (f"coefficient of D{u} D{v} is {_fmt(actual, scale)}, so D{r} "
                 f"couples two-sidedly to I, which the {pattern} does not "
                 f"admit")
     where = (" on I" if len(inside) == 2
              else f" against D{inside[0]}" if inside else "")
-    return (f"coefficient of D{u} D{v} is {_fmt(value(actual))}, but the "
-            f"{pattern}{where} requires {_fmt(value(expected))}")
+    return (f"coefficient of D{u} D{v} is {_fmt(actual, scale)}, but the "
+            f"{pattern}{where} requires {_fmt(expected, scale)}")

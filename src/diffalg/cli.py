@@ -18,7 +18,7 @@ from .classify import decompose, identify_family
 from .engine import is_pbw, normal_form, normal_form_terms
 from .exprs import ExpressionError, format_poly, format_terms, parse_poly
 from .presentation import PresentationError, load_presentation, validate_presentation
-from .scalars import format_rational
+from .scalars import format_ratio
 from .smoothness import NotPbwError, decide_smoothness, verify_witness
 from .templates import _fmt_components, _fmt_indices, tables_text
 
@@ -79,18 +79,17 @@ def _cmd_classify(args) -> int:
     P = _load(args.file)
     dec = decompose(P)
     fam = identify_family(P, dec)
-    print(f"n: {P.n}")
-    print(f"I: {_fmt_indices(dec.I)}")
-    print(f"R: {_fmt_indices(dec.R)}")
-    print(f"components: {_fmt_components(dec.R_components)}")
-    print(f"S: {_fmt_indices(dec.S)}")
-    print(f"Tcirc: {_fmt_components(dec.T_circ)}")
-    print(f"Tbullet: {_fmt_components(dec.T_bullet)}")
-    print(f"family: {fam.family}")
-    for name, value in fam.params.items():
-        print(f"param {name}: {format_rational(value)}")
-    for violation in fam.violations:
-        print(f"violation: {violation}")
+    print("\n".join([
+        f"n: {P.n}",
+        f"I: {_fmt_indices(dec.I)}",
+        f"R: {_fmt_indices(dec.R)}",
+        f"components: {_fmt_components(dec.R_components)}",
+        f"S: {_fmt_indices(dec.S)}",
+        f"Tcirc: {_fmt_components(dec.T_circ)}",
+        f"Tbullet: {_fmt_components(dec.T_bullet)}",
+        f"family: {fam.family}",
+        *[f"param {name}: {format_ratio(*ratio)}" for name, ratio in fam.ratios.items()],
+        *[f"violation: {violation}" for violation in fam.violations]]))
     return 0 if fam.consistent else 1
 
 

@@ -125,7 +125,9 @@ The leading coefficients g_ab, g_ac, g_bc are nonzero, so the triple
 resolves iff each of the six products has a zero factor.  The g are put
 over the lcm of their denominators as integers; each linear factor is
 homogeneous of degree 1 in g, so its zero test is exact, and the x need only
-zero tests.
+zero tests.  Each of the six products has an x factor, so a triple with
+x = 0 on all three indices resolves, and only the triples that meet
+I = {i : x_i != 0} are decided, in lexicographic order.
 
 A context lives exactly as long as its presentation.  ``_contexts`` is keyed
 by ``id(P)`` and the context holds no reference to P (only P's relations
@@ -607,9 +609,9 @@ def _resolves(g: dict, x: dict, a: int, b: int, c: int) -> bool:
 def is_pbw(P: AlgebraPresentation) -> PBWReport:
     """Diamond Lemma check: confluent on every triple a < b < c.
 
-    Each triple is decided from the closed form in the module docstring;
-    nothing is folded.  Reports the lexicographically first failing triple,
-    if any.  Raises ValueError on a zero leading coefficient.
+    Each triple that meets I is decided from the closed form in the module
+    docstring; nothing is folded.  Reports the lexicographically first
+    failing triple, if any.  Raises ValueError on a zero leading coefficient.
     """
     if P.zero_leads():
         i, j = P.zero_leads()[0]
@@ -617,5 +619,6 @@ def is_pbw(P: AlgebraPresentation) -> PBWReport:
     g, _ = P.g_integers()
     x = {i: num != 0 for i, (num, _) in P.x_ratios().items()}
     first_failure = next((t for t in combinations(range(1, P.n + 1), 3)
-                          if not _resolves(g, x, *t)), None)
+                          if (x[t[0]] or x[t[1]] or x[t[2]])
+                          and not _resolves(g, x, *t)), None)
     return PBWReport(first_failure is None, first_failure)

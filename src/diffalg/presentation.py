@@ -27,12 +27,12 @@ and builds no ``Fraction``.  An ``AlgebraPresentation`` keeps every g(i, j)
 as an integer numerator over one positive denominator, the lcm of the g
 denominators (``g_integers``), and every x(i) as its reduced ratio
 (``x_ratios``).  The parser fills that integer table in its one pass over the
-text, raising the denominator as new ones are read.  The presentation reads
-its own facts off that table: the zero leading coefficients (``zero_leads``)
-when it is stored, and the relations as integers (``relations``) built on
-their first use and kept.  The PBW check, the engine and the witness checks
-read these.  Equality, hashing and ``render`` read the integers, and ``P.g``
-and ``P.x`` build an exact ``Fraction`` on each call.
+text, raising the denominator as new ones are read, and hands over the zero
+leading coefficients (``zero_leads``): the pairs i < j that no g line wrote.
+The relations as integers (``relations``) are built on first use and kept.
+The PBW check, the engine and the witness checks read these.  Equality,
+hashing and ``render`` read the integers, and ``P.g`` and ``P.x`` build an
+exact ``Fraction`` on each call.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 from math import gcd, lcm
 
-from .scalars import format_ratio, parse_ratio, rational
+from .scalars import format_ratio, parse_ratio, rational, reduced
 
 
 class PresentationError(ValueError):
@@ -93,24 +93,25 @@ class AlgebraPresentation:
             nums[key] = num * (den // d)
         ratios = {i: v.as_integer_ratio() for i, v in x.items()}
         self._store(n, nums, den,
-                    {i: ratios.get(i, _ZERO_RATIO) for i in range(1, n + 1)})
+                    {i: ratios.get(i, _ZERO_RATIO) for i in range(1, n + 1)},
+                    [key for key, num in nums.items() if not num and key[0] < key[1]])
 
     @classmethod
-    def _from_integers(cls, n: int, nums: dict, den: int,
-                       x: dict) -> "AlgebraPresentation":
-        """A presentation that owns its tables, shaped as ``g_integers`` and
-        ``x_ratios`` return them."""
+    def _from_integers(cls, n: int, nums: dict, den: int, x: dict,
+                       zero_leads: list) -> "AlgebraPresentation":
+        """A presentation that owns its tables, shaped as ``g_integers``,
+        ``x_ratios`` and ``zero_leads`` return them."""
         P = object.__new__(cls)
-        P._store(n, nums, den, x)
+        P._store(n, nums, den, x, zero_leads)
         return P
 
-    def _store(self, n: int, nums: dict, den: int, x: dict) -> None:
+    def _store(self, n: int, nums: dict, den: int, x: dict,
+               zero_leads: list) -> None:
         self.n = n
         self._g = nums
         self._den = den
         self._x = x
-        self._zero_leads = [key for key, num in nums.items()
-                            if not num and key[0] < key[1]]
+        self._zero_leads = zero_leads
         self._relations = None  # built by the first relations()
 
     def g(self, i: int, j: int):
@@ -188,8 +189,7 @@ class AlgebraPresentation:
         lines = [f"n = {self.n}"]
         for (i, j), num in self._g.items():
             if num or i < j:
-                k = gcd(num, den)
-                lines.append(f"g {i} {j} = {format_ratio(num // k, den // k)}")
+                lines.append(f"g {i} {j} = {format_ratio(*reduced(num, den))}")
         for i, ratio in self._x.items():
             if ratio[0]:
                 lines.append(f"x {i} = {format_ratio(*ratio)}")
@@ -281,6 +281,7 @@ def parse_presentation(text: str) -> AlgebraPresentation:
     n = None
     pairs = nums = None
     den = 1
+    leads = 0  # g lines of a pair i < j, each nonzero
     given: set = set()
     x: dict = {}
 
@@ -306,9 +307,11 @@ def parse_presentation(text: str) -> AlgebraPresentation:
             except ValueError:
                 _fail(f"invalid rational {_quoted(literal)}", lineno, line, literal)
             i, j = key
-            if i < j and not num:
-                _fail(f"zero leading coefficient g({i}, {j}); relations require "
-                      f"g(i, j) != 0 for i < j", lineno, line, head)
+            if i < j:
+                if not num:
+                    _fail(f"zero leading coefficient g({i}, {j}); relations "
+                          f"require g(i, j) != 0 for i < j", lineno, line, head)
+                leads += 1
             if den % d:
                 scale = d // gcd(den, d)
                 den *= scale
@@ -359,7 +362,9 @@ def parse_presentation(text: str) -> AlgebraPresentation:
         raise PresentationError("no 'n = INT' declaration found")
     ratios = dict.fromkeys(range(1, n + 1), _ZERO_RATIO)
     ratios.update(x)
-    return AlgebraPresentation._from_integers(n, nums, den, ratios)
+    zero_leads = [] if leads == n * (n - 1) // 2 else [
+        key for key in pairs.values() if key[0] < key[1] and key not in given]
+    return AlgebraPresentation._from_integers(n, nums, den, ratios, zero_leads)
 
 
 def load_presentation(path) -> AlgebraPresentation:

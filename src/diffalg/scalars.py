@@ -52,6 +52,14 @@ def parse_ratio(text: str) -> tuple:
     return p // g, q // g
 
 
+def reduced(num: int, den: int) -> tuple:
+    """num/den, den != 0, as the reduced ratio with a positive denominator."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
 def parse_rational(text: str):
     """Parse "p" or "p/q" (optional leading minus) into a scalar.
 

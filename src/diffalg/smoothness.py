@@ -137,7 +137,7 @@ def _verdict(P: AlgebraPresentation, dec: Decomposition,
                    "known for this pattern",))
 
     if fam.family == "B":
-        couplings = {fam.params[f"g{s}"] for s in dec.S}
+        couplings = {fam.ratios[f"g{s}"] for s in dec.S}
         if len(couplings) > 1:
             return SmoothnessVerdict(
                 "Undetermined",
@@ -152,7 +152,7 @@ def _verdict(P: AlgebraPresentation, dec: Decomposition,
                 notes=(f"the non-interacting part splits into "
                        f"{len(dec.R_components)} components, but the known "
                        f"witness construction needs a connected one",))
-        couplings = {fam.params[f"g{r}"] for r in dec.R}
+        couplings = {fam.ratios[f"g{r}"] for r in dec.R}
         if len(couplings) > 1:
             return SmoothnessVerdict(
                 "Undetermined",

@@ -19,11 +19,10 @@ One row type, ``TemplateSkeleton``, carries a row from enumeration to text:
 the tuple (n, family, I, S, T_circ, T_bullet, R_components, loose, dense).
 Its cells (``_cell``) are the one definition of its family's pattern: one
 renderer prints them and :func:`diffalg.classify.identify_family` solves
-them.  The rows of one enumeration share a ``_RowCache`` that holds, per
-pair and pair of roles, the cell, the parameters it names, its
-``relation:`` line and the restriction on its lead, and holds equal
-restriction parts once.  ``_row_count`` gives the number of rows in closed
-form, so ``tables_text`` prints it first and then holds one row at a time.
+them.  The rows of one enumeration share a ``_RowCache`` of what their
+pairs, components and (family, I, S) groups have in common.  ``_row_count``
+gives the number of rows in closed form, so ``tables_text`` prints it first
+and then holds one row at a time.
 
 Parameter naming:
 
@@ -108,35 +107,20 @@ def _render_expr(expr: tuple) -> str:
 
 def _render_relation(u: int, v: int, e_uv: tuple, e_vu: tuple,
                      u_interacting: bool, v_interacting: bool) -> str:
-    lhs_terms = []
-    if e_uv:
-        lhs_terms.append((e_uv, f"D{u} D{v}"))
-    if e_vu:
-        lhs_terms.append((_negate(e_vu), f"D{v} D{u}"))
     parts = []
-    for expr, word in lhs_terms:
-        coeff = _render_expr(expr)
-        if coeff == "1":
-            body = word
-        elif coeff == "-1":
-            body = f"-{word}"
-        else:
-            body = f"{coeff} * {word}"
-        if not parts:
+    for expr, word in ((e_uv, f"D{u} D{v}"), (_negate(e_vu), f"D{v} D{u}")):
+        if expr:
+            coeff = _render_expr(expr)
+            body = (word if coeff == "1" else f"-{word}" if coeff == "-1"
+                    else f"{coeff} * {word}")
+            if parts:
+                body = f"- {body[1:]}" if body[0] == "-" else f"+ {body}"
             parts.append(body)
-        elif body.startswith("-"):
-            parts.append(f"- {body[1:]}")
-        else:
-            parts.append(f"+ {body}")
-    lhs = " ".join(parts) if parts else "0"
-    rhs_parts = []
-    if v_interacting:
-        rhs_parts.append(f"x{v} * D{u}")
-    if u_interacting:
-        first = not rhs_parts
-        rhs_parts.append(f"-x{u} * D{v}" if first else f"- x{u} * D{v}")
-    rhs = " ".join(rhs_parts) if rhs_parts else "0"
-    return f"{lhs} = {rhs}"
+    rhs = " - ".join([f"x{v} * D{u}"] * v_interacting
+                     + [f"x{u} * D{v}"] * u_interacting)
+    if u_interacting and not v_interacting:
+        rhs = f"-{rhs}"
+    return f"{' '.join(parts) or '0'} = {rhs or '0'}"
 
 
 # Ranks order the parameters the way ``classify`` reports them: the kind
@@ -231,15 +215,15 @@ def _roles(I, S, t_circ, t_bullet, r_comps) -> dict:  # noqa: E741
     return role
 
 
-def _family_params(family, I, use) -> None:  # noqa: E741
-    """Name the parameters that come before every cell of a ``family`` row."""
-    if family in ("A_I", "B"):
-        use("g", _G)
-    if family == "B":
-        use("L", _L)
+def _family_params(family, I) -> dict:  # noqa: E741
+    """The parameters (name -> rank) that come before every cell of a
+    ``family`` row."""
     if family == "A_II":
-        for i in I:
-            use(f"g{i}", _GI, i)
+        return {f"g{i}": (_GI, i) for i in I}
+    head = {"g": (_G,)} if family in ("A_I", "B") else {}
+    if family == "B":
+        head["L"] = (_L,)
+    return head
 
 
 def _cell(family, I, n, u, v, role_u, role_v, use, free) -> tuple:  # noqa: E741
@@ -279,57 +263,66 @@ def _cell(family, I, n, u, v, role_u, role_v, use, free) -> tuple:  # noqa: E741
 class _RowCache:
     """Cells, restrictions and text shared by the rows of one enumeration.
 
-    The rows of one n and family come out one after another.  Among them
-    the cell of a pair depends only on the roles of its two indices (an
-    interacting index's role carries its place in I), and so do the
-    parameters it names, its ``relation:`` line and the restriction on its
-    lead.  The cache keeps one entry per pair and pair of roles, and pairs
-    of roles that give equal cells, with the same indices interacting,
-    share one.  Each other part of the
-    restrictions depends on I and on one set of indices or on the numbers
-    of components; those parts are kept for one I at a time.  A row is then
-    one pass over its pairs, plus the shared parts.  The cache starts afresh
-    when a row of another n or family arrives, so it holds at most an entry
-    per pair and pair of roles, per set of indices and per pair of
-    component counts, whatever the number of rows, and it lives as long as
-    the enumeration that made it.
+    Rows come grouped by n and family, then I, then S; the rows of one
+    group differ only in the components of the remaining indices.  Per n and
+    family the cache keeps an entry per pair and pair of roles (its cell,
+    the parameters it names, the restriction on its lead and its
+    ``relation:`` line; equal cells with the same indices interacting share
+    one), each role coded as an integer, and each component's text and
+    chain.  Per I it keeps the restriction parts on a set of indices or on
+    the numbers of components, and per group the role codes of I and S, the
+    pattern's part and the lines on family, I and S.  A row codes its
+    components and looks each pair up, and each level starts afresh when
+    the one above it changes.
     """
 
-    __slots__ = ("scope", "pair_list", "pairs", "cells", "parts", "head", "tail")
+    __slots__ = ("scope", "group", "pair_list", "roles", "pairs", "cells",
+                 "comps", "parts", "head", "tail", "codes", "lines", "pattern")
 
     def __init__(self):
-        self.scope = None
+        self.scope = self.group = None
 
-    def enter(self, n, family, I) -> None:  # noqa: E741
-        """Keep the entries of (n, family), and the parts of I, dropping
-        any others."""
+    def enter(self, n, family, I, S) -> None:  # noqa: E741
+        """Keep the entries of (n, family), the parts of I and the codes
+        and lines of S, dropping any others."""
         scope = (n, family, I)
-        if scope == self.scope:
-            return
-        if self.scope is None or self.scope[:2] != scope[:2]:
-            self.pair_list = tuple(combinations(range(1, n + 1), 2))
-            # (u, v, role_u, role_v) -> [cell, the parameters it names (name
-            #   -> rank), the restriction part on its lead or None, its
-            #   relation line once rendered]
-            self.pairs: dict = {}
-            # (cell, whether u and v interact) -> its entry
-            self.cells: dict = {}
-        self.scope = scope
-        # the key of a restriction part
-        #   -> [the part's restrictions, their lines once rendered]
-        self.parts: dict = {}
-        # the parameters named before and after every cell of a row
-        head = self.head = {}
+        if scope != self.scope:
+            if self.scope is None or self.scope[:2] != scope[:2]:
+                self.pair_list = tuple(combinations(range(1, n + 1), 2))
+                # role code -> role (``_roles``): the role (kind, k) has
+                # the code place * (n + 1) + k, place its kind's in this list
+                self.roles = [(kind, k) for kind in ("S", "I", "Tc", "Tb", "R")
+                              for k in range(n + 1)]
+                # (u, v, code_u, code_v) -> [cell, the parameters it names
+                #   (name -> rank), the restriction part on its lead or
+                #   None, its relation line]
+                self.pairs: dict = {}
+                # (cell, whether u and v interact) -> its entry
+                self.cells: dict = {}
+                # a component -> [its text, its chain's restriction part]
+                self.comps: dict = {}
+            self.scope = scope
+            self.group = None
+            # the key of a restriction part -> [its restrictions, their lines]
+            self.parts: dict = {}
+            # the parameters named before and after every cell of a row
+            self.head = _family_params(family, I)
+            self.tail = {f"x{i}": (_X, i) for i in I}
+        if S != self.group:
+            self.group = S
+            # index -> the code of its role; the rows add their components'
+            codes = self.codes = [None] * (n + 1)
+            for code, a in enumerate(I, start=n + 2):
+                codes[a] = code
+            for a in S:
+                codes[a] = 0
+            self.lines = (f"family: {family}\nI: {_fmt_indices(I)}\n"
+                          f"S: {_fmt_indices(S)}")
+            self.pattern = self.part(("pattern", S), _pattern_conditions,
+                                     family, I, S)
 
-        def use(name, *rank):
-            head.setdefault(name, rank)
-            return name
-
-        _family_params(family, I, use)
-        self.tail = {f"x{i}": (_X, i) for i in I}
-
-    def pair(self, u, v, role_u, role_v) -> list:
-        """Make the entry of the pair u < v with the given roles."""
+    def pair(self, u, v, code_u, code_v) -> list:
+        """Make the entry of the pair u < v with the given role codes."""
         n, family, I = self.scope  # noqa: E741
         named: dict = {}
 
@@ -340,24 +333,54 @@ class _RowCache:
         def free(a, b):
             return _sym(use(_pair_name("g", a, b, n), _FREE))
 
+        role_u, role_v = self.roles[code_u], self.roles[code_v]
         cell = (u, v) + _cell(family, I, n, u, v, role_u, role_v, use, free)
-        # a free leading coefficient must be invertible
-        lead = cell[2]
-        part = ([((lead, _ZERO, False),), None]
-                if lead and named.get(lead[0][1]) == (_FREE,) else None)
-        entry = self.cells.setdefault((cell, role_u[0] == "I", role_v[0] == "I"),
-                                      [cell, named, part, None])
-        self.pairs[u, v, role_u, role_v] = entry
+        key = (cell, role_u[0] == "I", role_v[0] == "I")
+        entry = self.cells.get(key)
+        if entry is None:
+            # a free leading coefficient must be invertible
+            lead = cell[2]
+            part = (_restricted(((lead, _ZERO, False),))
+                    if lead and named.get(lead[0][1]) == (_FREE,) else None)
+            line = "relation: " + _render_relation(*cell, *key[1:])
+            entry = self.cells[key] = [cell, named, part, line]
+        self.pairs[u, v, code_u, code_v] = entry
         return entry
+
+    def comp(self, comp: tuple) -> list:
+        """Make the entry of a component: its text and its chain's part."""
+        n, family, _ = self.scope
+        chain = _chain_conditions("q" if family == "D" else "g", comp, n)
+        entry = self.comps[comp] = ["{" + ",".join(map(str, comp)) + "}",
+                                    _restricted(tuple(chain))]
+        return entry
+
+    def part(self, key, conditions, *args) -> list:
+        """The restriction part of ``key``, made by ``conditions(*args)``."""
+        entry = self.parts.get(key)
+        if entry is None:
+            entry = self.parts[key] = _restricted(tuple(conditions(*args)))
+        return entry
+
+
+def _restricted(conditions: tuple) -> list:
+    """The restriction part [conditions, their lines] of ``conditions``."""
+    return [conditions, "\n".join(f"restriction: {_render_restriction(left, right)}"
+                                   for left, right, _ in conditions)]
 
 
 def _pair_entries(cache: _RowCache, row) -> list:
     """The ``cache`` entry of every pair u < v of ``row``, in order."""
     n, family, I, S, t_circ, t_bullet, r_comps = row[:7]  # noqa: E741
-    cache.enter(n, family, I)
-    role = _roles(I, S, t_circ, t_bullet, r_comps)
+    cache.enter(n, family, I, S)
+    codes = cache.codes[:]
+    for first, comps in ((2 * n + 3, t_circ), (3 * n + 4, t_bullet),
+                         (4 * n + 5, r_comps)):  # the codes of ("Tc", 1) ...
+        for code, comp in enumerate(comps, start=first):
+            for a in comp:
+                codes[a] = code
     get = cache.pairs.get
-    return [get((u, v, role[u], role[v])) or cache.pair(u, v, role[u], role[v])
+    return [get((u, v, codes[u], codes[v])) or cache.pair(u, v, codes[u], codes[v])
             for u, v in cache.pair_list]
 
 
@@ -378,17 +401,6 @@ def _fresh_entries(row) -> tuple:
     """A new ``_RowCache`` and the entries of ``row``'s pairs in it."""
     cache = _RowCache()
     return cache, _pair_entries(cache, row)
-
-
-def _build_skeleton(n, family, I, S, t_circ, t_bullet, r_comps,  # noqa: E741
-                    loose=False, dense=False) -> TemplateSkeleton:
-    """The template row of ``family`` on the given indices and components,
-    each sorted."""
-    return TemplateSkeleton(
-        n, family, tuple(sorted(I)), tuple(sorted(S)),
-        *(tuple(tuple(sorted(c)) for c in comps)
-          for comps in (t_circ, t_bullet, r_comps)),
-        loose, dense)
 
 
 def _pattern_conditions(family, I, S):  # noqa: E741
@@ -458,38 +470,30 @@ def _restriction_parts(cache: _RowCache, row, entries) -> list:
 
     ``entries`` are the row's pair entries (``_pair_entries``).  The
     restrictions of a part are a tuple of (left, right, enforced), one for
-    every "left != right"; ``_row_text`` fills in their lines.
+    every "left != right", and its lines are rendered when it is made.
     Family-specific named conditions come first, then the invertibility of
     every free leading coefficient, then the two-sided chain that exhibits
     each pinned component's connectivity.  Equal parts of the rows of one
     ``cache`` are one shared entry.
     """
     n, family, I, S, t_circ, t_bullet, r_comps, loose, dense = row  # noqa: E741
-    parts = cache.parts
-    out = []
-
-    def part(key, conditions, *args):
-        entry = parts.get(key)
-        if entry is None:
-            entry = parts[key] = [tuple(conditions(*args)), None]
-        if entry[0]:
-            out.append(entry)
-
-    part(("pattern", S), _pattern_conditions, family, I, S)
+    parts, part = cache.parts, cache.part
+    counts = ("components", len(t_circ), len(t_bullet))
+    out = [cache.pattern]
     if family == "C":
-        for k, comp in enumerate(r_comps, start=1):
-            part(("offsets", k, comp), _offset_conditions, k, comp)
-    part(("components", len(t_circ), len(t_bullet)),
-         _component_conditions, family, I, len(t_circ), len(t_bullet))
+        out += [part(("offsets", k, comp), _offset_conditions, k, comp)
+                for k, comp in enumerate(r_comps, start=1)]
+    out.append(parts.get(counts)
+               or part(counts, _component_conditions, family, I, *counts[1:]))
     if dense:
-        part(("dense",), _dense_conditions, n)
-        return out
-    out += [entry[2] for entry in entries if entry[2] is not None]
-    if not loose:
-        prefix = "q" if family == "D" else "g"
-        for comp in t_circ + t_bullet + r_comps:
-            part(("chain", comp), _chain_conditions, prefix, comp, n)
-    return out
+        out.append(part(("dense",), _dense_conditions, n))
+    else:
+        out += [entry[2] for entry in entries if entry[2]]
+        if not loose:
+            comps = cache.comps
+            out += [(comps.get(comp) or cache.comp(comp))[1]
+                    for comp in t_circ + t_bullet + r_comps]
+    return [entry for entry in out if entry[0]]
 
 
 def _render_restriction(left: tuple, right: tuple) -> str:
@@ -550,22 +554,19 @@ def instantiate_template(skel: TemplateSkeleton, values: dict
 
 
 def _components(members, edge) -> tuple:
-    """Connected components of ``members`` under the symmetric ``edge`` test."""
-    remaining = set(members)
+    """Connected components of ``members`` under the symmetric ``edge`` test,
+    each sorted, in order of their least members."""
+    remaining = sorted(members)
     comps = []
     while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            u = frontier.pop()
-            for v in list(remaining - comp):
-                if edge(u, v):
-                    comp.add(v)
-                    frontier.append(v)
+        comp = [remaining.pop(0)]
+        for u in comp:  # the component grows while it is walked
+            rest = []
+            for v in remaining:
+                (comp if edge(u, v) else rest).append(v)
+            remaining = rest
         comps.append(tuple(sorted(comp)))
-        remaining -= comp
-    return tuple(sorted(comps, key=min))
+    return tuple(comps)
 
 
 def _canonical_partition(I, members):  # noqa: E741
@@ -760,30 +761,15 @@ def render_template(skel: TemplateSkeleton, index: int) -> str:
 def _row_text(cache: _RowCache, index: int, row) -> str:
     """The text of row number ``index``."""
     entries = _pair_entries(cache, row)
-    _, family, I, S, t_circ, t_bullet, r_comps = row[:7]  # noqa: E741
+    t_circ, t_bullet, r_comps = (_comps_text(cache, comps) for comps in row[4:7])
     return "\n".join([
-        f"template: {index}",
-        f"family: {family}",
-        f"I: {_fmt_indices(I)}",
-        f"S: {_fmt_indices(S)}",
-        f"Tcirc: {_fmt_components(t_circ)}",
-        f"Tbullet: {_fmt_components(t_bullet)}",
-        f"R: {_fmt_components(r_comps)}",
-        *[entry[3] or _relation_line(entry, I) for entry in entries],
-        *[part[1] or _restriction_lines(part)
-          for part in _restriction_parts(cache, row, entries)],
+        f"template: {index}\n{cache.lines}\nTcirc: {t_circ}\nTbullet: {t_bullet}\nR: {r_comps}",
+        *[entry[3] for entry in entries],
+        *[part[1] for part in _restriction_parts(cache, row, entries)],
         f"params: {' '.join(_row_params(cache, entries))}"])
 
 
-def _relation_line(entry: list, I) -> str:  # noqa: E741
-    """Render the ``relation:`` line of a pair entry into its last slot."""
-    u, v, e_uv, e_vu = entry[0]
-    entry[3] = "relation: " + _render_relation(u, v, e_uv, e_vu, u in I, v in I)
-    return entry[3]
-
-
-def _restriction_lines(part: list) -> str:
-    """Render the ``restriction:`` lines of a part into its last slot."""
-    part[1] = "\n".join(f"restriction: {_render_restriction(left, right)}"
-                         for left, right, _ in part[0])
-    return part[1]
+def _comps_text(cache: _RowCache, comps: tuple) -> str:
+    """The text of a tuple of components."""
+    known = cache.comps
+    return " ".join([(known.get(comp) or cache.comp(comp))[0] for comp in comps]) or "-"

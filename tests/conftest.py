@@ -25,7 +25,7 @@ from diffalg.engine import (Poly, _add_term, _iadd, multiply, normal_form,
 from diffalg.presentation import (MAX_GENERATORS, AlgebraPresentation,
                                   PresentationError, _fail, _quoted)
 from diffalg.scalars import ONE, ZERO, format_rational, parse_ratio, rational
-from diffalg.templates import (_FREE, _G, _GI, _GO, _LK, _build_skeleton,
+from diffalg.templates import (_FREE, _G, _GI, _GO, _LK, TemplateSkeleton,
                                _fmt_components, _total)
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -335,6 +335,17 @@ def sampled_check_list(P, nu, degree_bound=None):
 
 # -- whole-row family identification ------------------------------------------
 
+def build_skeleton(n, family, I, S, t_circ, t_bullet, r_comps,  # noqa: E741
+                   loose=False, dense=False):
+    """The template row of ``family`` on the given indices and components,
+    each sorted."""
+    return TemplateSkeleton(
+        n, family, tuple(sorted(I)), tuple(sorted(S)),
+        *(tuple(tuple(sorted(c)) for c in comps)
+          for comps in (t_circ, t_bullet, r_comps)),
+        loose, dense)
+
+
 _PATTERN = {"A_I": "uniform pattern", "A_II": "one-sided pattern",
             "B": "offset pattern", "C": "offset pattern", "D": "free pattern"}
 
@@ -353,7 +364,7 @@ def whole_row_identify_family(P, dec=None):
     else:
         family = ("D", "C", "B")[len(I)]
     wide = len(I) >= 2
-    skel = _build_skeleton(P.n, family, I, dec.S if wide else (),
+    skel = build_skeleton(P.n, family, I, dec.S if wide else (),
                            dec.T_circ, dec.T_bullet,
                            () if wide else dec.R_components)
     preset = {f"g{I[-1]}": ZERO} if family == "A_II" else {}
@@ -405,9 +416,10 @@ def whole_row_identify_family(P, dec=None):
 
     params = {name: values[name] for _, name in order if name in values}
     params.update((f"x{i}", P.x(i)) for i in I)
+    ratios = {name: value.as_integer_ratio() for name, value in params.items()}
     if violations:
-        return FamilyIdentification("Inconsistent", params, tuple(violations))
-    return FamilyIdentification(family, params)
+        return FamilyIdentification("Inconsistent", ratios, tuple(violations))
+    return FamilyIdentification(family, ratios)
 
 
 def _oracle_disagreement(skel, rank, readings):

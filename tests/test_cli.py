@@ -280,6 +280,8 @@ def test_tables_rejects_small_n(capsys):
     ("full", 5, "c37ac0475e395fb7763f5bb3c784ffbd505c47ae87872e84cd4b60623bf5d9dc"),
     ("full", 6, "b3382c652ec9cdbe1dfd5078886da6aa964ddeecfb0fca56cab5ccc5aacfa648"),
     ("full", 7, "5a759257b2a79d2fe5eaf35dff578c643fcd7cc98fc7b4858bca6e59354cc400"),
+    ("paper", 3, "4eac199026cf5ecb1f2f56bbaccbb37000814eb3c9ca2b7fc3a714ac976d3734"),
+    ("paper", 4, "6a61500d1802f54fe1f89b214d391f2c2bf3bff56670d8a1dac0634f858321ff"),
     ("paper", 5, "9c188a4eab37d2a1d1ab90092c3545c915354539fea3f483e8cdbb779f27e0c8"),
     ("paper", 6, "9b329d44f10f2b7d9a3d0e2c16faabb5c1c9fa81f457d562dd4a5c63f72f3718"),
     ("paper", 7, "8207052a4c3e3763e1555766359d3d57fd99eb877b91b246b46401ca001d13b5"),

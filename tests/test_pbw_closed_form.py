@@ -175,3 +175,27 @@ def test_equal_presentations_stay_equal_and_hash_alike():
     assert a == b and hash(a) == hash(b)
     assert a != c and len({a, b, c}) == 2
     assert a != "not a presentation"
+
+
+def test_only_triples_that_meet_the_interacting_set_are_decided():
+    # each of the six products has an x factor, so a triple with x = 0 on
+    # all three indices resolves; is_pbw skips it and still reports what the
+    # loop over every triple reports
+    skipped = failing = 0
+    for seed in range(150):
+        rng = random.Random(f"meets-I:{seed}")
+        n = rng.randint(3, 7)
+        g = {(i, j): Fraction(rng.choice(_LEADING if i < j else _OTHER))
+             for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+        x = {i: Fraction(rng.choice(_X)) for i in range(1, n + 1)
+             if rng.random() < 0.4}
+        P = AlgebraPresentation(n, g, x)
+        verdicts = closed_form(P)
+        first = next((t for t, ok in verdicts.items() if not ok), None)
+        assert is_pbw(P) == engine.PBWReport(first is None, first), seed
+        for t in verdicts:
+            if not any(P.x(i) for i in t):
+                assert verdicts[t] and diamond_check_triple(P, *t).confluent
+                skipped += 1
+        failing += first is not None
+    assert skipped > 1000 and 30 < failing < 120

@@ -459,12 +459,14 @@ def _outcome(parse, text):
 def _one_pass(text):
     P = parse_presentation(text)
     nums, den = P.g_integers()
-    return P.n, list(nums.items()), den, list(P.x_ratios().items())
+    return (P.n, list(nums.items()), den, list(P.x_ratios().items()),
+            P.zero_leads())
 
 
 def _reference(text):
     n, nums, den, x = reference_parse_presentation(text)
-    return n, list(nums.items()), den, list(x.items())
+    zero_leads = [key for key, num in nums.items() if not num and key[0] < key[1]]
+    return n, list(nums.items()), den, list(x.items()), zero_leads
 
 
 ERROR_KINDS = ("expected 'n = INT'", "expected 'g I J = RATIONAL'",
@@ -493,3 +495,22 @@ def test_one_pass_parser_matches_the_line_by_line_reference():
     messages = [o[0] for o in outcomes if isinstance(o[0], str)]
     assert 200 < len(messages) < len(texts) - 200
     assert [kind for kind in ERROR_KINDS if not any(kind in m for m in messages)] == []
+
+
+def test_the_parser_hands_over_the_zero_leads_the_constructor_finds():
+    # the parser counts its lead lines instead of walking the table again
+    rng = random.Random("zero-leads")
+    missing = 0
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        lines = [line for line in _workload_lines(rng, n)
+                 if not line.startswith("g") or rng.random() < 0.9]
+        P = parse_presentation("\n".join(lines))
+        nums, den = P.g_integers()
+        built = AlgebraPresentation(
+            n, {key: rational(num, den) for key, num in nums.items()},
+            {i: rational(*ratio) for i, ratio in P.x_ratios().items()})
+        assert built == P and P.zero_leads() == built.zero_leads(), lines
+        assert validate_presentation(P) == validate_presentation(built)
+        missing += bool(P.zero_leads())
+    assert 50 < missing < 250

@@ -16,8 +16,10 @@ from diffalg.classify import decompose, identify_family
 from diffalg.engine import is_pbw
 from diffalg.scalars import rational
 from diffalg.smoothness import decide_smoothness
-from diffalg.templates import (TemplateError, _build_skeleton,
-                               generate_templates, instantiate_template)
+from diffalg.templates import (TemplateError, generate_templates,
+                               instantiate_template)
+
+from conftest import build_skeleton
 
 FULL_ROW_COUNTS = {3: 19, 4: 79, 5: 364}
 
@@ -87,7 +89,7 @@ TWO_DIGIT_ROWS = [
 
 @pytest.mark.parametrize("family,I,comps", TWO_DIGIT_ROWS)
 def test_two_digit_indices_keep_parameters_apart(family, I, comps):  # noqa: E741
-    skel = _build_skeleton(12, family, I, (), (), (), comps)
+    skel = build_skeleton(12, family, I, (), (), (), comps)
     values = {name: rational(k) for k, name in enumerate(skel.params, start=2)}
     P = instantiate_template(skel, values)
 
