@@ -351,7 +351,7 @@ class _RowCache:
         """Make the entry of a component: its text and its chain's part."""
         n, family, _ = self.scope
         chain = _chain_conditions("q" if family == "D" else "g", comp, n)
-        entry = self.comps[comp] = ["{" + ",".join(map(str, comp)) + "}",
+        entry = self.comps[comp] = [_fmt_components((comp,)),
                                     _restricted(tuple(chain))]
         return entry
 

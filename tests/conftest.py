@@ -365,8 +365,8 @@ def whole_row_identify_family(P, dec=None):
         family = ("D", "C", "B")[len(I)]
     wide = len(I) >= 2
     skel = build_skeleton(P.n, family, I, dec.S if wide else (),
-                           dec.T_circ, dec.T_bullet,
-                           () if wide else dec.R_components)
+                          dec.T_circ, dec.T_bullet,
+                          () if wide else dec.R_components)
     preset = {f"g{I[-1]}": ZERO} if family == "A_II" else {}
     values = dict(preset)
     holding = {name: [] for name, rank in zip(skel.params, skel.ranks)

@@ -5,6 +5,8 @@ One sha256 covers the exit code, stdout and stderr of both commands on every
 fixture (the malformed, inconsistent and non-PBW ones included) and on two
 seeded instances of every full template row for n = 3 and 4.  Any change to
 a classify line, a parameter, a violation's text or its order moves it.
+On the same inputs a ``classify`` op builds no ``Fraction``: the parameters
+stay integer ratios until they are printed.
 
 ``identify_family`` reads only the pattern cells; ``conftest`` keeps the
 version that built the whole named row and solved it in ``Fraction``s.  Both
@@ -61,7 +63,6 @@ def test_classify_and_check_pbw_output_digest_is_pinned(capsys, tmp_path):
 
 
 def test_a_classify_op_builds_no_fraction(monkeypatch, capsys, tmp_path):
-    # the parameters stay integer ratios until they are printed
     for name, path in _inputs(tmp_path):
         made = count_fractions(monkeypatch, lambda: main(["classify", str(path)]))
         assert made == {}, (name, made)
