@@ -8,10 +8,10 @@ admissibility problems).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
+from types import SimpleNamespace
 
 from .calculus import differential, verify_automorphisms
 from .classify import decompose, identify_family
@@ -140,30 +140,32 @@ def _smoothness_report(args) -> int:
     except NotPbwError as exc:
         return _print_not_pbw(exc.triple)
     dec, fam = verdict.decomposition, verdict.identification
-    print(f"verdict: {_VERDICT_LINE[verdict.verdict]}")
-    print(f"case: {verdict.theorem_case or '-'}")
-    print(f"family: {fam.family}")
-    print(f"I: {_fmt_indices(dec.I)}")
-    print(f"S: {_fmt_indices(dec.S)}")
-    print(f"T: {_fmt_indices(dec.T)}")
-    print(f"gkdim: {P.n}")
-    if verdict.obstruction is not None:
-        ob = verdict.obstruction
-        print(f"obstruction: i={ob.i} t={ob.t}")
-        print(f"residual: {format_poly(ob.residual)}")
-    for note in verdict.notes:
-        print(f"note: {note}")
+    lines = [
+        f"verdict: {_VERDICT_LINE[verdict.verdict]}",
+        f"case: {verdict.theorem_case or '-'}",
+        f"family: {fam.family}",
+        f"I: {_fmt_indices(dec.I)}",
+        f"S: {_fmt_indices(dec.S)}",
+        f"T: {_fmt_indices(dec.T)}",
+        f"gkdim: {P.n}"]
+    ob = verdict.obstruction
+    if ob is not None:
+        lines += [f"obstruction: i={ob.i} t={ob.t}", f"residual: {format_poly(ob.residual)}"]
+    lines += [f"note: {note}" for note in verdict.notes]
     if verdict.verdict == "NotSmooth":
-        ansatz_ok = verify_automorphisms(verdict.obstruction.family, P)
-        state = "PASS" if ansatz_ok.relations_preserved else "FAIL"
-        print(f"check:ansatz-relations: {state}")
-        return 1
-    if verdict.verdict == "Undetermined":
-        return 1
-    witness_report = verify_witness(P, verdict, degree_bound=args.degree_bound)
-    for name, passed in witness_report.checks:
-        print(f"check:{name}: {'PASS' if passed else 'FAIL'}")
-    return 0 if witness_report.ok else 1
+        ansatz_ok = verify_automorphisms(ob.family, P)
+        lines.append(f"check:ansatz-relations: "
+                     f"{'PASS' if ansatz_ok.relations_preserved else 'FAIL'}")
+        code = 1
+    elif verdict.verdict == "Undetermined":
+        code = 1
+    else:
+        witness_report = verify_witness(P, verdict, degree_bound=args.degree_bound)
+        lines += [f"check:{name}: {'PASS' if passed else 'FAIL'}"
+                  for name, passed in witness_report.checks]
+        code = 0 if witness_report.ok else 1
+    print("\n".join(lines))
+    return code
 
 
 def _cmd_reduce(args) -> int:
@@ -215,111 +217,90 @@ def _cmd_tables(args) -> int:
     return 0
 
 
+# The commands as plain data: name -> (help, positionals, options, handler).
+# A positional is (dest, type), where ``str`` takes the token as given; an
+# option is (flag, keyword arguments of ``add_argument``), its dest the flag
+# without "--" and with "_" for "-".  ``_plain_args`` reads this table and
+# ``_build_parser`` turns it into argparse.
+_DEGREE_BOUND = ("--degree-bound", {
+    "type": int, "default": None,
+    "help": "sample the volume-form identities on every coefficient monomial up "
+            f"to this degree (0 to {MAX_DEGREE_BOUND}), as a cross-check of the "
+            "default proof on module generators"})
+
+_COMMANDS = {
+    "check-pbw": ("test rewriting confluence on all triples",
+                  (("file", str),), (), _cmd_check_pbw),
+    "classify": ("decompose the index set and identify the family",
+                 (("file", str),), (), _cmd_classify),
+    "smooth": ("decide differential smoothness and verify the witness",
+               (("file", str),), (_DEGREE_BOUND,), _smoothness_report),
+    "verify-calculus": ("run every calculus check on the derived witness",
+                        (("file", str),), (_DEGREE_BOUND,), _smoothness_report),
+    "reduce": ("normal form of a polynomial expression",
+               (("file", str), ("expr", str)), (), _cmd_reduce),
+    "d": ("differential of a polynomial expression",
+          (("file", str), ("expr", str)), (), _cmd_d),
+    "tables": ("enumerate relation templates",
+               (("n", int),), (("--mode", {"choices": ("paper", "full"), "default": "paper"}),),
+               _cmd_tables),
+}
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The argparse parser of ``_COMMANDS``, built on the first argv that is not plain."""
+    import argparse  # the one lazy import: a plain argv never loads argparse
+
     parser = argparse.ArgumentParser(
         prog="diffalg",
         description="Ordered-basis checks, classification, and verified "
                     "differential calculi for inhomogeneous quadratic "
                     "exchange algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-pbw", help="test rewriting confluence on all triples")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_check_pbw)
-
-    p = sub.add_parser("classify", help="decompose the index set and identify the family")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_classify)
-
-    for name, help_text in (
-            ("smooth", "decide differential smoothness and verify the witness"),
-            ("verify-calculus", "run every calculus check on the derived witness")):
+    for name, (help_text, positionals, options, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("file")
-        p.add_argument("--degree-bound", type=int, default=None,
-                       help="sample the volume-form identities on every "
-                            "coefficient monomial up to this degree "
-                            f"(0 to {MAX_DEGREE_BOUND}), as a cross-check of "
-                            "the default proof on module generators")
-        p.set_defaults(func=_smoothness_report)
-
-    p = sub.add_parser("reduce", help="normal form of a polynomial expression")
-    p.add_argument("file")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("d", help="differential of a polynomial expression")
-    p.add_argument("file")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_d)
-
-    p = sub.add_parser("tables", help="enumerate relation templates")
-    p.add_argument("n", type=int)
-    p.add_argument("--mode", choices=("paper", "full"), default="paper")
-    p.set_defaults(func=_cmd_tables)
-
+        for dest, kind in positionals:
+            p.add_argument(dest, type=kind)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
-@functools.cache
-def _plain_commands() -> dict:
-    """command -> (its positional dests, every other attribute ``parse_args`` sets).
-
-    Read off ``_build_parser``: the option defaults, the ``set_defaults``
-    values (``func``) and the command's name.  A command is here only when
-    each of its positionals takes its token as given, with no ``type``,
-    ``nargs`` or ``choices``, so ``tables`` is not.  argparse keeps these
-    definitions in private attributes (``_actions``, ``_defaults``); the
-    argv tests of ``tests/test_cli.py`` fail if a release changes them.
-    """
-    parser = _build_parser()
-    commands = next(action for action in parser._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    plain = {}
-    for name, sub in commands.choices.items():
-        positionals = [a for a in sub._actions if not a.option_strings]
-        if any(a.type or a.nargs or a.choices for a in positionals):
-            continue
-        fixed = dict(sub._defaults)
-        fixed.update((a.dest, a.default) for a in sub._actions
-                     if a.option_strings and a.default is not argparse.SUPPRESS)
-        fixed[commands.dest] = name
-        plain[name] = (tuple(a.dest for a in positionals), fixed)
-    return plain
-
-
 def _plain_args(argv):
-    """The namespace ``parse_args`` gives a plain ``argv``, or None for any other argv.
+    """The attributes ``parse_args`` gives a plain ``argv``, or None for any other argv.
 
-    ``argv`` is plain when it is a command of ``_plain_commands`` followed by
-    exactly one token for each of its positionals, and none of those tokens
-    starts with "-".
+    ``argv`` is plain when it is a command whose positionals are all taken
+    as given (every command but ``tables``), followed by exactly one token
+    for each of them, none starting with "-".  Each option takes its default.
     """
-    plain = _plain_commands().get(argv[0]) if argv else None
-    if plain is None:
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
         return None
-    dests, fixed = plain
+    _, positionals, options, handler = command
     values = argv[1:]
-    if len(values) != len(dests) or any(v.startswith("-") for v in values):
+    if (len(values) != len(positionals) or any(kind is not str for _, kind in positionals)
+            or any(v.startswith("-") for v in values)):
         return None
-    args = argparse.Namespace(**fixed)
-    for dest, value in zip(dests, values):
+    args = SimpleNamespace(command=argv[0], func=handler)
+    for (dest, _), value in zip(positionals, values):
         setattr(args, dest, value)
+    for flag, keywords in options:
+        setattr(args, flag[2:].replace("-", "_"), keywords.get("default"))
     return args
 
 
 def main(argv=None) -> int:
-    # A plain argv skips argparse: exactly `<command> FILE` or `<command> FILE
-    # EXPR` for a command whose positionals are plain strings (all but
-    # `tables`), with no token starting with "-".  parse_args takes 17-33 us
-    # on `check-pbw FILE` and 19-40 us on `reduce FILE EXPR`, _plain_args
-    # 1.7-3.9 us (timeit, 2-core x86-64 container, Python 3.11, as the host's
-    # speed varied); parse_args was 14-28% of a check-pbw op of the classify
-    # benchmark and 8-14% of a classify op (in process, 2184 ops of each).
-    # Every other argv, None included, goes through parse_args, so help,
-    # usage and error text come from argparse alone.
-    args = None if argv is None else _plain_args(argv)
+    # A plain argv, `<command> FILE` or `<command> FILE EXPR` with no token
+    # starting with "-", is read off _COMMANDS and never imports argparse:
+    # building the parser (8 ArgumentParsers, gettext lookups, a locale
+    # import) was most of a process's first op.  Every other argv goes
+    # through parse_args, so help, usage and error text come from argparse
+    # alone.
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
     if args is None:
         args = _build_parser().parse_args(argv)
     try:

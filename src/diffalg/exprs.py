@@ -20,9 +20,10 @@ by total degree (descending) and then by word (descending), constants last.
 from __future__ import annotations
 
 import re
+from operator import getitem
 
 from .engine import Poly
-from .scalars import format_ratio, parse_rational, rational
+from .scalars import ONE, ZERO, format_ratio, parse_rational
 
 __all__ = ["ExpressionError", "MAX_LITERAL_DIGITS", "MAX_TERM_DEGREE",
            "parse_poly", "format_poly", "format_terms", "format_word"]
@@ -48,35 +49,38 @@ class ExpressionError(ValueError):
 
 
 def _check_digits(literal: str, col: int) -> None:
-    if any(len(part) > MAX_LITERAL_DIGITS for part in literal.split("/")):
+    if len(literal) > MAX_LITERAL_DIGITS and any(
+            len(part) > MAX_LITERAL_DIGITS for part in literal.split("/")):
         raise ExpressionError(f"numeric literal exceeds the limit of "
                               f"{MAX_LITERAL_DIGITS} digits", col)
 
 
+# One alternative per token kind; the catch-all ``bad`` matches any other
+# character, so ``finditer`` leaves no gap and stops on nothing.
 _TOKEN = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<gen>D(?P<gi>\d+))"
+    r"\s+"
+    r"|D(?P<gen>\d+)"
     r"|(?P<num>\d+(?:/\d+)?)"
     r"|(?P<op>[*^+-])"
-)
+    r"|(?P<bad>.)", re.DOTALL)
 
 
 def _tokenize(text: str):
+    """(kind, value, column) of each token in one regex pass; the first
+    unexpected character or over-long generator index raises, in text order."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ExpressionError(f"unexpected character {text[pos]!r}", pos + 1)
-        if m.lastgroup != "ws":
-            if m.group("gen"):
-                _check_digits(m.group("gi"), pos + 1)
-                tokens.append(("gen", int(m.group("gi")), pos + 1))
-            elif m.group("num"):
-                tokens.append(("num", m.group("num"), pos + 1))
-            else:
-                tokens.append(("op", m.group("op"), pos + 1))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # whitespace
+            continue
+        col = m.start() + 1
+        value = m[kind]
+        if kind == "gen":
+            _check_digits(value, col)
+            value = int(value)
+        elif kind == "bad":
+            raise ExpressionError(f"unexpected character {value!r}", col)
+        tokens.append((kind, value, col))
     return tokens
 
 
@@ -98,7 +102,7 @@ def parse_poly(text: str, n: int) -> dict:
         idx += 1
 
     while True:
-        coeff = rational(1)
+        coeff = ONE
         word: list = []
         saw_coeff = False
         saw_factor = False
@@ -142,7 +146,7 @@ def parse_poly(text: str, n: int) -> dict:
             col = tokens[idx][2] if idx < len(tokens) else None
             raise ExpressionError("expected a rational or a generator factor", col)
         key = tuple(word)
-        total = combination.get(key, rational(0)) + sign * coeff
+        total = combination.get(key, ZERO) + (coeff if sign > 0 else -coeff)
         if total == 0:
             combination.pop(key, None)
         else:
@@ -176,17 +180,6 @@ def format_word(word: tuple) -> str:
     return " ".join(parts)
 
 
-def _monomial_text(expts) -> str:
-    """Render the PBW monomial D_n^{k_n}...D_1^{k_1} as ``format_word`` renders its word."""
-    parts = []
-    a = len(expts)
-    for k in reversed(expts):
-        if k:
-            parts.append(f"D{a}" if k == 1 else f"D{a}^{k}")
-        a -= 1
-    return " ".join(parts)
-
-
 def _term_order(term) -> tuple:
     """Sort key of a (monomial, coefficient) term: (degree, monomial_word(m)) in effect.
 
@@ -198,29 +191,51 @@ def _term_order(term) -> tuple:
     return sum(m), m[::-1]
 
 
+class _Letter(dict):
+    """The text of D_a^k by exponent k, each made on first use: "" for k = 0,
+    else led by a space, so that a monomial's text is its letters' joined."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, a: int):
+        self.name = name = f" D{a}"
+        super().__init__({0: "", 1: name})
+
+    def __missing__(self, k: int) -> str:
+        text = self[k] = f"{self.name}^{k}"
+        return text
+
+
 def format_terms(terms) -> str:
     """Canonical one-line rendering of ``(exponents, num, den)`` normal-form terms.
 
     The terms come in rendering order, each a reduced ratio num/den with
     den > 0 (``engine.normal_form_terms`` gives them so); no terms is "0".
+    A monomial is written D_n^{k_n}...D_1^{k_1} as ``format_word`` writes
+    its decreasing word, from letter pieces made once per call.
     """
     pieces = []
+    letters = None
     for expts, num, den in terms:
-        neg = num < 0
-        if neg:
+        if letters is None:
+            letters = [_Letter(a) for a in range(len(expts), 0, -1)]
+        text = "".join(map(getitem, letters, expts[::-1]))
+        if num < 0:
+            sign = " - "
             num = -num
-        text = _monomial_text(expts)
+        else:
+            sign = " + "
         if not text:
-            body = format_ratio(num, den)
+            pieces.append(sign + format_ratio(num, den))
         elif num == 1 and den == 1:
-            body = text
+            pieces.append(sign + text[1:])
         else:
-            body = f"{format_ratio(num, den)} * {text}"
-        if not pieces:
-            pieces.append(f"-{body}" if neg else body)
-        else:
-            pieces.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(pieces) if pieces else "0"
+            pieces.append(f"{sign}{format_ratio(num, den)} *{text}")
+    if not pieces:
+        return "0"
+    first = pieces[0]  # " + body" or " - body"
+    pieces[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    return "".join(pieces)
 
 
 def format_poly(p: Poly) -> str:

@@ -9,7 +9,7 @@ integers (``parse_ratio``).
 
 from __future__ import annotations
 
-from decimal import Decimal
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -68,14 +68,42 @@ def parse_rational(text: str):
     return rational(*parse_ratio(text))
 
 
+def _int_text(num: int) -> str:
+    """str(num), also past ``sys.get_int_max_str_digits()``, read at each call.
+
+    str() refuses an int of more digits than that limit.  Such an int is
+    converted by divide and conquer (Brent & Zimmermann, *Modern Computer
+    Arithmetic*, 2010, section 1.7): with P = 10^(2^k), split |num| < P^2 as
+    hi P + lo, render both halves, lo padded to 2^k digits, and so on down
+    until a piece of at most 2^k digits is below the limit.
+    """
+    try:
+        return str(num)
+    except ValueError:
+        pass
+    limit = sys.get_int_max_str_digits()
+    powers = [10]  # powers[k] = 10^(2^k), up to the first whose square exceeds |num|
+    while powers[-1] * powers[-1] <= abs(num):
+        powers.append(powers[-1] * powers[-1])
+
+    def digits(value: int, k: int) -> str:
+        """The 2^(k+1) digits of 0 <= value < 10^(2^(k+1)), leading zeros kept."""
+        if 2 << k <= limit:
+            return str(value).zfill(2 << k)
+        hi, lo = divmod(value, powers[k])
+        return digits(hi, k - 1) + digits(lo, k - 1)
+
+    text = digits(abs(num), len(powers) - 1).lstrip("0")
+    return "-" + text if num < 0 else text
+
+
 def format_ratio(num: int, den: int) -> str:
     """Canonical text of the reduced ratio num/den, den > 0: "p" or "p/q"."""
     try:
         return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
-        # str() refuses integers longer than sys.get_int_max_str_digits();
-        # Decimal converts an int exactly and prints it without that limit.
-        return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
+        # an int past str()'s digit limit
+        return _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}"
 
 
 def format_rational(q) -> str:

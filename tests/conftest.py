@@ -22,9 +22,11 @@ from diffalg.calculus import (AutomorphismReport, GradedForm,
 from diffalg.classify import FamilyIdentification, decompose
 from diffalg.engine import (Poly, _add_term, _iadd, multiply, normal_form,
                             power, word_exponents)
+from diffalg.exprs import MAX_LITERAL_DIGITS, MAX_TERM_DEGREE, ExpressionError
 from diffalg.presentation import (MAX_GENERATORS, AlgebraPresentation,
                                   PresentationError, _fail, _quoted)
-from diffalg.scalars import ONE, ZERO, format_rational, parse_ratio, rational
+from diffalg.scalars import (ONE, ZERO, format_rational, parse_ratio, parse_rational,
+                             rational)
 from diffalg.templates import (_FREE, _G, _GI, _GO, _LK, TemplateSkeleton,
                                _fmt_components, _total)
 
@@ -559,6 +561,120 @@ def reference_parse_presentation(text):
 
 
 # -- four generators ---------------------------------------------------------
+
+
+# -- the expression parser, token by token -------------------------------------
+
+def _reference_check_digits(literal: str, col: int) -> None:
+    if any(len(part) > MAX_LITERAL_DIGITS for part in literal.split("/")):
+        raise ExpressionError(f"numeric literal exceeds the limit of "
+                              f"{MAX_LITERAL_DIGITS} digits", col)
+
+
+_REFERENCE_TOKEN = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<gen>D(?P<gi>\d+))"
+    r"|(?P<num>\d+(?:/\d+)?)"
+    r"|(?P<op>[*^+-])"
+)
+
+
+def _reference_tokenize(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if m is None:
+            raise ExpressionError(f"unexpected character {text[pos]!r}", pos + 1)
+        if m.lastgroup != "ws":
+            if m.group("gen"):
+                _reference_check_digits(m.group("gi"), pos + 1)
+                tokens.append(("gen", int(m.group("gi")), pos + 1))
+            elif m.group("num"):
+                tokens.append(("num", m.group("num"), pos + 1))
+            else:
+                tokens.append(("op", m.group("op"), pos + 1))
+        pos = m.end()
+    return tokens
+
+
+def reference_parse_poly(text: str, n: int) -> dict:
+    """What ``exprs.parse_poly(text, n)`` must return, or the ExpressionError
+    it must raise: the parser as it was before the one-pass tokenizer, one
+    ``match`` call per token, kept verbatim as an oracle."""
+    tokens = _reference_tokenize(text)
+    if not tokens:
+        raise ExpressionError("empty expression")
+    combination: dict = {}
+    idx = 0
+    sign = 1
+    # optional leading sign
+    if tokens[idx][0] == "op" and tokens[idx][1] in "+-":
+        sign = -1 if tokens[idx][1] == "-" else 1
+        idx += 1
+
+    while True:
+        coeff = rational(1)
+        word: list = []
+        saw_coeff = False
+        saw_factor = False
+        if idx < len(tokens) and tokens[idx][0] == "num":
+            literal, col = tokens[idx][1], tokens[idx][2]
+            _reference_check_digits(literal, col)
+            try:
+                coeff = parse_rational(literal)
+            except ValueError as exc:  # a zero denominator
+                raise ExpressionError(str(exc), col) from None
+            saw_coeff = True
+            idx += 1
+            if idx < len(tokens) and tokens[idx][0] == "op" and tokens[idx][1] == "*":
+                idx += 1
+                if idx >= len(tokens) or tokens[idx][0] != "gen":
+                    raise ExpressionError("expected a generator factor after '*'",
+                                          tokens[idx - 1][2])
+        while idx < len(tokens) and tokens[idx][0] == "gen":
+            g = tokens[idx][1]
+            col = tokens[idx][2]
+            if not 1 <= g <= n:
+                raise ExpressionError(f"generator D{g} out of range 1..{n}", col)
+            saw_factor = True
+            idx += 1
+            k = 1
+            if idx < len(tokens) and tokens[idx][0] == "op" and tokens[idx][1] == "^":
+                idx += 1
+                if idx >= len(tokens) or tokens[idx][0] != "num" or "/" in tokens[idx][1]:
+                    raise ExpressionError("exponent must be a nonnegative integer",
+                                          tokens[idx - 1][2])
+                # an exponent of seven or more digits is over the cap, and
+                # int() refuses strings of more than 4300 digits
+                digits = tokens[idx][1].lstrip("0")
+                k = int(digits or "0") if len(digits) <= 6 else MAX_TERM_DEGREE + 1
+                idx += 1
+            if len(word) + k > MAX_TERM_DEGREE:
+                raise ExpressionError(
+                    f"term degree exceeds the limit of {MAX_TERM_DEGREE}", col)
+            word.extend([g] * k)
+        if not saw_factor and not saw_coeff:
+            col = tokens[idx][2] if idx < len(tokens) else None
+            raise ExpressionError("expected a rational or a generator factor", col)
+        key = tuple(word)
+        total = combination.get(key, rational(0)) + sign * coeff
+        if total == 0:
+            combination.pop(key, None)
+        else:
+            combination[key] = total
+
+        if idx >= len(tokens):
+            break
+        kind, val, col = tokens[idx]
+        if kind != "op" or val not in "+-":
+            raise ExpressionError(f"expected '+' or '-' between terms, got {val!r}", col)
+        sign = -1 if val == "-" else 1
+        idx += 1
+        if idx >= len(tokens):
+            raise ExpressionError("dangling sign at end of expression", col)
+    return combination
+
 
 @pytest.fixture(scope="session")
 def p1():

@@ -2,7 +2,10 @@
 
 import argparse
 import hashlib
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,8 @@ from diffalg import cli
 from diffalg.cli import main
 
 from conftest import FIXTURES, GOLDEN
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -364,7 +369,7 @@ def test_plain_path_declines_or_equals_parse_args(capsys, argv):
     except SystemExit:
         assert fast is None
     else:
-        assert fast is None or fast == slow
+        assert fast is None or vars(fast) == vars(slow)
     capsys.readouterr()
 
 
@@ -384,6 +389,38 @@ def test_plain_commands_run_without_argparse(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
     assert [run(capsys, *_argv(argv)) for argv in PLAIN_ARGV] == expected
+
+
+# Run in a fresh interpreter: plain argv, then two argv that need argparse.
+# An audit hook records every import of argparse, and the parser cache
+# records every parser built.
+_ARGPARSE_PROBE = """
+import io, sys
+from contextlib import redirect_stdout
+imported = []
+sys.addaudithook(lambda event, args: event == "import" and args[0] == "argparse"
+                 and imported.append(args[0]))
+from diffalg.cli import _build_parser, main
+def state():
+    return ("argparse" in sys.modules, len(imported), _build_parser.cache_info().misses)
+with redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in PLAIN]
+    plain = state()
+    codes += [main(argv) for argv in OTHER]
+print(codes, plain, state())
+"""
+
+
+def test_plain_argv_never_imports_argparse():
+    plain = [_argv(argv) for argv in (["check-pbw", "F"], ["classify", "F"], ["smooth", "F"],
+                                      ["reduce", "F", "D1 D2"])]
+    other = [["tables", "3", "--mode", "full"], _argv(["smooth", "F", "--degree-bound", "2"])]
+    script = f"PLAIN = {plain!r}\nOTHER = {other!r}\n" + _ARGPARSE_PROBE
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # no argparse and no parser after the plain argv; one parser after the others
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0] (False, 0, 0) (True, 1, 1)\n"
 
 
 # The argparse path's text, recorded before the plain path existed.  argparse

@@ -5,6 +5,7 @@ reading that strips the text and each side of "/" first, and both must give
 the same pair, or both raise ValueError, on every text a parser can pass.
 """
 
+import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -88,3 +89,28 @@ def test_format_ratio_prints_past_the_int_string_limit():
     assert Decimal(format_ratio(big, 1)) == Decimal(big)
     assert format_rational(Fraction(-big, 3)) == text
     assert format_rational(Fraction(5, 10)) == "1/2" and format_rational(4) == "4"
+
+
+def _decimal_text(num: int) -> str:
+    """The conversion ``format_ratio`` made before its divide and conquer:
+    Decimal converts an int exactly and prints it without the digit limit."""
+    return str(Decimal(num))
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_format_ratio_converts_past_the_limit_read_at_call_time(limit):
+    # the limit is a process-wide setting: the test sets it and puts it back
+    saved = sys.get_int_max_str_digits()
+    rng = random.Random(f"int-text:{limit}")
+    lengths = [limit - 1, limit, limit + 1, 2 * limit + 3]
+    values = [rng.randrange(10 ** (k - 1), 10 ** k) for k in lengths]
+    values += [10 ** k + d for k in lengths for d in (-1, 0, 1)]
+    try:
+        sys.set_int_max_str_digits(limit)
+        for value in values:
+            for num in (value, -value):
+                assert format_ratio(num, 1) == _decimal_text(num)
+            den = rng.randrange(10 ** limit, 10 ** (limit + 5))
+            assert format_ratio(-value, den) == f"{_decimal_text(-value)}/{_decimal_text(den)}"
+    finally:
+        sys.set_int_max_str_digits(saved)
