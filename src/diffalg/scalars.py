@@ -73,9 +73,10 @@ def _int_text(num: int) -> str:
 
     str() refuses an int of more digits than that limit.  Such an int is
     converted by divide and conquer (Brent & Zimmermann, *Modern Computer
-    Arithmetic*, 2010, section 1.7): with P = 10^(2^k), split |num| < P^2 as
-    hi P + lo, render both halves, lo padded to 2^k digits, and so on down
-    until a piece of at most 2^k digits is below the limit.
+    Arithmetic*, 2010, section 1.7): with P = 10^(2^k) the least such power
+    whose square exceeds |num|, split |num| as hi P + lo and render each half
+    as 2^k digits, splitting again by 10^(2^(k-1)) until a piece's digits
+    are within the limit; the leading zeros of the whole are then dropped.
     """
     try:
         return str(num)

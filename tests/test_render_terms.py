@@ -93,6 +93,18 @@ def test_a_full_field_degree_sorts_as_a_degree(capsys, tmp_path):
         0, "D2 D1^254 - D2^2 + 2\n", "")
 
 
+def test_a_widened_context_renders_as_the_poly_does():
+    # a term of degree 300 widens the fields past one byte, so the terms are
+    # unpacked by shifts, not by bytes
+    P = AlgebraPresentation(3, {(i, j): Fraction(3, 2) for i in range(1, 4)
+                                for j in range(1, 4) if i != j},
+                            {1: Fraction(-1, 3), 2: Fraction(2, 3), 3: Fraction(-1)})
+    comb = {(1, 2, 3) * 3 + (2, 1): Fraction(1), (1,) * 299 + (2,): Fraction(-2, 5)}
+    terms = normal_form_terms(comb, P)
+    assert len(terms) > 100 and max(sum(e) for e, _, _ in terms) == 300
+    assert format_terms(terms) == format_poly(normal_form(comb, P))
+
+
 def test_reduce_builds_fewer_fractions_than_answer_terms(capsys, tmp_path, monkeypatch):
     # (D1 D2 D3)^5 on a uniform inhomogeneous table: 198 terms with
     # non-integer coefficients, each once a Fraction
