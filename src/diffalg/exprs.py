@@ -20,7 +20,8 @@ by total degree (descending) and then by word (descending), constants last.
 from __future__ import annotations
 
 import re
-from operator import getitem
+from itertools import repeat
+from operator import itemgetter
 
 from .engine import Poly
 from .scalars import ONE, ZERO, format_ratio, parse_rational
@@ -212,14 +213,19 @@ def format_terms(terms) -> str:
     The terms come in rendering order, each a reduced ratio num/den with
     den > 0 (``engine.normal_form_terms`` gives them so); no terms is "0".
     A monomial is written D_n^{k_n}...D_1^{k_1} as ``format_word`` writes
-    its decreasing word, from letter pieces made once per call.
+    its decreasing word: the texts of all monomials are read column by
+    column, one column of letter pieces per generator, each piece made once
+    per call.
     """
+    terms = list(terms)
+    if not terms:
+        return "0"
+    exponents, nums, dens = zip(*terms)
+    columns = [map(_Letter(a).__getitem__, map(itemgetter(a - 1), exponents))
+               for a in range(len(exponents[0]), 0, -1)]
+    texts = map("".join, zip(*columns)) if columns else repeat("")  # n = 0: constants
     pieces = []
-    letters = None
-    for expts, num, den in terms:
-        if letters is None:
-            letters = [_Letter(a) for a in range(len(expts), 0, -1)]
-        text = "".join(map(getitem, letters, expts[::-1]))
+    for text, num, den in zip(texts, nums, dens):
         if num < 0:
             sign = " - "
             num = -num
@@ -231,8 +237,6 @@ def format_terms(terms) -> str:
             pieces.append(sign + text[1:])
         else:
             pieces.append(f"{sign}{format_ratio(num, den)} *{text}")
-    if not pieces:
-        return "0"
     first = pieces[0]  # " + body" or " - body"
     pieces[0] = first[3:] if first[1] == "+" else "-" + first[3:]
     return "".join(pieces)
