@@ -79,12 +79,12 @@ multiply and shift: in m (e_1 + ... + e_n) the field of letter p holds
 k_1 + ... + k_p for p <= n.  Each of those partial sums is at most the
 degree, which ``fit`` keeps below 2^W, so no field carries into the next
 and the field of letter n holds the degree exactly.  The sort key is one
-int per term, that degree placed above the fields of m.  At the default
-8-bit width each field is one byte of m, so ``int.to_bytes`` unpacks a
-monomial in one call; a wider context reads its fields by shifts.  Reading the
-degree as the packed int mod 2^W - 1 (each field's unit is 1 mod 2^W - 1)
-would be wrong: the degree bound allows a degree of exactly 2^W - 1, as in
-D_1^255 at the default 8-bit width, and that residue is 0, the constant's.
+int per term, that degree placed above the fields of m.  Reading the degree
+as the packed int mod 2^W - 1 (each field's unit is 1 mod 2^W - 1) would be
+wrong: the degree bound allows a degree of exactly 2^W - 1, as in D_1^255
+at the default 8-bit width, and that residue is 0, the constant's.  At that
+width each field is one byte of m, so ``int.to_bytes`` unpacks a monomial
+in one call; a wider context reads its fields by shifts.
 ``exprs.format_terms`` renders the triples, and ``format_poly`` feeds it a
 Poly's terms in the same order, so the text is one either way.
 
@@ -543,15 +543,15 @@ def normal_form_terms(w, P: AlgebraPresentation) -> list:
     """
     ctx = _context(P)
     nums, den = _fold_combination(ctx, w)
-    width, shifts = ctx.width, ctx.shifts
+    n, width, shifts = ctx.n, ctx.width, ctx.shifts
     field = (1 << width) - 1
-    top = width * max(ctx.n - 1, 0)  # the field of letter n
-    above = width * ctx.n  # the bits of a packed monomial
+    top = width * max(n - 1, 0)  # the field of letter n
+    above = width * n  # the bits of a packed monomial
     units = sum(ctx.units)
     keys = [((m * units >> top) & field) << above | m for m in nums]
     keys.sort(reverse=True)
     low = (1 << above) - 1
-    n, whole_bytes = ctx.n, width == 8
+    whole_bytes = width == 8
     rows = []
     for key in keys:
         m = key & low
