@@ -9,6 +9,7 @@ The package keeps one concern per module:
 * :mod:`diffalg.calculus` — twisting families, differentials, graded forms
 * :mod:`diffalg.smoothness` — the three-valued verdict and its evidence
 * :mod:`diffalg.exprs` — the polynomial grammar and canonical rendering
+* :mod:`diffalg.records` — the immutable base of the result records
 * :mod:`diffalg.cli` — the command-line entry point
 """
 

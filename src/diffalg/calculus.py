@@ -51,12 +51,12 @@ the premises it needs; where they fail, the sampled ``check_*`` decides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 from .classify import Decomposition, FamilyIdentification, decompose, identify_family
 from .engine import Poly, _iadd, multiply
 from .presentation import AlgebraPresentation
+from .records import Record, setfield
 from .scalars import ONE, ZERO, rational
 
 __all__ = [
@@ -335,12 +335,16 @@ def apply_automorphism(nu_map: dict, p: Poly, P: AlgebraPresentation) -> Poly:
     return Poly(P.n, _apply_to_terms(nu_map, p.terms, P.n, {}))
 
 
-@dataclass(frozen=True)
-class AutomorphismReport:
-    relations_preserved: bool
-    pairwise_commute: bool
-    bijective: bool
-    failures: tuple
+class AutomorphismReport(Record):
+    __slots__ = _compared = _shown = (
+        "relations_preserved", "pairwise_commute", "bijective", "failures")
+
+    def __init__(self, relations_preserved: bool, pairwise_commute: bool,
+                 bijective: bool, failures: tuple):
+        setfield(self, "relations_preserved", relations_preserved)
+        setfield(self, "pairwise_commute", pairwise_commute)
+        setfield(self, "bijective", bijective)
+        setfield(self, "failures", failures)
 
     @property
     def ok(self) -> bool:

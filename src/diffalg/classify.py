@@ -23,10 +23,10 @@ one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .presentation import AlgebraPresentation
+from .records import Record, setfield
 from .scalars import format_ratio, rational, reduced
 from .templates import (_G, _GI, _GO, _LK, _cell, _components, _family_params,
                         _fmt_components, _roles, _tag_components)
@@ -34,15 +34,19 @@ from .templates import (_G, _GI, _GO, _LK, _cell, _components, _family_params,
 __all__ = ["Decomposition", "decompose", "FamilyIdentification", "identify_family"]
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    n: int
-    I: tuple  # noqa: E741 - the standard name for the interacting set
-    R: tuple
-    R_components: tuple
-    S: tuple
-    T_circ: tuple
-    T_bullet: tuple
+class Decomposition(Record):
+    __slots__ = _compared = _shown = (
+        "n", "I", "R", "R_components", "S", "T_circ", "T_bullet")
+
+    def __init__(self, n: int, I: tuple, R: tuple,  # noqa: E741 - the interacting set
+                 R_components: tuple, S: tuple, T_circ: tuple, T_bullet: tuple):
+        setfield(self, "n", n)
+        setfield(self, "I", I)
+        setfield(self, "R", R)
+        setfield(self, "R_components", R_components)
+        setfield(self, "S", S)
+        setfield(self, "T_circ", T_circ)
+        setfield(self, "T_bullet", T_bullet)
 
     @property
     def T(self) -> tuple:
@@ -75,12 +79,16 @@ def decompose(P: AlgebraPresentation) -> Decomposition:
     return Decomposition(P.n, I, R, comps, R, (), ())
 
 
-@dataclass(frozen=True)
-class FamilyIdentification:
-    family: str  # "A_I", "A_II", "B", "C", "D", or "Inconsistent"
-    # parameter -> its reduced integer ratio, in report order
-    ratios: dict = field(compare=False)
-    violations: tuple = ()
+class FamilyIdentification(Record):
+    __slots__ = _shown = ("family", "ratios", "violations")
+    _compared = ("family", "violations")
+
+    def __init__(self, family: str, ratios: dict, violations: tuple = ()):
+        # "A_I", "A_II", "B", "C", "D", or "Inconsistent"
+        setfield(self, "family", family)
+        # parameter -> its reduced integer ratio, in report order
+        setfield(self, "ratios", ratios)
+        setfield(self, "violations", violations)
 
     @property
     def params(self) -> dict:

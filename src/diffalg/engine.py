@@ -150,11 +150,11 @@ distinct as objects get a context each; they build the same entries.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm
 
 from .presentation import AlgebraPresentation
+from .records import Record, setfield
 from .scalars import ONE, rational
 
 Word = tuple  # tuple of generator indices, free-monoid element
@@ -581,17 +581,21 @@ def power(p: Poly, k: int, P: AlgebraPresentation) -> Poly:
     return result
 
 
-@dataclass(frozen=True)
-class TripleCheck:
-    confluent: bool
-    nf_left: Poly
-    nf_right: Poly
+class TripleCheck(Record):
+    __slots__ = _compared = _shown = ("confluent", "nf_left", "nf_right")
+
+    def __init__(self, confluent: bool, nf_left: Poly, nf_right: Poly):
+        setfield(self, "confluent", confluent)
+        setfield(self, "nf_left", nf_left)
+        setfield(self, "nf_right", nf_right)
 
 
-@dataclass(frozen=True)
-class PBWReport:
-    pbw: bool
-    first_failure: tuple | None
+class PBWReport(Record):
+    __slots__ = _compared = _shown = ("pbw", "first_failure")
+
+    def __init__(self, pbw: bool, first_failure: tuple | None):
+        setfield(self, "pbw", pbw)
+        setfield(self, "first_failure", first_failure)
 
 
 def diamond_check_triple(P: AlgebraPresentation, a: int, b: int, c: int) -> TripleCheck:

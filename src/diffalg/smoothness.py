@@ -13,7 +13,6 @@ stays ``Undetermined`` with a note saying what is missing, never a guess.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
 from functools import partial
 
 from .calculus import (
@@ -26,6 +25,7 @@ from .calculus import (
 from .classify import Decomposition, FamilyIdentification, decompose, identify_family
 from .engine import Poly, is_pbw
 from .presentation import AlgebraPresentation
+from .records import Record, setfield
 
 __all__ = ["SmoothnessError", "NotPbwError", "Obstruction",
            "SmoothnessVerdict", "gk_dimension", "decide_smoothness",
@@ -46,27 +46,37 @@ class NotPbwError(SmoothnessError):
         self.triple = triple
 
 
-@dataclass(frozen=True)
-class Obstruction:
-    i: int
-    t: int
-    residual: Poly
-    # the candidate family the residual was computed from
-    family: AffineAutomorphismFamily = field(compare=False)
+class Obstruction(Record):
+    __slots__ = _shown = ("i", "t", "residual", "family")
+    _compared = ("i", "t", "residual")
+
+    def __init__(self, i: int, t: int, residual: Poly,
+                 family: AffineAutomorphismFamily):
+        setfield(self, "i", i)
+        setfield(self, "t", t)
+        setfield(self, "residual", residual)
+        # the candidate family the residual was computed from
+        setfield(self, "family", family)
 
 
-@dataclass(frozen=True)
-class SmoothnessVerdict:
-    verdict: str  # "Smooth" | "NotSmooth" | "Undetermined"
-    theorem_case: str | None = None  # "i" | "ii" | "iii" | "iv"
-    witness: AffineAutomorphismFamily | None = None
-    obstruction: Obstruction | None = None
-    notes: tuple = ()
-    # what ``decide_smoothness`` decided from, so a caller need not redo it
-    decomposition: Decomposition | None = field(
-        default=None, compare=False, repr=False)
-    identification: FamilyIdentification | None = field(
-        default=None, compare=False, repr=False)
+class SmoothnessVerdict(Record):
+    __slots__ = ("verdict", "theorem_case", "witness", "obstruction", "notes",
+                 "decomposition", "identification")
+    _compared = _shown = ("verdict", "theorem_case", "witness", "obstruction", "notes")
+
+    def __init__(self, verdict: str, theorem_case: str | None = None,
+                 witness: AffineAutomorphismFamily | None = None,
+                 obstruction: Obstruction | None = None, notes: tuple = (),
+                 decomposition: Decomposition | None = None,
+                 identification: FamilyIdentification | None = None):
+        setfield(self, "verdict", verdict)  # "Smooth" | "NotSmooth" | "Undetermined"
+        setfield(self, "theorem_case", theorem_case)  # "i" | "ii" | "iii" | "iv"
+        setfield(self, "witness", witness)
+        setfield(self, "obstruction", obstruction)
+        setfield(self, "notes", notes)
+        # what ``decide_smoothness`` decided from, so a caller need not redo it
+        setfield(self, "decomposition", decomposition)
+        setfield(self, "identification", identification)
 
 
 def gk_dimension(P: AlgebraPresentation) -> int:
@@ -81,12 +91,18 @@ def gk_dimension(P: AlgebraPresentation) -> int:
     return P.n
 
 
+def _undetermined(dec, fam, *notes: str) -> SmoothnessVerdict:
+    return SmoothnessVerdict("Undetermined", notes=notes, decomposition=dec,
+                             identification=fam)
+
+
 def _try_witness(P, dec, fam, case: str) -> SmoothnessVerdict:
     try:
         witness = build_automorphisms(P, dec, fam)
     except CalculusError as exc:
-        return SmoothnessVerdict("Undetermined", notes=(str(exc),))
-    return SmoothnessVerdict("Smooth", theorem_case=case, witness=witness)
+        return _undetermined(dec, fam, str(exc))
+    return SmoothnessVerdict("Smooth", theorem_case=case, witness=witness,
+                             decomposition=dec, identification=fam)
 
 
 def decide_smoothness(P: AlgebraPresentation,
@@ -103,16 +119,15 @@ def decide_smoothness(P: AlgebraPresentation,
         dec = decompose(P)
     if fam is None:
         fam = identify_family(P, dec)
-    return replace(_verdict(P, dec, fam), decomposition=dec, identification=fam)
+    return _verdict(P, dec, fam)
 
 
 def _verdict(P: AlgebraPresentation, dec: Decomposition,
              fam: FamilyIdentification) -> SmoothnessVerdict:
     if not fam.consistent:
-        return SmoothnessVerdict(
-            "Undetermined",
-            notes=("the coefficient table matches no closed pattern",)
-            + fam.violations)
+        return _undetermined(dec, fam,
+                             "the coefficient table matches no closed pattern",
+                             *fam.violations)
 
     if dec.T:
         i = dec.I[0]
@@ -124,41 +139,40 @@ def _verdict(P: AlgebraPresentation, dec: Decomposition,
             obstruction=Obstruction(i, t, residual, candidate),
             notes=(f"the pair ({min(i, t)},{max(i, t)}) couples one-sidedly "
                    f"while x{i} != 0, so pushing D{t} through dD{i} leaves "
-                   f"a nonzero residual for every affine family",))
+                   f"a nonzero residual for every affine family",),
+            decomposition=dec, identification=fam)
 
     if fam.family == "A_I":
         return _try_witness(P, dec, fam, "i")
 
     if fam.family == "A_II":
-        return SmoothnessVerdict(
-            "Undetermined",
-            notes=("every interacting pair couples one-sidedly, so no "
-                   "affine twisting family exists; nothing further is "
-                   "known for this pattern",))
+        return _undetermined(dec, fam,
+                             "every interacting pair couples one-sidedly, so "
+                             "no affine twisting family exists; nothing "
+                             "further is known for this pattern")
 
     if fam.family == "B":
         couplings = {fam.ratios[f"g{s}"] for s in dec.S}
         if len(couplings) > 1:
-            return SmoothnessVerdict(
-                "Undetermined",
-                notes=("bystander couplings take several values, but the "
-                       "known witness construction needs a single one",))
+            return _undetermined(dec, fam,
+                                 "bystander couplings take several values, but "
+                                 "the known witness construction needs a "
+                                 "single one")
         return _try_witness(P, dec, fam, "iii")
 
     if fam.family == "C":
         if len(dec.R_components) != 1:
-            return SmoothnessVerdict(
-                "Undetermined",
-                notes=(f"the non-interacting part splits into "
-                       f"{len(dec.R_components)} components, but the known "
-                       f"witness construction needs a connected one",))
+            return _undetermined(dec, fam,
+                                 f"the non-interacting part splits into "
+                                 f"{len(dec.R_components)} components, but the "
+                                 f"known witness construction needs a "
+                                 f"connected one")
         couplings = {fam.ratios[f"g{r}"] for r in dec.R}
         if len(couplings) > 1:
-            return SmoothnessVerdict(
-                "Undetermined",
-                notes=("couplings to the interacting index take several "
-                       "values, but the known witness construction needs "
-                       "a single one",))
+            return _undetermined(dec, fam,
+                                 "couplings to the interacting index take "
+                                 "several values, but the known witness "
+                                 "construction needs a single one")
         return _try_witness(P, dec, fam, "ii")
 
     # family D
@@ -167,25 +181,27 @@ def _verdict(P: AlgebraPresentation, dec: Decomposition,
                       if u < v and not (num and g[v, u])), None)
     if one_sided:
         u, v = one_sided
-        return SmoothnessVerdict(
-            "Undetermined",
-            notes=(f"the pair ({u},{v}) couples one-sidedly; no affine "
-                   f"family exists, and with no interacting index the "
-                   f"residual argument does not apply",))
+        return _undetermined(dec, fam,
+                             f"the pair ({u},{v}) couples one-sidedly; no "
+                             f"affine family exists, and with no interacting "
+                             f"index the residual argument does not apply")
     return _try_witness(P, dec, fam, "iv")
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    checks: tuple  # ((name, passed), ...) in evaluation order
-    # wall seconds of each check, aligned with ``checks``; the three
-    # automorphism checks come from one pass, whose time is recorded on
-    # relations-preserved (pairwise-commute and bijective record 0)
-    seconds: tuple = field(default=(), compare=False)
-    # how each check was decided, aligned with ``checks``: "closed-form"
-    # (an exact decision, in every degree) or "sampled" (on every monomial
-    # up to a degree bound)
-    methods: tuple = field(default=(), compare=False)
+class WitnessReport(Record):
+    __slots__ = _shown = ("checks", "seconds", "methods")
+    _compared = ("checks",)
+
+    def __init__(self, checks: tuple, seconds: tuple = (), methods: tuple = ()):
+        setfield(self, "checks", checks)  # ((name, passed), ...) in evaluation order
+        # wall seconds of each check, aligned with ``checks``; the three
+        # automorphism checks come from one pass, whose time is recorded on
+        # relations-preserved (pairwise-commute and bijective record 0)
+        setfield(self, "seconds", seconds)
+        # how each check was decided, aligned with ``checks``: "closed-form"
+        # (an exact decision, in every degree) or "sampled" (on every monomial
+        # up to a degree bound)
+        setfield(self, "methods", methods)
 
     @property
     def ok(self) -> bool:

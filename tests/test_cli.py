@@ -393,7 +393,8 @@ def test_plain_commands_run_without_argparse(capsys, monkeypatch):
 
 # Run in a fresh interpreter: plain argv, then two argv that need argparse.
 # An audit hook records every import of argparse, and the parser cache
-# records every parser built.
+# records every parser built.  No command needs the code-generation modules
+# behind ``dataclasses``, so they stay out of ``sys.modules`` throughout.
 _ARGPARSE_PROBE = """
 import io, sys
 from contextlib import redirect_stdout
@@ -401,13 +402,17 @@ imported = []
 sys.addaudithook(lambda event, args: event == "import" and args[0] == "argparse"
                  and imported.append(args[0]))
 from diffalg.cli import _build_parser, main
+UNUSED = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 def state():
-    return ("argparse" in sys.modules, len(imported), _build_parser.cache_info().misses)
+    return ("argparse" in sys.modules, len(imported), _build_parser.cache_info().misses,
+            sorted(UNUSED & sys.modules.keys()))
 with redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in PLAIN]
     plain = state()
     codes += [main(argv) for argv in OTHER]
-print(codes, plain, state())
+import diffalg
+from diffalg import *
+print(codes, plain, state(), all(name in globals() for name in diffalg.__all__))
 """
 
 
@@ -419,8 +424,9 @@ def test_plain_argv_never_imports_argparse():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
-    # no argparse and no parser after the plain argv; one parser after the others
-    assert proc.stdout == "[0, 0, 0, 0, 0, 0] (False, 0, 0) (True, 1, 1)\n"
+    # no argparse and no parser after the plain argv; one parser after the
+    # others; no unused module at either point; the star import binds every name
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0] (False, 0, 0, []) (True, 1, 1, []) True\n"
 
 
 # The argparse path's text, recorded before the plain path existed.  argparse

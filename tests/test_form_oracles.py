@@ -9,7 +9,6 @@ list with them as without, on good witnesses and on the planted wrong ones.
 """
 
 import random
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -79,7 +78,10 @@ def check_lists(P, verdict, full_sums):
     the references on a fresh copy of the witness (an empty memo)."""
     reports = [verify_witness(P, verdict), verify_witness(P, verdict, degree_bound=2)]
     nu = verdict.witness
-    verdict = replace(verdict, witness=AffineAutomorphismFamily(nu.n, nu.table))
+    verdict = SmoothnessVerdict(verdict.verdict, verdict.theorem_case,
+                                AffineAutomorphismFamily(nu.n, nu.table),
+                                verdict.obstruction, verdict.notes,
+                                verdict.decomposition, verdict.identification)
     full_sums()
     references = [verify_witness(P, verdict),
                   verify_witness(P, verdict, degree_bound=2)]
