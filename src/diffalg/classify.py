@@ -28,8 +28,8 @@ from itertools import combinations
 from .presentation import AlgebraPresentation
 from .records import Record, setfield
 from .scalars import format_ratio, rational, reduced
-from .templates import (_G, _GI, _GO, _LK, _cell, _components, _family_params,
-                        _fmt_components, _roles, _tag_components)
+from .templates import (_G, _GI, _GO, _LK, _cell, _components, _fmt_components,
+                        _names, _roles, _tag_components)
 
 __all__ = ["Decomposition", "decompose", "FamilyIdentification", "identify_family"]
 
@@ -107,13 +107,6 @@ def _fmt(num: int, den: int) -> str:
 _PATTERN = {"A_I": "uniform pattern", "A_II": "one-sided pattern",
             "B": "offset pattern", "C": "offset pattern", "D": "free pattern"}
 
-# what a free coefficient reads as: no pattern parameter, never zero-tested
-_UNNAMED = ((1, None),)
-
-
-def _unnamed(a: int, b: int) -> tuple:
-    return _UNNAMED
-
 
 def identify_family(P: AlgebraPresentation, dec: Decomposition | None = None
                     ) -> FamilyIdentification:
@@ -121,20 +114,27 @@ def identify_family(P: AlgebraPresentation, dec: Decomposition | None = None
 
     The row's cells give every written word's coefficient as a ±1 linear
     expression in at most two named parameters.  One pass files each word
-    under the last of its parameters in report order; then each parameter,
-    in that order, reads its words by substituting the other, known one, so
-    every word is read once.  When all readings of a parameter have one
-    form (the parameter alone, or beside a known one) they must agree, and
-    a disagreement is one violation listing the values found.  Otherwise
-    the first reading of the parameter alone defines it and every other
-    reading is checked on its own, as is every word the row gives
-    coefficient 0.  Every leading word must be nonzero.
+    under the last of its parameters in report order, and reads on the spot
+    each word that holds its parameter alone (by itself, or beside the A_II
+    anchor, which is 0): the first such reading is the parameter's
+    reference, and a reading of another value marks the parameter split.
+    Then the parameters are solved in report order.  One read only alone,
+    to a single value, takes it without a second look at its words.
+    Otherwise each of its words is read, a word that also holds another
+    parameter by substituting that one, which comes earlier in report order
+    and is known.  With readings of both forms the reference defines the
+    parameter and every reading that differs is a violation of its own
+    word; with readings of one form only, several values are one violation
+    listing them.  Every word the row gives coefficient 0 must be 0, and
+    every leading word nonzero.
 
     The cells come from ``templates._cell``, the one definition of the
-    patterns, with each free coefficient left unnamed.  A word's value is an
-    integer over a scale, the presentation's g denominator (a D row divides
-    each relation by its lead: the lead's numerator), so readings add and
-    compare as integers, and the parameters stay integer ratios.
+    patterns, with each free coefficient left unnamed, and the names and
+    report ranks from the ``templates._names`` table of the size.  A word's
+    value is an integer over a scale, the presentation's g denominator (a D
+    row divides each relation by its lead: the lead's numerator), so
+    readings add and compare as integers, and the parameters stay integer
+    ratios.
     """
     if dec is None:
         dec = decompose(P)
@@ -144,24 +144,26 @@ def identify_family(P: AlgebraPresentation, dec: Decomposition | None = None
         family = "A_I" if any(g[j, i] for i, j in combinations(I, 2)) else "A_II"
     else:
         family = ("D", "C", "B")[len(I)]
+    n = P.n
+    names = _names(n)
+    rank = names.rank
     wide = len(I) >= 2
-    role = _roles(I, dec.S if wide else (), dec.T_circ, dec.T_bullet,
+    role = _roles(names, I, dec.S if wide else (), dec.T_circ, dec.T_bullet,
                   () if wide else dec.R_components)
-    ranks = _family_params(family, I)
-
-    def use(name, *rank):
-        ranks.setdefault(name, rank)
-        return name
 
     # A_II only fixes differences of the g<i>: anchor the largest at zero.
-    preset = f"g{I[-1]}" if family == "A_II" else None
-    # the last parameter of a word -> [(word, the parameter's sign there,
-    #   the sign and name of the other parameter or None)]
-    read_for: dict = {preset: ()} if preset else {}
+    preset = names.g[I[-1]] if family == "A_II" else None
+    # the last parameter of a word -> its readings [(the word's indices a, b,
+    #   its expression, value and scale, the parameter's sign there, the sign
+    #   and name of the other parameter or None when it is alone)], in order
+    read_for: dict = {preset: []} if preset else {}
+    # a parameter -> (value, scale) of its first reading alone
+    first: dict = {preset: (0, den)} if preset else {}
+    split = set()  # read alone with more than one value
+    beside = set()  # read beside another parameter at least once
     violations = []
-    n = P.n
     for u, v in combinations(range(1, n + 1), 2):
-        e_uv, e_vu = _cell(family, I, n, u, v, role[u], role[v], use, _unnamed)
+        e_uv, e_vu = _cell(family, I, u, v, role[u], role[v], names, None)
         lead, trail = g[u, v], g[v, u]
         scale = den
         if not lead:
@@ -169,11 +171,10 @@ def identify_family(P: AlgebraPresentation, dec: Decomposition | None = None
                               f"leading slot of every pair must be invertible")
         elif family == "D":
             scale = lead  # every x vanishes: divide the relation by its lead
-        for word in ((u, v, e_uv, lead, scale), (v, u, e_vu, trail, scale)):
-            expr = word[2]
+        for a, b, expr, actual in ((u, v, e_uv, lead), (v, u, e_vu, trail)):
             if not expr:
-                if word[3]:
-                    violations.append(_mismatch(family, I, word, 0))
+                if actual:
+                    violations.append(_mismatch(family, I, (a, b, expr, actual, scale), 0))
                 continue
             if len(expr) == 1:
                 (c, name), = expr
@@ -183,54 +184,75 @@ def identify_family(P: AlgebraPresentation, dec: Decomposition | None = None
             else:
                 (c, name), (sign, other) = expr
                 if name == preset or (other != preset
-                                      and ranks[name] < ranks[other]):
+                                      and rank[name] < rank[other]):
                     c, name, sign, other = sign, other, c, name
-            read_for.setdefault(name, []).append((word, c, sign, other))
-
-    values = {preset: (0, den)} if preset else {}  # name -> (value, scale)
-    order = sorted((ranks[name], name) for name in read_for)
-    for rank, name in order:
-        readings = []
-        for word, c, sign, other in read_for[name]:
-            read = word[3]
+                if other == preset:
+                    other = None
+            readings = read_for.get(name)
+            if readings is None:
+                readings = read_for[name] = []
+            readings.append((a, b, expr, actual, scale, c, sign, other))
             if other is not None:
-                if other not in values:
-                    continue
-                read -= sign * values[other][0]
-            readings.append((read if c > 0 else -read,
-                             other is None or other == preset, word, c > 0))
-        alone = [r for r in readings if r[1]]
-        if alone and len(alone) < len(readings):
-            reference = alone[0][0]
-            values[name] = reference, alone[0][2][4]
-            for read, _, word, positive in readings:
-                if read != reference:
-                    shift = reference - read if positive else read - reference
-                    violations.append(
-                        _mismatch(family, I, word, word[3] + shift))
-        elif readings and all(r[0] == readings[0][0] for r in readings):
-            values[name] = readings[0][0], readings[0][2][4]
-        elif readings:
-            violations.append(_disagreement(dec, rank, readings))
+                beside.add(name)
+                continue
+            read = actual if c > 0 else -actual
+            known = first.get(name)
+            if known is None:
+                first[name] = read, scale
+            elif known[0] != read:
+                split.add(name)
 
-    ratios = {name: reduced(*values[name]) for _, name in order if name in values}
+    values = {}  # a parameter -> (value, scale), in report order
+    for name in sorted(read_for, key=rank.__getitem__):
+        reference = first.get(name)
+        if name not in beside and name not in split:
+            values[name] = reference  # read alone, always to one value
+        elif reference is not None and name in beside:  # both forms
+            values[name] = reference
+            for read, word in _read(read_for[name], values):
+                if read != reference[0]:
+                    expected = word[3] + (reference[0] - read) * word[5]
+                    violations.append(_mismatch(family, I, word, expected))
+        else:  # one form only: a value found first -> its first word
+            found: dict = {}
+            for read, word in _read(read_for[name], values):
+                found.setdefault(read, word)
+            if len(found) > 1:
+                violations.append(_disagreement(dec, rank[name], found))
+            else:
+                (read, word), = found.items()
+                values[name] = read, word[4]
+
+    ratios = {name: reduced(*value) for name, value in values.items()}
     x = P.x_ratios()
-    ratios.update((f"x{i}", x[i]) for i in I)
+    ratios.update((names.x[i], x[i]) for i in I)
     return FamilyIdentification("Inconsistent" if violations else family,
                                 ratios, tuple(violations))
 
 
-def _disagreement(dec, rank, readings) -> str:
+def _read(readings, values):
+    """(value, reading) of each reading of a parameter, in order.
+
+    A word that holds another parameter reads by substituting that one's
+    value from ``values``.  It is always there: the other parameter comes
+    earlier in report order, and in every family's cells it has a single
+    reading or one alone, so it was given a value.
+    """
+    for reading in readings:
+        actual, c, sign, other = reading[3], *reading[5:]
+        if other is not None:
+            actual -= sign * values[other][0]
+        yield (actual if c > 0 else -actual), reading
+
+
+def _disagreement(dec, rank, found) -> str:
     """One violation for a parameter whose readings take several values."""
-    first: dict = {}
-    for read, _, word, _ in readings:
-        first.setdefault(read, word)
     kind, *index = rank
     if kind == _LK:
         comp = dec.R_components[index[0] - 1]
         listing = "; ".join(
             f"index {w[1] if w[0] in dec.I else w[0]} -> {_fmt(read, w[4])}"
-            for read, w in first.items())
+            for read, w in found.items())
         return (f"offset to the interacting index differs inside component "
                 f"{_fmt_components((comp,))}: {listing}")
     if kind == _G:
@@ -245,13 +267,13 @@ def _disagreement(dec, rank, readings) -> str:
         comp = _fmt_components((dec.T_bullet[k - 1],))
         subject = f"the {('lower', 'upper')[side]} side of component {comp}"
     listing = "; ".join(f"D{w[0]} D{w[1]} -> {_fmt(read, w[4])}"
-                        for read, w in first.items())
+                        for read, w in found.items())
     return f"{subject} must carry a single coefficient, found {listing}"
 
 
 def _mismatch(family, I, word, expected) -> str:  # noqa: E741
     """The violation of one written word that disagrees with its cell."""
-    u, v, expr, actual, scale = word
+    u, v, expr, actual, scale = word[:5]
     pattern = _PATTERN[family]
     inside = [a for a in (u, v) if a in I]
     if len(inside) == 1 and not expr:

@@ -19,10 +19,16 @@ One row type, ``TemplateSkeleton``, carries a row from enumeration to text:
 the tuple (n, family, I, S, T_circ, T_bullet, R_components, loose, dense).
 Its cells (``_cell``) are the one definition of its family's pattern: one
 renderer prints them and :func:`diffalg.classify.identify_family` solves
-them.  The rows of one enumeration share a ``_RowCache`` of what their
-pairs, components and (family, I, S) groups have in common.  ``_row_count``
-gives the number of rows in closed form, so ``tables_text`` prints it first
-and then holds one row at a time.
+them.  A cell takes its parameter names from the tables of its size
+(``_names``, made once per n), so no name is formatted per cell.  One walk
+over a row's pairs (``_walk``) gives each pair's relation line or cell, the
+row's parameters and its restrictions, the free leads' among them,
+together; ``tables_text``, ``render_template``, ``instantiate_template``
+and the ``TemplateSkeleton`` properties all read a row through it.  The
+rows of one enumeration share a ``_RowCache`` of what their pairs,
+components and (family, I, S) groups have in common.  ``_row_count`` gives
+the number of rows in closed form, so ``tables_text`` prints it first and
+then holds one row at a time.
 
 Parameter naming:
 
@@ -43,6 +49,7 @@ as ``g111`` could stand for (1, 11) or (11, 1).
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
 from collections import namedtuple
 from itertools import chain, combinations
@@ -141,17 +148,17 @@ class TemplateSkeleton(namedtuple(
     @property
     def params(self) -> tuple:
         """Parameter names, in order of first use."""
-        return tuple(_row_params(*_fresh_entries(self)))
+        return tuple(_walk(_RowCache(), self, _CELL)[1])
 
     @property
     def ranks(self) -> tuple:
         """The report rank of each parameter (see ``_G`` .. ``_FREE``)."""
-        return tuple(_row_params(*_fresh_entries(self)).values())
+        return tuple(_walk(_RowCache(), self, _CELL)[1].values())
 
     @property
     def cells(self) -> tuple:
         """(u, v, expr_uv, expr_vu) for every pair u < v."""
-        return tuple(entry[0] for entry in _fresh_entries(self)[1])
+        return tuple(_walk(_RowCache(), self, _CELL)[0])
 
 
 def _pair_name(prefix: str, a: int, b: int, n: int) -> str:
@@ -159,92 +166,152 @@ def _pair_name(prefix: str, a: int, b: int, n: int) -> str:
     return f"{prefix}{a}_{b}" if n >= 10 else f"{prefix}{a}{b}"
 
 
-def _interacting_cell(family, I, a, t, role, k, use):  # noqa: E741
+class _Names:
+    """The parameter names of the rows on n generators, made once per n.
+
+    ``g``, ``L``, ``go``, ``gbp``, ``gbm`` and ``x`` are lists indexed by
+    the index or component number they carry; ``q[u][v]`` is the trailing
+    ratio of the pair u < v of a D row and ``free[a][b]`` the free
+    coefficient of the written word D_a D_b, both as expressions.  ``roles``
+    maps a role kind to its (kind, number) tuples (``_roles``), and ``rank``
+    every name to its report rank (see ``_G`` .. ``_FREE``).  Shared by every
+    row and table of that size, so read only.
+    """
+
+    __slots__ = ("g", "L", "go", "gbp", "gbm", "x", "q", "free", "roles", "rank")
+
+    def __init__(self, n: int):
+        numbers = range(n + 1)
+        self.g = [f"g{a}" for a in numbers]
+        self.L = [f"L{k}" for k in numbers]
+        self.go = [f"go{k}" for k in numbers]
+        self.gbp = [f"gbp{k}" for k in numbers]
+        self.gbm = [f"gbm{k}" for k in numbers]
+        self.x = [f"x{a}" for a in numbers]
+        self.roles = {kind: [(kind, k) for k in numbers]
+                      for kind in ("S", "I", "Tc", "Tb", "R")}
+        rank = {"g": (_G,), "L": (_L,)}
+        for k in numbers:
+            rank.update({self.g[k]: (_GI, k), self.L[k]: (_LK, k),
+                         self.go[k]: (_GO, k), self.gbp[k]: (_GB, k, 0),
+                         self.gbm[k]: (_GB, k, 1), self.x[k]: (_X, k)})
+        self.q = [[_ZERO] * (n + 1) for _ in numbers]
+        self.free = [[_ZERO] * (n + 1) for _ in numbers]
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                if a < b:
+                    name = _pair_name("q", b, a, n)
+                    rank[name] = (_Q, a, b)
+                    self.q[a][b] = _sym(name)
+                if a != b:
+                    name = _pair_name("g", a, b, n)
+                    rank[name] = (_FREE,)
+                    self.free[a][b] = _sym(name)
+        self.rank = rank
+
+
+# Presentations are read with at most ``presentation.MAX_GENERATORS``
+# generators and ``tables`` stops far below that, so a few sizes are live.
+_names = functools.lru_cache(maxsize=16)(_Names)
+
+
+# The cells of the interacting set, the same for every row of a family
+_UNIFORM = _sym("g"), _sym("g")  # A_I
+_OFFSET = _sym("g"), _diff("g", "L")  # B
+
+
+def _interacting_cell(family, I, a, t, role, k, names):  # noqa: E741
     """Coefficients of the written words (D_a D_t, D_t D_a) that the family
     pattern gives the interacting index ``a`` against ``t``; None when the
     pattern has no cell for them."""
     if role == "S" and family == "A_I":
-        gs = _sym(use(f"g{t}", _GI, t))
+        gs = ((1, names.g[t]),)
         return gs, gs
     if role == "S" and family == "B":
         # D_i D_s carries g_s; each sibling word follows it, offset by L
         # when s stands on the outside of the word
-        gs = use(f"g{t}", _GI, t)
-        return (_sym(gs) if a == I[0] else _diff(gs, "L"),
-                _sym(gs) if a == I[1] else _diff(gs, "L"))
+        gs = names.g[t]
+        return (((1, gs),) if a == I[0] else ((1, gs), (-1, "L")),
+                ((1, gs),) if a == I[1] else ((1, gs), (-1, "L")))
     if role == "R":  # family C
-        gr = use(f"g{t}", _GI, t)
-        return _sym(gr), _diff(gr, use(f"L{k}", _LK, k))
+        gr = names.g[t]
+        return ((1, gr),), ((1, gr), (-1, names.L[k]))
     # the remaining cells are one-sided: only the leading word is nonzero
     if role == "Tc":
-        go = use(f"go{k}", _GO, k)
+        go = names.go[k]
         if family == "A_II":
-            lead = ((1, f"g{a}"), (1, go))
+            lead = ((1, names.g[a]), (1, go))
         elif family == "B" and a == I[1]:
-            lead = _diff(go, "L")
+            lead = ((1, go), (-1, "L"))
         else:
-            lead = _sym(go)
-        lead = lead if a < t else _negate(lead)
-    elif role == "Tb":
-        base = ((1, f"g{a}"),) if family == "A_II" else _ZERO
+            lead = ((1, go),)
         if a < t:
-            lead = base + _sym(use(f"gbp{k}", _GB, k, 0))
-        else:
-            lead = _sym(use(f"gbm{k}", _GB, k, 1)) + _negate(base)
-    else:
-        return None
-    return (lead, _ZERO) if a < t else (_ZERO, lead)
+            return lead, _ZERO
+        return _ZERO, _negate(lead)
+    if role == "Tb":
+        if a < t:
+            gbp = names.gbp[k]
+            return (((1, names.g[a]), (1, gbp)) if family == "A_II"
+                    else ((1, gbp),)), _ZERO
+        gbm = names.gbm[k]
+        return _ZERO, (((1, gbm), (-1, names.g[a])) if family == "A_II"
+                       else ((1, gbm),))
+    return None
 
 
 # the leading word of a fully non-interacting (D) row: coefficient 1
 _UNIT: tuple = ((1, None),)
 
 
-def _roles(I, S, t_circ, t_bullet, r_comps) -> dict:  # noqa: E741
-    """Index -> (role, number): "I" with the index's 1-based place in I,
-    "S" with 0, or the component kind "Tc", "Tb" or "R" with the 1-based
-    place of the index's component in its list."""
-    role = {a: ("I", k) for k, a in enumerate(I, start=1)}
+def _roles(names, I, S, t_circ, t_bullet, r_comps) -> list:  # noqa: E741
+    """Index -> (role, number), a list over 0..n: "I" with the index's
+    1-based place in I, "S" with 0, or the component kind "Tc", "Tb" or "R"
+    with the 1-based place of the index's component in its list."""
+    roles = names.roles
+    role = [None] * len(names.g)
+    kinds = roles["I"]
+    for k, a in enumerate(I, start=1):
+        role[a] = kinds[k]
     for a in S:
-        role[a] = ("S", 0)
+        role[a] = roles["S"][0]
     for tag, comps in (("Tc", t_circ), ("Tb", t_bullet), ("R", r_comps)):
+        kinds = roles[tag]
         for k, comp in enumerate(comps, start=1):
-            kind = (tag, k)
             for a in comp:
-                role[a] = kind
+                role[a] = kinds[k]
     return role
 
 
-def _family_params(family, I) -> dict:  # noqa: E741
+def _family_params(family, I, names) -> dict:  # noqa: E741
     """The parameters (name -> rank) that come before every cell of a
     ``family`` row."""
     if family == "A_II":
-        return {f"g{i}": (_GI, i) for i in I}
+        return {names.g[i]: (_GI, i) for i in I}
     head = {"g": (_G,)} if family in ("A_I", "B") else {}
     if family == "B":
         head["L"] = (_L,)
     return head
 
 
-def _cell(family, I, n, u, v, role_u, role_v, use, free) -> tuple:  # noqa: E741
+def _cell(family, I, u, v, role_u, role_v, names, free) -> tuple:  # noqa: E741
     """(expr_uv, expr_vu), the cell of the pair u < v with the given roles.
 
-    ``use(name, *rank)`` names each pattern parameter the cell reads, and
-    ``free(a, b)`` gives the expression of the free coefficient of the
-    written word D_a D_b, which no family pattern constrains.
+    ``names`` is the ``_Names`` of the row's size.  ``free`` is its
+    ``free`` table, or None to leave each free coefficient of a written
+    word unnamed (``_UNIT``): no family pattern constrains them.
     """
     ru, ku = role_u
     rv, kv = role_v
     if ru == "I" and rv == "I":
         if family == "A_I":
-            return _sym("g"), _sym("g")
+            return _UNIFORM
         if family == "A_II":
-            return _diff(f"g{u}", f"g{v}"), _ZERO
-        return _sym("g"), _diff("g", "L")  # B
+            return ((1, names.g[u]), (-1, names.g[v])), _ZERO
+        return _OFFSET  # B
     if ru == "I":
-        cell = _interacting_cell(family, I, u, v, rv, kv, use)
+        cell = _interacting_cell(family, I, u, v, rv, kv, names)
     elif rv == "I":
-        cell = _interacting_cell(family, I, v, u, ru, ku, use)
+        cell = _interacting_cell(family, I, v, u, ru, ku, names)
         cell = cell and cell[::-1]
     else:
         cell = None
@@ -255,9 +322,10 @@ def _cell(family, I, n, u, v, role_u, role_v, use, free) -> tuple:  # noqa: E741
     # lead and keeps the trailing ratio inside a component
     same = role_u == role_v
     if family == "D":
-        trail = _sym(use(_pair_name("q", v, u, n), _Q, u, v)) if same else _ZERO
-        return _UNIT, trail
-    return free(u, v), (free(v, u) if same else _ZERO)
+        return _UNIT, (names.q[u][v] if same else _ZERO)
+    if free is None:
+        return _UNIT, (_UNIT if same else _ZERO)
+    return free[u][v], (free[v][u] if same else _ZERO)
 
 
 class _RowCache:
@@ -272,11 +340,11 @@ class _RowCache:
     chain.  Per I it keeps the restriction parts on a set of indices or on
     the numbers of components, and per group the role codes of I and S, the
     pattern's part and the lines on family, I and S.  A row codes its
-    components and looks each pair up, and each level starts afresh when
-    the one above it changes.
+    components and looks each pair up (``_walk``), and each level starts
+    afresh when the one above it changes.
     """
 
-    __slots__ = ("scope", "group", "pair_list", "roles", "pairs", "cells",
+    __slots__ = ("scope", "group", "names", "pair_list", "roles", "pairs", "cells",
                  "comps", "parts", "head", "tail", "codes", "lines", "pattern")
 
     def __init__(self):
@@ -288,11 +356,12 @@ class _RowCache:
         scope = (n, family, I)
         if scope != self.scope:
             if self.scope is None or self.scope[:2] != scope[:2]:
+                names = self.names = _names(n)
                 self.pair_list = tuple(combinations(range(1, n + 1), 2))
                 # role code -> role (``_roles``): the role (kind, k) has
-                # the code place * (n + 1) + k, place its kind's in this list
-                self.roles = [(kind, k) for kind in ("S", "I", "Tc", "Tb", "R")
-                              for k in range(n + 1)]
+                # the code place * (n + 1) + k, place its kind's in the
+                # order S, I, Tc, Tb, R of ``names.roles``
+                self.roles = [role for kinds in names.roles.values() for role in kinds]
                 # (u, v, code_u, code_v) -> [cell, the parameters it names
                 #   (name -> rank), the restriction part on its lead or
                 #   None, its relation line]
@@ -306,8 +375,8 @@ class _RowCache:
             # the key of a restriction part -> [its restrictions, their lines]
             self.parts: dict = {}
             # the parameters named before and after every cell of a row
-            self.head = _family_params(family, I)
-            self.tail = {f"x{i}": (_X, i) for i in I}
+            self.head = _family_params(family, I, self.names)
+            self.tail = {self.names.x[i]: (_X, i) for i in I}
         if S != self.group:
             self.group = S
             # index -> the code of its role; the rows add their components'
@@ -323,25 +392,22 @@ class _RowCache:
 
     def pair(self, u, v, code_u, code_v) -> list:
         """Make the entry of the pair u < v with the given role codes."""
-        n, family, I = self.scope  # noqa: E741
-        named: dict = {}
-
-        def use(name, *rank):
-            named.setdefault(name, rank)
-            return name
-
-        def free(a, b):
-            return _sym(use(_pair_name("g", a, b, n), _FREE))
-
+        _, family, I = self.scope  # noqa: E741
+        names = self.names
         role_u, role_v = self.roles[code_u], self.roles[code_v]
-        cell = (u, v) + _cell(family, I, n, u, v, role_u, role_v, use, free)
+        cell = (u, v) + _cell(family, I, u, v, role_u, role_v, names, names.free)
         key = (cell, role_u[0] == "I", role_v[0] == "I")
         entry = self.cells.get(key)
         if entry is None:
+            # the names before every cell (``head``) are left out: the cells
+            # name a g<i> of A_II only for i in I
+            rank, head = names.rank, self.head
+            named = {name: rank[name] for expr in cell[2:] for _, name in expr
+                     if name and name not in head}
             # a free leading coefficient must be invertible
             lead = cell[2]
             part = (_restricted(((lead, _ZERO, False),))
-                    if lead and named.get(lead[0][1]) == (_FREE,) else None)
+                    if lead and rank.get(lead[0][1]) == (_FREE,) else None)
             line = "relation: " + _render_relation(*cell, *key[1:])
             entry = self.cells[key] = [cell, named, part, line]
         self.pairs[u, v, code_u, code_v] = entry
@@ -369,38 +435,66 @@ def _restricted(conditions: tuple) -> list:
                                    for left, right, _ in conditions)]
 
 
-def _pair_entries(cache: _RowCache, row) -> list:
-    """The ``cache`` entry of every pair u < v of ``row``, in order."""
-    n, family, I, S, t_circ, t_bullet, r_comps = row[:7]  # noqa: E741
+# what ``_walk`` takes of each pair's entry: its cell or its relation line
+_CELL, _LINE = 0, 3
+
+
+def _walk(cache: _RowCache, row, item: int) -> tuple:
+    """(items, params, parts) of ``row``, from one walk over its pairs.
+
+    ``items`` holds the ``item`` (``_CELL`` or ``_LINE``) of every pair
+    u < v in order, and ``params`` maps each parameter name to its report
+    rank in order of first use; a name always comes with the same rank, so
+    merging a cell's names keeps each parameter where it was first used.
+    ``parts`` are the ``cache`` entries [restrictions, lines] of the row's
+    nonempty restriction parts in order: family-specific named conditions
+    first, then the invertibility of every free leading coefficient, then
+    the two-sided chain that exhibits each pinned component's connectivity.
+    The restrictions of a part are a tuple of (left, right, enforced), one
+    for every "left != right", and its lines are rendered when it is made;
+    equal parts of the rows of one ``cache`` are one shared entry.
+    """
+    n, family, I, S, t_circ, t_bullet, r_comps, loose, dense = row  # noqa: E741
     cache.enter(n, family, I, S)
     codes = cache.codes[:]
+    known = cache.comps
+    chains = []
     for first, comps in ((2 * n + 3, t_circ), (3 * n + 4, t_bullet),
                          (4 * n + 5, r_comps)):  # the codes of ("Tc", 1) ...
         for code, comp in enumerate(comps, start=first):
             for a in comp:
                 codes[a] = code
-    get = cache.pairs.get
-    return [get((u, v, codes[u], codes[v])) or cache.pair(u, v, codes[u], codes[v])
-            for u, v in cache.pair_list]
-
-
-def _row_params(cache: _RowCache, entries) -> dict:
-    """Parameter name -> report rank, in order of first use in the row.
-
-    A name always comes with the same rank, so merging a cell's names keeps
-    each parameter where it was first used.
-    """
+            chain = (known.get(comp) or cache.comp(comp))[1]
+            if chain[0]:
+                chains.append(chain)
+    part = cache.part
+    out = [cache.pattern] if cache.pattern[0] else []
+    if family == "C":
+        out += [part(("offsets", k, comp), _offset_conditions, k, comp)
+                for k, comp in enumerate(r_comps, start=1)]
+    counts = ("components", len(t_circ), len(t_bullet))
+    counted = (cache.parts.get(counts)
+               or part(counts, _component_conditions, family, I, *counts[1:]))
+    if counted[0]:
+        out.append(counted)
+    if dense:
+        out.append(part(("dense",), _dense_conditions, n))
+    # a dense row pins its ratios instead of its free leads and chains
+    leads = [] if dense else out
+    items = []
     params = dict(cache.head)
-    for entry in entries:
-        params.update(entry[1])
-    params.update(cache.tail)
-    return params
-
-
-def _fresh_entries(row) -> tuple:
-    """A new ``_RowCache`` and the entries of ``row``'s pairs in it."""
-    cache = _RowCache()
-    return cache, _pair_entries(cache, row)
+    get = cache.pairs.get
+    for u, v in cache.pair_list:
+        code_u, code_v = codes[u], codes[v]
+        entry = get((u, v, code_u, code_v)) or cache.pair(u, v, code_u, code_v)
+        items.append(entry[item])
+        params |= entry[1]
+        if entry[2]:
+            leads.append(entry[2])
+    params |= cache.tail
+    if not (dense or loose):
+        out += chains
+    return items, params, out
 
 
 def _pattern_conditions(family, I, S):  # noqa: E741
@@ -464,38 +558,6 @@ def _chain_conditions(prefix, comp, n):
         yield _sym(_pair_name(prefix, b, a, n)), _ZERO, False
 
 
-def _restriction_parts(cache: _RowCache, row, entries) -> list:
-    """The restrictions of ``row`` in order, as the ``cache`` entries
-    [restrictions, lines] of its nonempty parts.
-
-    ``entries`` are the row's pair entries (``_pair_entries``).  The
-    restrictions of a part are a tuple of (left, right, enforced), one for
-    every "left != right", and its lines are rendered when it is made.
-    Family-specific named conditions come first, then the invertibility of
-    every free leading coefficient, then the two-sided chain that exhibits
-    each pinned component's connectivity.  Equal parts of the rows of one
-    ``cache`` are one shared entry.
-    """
-    n, family, I, S, t_circ, t_bullet, r_comps, loose, dense = row  # noqa: E741
-    parts, part = cache.parts, cache.part
-    counts = ("components", len(t_circ), len(t_bullet))
-    out = [cache.pattern]
-    if family == "C":
-        out += [part(("offsets", k, comp), _offset_conditions, k, comp)
-                for k, comp in enumerate(r_comps, start=1)]
-    out.append(parts.get(counts)
-               or part(counts, _component_conditions, family, I, *counts[1:]))
-    if dense:
-        out.append(part(("dense",), _dense_conditions, n))
-    else:
-        out += [entry[2] for entry in entries if entry[2]]
-        if not loose:
-            comps = cache.comps
-            out += [(comps.get(comp) or cache.comp(comp))[1]
-                    for comp in t_circ + t_bullet + r_comps]
-    return [entry for entry in out if entry[0]]
-
-
 def _render_restriction(left: tuple, right: tuple) -> str:
     return f"{_render_expr(left)} != {_render_expr(right)}"
 
@@ -509,8 +571,7 @@ def instantiate_template(skel: TemplateSkeleton, values: dict
     each pinned component are all checked, so the result always decomposes
     back onto the template's index structure.
     """
-    cache, entries = _fresh_entries(skel)
-    params = _row_params(cache, entries)
+    cells, params, parts = _walk(_RowCache(), skel, _CELL)
     vals = {}
     for key, raw in values.items():
         if key not in params:
@@ -520,7 +581,7 @@ def instantiate_template(skel: TemplateSkeleton, values: dict
         if name not in vals:
             raise TemplateError(f"missing parameter: {name}")
 
-    for part in _restriction_parts(cache, skel, entries):
+    for part in parts:
         for left, right, enforced in part[0]:
             if enforced and _total(left, vals) == _total(right, vals):
                 raise TemplateError(
@@ -531,8 +592,7 @@ def instantiate_template(skel: TemplateSkeleton, values: dict
                 f"x{i} must be nonzero on the interacting set")
 
     g: dict = {}
-    for entry in entries:
-        u, v, e_uv, e_vu = entry[0]
+    for u, v, e_uv, e_vu in cells:
         lead = _total(e_uv, vals)
         if lead == 0:
             raise TemplateError(
@@ -760,16 +820,10 @@ def render_template(skel: TemplateSkeleton, index: int) -> str:
 
 def _row_text(cache: _RowCache, index: int, row) -> str:
     """The text of row number ``index``."""
-    entries = _pair_entries(cache, row)
-    t_circ, t_bullet, r_comps = (_comps_text(cache, comps) for comps in row[4:7])
+    lines, params, parts = _walk(cache, row, _LINE)
+    known = cache.comps  # the walk made an entry for every component
+    t_circ, t_bullet, r_comps = (" ".join([known[comp][0] for comp in comps]) or "-"
+                                 for comps in row[4:7])
     return "\n".join([
         f"template: {index}\n{cache.lines}\nTcirc: {t_circ}\nTbullet: {t_bullet}\nR: {r_comps}",
-        *[entry[3] for entry in entries],
-        *[part[1] for part in _restriction_parts(cache, row, entries)],
-        f"params: {' '.join(_row_params(cache, entries))}"])
-
-
-def _comps_text(cache: _RowCache, comps: tuple) -> str:
-    """The text of a tuple of components."""
-    known = cache.comps
-    return " ".join([(known.get(comp) or cache.comp(comp))[0] for comp in comps]) or "-"
+        *lines, *[part[1] for part in parts], f"params: {' '.join(params)}"])

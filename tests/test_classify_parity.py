@@ -1,10 +1,12 @@
-"""``classify`` and ``check-pbw`` output, pinned byte for byte, and
-``identify_family`` against the whole-row oracle.
+"""``classify``, ``check-pbw`` and ``smooth`` output, pinned byte for byte,
+and ``identify_family`` against the whole-row oracle.
 
 One sha256 covers the exit code, stdout and stderr of both commands on every
 fixture (the malformed, inconsistent and non-PBW ones included) and on two
 seeded instances of every full template row for n = 3 and 4.  Any change to
 a classify line, a parameter, a violation's text or its order moves it.
+Another covers ``smooth`` on the same row instances, whose verdicts rest on
+the identified family and its parameters.
 On the same inputs a ``classify`` op builds no ``Fraction``: the parameters
 stay integer ratios until they are printed.
 
@@ -32,12 +34,18 @@ from test_integer_family import count_fractions
 from test_roundtrip import seeded_instance
 
 OUTPUT_DIGEST = "64843bd2c7beaf54aa7c57a4291d85025f20fdf0993d3b25e1c40d792cb3128b"
+SMOOTH_DIGEST = "bde6db82e3f1ee7e740b6b5ee796195eb3b6ee32826f725cf712659648b31254"
 
 
 def _inputs(tmp_path):
     """(name, path) of every fixture, then of the seeded row instances."""
     for path in sorted(FIXTURES.glob("*.dalg")):
         yield path.name, path
+    yield from _row_inputs(tmp_path)
+
+
+def _row_inputs(tmp_path):
+    """(name, path) of two seeded instances of every full row for n = 3, 4."""
     for n in (3, 4):
         rng = random.Random(f"classify-digest:{n}")
         for index, skel in enumerate(generate_templates(n, "full"), start=1):
@@ -60,6 +68,19 @@ def test_classify_and_check_pbw_output_digest_is_pinned(capsys, tmp_path):
             runs += 1
     assert runs == 2 * (9 + 2 * (19 + 79))
     assert digest.hexdigest() == OUTPUT_DIGEST
+
+
+def test_smooth_output_digest_is_pinned(capsys, tmp_path):
+    digest = hashlib.sha256()
+    runs = 0
+    for name, path in _row_inputs(tmp_path):
+        rc = main(["smooth", str(path)])
+        captured = capsys.readouterr()
+        err = captured.err.replace(str(path), name)
+        digest.update(f"smooth {name}\n{rc}\n{captured.out}\0{err}\0".encode())
+        runs += 1
+    assert runs == 2 * (19 + 79)
+    assert digest.hexdigest() == SMOOTH_DIGEST
 
 
 def test_a_classify_op_builds_no_fraction(monkeypatch, capsys, tmp_path):

@@ -81,11 +81,13 @@ def test_fresh_presentations_leave_nothing_behind(tmp_path):
 
 
 def test_tables_holds_one_row_at_a_time():
-    # the paper mode keeps the run short under tracemalloc; building all
-    # 480 rows first peaks at about 3 MiB
+    # n = 6 keeps the runs short under tracemalloc; building all 480 paper
+    # rows first peaks at about 3 MiB, and full mode renders 1820 rows
+    peaks = {}
     with discarded_stdout():
         main(["tables", "3"])
-        with traced():
-            assert main(["tables", "6", "--mode", "paper"]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-    assert peak < 1 * MIB
+        for mode in ("paper", "full"):
+            with traced():
+                assert main(["tables", "6", "--mode", mode]) == 0
+                peaks[mode] = tracemalloc.get_traced_memory()[1]
+    assert max(peaks.values()) < 1 * MIB, peaks
