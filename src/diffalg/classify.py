@@ -246,7 +246,8 @@ def _read(readings, values):
 
 
 def _disagreement(dec, rank, found) -> str:
-    """One violation for a parameter whose readings take several values."""
+    """One violation for a parameter whose readings take several values;
+    ``found`` maps each value to the first reading that gave it."""
     kind, *index = rank
     if kind == _LK:
         comp = dec.R_components[index[0] - 1]
@@ -272,7 +273,8 @@ def _disagreement(dec, rank, found) -> str:
 
 
 def _mismatch(family, I, word, expected) -> str:  # noqa: E741
-    """The violation of one written word that disagrees with its cell."""
+    """The violation of one written word that disagrees with its cell;
+    ``word`` starts with its indices, expression, value and scale."""
     u, v, expr, actual, scale = word[:5]
     pattern = _PATTERN[family]
     inside = [a for a in (u, v) if a in I]

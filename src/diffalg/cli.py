@@ -195,11 +195,12 @@ def _cmd_d(args) -> int:
 # Largest n that ``tables`` enumerates per mode.  The count is closed-form
 # and rows are rendered, written and dropped one at a time; only full mode's
 # partition lists grow with n.  Time, 3-6x per generator, sets the caps.
-# On a 2-core x86-64 container (Python 3.11, 2026-10-19, output to
-# /dev/null): paper n = 9 takes 1.0-1.5 s at a peak RSS of 18.8-19.2 MiB and
-# n = 10 3.3-4.7 s at 19.1-19.3 MiB; full n = 7 takes 0.4-0.6 s at 18.4-18.8
-# MiB and n = 8 2.4-3.5 s at 21.2-21.5 MiB.  Raising a cap changes which
-# inputs are refused, so it is a change of its own.
+# On a 2-core x86-64 container (Python 3.11, 2026-10-19, a whole process
+# without bytecode, output to /dev/null, four runs): paper n = 9 takes
+# 0.7-1.2 s at a peak RSS of 18.3-18.4 MiB and n = 10 2.3-3.1 s at 19.4-19.5
+# MiB; full n = 7 takes 0.36-0.40 s at 17.6-17.8 MiB and n = 8 1.3-1.7 s at
+# 20.9-21.0 MiB.  Raising a cap changes which inputs are refused, so it is a
+# change of its own.
 MAX_TABLES_N = {"paper": 9, "full": 7}
 
 
