@@ -245,18 +245,16 @@ def _interacting_cell(family, I, a, t, role, k, names):  # noqa: E741
             lead = ((1, go), (-1, "L"))
         else:
             lead = ((1, go),)
+        lead = lead if a < t else _negate(lead)
+    elif role == "Tb":
+        base = ((1, names.g[a]),) if family == "A_II" else _ZERO
         if a < t:
-            return lead, _ZERO
-        return _ZERO, _negate(lead)
-    if role == "Tb":
-        if a < t:
-            gbp = names.gbp[k]
-            return (((1, names.g[a]), (1, gbp)) if family == "A_II"
-                    else ((1, gbp),)), _ZERO
-        gbm = names.gbm[k]
-        return _ZERO, (((1, gbm), (-1, names.g[a])) if family == "A_II"
-                       else ((1, gbm),))
-    return None
+            lead = base + ((1, names.gbp[k]),)
+        else:
+            lead = ((1, names.gbm[k]),) + _negate(base)
+    else:
+        return None
+    return (lead, _ZERO) if a < t else (_ZERO, lead)
 
 
 # the leading word of a fully non-interacting (D) row: coefficient 1
