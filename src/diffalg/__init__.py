@@ -5,21 +5,25 @@ The package keeps one concern per module:
 * :mod:`diffalg.presentation` — the text format and admissibility checks
 * :mod:`diffalg.engine` — ordered rewriting, normal forms, confluence
 * :mod:`diffalg.classify` — index-set decomposition and family patterns
-* :mod:`diffalg.templates` — symbolic template rows and instantiation
-* :mod:`diffalg.calculus` — twisting families, differentials, graded forms
+* :mod:`diffalg.templates` — the cells and names of the family patterns
+* :mod:`diffalg.rows` — template rows: enumeration, text, instantiation
+* :mod:`diffalg.calculus` — twisting families, differentials, certificates
+* :mod:`diffalg.forms` — higher forms: wedge, form differential, volume form
 * :mod:`diffalg.smoothness` — the three-valued verdict and its evidence
 * :mod:`diffalg.exprs` — the polynomial grammar and canonical rendering
 * :mod:`diffalg.records` — the immutable base of the result records
 * :mod:`diffalg.cli` — the command-line entry point
+
+``rows`` and ``forms`` load on first use: ``templates`` and ``calculus``
+serve their names (PEP 562 ``__getattr__``), and so does this package for
+the public ones, so importing the package or the CLI compiles neither.
 """
 
+from . import calculus, templates
 from .calculus import (
     AffineAutomorphismFamily, CalculusError, GradedForm, apply_automorphism,
-    basis_form, build_automorphisms, check_connectedness, check_d_squared,
-    check_integrating_form, differential, form_differential, left_multiply,
-    leibniz_defects, no_go_residual, nu_omega, nu_omega_inverse,
-    partial_derivative, pi_omega, right_multiply, scalar_form, shift_ansatz,
-    verify_automorphisms, wedge,
+    build_automorphisms, check_connectedness, differential, leibniz_defects,
+    no_go_residual, partial_derivative, shift_ansatz, verify_automorphisms,
 )
 from .classify import Decomposition, FamilyIdentification, decompose, identify_family
 from .engine import (
@@ -36,10 +40,7 @@ from .smoothness import (
     NotPbwError, Obstruction, SmoothnessError, SmoothnessVerdict,
     WitnessReport, decide_smoothness, gk_dimension, verify_witness,
 )
-from .templates import (
-    TemplateError, TemplateSkeleton, generate_templates, instantiate_template,
-    render_template,
-)
+from .templates import TemplateError
 
 __version__ = "0.1.0"
 
@@ -63,3 +64,21 @@ __all__ = [
     "TemplateSkeleton", "generate_templates", "instantiate_template",
     "render_template",
 ]
+
+# The public names of ``forms`` and ``rows``, through the module that serves them
+_LAZY = dict.fromkeys((
+    "basis_form", "check_d_squared", "check_integrating_form",
+    "form_differential", "left_multiply", "nu_omega", "nu_omega_inverse",
+    "pi_omega", "right_multiply", "scalar_form", "wedge",
+), calculus) | dict.fromkeys((
+    "TemplateSkeleton", "generate_templates", "instantiate_template",
+    "render_template",
+), templates)
+
+
+def __getattr__(name: str):
+    """A public name of ``forms`` or ``rows``, kept here once it is loaded."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_LAZY[name], name)
+    return value

@@ -46,6 +46,21 @@ The ``certify_*`` functions decide ``d∘d = 0``, connectedness and the
 volume-form identities from the family's scalars and generator maps, with
 no differential, wedge or product.  Each docstring gives the argument and
 the premises it needs; where they fail, the sampled ``check_*`` decides.
+
+The higher-forms algebra lives in :mod:`diffalg.forms`: ``basis_form``,
+``scalar_form``, the wedge and its merge factors, ``form_differential``,
+the one-sided products, the volume twist and its inverse, the dual bases,
+and the sampled ``check_integrating_form`` and ``check_d_squared``.  Only
+``--degree-bound``, foreign families (such as the ones a test plants) and
+the API run it, so it loads on the first use of one of its names through
+this module (``__getattr__``), which then keeps the name here; a default
+command never compiles it.  The connectedness sample stays here
+(``check_connectedness``, ``_monomials``, ``GradedForm``): a default
+``smooth`` still samples it on every B row whose family has some
+``lam_aa = -1`` (ROADMAP item 3), and a prototype that moved the sample out
+too lost a third of the verify workload's throughput on bench seed 37,
+which draws such rows (3686 -> 2463 ops/s, 0 of 6 pairs), since each of
+those ops then compiled the module.
 """
 
 from __future__ import annotations
@@ -54,7 +69,7 @@ import math
 from itertools import combinations
 
 from .classify import Decomposition, FamilyIdentification, decompose, identify_family
-from .engine import Poly, _iadd, multiply
+from .engine import Poly, _iadd
 from .presentation import AlgebraPresentation
 from .records import Record, setfield
 from .scalars import ONE, ZERO, rational
@@ -70,6 +85,25 @@ __all__ = [
     "no_go_residual", "certify_connectedness", "certify_d_squared",
     "certify_expansion", "certify_projection",
 ]
+
+
+# The names of ``forms``, each loaded on its first lookup here (PEP 562)
+_FORMS = frozenset((
+    "basis_form", "scalar_form", "_merge_twist", "_transport", "wedge",
+    "form_differential", "left_multiply", "right_multiply", "pi_omega",
+    "_omega_inverse_maps", "nu_omega", "nu_omega_inverse", "_dual_bases",
+    "check_integrating_form", "check_d_squared",
+))
+
+
+def __getattr__(name: str):
+    """A name of ``forms``, kept in this module once it is loaded, so the
+    next lookup, a monkeypatch or a rebinding tracer finds it here."""
+    if name not in _FORMS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import forms
+    value = globals()[name] = getattr(forms, name)
+    return value
 
 
 class CalculusError(ValueError):
@@ -549,94 +583,6 @@ class GradedForm:
         return f"GradedForm(n={self.n}, degree={self.degree}, {self.coeffs!r})"
 
 
-def basis_form(n: int, J, p: Poly) -> GradedForm:
-    J = tuple(sorted(J))
-    return GradedForm(n, len(J), {J: p})
-
-
-def scalar_form(n: int, p: Poly) -> GradedForm:
-    return GradedForm(n, 0, {(): p})
-
-
-def _merge_twist(left, right, nu: AffineAutomorphismFamily):
-    """Sign-and-scale factor for sorting ``dD_left dD_right`` into one set."""
-    factor = rational(1)
-    for j in left:
-        for u in right:
-            if u < j:
-                factor = factor * (-nu.lam(u, j))
-    return factor
-
-
-def _transport(p: Poly, indices, nu: AffineAutomorphismFamily,
-               P: AlgebraPresentation) -> Poly:
-    """Apply ``nu_k`` for ``k`` in ``indices``, left to right, as one composed map."""
-    if not indices:
-        return p
-    return Poly(P.n, _twist_terms(p.terms, tuple(indices), nu, P.n))
-
-
-def wedge(xi: GradedForm, eta: GradedForm, nu: AffineAutomorphismFamily,
-          P: AlgebraPresentation) -> GradedForm:
-    out: dict = {}
-    for J, p in xi.coeffs.items():
-        for K, q in eta.coeffs.items():
-            if set(J) & set(K):
-                continue
-            factor = _merge_twist(J, K, nu)
-            if factor == 0:
-                continue
-            piece = multiply(_transport(p, K, nu, P), q, P)
-            _iadd(out.setdefault(tuple(sorted(J + K)), {}), piece.terms, factor)
-    return GradedForm(xi.n, xi.degree + eta.degree,
-                      {J: Poly(xi.n, terms) for J, terms in out.items()})
-
-
-def form_differential(xi: GradedForm, nu: AffineAutomorphismFamily,
-                      P: AlgebraPresentation) -> GradedForm:
-    """Extend d to higher forms: ``d(dD_J p) = (-1)^{|J|} dD_J ^ d(p)``.
-
-    The head ``dD_J * 1`` passes through ``d(p) = sum_b dD_b * d_b(p)``
-    untwisted (every twist fixes 1), so the wedge reduces to
-    ``(-1)^{|J|} sum_b merge(J, b) dD_{J u b} * d_b(p)`` over ``b`` not in
-    ``J``, with the sign-and-scale factor of :func:`_merge_twist`.
-    """
-    sign = -1 if xi.degree % 2 else 1
-    out: dict = {}
-    for J, p in xi.coeffs.items():
-        for (b,), q in differential(p, nu, P).coeffs.items():
-            if b in J:
-                continue
-            factor = _merge_twist(J, (b,), nu)
-            if factor != 0:
-                _iadd(out.setdefault(tuple(sorted(J + (b,))), {}), q.terms,
-                      sign * factor)
-    return GradedForm(xi.n, xi.degree + 1,
-                      {K: Poly(xi.n, terms) for K, terms in out.items()})
-
-
-def left_multiply(p: Poly, xi: GradedForm, nu: AffineAutomorphismFamily,
-                  P: AlgebraPresentation) -> GradedForm:
-    return GradedForm(xi.n, xi.degree, {
-        J: multiply(_transport(p, J, nu, P), q, P)
-        for J, q in xi.coeffs.items()})
-
-
-def right_multiply(xi: GradedForm, p: Poly,
-                   P: AlgebraPresentation) -> GradedForm:
-    return GradedForm(xi.n, xi.degree,
-                      {J: multiply(q, p, P) for J, q in xi.coeffs.items()})
-
-
-def pi_omega(tau: GradedForm) -> Poly:
-    """Project a top-degree form onto its volume coefficient."""
-    if tau.degree != tau.n:
-        raise CalculusError(
-            f"projection needs a degree-{tau.n} form, got degree {tau.degree}")
-    full = tuple(range(1, tau.n + 1))
-    return tau.coeffs.get(full, Poly.zero(tau.n))
-
-
 def _require_regular_volume_twist(nu: AffineAutomorphismFamily) -> None:
     """Raise :class:`CalculusError` when the volume twist ``nu_n o ... o nu_1``
     is singular.  It sends ``D_j`` to ``(prod_a lam_aj) D_j + ...``, a
@@ -647,30 +593,6 @@ def _require_regular_volume_twist(nu: AffineAutomorphismFamily) -> None:
         j = min(j for _, j in zeros)
         raise CalculusError(
             f"the volume twist is singular: it sends D{j} to a constant")
-
-
-def _omega_inverse_maps(nu: AffineAutomorphismFamily) -> dict:
-    """Inverse of the volume twist ``nu_n o ... o nu_1``; stored only once
-    every generator inverts."""
-    inverse = nu._memo.get("omega-inverse")
-    if inverse is None:
-        _require_regular_volume_twist(nu)
-        inverse = nu._memo["omega-inverse"] = {
-            j: (ONE / lam, -mu / lam)
-            for j, (lam, mu) in nu.composed(range(1, nu.n + 1)).items()}
-    return inverse
-
-
-def nu_omega(p: Poly, nu: AffineAutomorphismFamily,
-             P: AlgebraPresentation) -> Poly:
-    """The volume twist ``nu_n o ... o nu_1``, applied as one composed map."""
-    return _transport(p, range(1, nu.n + 1), nu, P)
-
-
-def nu_omega_inverse(p: Poly, nu: AffineAutomorphismFamily,
-                     P: AlgebraPresentation) -> Poly:
-    return Poly(P.n, _apply_to_terms(_omega_inverse_maps(nu), p.terms, P.n,
-                                     _powers(nu, "omega-inverse")))
 
 
 def _monomials(n: int, degree: int):
@@ -695,74 +617,6 @@ def check_connectedness(P: AlgebraPresentation, nu: AffineAutomorphismFamily,
         for expts in _monomials(P.n, deg):
             if differential(Poly.monomial(P.n, expts), nu, P).is_zero():
                 return False
-    return True
-
-
-def _dual_bases(k: int, nu: AffineAutomorphismFamily, n: int):
-    """Pairs ``(J, inverse twist)`` so that ``dD_{J^c} * c_J`` is dual to ``dD_J``."""
-    out = []
-    for J in combinations(range(1, n + 1), k):
-        comp = tuple(a for a in range(1, n + 1) if a not in J)
-        out.append((J, comp, rational(1) / _merge_twist(comp, J, nu)))
-    return out
-
-
-def check_integrating_form(P: AlgebraPresentation,
-                           nu: AffineAutomorphismFamily, k: int,
-                           degree_bound: int = 3,
-                           which: str = "both") -> bool:
-    """Dual-basis expansion identities of the volume form in degree ``k``.
-
-    ``which`` selects the expansion through the left slot (``"expand"``),
-    through the right slot (``"project"``), or both.  Each identity is
-    tested on ``omega' = dD_K * m`` for every basis set ``K`` and every
-    coefficient monomial ``m`` of degree at most ``degree_bound``.
-
-    Each expansion is a sum over the basis sets of one degree, but only one
-    of its terms can be nonzero: a wedge of ``dD_A`` with ``dD_B`` vanishes
-    when ``A`` and ``B`` share an index.  The dual of ``dD_J`` is
-    ``dD_{J^c} * c_J``, and ``J^c`` misses ``K`` only for ``J = K``; the
-    cobasis form ``dD_M`` has degree ``n - k`` and misses ``K`` only for
-    ``M = K^c``.  So each ``(K, m)`` makes one wedge per direction.  The
-    constants ``c_J`` are still computed for every basis set up front, so a
-    zero merge factor raises before any set is checked.
-
-    Bound 0 proves the expansion and bound 1 the projection in every degree.
-    Expand: only the dual of ``dD_K`` meets ``omega'``, and
-    ``bar_K ^ dD_K * m = (const) dD_all * m`` (a scalar passes every twist),
-    so the expansion of ``dD_K * m`` is the expansion of ``dD_K`` times ``m``.
-    Project: only ``M = K^c`` meets ``omega'``, and the identity reads
-    ``dD_K * c nu_K(nu_omega^-1(nu_M(m))) = dD_K * m`` for a constant ``c``.
-    The twists act in closed form, and closed-form twists compose as their
-    generator maps compose, so the composite is one closed-form twist
-    ``D_j -> a_j D_j + b_j``.  It fixes every ``m`` up to ``c`` exactly
-    when ``c = 1`` (the identity at 1) and ``a_j = 1``, ``b_j = 0`` (at each
-    ``D_j``).  Neither argument needs the twists to be automorphisms.
-    :func:`certify_expansion` decides bound 0 from the family's scalars, and
-    :func:`certify_projection` bound 1 when the maps commute pairwise.
-    """
-    n = P.n
-    # the dual dD_{J^c} * c_J of each dD_J, for the basis sets of each slot
-    duals = {J: basis_form(n, comp, Poly.scalar(n, c))
-             for J, comp, c in _dual_bases(k, nu, n)}
-    cobases = {M: basis_form(n, comp, Poly.scalar(n, c))
-               for M, comp, c in _dual_bases(n - k, nu, n)}
-    monos = [m for d in range(degree_bound + 1) for m in _monomials(n, d)]
-    for K in combinations(range(1, n + 1), k):
-        basis = basis_form(n, K, Poly.one(n))
-        M = tuple(a for a in range(1, n + 1) if a not in K)
-        cobasis = basis_form(n, M, Poly.one(n))
-        for expts in monos:
-            omega_prime = basis_form(n, K, Poly.monomial(n, expts))
-            if which in ("both", "expand"):
-                coefficient = pi_omega(wedge(duals[K], omega_prime, nu, P))
-                if right_multiply(basis, coefficient, P) != omega_prime:
-                    return False
-            if which in ("both", "project"):
-                head = pi_omega(wedge(omega_prime, cobasis, nu, P))
-                if left_multiply(nu_omega_inverse(head, nu, P), cobases[M],
-                                 nu, P) != omega_prime:
-                    return False
     return True
 
 
@@ -800,21 +654,6 @@ def leibniz_defects(P: AlgebraPresentation,
                 or c * L_vu + c2 * e_vu or c * M_vu + c_v * e_vu):
             bad.append((u, v))
     return tuple(bad)
-
-
-def check_d_squared(P: AlgebraPresentation, nu: AffineAutomorphismFamily,
-                    degree_bound: int = 4) -> bool:
-    """d applied twice kills every monomial of bounded degree.
-
-    :func:`certify_d_squared` proves it in every degree where its premises
-    hold.
-    """
-    for deg in range(1, degree_bound + 1):
-        for expts in _monomials(P.n, deg):
-            first = differential(Poly.monomial(P.n, expts), nu, P)
-            if not form_differential(first, nu, P).is_zero():
-                return False
-    return True
 
 
 def no_go_residual(P: AlgebraPresentation, i: int, t: int,
@@ -885,8 +724,9 @@ def certify_d_squared(nu: AffineAutomorphismFamily,
                       auto: AutomorphismReport) -> bool | None:
     """``True`` when d∘d = 0 follows from the family's scalars.
 
-    Let ``d_a`` be the ``dD_a`` coefficient of d.  :func:`form_differential`
-    gives ``d(dD_a q) = -dD_a ^ d(q)``, and :func:`_merge_twist` sorts
+    Let ``d_a`` be the ``dD_a`` coefficient of d.
+    :func:`~diffalg.forms.form_differential` gives ``d(dD_a q) = -dD_a ^ d(q)``,
+    and :func:`~diffalg.forms._merge_twist` sorts
     ``dD_b dD_a = -lam_ab dD_a dD_b`` for ``a < b``, so the ``dD_a dD_b``
     coefficient of ``d(d(p))`` is ``-Phi(p)`` with
 
@@ -911,7 +751,7 @@ def certify_d_squared(nu: AffineAutomorphismFamily,
     when every ``lam_ab lam_ba = 1``, X and Y vanish on every word by
     induction on its length, Phi then is a twisted derivation that kills
     every ``D_j``, and ``d(d(p)) = 0`` in every degree, which is what
-    :func:`check_d_squared` samples.
+    :func:`~diffalg.forms.check_d_squared` samples.
 
     Both premises hold for every family :func:`build_automorphisms` returns
     on a PBW table, so there this answers ``True``.  A family exists only
@@ -954,16 +794,16 @@ def certify_d_squared(nu: AffineAutomorphismFamily,
 
 
 def certify_expansion(nu: AffineAutomorphismFamily, k: int) -> bool:
-    """:func:`check_integrating_form` with ``which="expand"`` in degree ``k``
-    at degree 0, from the family's scalars.
+    """:func:`~diffalg.forms.check_integrating_form` with ``which="expand"``
+    in degree ``k`` at degree 0, from the family's scalars.
 
     The check first computes the dual constants ``c_J = 1 / merge(J^c, J)``
     of both slots, and raises ``ZeroDivisionError`` on a zero merge factor.
     ``merge(J^c, J)`` is the product of ``-lam_uj`` over ``u`` in ``J`` and
     ``j > u`` outside it, and for ``0 < k < n`` some ``J`` of size ``k``
     splits any given pair ``u < j``; so the check raises exactly when
-    ``0 < k < n`` and some ``lam_uj`` with ``u < j`` is zero, and then the
-    same call raises here.
+    ``0 < k < n`` and some ``lam_uj`` with ``u < j`` is zero, and then this
+    raises ``ZeroDivisionError`` too, naming the first such entry.
 
     :func:`~diffalg.smoothness.verify_witness` never reaches this raise: a
     zero ``lam_uj`` also makes the volume twist singular, so
@@ -977,15 +817,19 @@ def certify_expansion(nu: AffineAutomorphismFamily, k: int) -> bool:
     ``merge(K^c, K) c_K dD_all = dD_all``.
     """
     n = nu.n
-    if 0 < k < n and any(u < j for u, j in _zero_lams(nu)):
-        _dual_bases(k, nu, n)  # raises on the first zero merge factor
+    if 0 < k < n:
+        for u, j in _zero_lams(nu):
+            if u < j:
+                raise ZeroDivisionError(
+                    f"lam_{u}{j} = 0 makes a merge factor of degree {k} zero")
     return True
 
 
 def certify_projection(nu: AffineAutomorphismFamily,
                        auto: AutomorphismReport, k: int) -> bool | None:
-    """``True`` when :func:`check_integrating_form` with ``which="project"``
-    in degree ``k`` at degree 1 follows from maps that commute pairwise.
+    """``True`` when :func:`~diffalg.forms.check_integrating_form` with
+    ``which="project"`` in degree ``k`` at degree 1 follows from maps that
+    commute pairwise.
 
     Project at degree 1 tests, on 1 and on each ``D_j``, the composite twist
     ``nu_K o nu_omega^-1 o nu_{K^c}`` times the constant

@@ -13,6 +13,7 @@ import os
 import sys
 from types import SimpleNamespace
 
+from . import templates
 from .calculus import differential, verify_automorphisms
 from .classify import decompose, identify_family
 from .engine import is_pbw, normal_form, normal_form_terms
@@ -20,7 +21,7 @@ from .exprs import ExpressionError, format_poly, format_terms, parse_poly
 from .presentation import PresentationError, load_presentation, validate_presentation
 from .scalars import format_ratio
 from .smoothness import NotPbwError, decide_smoothness, verify_witness
-from .templates import _fmt_components, _fmt_indices, tables_text
+from .templates import _fmt_components, _fmt_indices
 
 __all__ = ["main"]
 
@@ -210,7 +211,8 @@ def _cmd_tables(args) -> int:
         raise _CliError(f"n must be at most {cap} for --mode {args.mode}, "
                         f"got {args.n}")
     try:
-        text = tables_text(args.n, args.mode)
+        # looked up when the command runs: only ``tables`` loads ``rows``
+        text = templates.tables_text(args.n, args.mode)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
     # one row is held at a time: rendered, written, dropped

@@ -403,16 +403,19 @@ sys.addaudithook(lambda event, args: event == "import" and args[0] == "argparse"
                  and imported.append(args[0]))
 from diffalg.cli import _build_parser, main
 UNUSED = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+LAZY = {"diffalg.forms", "diffalg.rows"}
 def state():
     return ("argparse" in sys.modules, len(imported), _build_parser.cache_info().misses,
-            sorted(UNUSED & sys.modules.keys()))
+            sorted(UNUSED & sys.modules.keys()), sorted(LAZY & sys.modules.keys()))
 with redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in PLAIN]
-    plain = state()
-    codes += [main(argv) for argv in OTHER]
+    states = [state()]
+    for argv in OTHER:
+        codes.append(main(argv))
+        states.append(state())
 import diffalg
 from diffalg import *
-print(codes, plain, state(), all(name in globals() for name in diffalg.__all__))
+print(codes, *states, state(), all(name in globals() for name in diffalg.__all__))
 """
 
 
@@ -424,9 +427,14 @@ def test_plain_argv_never_imports_argparse():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
-    # no argparse and no parser after the plain argv; one parser after the
-    # others; no unused module at either point; the star import binds every name
-    assert proc.stdout == "[0, 0, 0, 0, 0, 0] (False, 0, 0, []) (True, 1, 1, []) True\n"
+    # no argparse, no parser and neither lazy module after the plain argv; one
+    # parser after the others, ``rows`` after tables and ``forms`` after the
+    # degree bound; no unused module at any point, the star import included,
+    # which binds every name
+    lazy = "['diffalg.forms', 'diffalg.rows']"
+    assert proc.stdout == ("[0, 0, 0, 0, 0, 0] (False, 0, 0, [], []) "
+                           "(True, 1, 1, [], ['diffalg.rows']) "
+                           f"(True, 1, 1, [], {lazy}) (True, 1, 1, [], {lazy}) True\n")
 
 
 # The argparse path's text, recorded before the plain path existed.  argparse

@@ -17,7 +17,7 @@ from math import comb
 
 import pytest
 
-from diffalg import calculus
+from diffalg import calculus, forms
 from diffalg.calculus import (AffineAutomorphismFamily, _monomials,
                               build_automorphisms, check_connectedness,
                               check_d_squared, check_integrating_form,
@@ -171,13 +171,13 @@ def test_integral_checks_wedge_once_per_basis_set_and_monomial(name, monkeypatch
     nu = build_automorphisms(P)
     counts = Counter()
     for fn in ("wedge", "nu_omega_inverse"):
-        original = getattr(calculus, fn)
+        original = getattr(forms, fn)
 
         def counting(*args, _fn=fn, _original=original):
             counts[_fn] += 1
             return _original(*args)
 
-        monkeypatch.setattr(calculus, fn, counting)
+        monkeypatch.setattr(forms, fn, counting)
     for k in range(P.n):
         for bound in (0, 1, 2):
             expected = comb(P.n, k) * len(monomials_up_to(P.n, bound))

@@ -1,6 +1,6 @@
 """``form_differential`` and the volume-form checks against their full forms.
 
-``calculus.form_differential`` sorts ``dD_J * 1`` past each ``dD_b`` without
+``forms.form_differential`` sorts ``dD_J * 1`` past each ``dD_b`` without
 a wedge, and ``check_integrating_form`` pairs each ``dD_K`` only with the one
 basis set of each expansion that misses ``K``.  The references in
 ``conftest.py`` are the wedge-based form differential and the expansion
@@ -13,7 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from diffalg import calculus, smoothness
+from diffalg import calculus, forms
 from diffalg.calculus import (AffineAutomorphismFamily, GradedForm,
                               _monomials, build_automorphisms,
                               form_differential)
@@ -67,8 +67,8 @@ def test_form_differential_matches_wedge_reference(n):
 def full_sums(monkeypatch):
     """Run verify_witness with the reference form differential and integral checks."""
     def install():
-        monkeypatch.setattr(calculus, "form_differential", wedge_form_differential)
-        monkeypatch.setattr(smoothness, "check_integrating_form",
+        monkeypatch.setattr(forms, "form_differential", wedge_form_differential)
+        monkeypatch.setattr(calculus, "check_integrating_form",
                             full_sum_integrating_form)
     return install
 

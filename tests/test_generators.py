@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffalg import smoothness
+from diffalg import calculus
 from diffalg.calculus import build_automorphisms, differential, partial_derivative
 from diffalg.cli import main
 from diffalg.engine import Poly
@@ -56,13 +56,13 @@ def uniform_a_i(n):
 @pytest.fixture
 def integral_calls(monkeypatch):
     calls = []
-    original = smoothness.check_integrating_form
+    original = calculus.check_integrating_form
 
     def recording(P, nu, k, degree_bound=3, which="both"):
         calls.append((k, degree_bound, which))
         return original(P, nu, k, degree_bound, which=which)
 
-    monkeypatch.setattr(smoothness, "check_integrating_form", recording)
+    monkeypatch.setattr(calculus, "check_integrating_form", recording)
     return calls
 
 

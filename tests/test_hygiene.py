@@ -1,11 +1,13 @@
-"""Hygiene of the package: no module imports a name it never uses, and no
-module has an ``assert`` statement.
+"""Hygiene of the package: no module imports a name it never uses, no
+module has an ``assert`` statement, and only the hooks load the lazy modules.
 
 A name a module lists in its ``__all__`` is exempt, which covers the
 re-exports of ``__init__.py``.  Names are read with :mod:`ast`, so a use
 inside an annotation counts and a mention in a docstring does not.
 ``python -O`` removes every ``assert``, so no check of the package may
-hinge on one.
+hinge on one.  ``forms`` and ``rows`` load on first use, through the
+``__getattr__`` of ``calculus`` and ``templates``; an import of either
+anywhere else would put it back into every process start.
 """
 
 import ast
@@ -68,3 +70,41 @@ def test_check_sees_an_assert():
               "    assert x > 0, 'positive'\n"
               "    return x\n")
     assert assert_lines(source) == [3]
+
+
+LAZY = {"forms", "rows"}
+
+
+def lazy_imports(source: str) -> list:
+    """Lines that import ``forms`` or ``rows`` outside a module ``__getattr__``."""
+    tree = ast.parse(source)
+    hooks = {id(node) for hook in tree.body
+             if isinstance(hook, ast.FunctionDef) and hook.name == "__getattr__"
+             for node in ast.walk(hook)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = {alias.name.rpartition(".")[2] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules = {(node.module or "").rpartition(".")[2]}
+            modules |= {alias.name for alias in node.names}
+        else:
+            continue
+        if modules & LAZY and id(node) not in hooks:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_lazy_modules_load_only_in_the_hooks(path):
+    assert lazy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_sees_a_lazy_import():
+    source = ("from . import forms\n"
+              "from .rows import tables_text\n"
+              "import diffalg.rows\n"
+              "from .templates import _cell\n"
+              "def run():\n    from . import rows\n    return rows\n"
+              "def __getattr__(name):\n    from . import forms\n    return forms\n")
+    assert lazy_imports(source) == [1, 2, 3, 6]

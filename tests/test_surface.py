@@ -1,11 +1,12 @@
 """The package's public names and the engine state the benchmark probe reads."""
 
+import ast
 import importlib
 import types
 from pathlib import Path
 
 import diffalg
-from diffalg import engine, templates
+from diffalg import calculus, engine, forms, rows, templates
 
 from conftest import build
 
@@ -33,6 +34,35 @@ def test_every_traced_function_resolves_in_its_layer():
         module = importlib.import_module(f"diffalg.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{layer}.{name}"
+            # the tracer rebinds only what it finds in the module's namespace,
+            # so a name served on first use must be kept there
+            assert name in vars(module), f"{layer}.{name}"
+
+
+def _defined(module) -> set:
+    """The names a module's own top-level definitions and assignments bind."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_each_hook_serves_exactly_its_lazy_module():
+    # a definition a hook leaves out is unreachable through its layer, and
+    # one the layer defines too would be shadowed
+    for layer, lazy, served in ((calculus, forms, calculus._FORMS),
+                                (templates, rows, templates._ROWS)):
+        assert _defined(lazy) == served, lazy.__name__
+        assert not _defined(layer) & served, layer.__name__
+        for name in ("__path__", "no_such_name"):
+            assert not hasattr(layer, name), (layer.__name__, name)
+    assert set(diffalg._LAZY) <= set(diffalg.__all__)
+    assert not hasattr(diffalg, "_dual_bases")
 
 
 def test_template_rows_carry_what_the_bench_reads():

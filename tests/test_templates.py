@@ -8,7 +8,7 @@ instantiates to an ordered-basis presentation).
 
 import pytest
 
-from diffalg import templates
+from diffalg import rows
 from diffalg.classify import decompose, identify_family
 from diffalg.cli import main
 from diffalg.engine import is_pbw
@@ -54,14 +54,14 @@ def test_row_counts(n, mode, count):
 
 def test_tables_text_prints_the_count_before_any_row(monkeypatch):
     pulled = []
-    walk = templates._template_rows
+    walk = rows._template_rows
 
     def counted(n, mode):
         for row in walk(n, mode):
             pulled.append(row)
             yield row
 
-    monkeypatch.setattr(templates, "_template_rows", counted)
+    monkeypatch.setattr(rows, "_template_rows", counted)
     text = tables_text(9, "paper")
     assert next(text) == "n: 9\nmode: paper\ncount: 16877\n"
     assert pulled == []
