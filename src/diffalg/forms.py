@@ -10,13 +10,14 @@ the dual bases give the sampled integrating-form identities
 d∘d = 0.
 
 This is the cross-check of the closed-form certificates of
-:mod:`diffalg.calculus`, which decide every check of a default run with no
-form built.  It runs only under ``--degree-bound``, on foreign families and
+:mod:`diffalg.calculus`, which decide d∘d = 0 and the volume-form identities
+on every family that ``build_automorphisms`` returns.  It runs only under ``--degree-bound``, on foreign families and
 through the API, so no module imports it when it loads: each of its names is
 served through :mod:`diffalg.calculus` (a PEP 562 ``__getattr__``), which
-loads this module on the first lookup and keeps the name.  A caller in the
-package reads such a name off ``calculus`` when it runs, so a monkeypatch or
-a tracer that rebinds it there takes effect.
+loads this module on the first lookup and keeps the name.  A caller in
+another module (``smoothness``'s sampled fallbacks) reads such a name off
+``calculus`` when it runs, so a monkeypatch or a tracer that rebinds it
+there takes effect; calls inside this module use its own bindings.
 """
 
 from __future__ import annotations
