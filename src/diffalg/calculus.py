@@ -57,10 +57,11 @@ this module (``__getattr__``), which then keeps the name here; a default
 command never compiles it.  The connectedness sample stays here
 (``check_connectedness``, ``_monomials``, ``GradedForm``): a default
 ``smooth`` still samples it on every B row whose family has some
-``lam_aa = -1`` (ROADMAP item 3), and a prototype that moved the sample out
-too lost a third of the verify workload's throughput on bench seed 37,
-which draws such rows (3686 -> 2463 ops/s, 0 of 6 pairs), since each of
-those ops then compiled the module.
+``lam_aa = -1`` (ROADMAP item 3), so with the sample in ``forms`` the first
+such op of a process would compile that module (about 2 ms without
+bytecode, against about 0.15 ms for a verify op).  A prototype that moved
+the sample out too read 3253 -> 2811 ops/s in medians on the verify
+workload's seed 37, which draws such rows (6 alternating pairs, lower in 3).
 """
 
 from __future__ import annotations
