@@ -14,16 +14,19 @@ The package keeps one concern per module:
 * :mod:`diffalg.records` — the immutable base of the result records
 * :mod:`diffalg.cli` — the command-line entry point
 
-``rows`` and ``forms`` load on first use: ``templates`` and ``calculus``
-serve their names (PEP 562 ``__getattr__``), and so does this package for
-the public ones, so importing the package or the CLI compiles neither.
+``rows`` and ``forms`` load on first use, so importing the package or the
+CLI compiles neither.  One rule drives each module ``__getattr__`` (PEP
+562): it serves a name exactly when the module's ``__all__`` lists it, since
+a listed name the module defines never reaches the hook.  ``templates`` and
+``calculus`` list the public names of ``rows`` and ``forms``, and this
+package takes such a name from whichever of the two lists it.
 """
 
 from . import calculus, templates
 from .calculus import (
-    AffineAutomorphismFamily, CalculusError, GradedForm, apply_automorphism,
-    build_automorphisms, check_connectedness, differential, leibniz_defects,
-    no_go_residual, partial_derivative, shift_ansatz, verify_automorphisms,
+    AffineAutomorphismFamily, CalculusError, GradedForm, build_automorphisms,
+    check_connectedness, differential, leibniz_defects, no_go_residual,
+    shift_ansatz, verify_automorphisms,
 )
 from .classify import Decomposition, FamilyIdentification, decompose, identify_family
 from .engine import (
@@ -65,20 +68,12 @@ __all__ = [
     "render_template",
 ]
 
-# The public names of ``forms`` and ``rows``, through the module that serves them
-_LAZY = dict.fromkeys((
-    "basis_form", "check_d_squared", "check_integrating_form",
-    "form_differential", "left_multiply", "nu_omega", "nu_omega_inverse",
-    "pi_omega", "right_multiply", "scalar_form", "wedge",
-), calculus) | dict.fromkeys((
-    "TemplateSkeleton", "generate_templates", "instantiate_template",
-    "render_template",
-), templates)
-
 
 def __getattr__(name: str):
-    """A public name of ``forms`` or ``rows``, kept here once it is loaded."""
-    if name not in _LAZY:
+    """A name of ``__all__`` that ``calculus`` or ``templates`` serves from
+    its lazy module, kept here once it is loaded."""
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(_LAZY[name], name)
+    layer = calculus if name in calculus.__all__ else templates
+    value = globals()[name] = getattr(layer, name)
     return value

@@ -47,21 +47,19 @@ volume-form identities from the family's scalars and generator maps, with
 no differential, wedge or product.  Each docstring gives the argument and
 the premises it needs; where they fail, the sampled ``check_*`` decides.
 
-The higher-forms algebra lives in :mod:`diffalg.forms`: ``basis_form``,
-``scalar_form``, the wedge and its merge factors, ``form_differential``,
-the one-sided products, the volume twist and its inverse, the dual bases,
-and the sampled ``check_integrating_form`` and ``check_d_squared``.  Only
-``--degree-bound``, foreign families (such as the ones a test plants) and
-the API run it, so it loads on the first use of one of its names through
-this module (``__getattr__``), which then keeps the name here; a default
-command never compiles it.  The connectedness sample stays here
-(``check_connectedness``, ``_monomials``, ``GradedForm``): a default
+The higher-forms algebra lives in :mod:`diffalg.forms`, with
+``apply_automorphism`` and ``partial_derivative``, which no command calls.
+Only ``--degree-bound``, foreign families (such as the ones a test plants)
+and the API run it, so no module imports it when it loads.  ``__all__``
+lists its public names, and the module ``__getattr__`` (PEP 562) serves
+exactly the names of ``__all__``: a listed name this module defines never
+reaches it, so the others load ``forms`` on their first lookup and are kept
+here, where a monkeypatch or a rebinding tracer finds them.  Its private
+helpers are imported from ``forms`` itself.  The connectedness sample stays
+here (``check_connectedness``, ``_monomials``, ``GradedForm``): a default
 ``smooth`` still samples it on every B row whose family has some
-``lam_aa = -1`` (ROADMAP item 3), so with the sample in ``forms`` the first
-such op of a process would compile that module (about 2 ms without
-bytecode, against about 0.15 ms for a verify op).  A prototype that moved
-the sample out too read 3253 -> 2811 ops/s in medians on the verify
-workload's seed 37, which draws such rows (6 alternating pairs, lower in 3).
+``lam_aa = -1`` (ROADMAP item 3), and with the sample in ``forms`` the first
+such op of a process would compile that module.
 """
 
 from __future__ import annotations
@@ -88,19 +86,11 @@ __all__ = [
 ]
 
 
-# The names of ``forms``, each loaded on its first lookup here (PEP 562)
-_FORMS = frozenset((
-    "basis_form", "scalar_form", "_merge_twist", "_transport", "wedge",
-    "form_differential", "left_multiply", "right_multiply", "pi_omega",
-    "_omega_inverse_maps", "nu_omega", "nu_omega_inverse", "_dual_bases",
-    "check_integrating_form", "check_d_squared",
-))
-
-
 def __getattr__(name: str):
-    """A name of ``forms``, kept in this module once it is loaded, so the
-    next lookup, a monkeypatch or a rebinding tracer finds it here."""
-    if name not in _FORMS:
+    """A name of ``__all__`` that ``forms`` defines, kept in this module once
+    it is loaded, so the next lookup, a monkeypatch or a rebinding tracer
+    finds it here."""
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import forms
     value = globals()[name] = getattr(forms, name)
@@ -365,11 +355,6 @@ def _twist_terms(terms: dict, key: tuple, nu: AffineAutomorphismFamily,
     return _apply_to_terms(nu.composed(key), terms, n, _powers(nu, key))
 
 
-def apply_automorphism(nu_map: dict, p: Poly, P: AlgebraPresentation) -> Poly:
-    """Extend one generator map multiplicatively and apply it to ``p``."""
-    return Poly(P.n, _apply_to_terms(nu_map, p.terms, P.n, {}))
-
-
 class AutomorphismReport(Record):
     __slots__ = _compared = _shown = (
         "relations_preserved", "pairwise_commute", "bijective", "failures")
@@ -533,12 +518,6 @@ def differential(p: Poly, nu: AffineAutomorphismFamily,
     return GradedForm(n, 1, {(a,): Poly(n, terms) for a, terms in out.items()})
 
 
-def partial_derivative(a: int, p: Poly, nu: AffineAutomorphismFamily,
-                       P: AlgebraPresentation) -> Poly:
-    """The ``dD_a`` coefficient of ``d(p)``."""
-    return differential(p, nu, P).coeffs.get((a,), Poly.zero(P.n))
-
-
 class GradedForm:
     """A finite sum ``dD_J * p_J`` with ``J`` a strictly increasing index set."""
 
@@ -608,7 +587,8 @@ def _monomials(n: int, degree: int):
 
 def check_connectedness(P: AlgebraPresentation, nu: AffineAutomorphismFamily,
                         degree_bound: int = 5) -> bool:
-    """No nonconstant monomial of bounded degree may be closed.
+    """No nonconstant monomial of bounded degree may be closed, read off the
+    stored differentials (:func:`_monomial_d`, empty exactly when d is 0).
 
     A sample: ker d is a subspace, and a combination can be closed when no
     monomial is (see :func:`certify_connectedness`, which proves ker d =
@@ -616,7 +596,7 @@ def check_connectedness(P: AlgebraPresentation, nu: AffineAutomorphismFamily,
     """
     for deg in range(1, degree_bound + 1):
         for expts in _monomials(P.n, deg):
-            if differential(Poly.monomial(P.n, expts), nu, P).is_zero():
+            if not _monomial_d(expts, nu, P.n):
                 return False
     return True
 

@@ -7,17 +7,20 @@ sign-and-scale factor of :func:`_merge_twist`, and :func:`form_differential`
 extends d to every degree.  The volume twist ``nu_omega``, its inverse and
 the dual bases give the sampled integrating-form identities
 (:func:`check_integrating_form`), and :func:`check_d_squared` samples
-d∘d = 0.
+d∘d = 0.  :func:`apply_automorphism` extends one generator map
+multiplicatively, and :func:`partial_derivative` reads one coefficient of d.
 
 This is the cross-check of the closed-form certificates of
 :mod:`diffalg.calculus`, which decide d∘d = 0 and the volume-form identities
-on every family that ``build_automorphisms`` returns.  It runs only under ``--degree-bound``, on foreign families and
-through the API, so no module imports it when it loads: each of its names is
-served through :mod:`diffalg.calculus` (a PEP 562 ``__getattr__``), which
-loads this module on the first lookup and keeps the name.  A caller in
-another module (``smoothness``'s sampled fallbacks) reads such a name off
-``calculus`` when it runs, so a monkeypatch or a tracer that rebinds it
-there takes effect; calls inside this module use its own bindings.
+on every family that ``build_automorphisms`` returns.  It runs only under
+``--degree-bound``, on foreign families and through the API, so no module
+imports it when it loads: ``calculus.__all__`` lists each of its public
+names, and :mod:`diffalg.calculus` serves them (a PEP 562 ``__getattr__``),
+loading this module on the first lookup and keeping the name.  Its private
+helpers are reached here only.  A caller in another module (``smoothness``'s
+sampled fallbacks) reads such a name off ``calculus`` when it runs, so a
+monkeypatch or a tracer that rebinds it there takes effect; calls inside
+this module use its own bindings.
 """
 
 from __future__ import annotations
@@ -53,6 +56,11 @@ def _merge_twist(left, right, nu: AffineAutomorphismFamily):
     return factor
 
 
+def apply_automorphism(nu_map: dict, p: Poly, P: AlgebraPresentation) -> Poly:
+    """Extend one generator map multiplicatively and apply it to ``p``."""
+    return Poly(P.n, _apply_to_terms(nu_map, p.terms, P.n, {}))
+
+
 def _transport(p: Poly, indices, nu: AffineAutomorphismFamily,
                P: AlgebraPresentation) -> Poly:
     """Apply ``nu_k`` for ``k`` in ``indices``, left to right, as one composed map."""
@@ -75,6 +83,12 @@ def wedge(xi: GradedForm, eta: GradedForm, nu: AffineAutomorphismFamily,
             _iadd(out.setdefault(tuple(sorted(J + K)), {}), piece.terms, factor)
     return GradedForm(xi.n, xi.degree + eta.degree,
                       {J: Poly(xi.n, terms) for J, terms in out.items()})
+
+
+def partial_derivative(a: int, p: Poly, nu: AffineAutomorphismFamily,
+                       P: AlgebraPresentation) -> Poly:
+    """The ``dD_a`` coefficient of ``d(p)``."""
+    return differential(p, nu, P).coeffs.get((a,), Poly.zero(P.n))
 
 
 def form_differential(xi: GradedForm, nu: AffineAutomorphismFamily,

@@ -25,10 +25,11 @@ their pairs, components and (family, I, S) groups have in common.
 prints it first and then holds one row at a time.
 
 Only ``tables``, the API and tests use this module, so no module imports it
-when it loads: each of its names is served through
-:mod:`diffalg.templates` (a PEP 562 ``__getattr__``), which loads this
-module on the first lookup and keeps the name.  ``cli`` reads
-``tables_text`` off ``templates`` when a ``tables`` command runs.
+when it loads: ``templates.__all__`` lists each of its public names, and
+:mod:`diffalg.templates` serves them (a PEP 562 ``__getattr__``), loading
+this module on the first lookup and keeping the name.  Its private helpers
+are reached here only.  ``cli`` reads ``tables_text`` off ``templates`` when
+a ``tables`` command runs.
 """
 
 from __future__ import annotations

@@ -210,10 +210,6 @@ class WitnessReport(Record):
 
 CLOSED_FORM, SAMPLED = "closed-form", "sampled"
 
-# The degrees to which verify_witness samples d∘d = 0 and connectedness
-# where a certificate's premises fail.
-DD_DEGREE, CONNECTEDNESS_DEGREE = 4, 5
-
 
 def _decide(certificate, sample) -> tuple:
     """``(passed, method)``: the certificate's answer, or the sample's where
@@ -247,11 +243,11 @@ def verify_witness(P: AlgebraPresentation, verdict: SmoothnessVerdict,
 
     * ``d-squared-zero``: :func:`~diffalg.calculus.certify_d_squared` when the
       maps commute pairwise and every ``lam_ab lam_ba = 1``; otherwise
-      :func:`~diffalg.forms.check_d_squared` to ``DD_DEGREE``.
+      :func:`~diffalg.forms.check_d_squared` to its default degree bound.
     * ``connectedness``: :func:`~diffalg.calculus.certify_connectedness` when
       no ``lam_aa`` is -1; otherwise
-      :func:`~diffalg.calculus.check_connectedness` to
-      ``CONNECTEDNESS_DEGREE``.
+      :func:`~diffalg.calculus.check_connectedness` to its default degree
+      bound.
     * ``integral-expand-k*`` and ``integral-project-k*``: the identities of
       :func:`~diffalg.forms.check_integrating_form` at expand degree 0 and
       project degree 1, which prove both in every degree (the check's
@@ -283,9 +279,9 @@ def verify_witness(P: AlgebraPresentation, verdict: SmoothnessVerdict,
     methods = [CLOSED_FORM] * 3
     steps = [("leibniz", lambda: not leibniz_defects(P, nu), None),
              ("d-squared-zero", partial(certify_d_squared, nu, auto),
-              lambda: calculus.check_d_squared(P, nu, DD_DEGREE)),
+              lambda: calculus.check_d_squared(P, nu)),
              ("connectedness", partial(certify_connectedness, nu),
-              partial(check_connectedness, P, nu, CONNECTEDNESS_DEGREE))]
+              partial(check_connectedness, P, nu))]
     for k in range(P.n):
         if degree_bound is None:
             steps += [(f"integral-expand-k{k}",

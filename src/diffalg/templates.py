@@ -14,9 +14,12 @@ The rows themselves live in :mod:`diffalg.rows`: ``TemplateSkeleton``, the
 enumeration (``generate_templates``, ``_template_rows`` and the closed-form
 ``_row_count``), the ``tables`` text (``tables_text``, ``render_template``)
 and ``instantiate_template``.  Only ``tables``, the API and tests use them,
-so they load on the first lookup of one of their names here
-(``__getattr__``), which then keeps the name in this module; ``classify``,
-``check-pbw``, ``smooth`` and ``reduce`` never compile them.
+so no module imports ``rows`` when it loads.  ``__all__`` lists its public
+names, and the module ``__getattr__`` (PEP 562) serves exactly the names of
+``__all__``: a listed name this module defines never reaches it, so the
+others load ``rows`` on their first lookup and are kept here.  Its private
+helpers are imported from ``rows`` itself; ``classify``, ``check-pbw``,
+``smooth`` and ``reduce`` never compile it.
 
 Parameter naming:
 
@@ -41,26 +44,14 @@ import functools
 from bisect import bisect_left
 
 __all__ = ["TemplateError", "TemplateSkeleton", "generate_templates",
-           "instantiate_template", "render_template"]
-
-
-# The names of ``rows``, each loaded on its first lookup here (PEP 562)
-_ROWS = frozenset((
-    "TemplateSkeleton", "generate_templates", "instantiate_template",
-    "render_template", "tables_text", "_template_rows", "_row_count",
-    "_row_text", "_RowCache", "_walk", "_CELL", "_LINE", "_NINE_SMALL_ROWS",
-    "_check", "_total", "_render_expr", "_render_relation", "_family_params",
-    "_restricted", "_pattern_conditions", "_offset_conditions",
-    "_component_conditions", "_dense_conditions", "_chain_conditions",
-    "_render_restriction", "_canonical_partition", "_subsets_desc",
-    "_set_partitions", "_partitions_sorted",
-))
+           "instantiate_template", "render_template", "tables_text"]
 
 
 def __getattr__(name: str):
-    """A name of ``rows``, kept in this module once it is loaded, so the
-    next lookup, a monkeypatch or a rebinding tracer finds it here."""
-    if name not in _ROWS:
+    """A name of ``__all__`` that ``rows`` defines, kept in this module once
+    it is loaded, so the next lookup, a monkeypatch or a rebinding tracer
+    finds it here."""
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import rows
     value = globals()[name] = getattr(rows, name)

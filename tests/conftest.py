@@ -13,9 +13,8 @@ from pathlib import Path
 import pytest
 
 from diffalg.calculus import (AutomorphismReport, GradedForm,
-                              _apply_to_terms, _dual_bases, _monomials,
-                              _twist_terms, basis_form,
-                              check_connectedness, check_d_squared,
+                              _apply_to_terms, _monomials, _twist_terms,
+                              basis_form, check_connectedness, check_d_squared,
                               check_integrating_form, differential,
                               left_multiply, nu_omega_inverse, pi_omega,
                               right_multiply, wedge)
@@ -23,12 +22,14 @@ from diffalg.classify import FamilyIdentification, decompose
 from diffalg.engine import (Poly, _add_term, _iadd, multiply, normal_form,
                             power, word_exponents)
 from diffalg.exprs import MAX_LITERAL_DIGITS, MAX_TERM_DEGREE, ExpressionError
+from diffalg.forms import _dual_bases
 from diffalg.presentation import (MAX_GENERATORS, AlgebraPresentation,
                                   PresentationError, _fail, _quoted)
+from diffalg.rows import _total
 from diffalg.scalars import (ONE, ZERO, format_rational, parse_ratio, parse_rational,
                              rational)
 from diffalg.templates import (_FREE, _G, _GI, _GO, _LK, TemplateSkeleton,
-                               _fmt_components, _total)
+                               _fmt_components)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"

@@ -146,6 +146,37 @@ def test_each_monomial_misses_once_across_dd_and_connectedness(name, steps):
     assert steps == Counter(monomials_up_to(P.n, 5, lowest=1))
 
 
+def test_connectedness_sample_finds_a_closed_monomial():
+    # nu_1(D1) = -D1 makes d(D1^2) = dD1 D1 + dD1 nu_1(D1) vanish
+    P = build(2, {(1, 2): 1, (2, 1): 1}, {})
+    one = (rational(1), rational(0))
+    nu = AffineAutomorphismFamily(2, (((rational(-1), rational(0)), one), (one, one)))
+    assert differential(Poly.monomial(2, (2, 0)), nu, P).is_zero()
+    assert check_connectedness(P, nu, 1) is True
+    assert check_connectedness(P, nu, 2) is False
+
+
+def test_connectedness_sample_agrees_with_the_differential():
+    # families with some lam_aa = -1, where no certificate answers; the
+    # sample reads the memo, the reference builds each d on a twin family
+    rng = random.Random("differential-cache:connectedness")
+    answers = Counter()
+    for _ in range(80):
+        n = rng.randint(2, 3)
+        P = random_table(n, rng)
+        table = [list(row) for row in random_family(n, rng).table]
+        for a in rng.sample(range(n), rng.randint(1, n)):
+            table[a][a] = (rational(-1), rational(rng.choice((0, 0, 1, -2))))
+        nu = AffineAutomorphismFamily(n, table)
+        twin = AffineAutomorphismFamily(n, table)
+        closed = any(differential(Poly.monomial(n, m), twin, P).is_zero()
+                     for m in monomials_up_to(n, 4, lowest=1))
+        connected = check_connectedness(P, nu, 4)
+        assert connected is not closed, table
+        answers[connected] += 1
+    assert answers[True] > 10 and answers[False] > 10, answers
+
+
 def test_a_high_power_stores_one_entry(steps):
     P = fixture("p3")
     nu = build_automorphisms(P)

@@ -2,13 +2,18 @@
 
 import ast
 import importlib
+import json
+import math
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import diffalg
 from diffalg import calculus, engine, forms, rows, templates
 
-from conftest import build
+from conftest import FIXTURES, build
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,16 +58,19 @@ def _defined(module) -> set:
 
 
 def test_each_hook_serves_exactly_its_lazy_module():
-    # a definition a hook leaves out is unreachable through its layer, and
-    # one the layer defines too would be shadowed
-    for layer, lazy, served in ((calculus, forms, calculus._FORMS),
-                                (templates, rows, templates._ROWS)):
-        assert _defined(lazy) == served, lazy.__name__
-        assert not _defined(layer) & served, layer.__name__
-        for name in ("__path__", "no_such_name"):
+    # a hook serves a name exactly when its layer's __all__ lists it, and a
+    # listed name the layer defines never reaches the hook: so the listed
+    # names the layer leaves undefined are the lazy module's public ones
+    for layer, lazy in ((calculus, forms), (templates, rows)):
+        public = {name for name in _defined(lazy) if not name.startswith("_")}
+        assert set(layer.__all__) - _defined(layer) == public, lazy.__name__
+        # a private helper stays in its own module
+        private = _defined(lazy) - public - _defined(layer)
+        assert {"_walk", "_dual_bases"} & private
+        for name in sorted(private) + ["__path__", "no_such_name"]:
             assert not hasattr(layer, name), (layer.__name__, name)
-    assert set(diffalg._LAZY) <= set(diffalg.__all__)
-    assert not hasattr(diffalg, "_dual_bases")
+    for name in ("_walk", "_dual_bases", "tables_text"):
+        assert not hasattr(diffalg, name), name
 
 
 def test_template_rows_carry_what_the_bench_reads():
@@ -86,3 +94,52 @@ def test_bench_probe_reads_the_engine_tables():
     contexts, words = probe_engine(engine)
     assert contexts is not None and words is not None
     assert contexts >= 1 and words > (before or 0)
+
+
+# Run in a fresh interpreter, since the tracer rebinds diffalg's functions and
+# Fraction's operators for good: the ops of the three workloads through
+# ``cli.main`` under ``bench/tracing.py``, the engine probed after each op as
+# ``bench/worker.py`` does, then the tracer's aggregate of the span file.
+_TRACE_PROBE = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+sys.path.insert(0, BENCH)
+import diffalg.cli, diffalg.engine
+import tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+codes = []
+with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+    for index, argv in enumerate(OPS):
+        span = tracer.begin_op(index)
+        codes.append(diffalg.cli.main(argv))
+        tracer.close(span)
+        tracer.probes.append(tracing.probe_engine(diffalg.engine))
+tracer.write(SPANS)
+summary = tracing.aggregate(SPANS)
+print(json.dumps({"codes": codes, "absent": summary["absent"],
+                  "metrics": {k: v for k, (v, _) in summary["metrics"].items()}}))
+"""
+
+
+def test_a_traced_run_reports_every_per_layer_name(tmp_path):
+    # a traced bench run whose JSON line loses a name, or holds a value that
+    # is not finite, is no result; run.py adds trace.overhead_share itself
+    fixture = {name: str(FIXTURES / f"{name}.dalg") for name in ("p1", "b1", "p3")}
+    ops = [["smooth", fixture["p1"]], ["smooth", fixture["b1"]],
+           ["reduce", fixture["p1"], "D1 D2 D3 D4"], ["check-pbw", fixture["p3"]],
+           ["classify", fixture["b1"]], ["tables", "3"]]
+    script = (f"BENCH = {str(ROOT / 'bench')!r}\nSPANS = {str(tmp_path / 'spans')!r}\n"
+              f"OPS = {ops!r}\n" + _TRACE_PROBE)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * len(ops)
+    assert result["absent"] == []
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    expected = {m["name"] for m in declared["per_layer"]} - {"trace.overhead_share"}
+    metrics = result["metrics"]
+    assert expected - metrics.keys() == set()
+    assert [k for k in expected if not math.isfinite(metrics[k])] == []

@@ -13,7 +13,8 @@ from diffalg.classify import decompose, identify_family
 from diffalg.cli import main
 from diffalg.engine import is_pbw
 from diffalg.scalars import rational
-from diffalg.templates import (TemplateError, _row_count, generate_templates,
+from diffalg.rows import _row_count
+from diffalg.templates import (TemplateError, generate_templates,
                                instantiate_template, render_template,
                                tables_text)
 

@@ -13,9 +13,10 @@ import pytest
 
 from diffalg import forms
 from diffalg.calculus import (AffineAutomorphismFamily, CalculusError,
-                              _transport, apply_automorphism,
-                              build_automorphisms, nu_omega, nu_omega_inverse)
+                              apply_automorphism, build_automorphisms,
+                              nu_omega, nu_omega_inverse)
 from diffalg.engine import Poly, monomial_word, multiply
+from diffalg.forms import _transport
 from diffalg.presentation import load_presentation
 from diffalg.scalars import rational
 from diffalg.smoothness import SmoothnessVerdict, verify_witness
