@@ -21,26 +21,27 @@ for every ``a != b`` (``g(u, v)`` is the coefficient of the written word
 second interacting index.  One-sided pairs admit no such map; the
 obstruction they leave behind is exposed by :func:`no_go_residual`.
 
-On a PBW monomial ``D_n^{k_n} ... D_1^{k_1}`` the positional sum needs no
-relation: every letter of the prefix is ``>= l_k`` and every letter of the
-suffix ``<= l_k``, so each term is a PBW monomial already.  The naive closed
-form for a lowered partial (bring ``k_a * D_a^{k_a - 1}`` out front) is
-valid only for a linear twist; whenever some diagonal map is genuinely
-affine the positional sum differs from it by a geometric sum.
+On a PBW monomial ``m = D_n^{k_n} ... D_1^{k_1}`` the positional sum needs
+no relation, and it factors.  Only the positions holding the letter ``a``
+give ``dD_a``; the one after ``i`` earlier letters ``a`` has the prefix
+``D_n^{k_n} ... D_{a+1}^{k_{a+1}} D_a^i`` and the suffix
+``D_a^{k_a-1-i} D_{a-1}^{k_{a-1}} ... D_1^{k_1}``.  Its term is then a
+product, in decreasing letter order, of polynomials in one letter each, so
+the ``dD_a`` coefficient is::
 
-The differential of a monomial is built from a shorter one.  Let ``l`` be
-the smallest letter of ``m`` and write ``m = m' D_l``.  The last position
-of ``m``'s word contributes ``dD_l nu_l(m')``; every other position is a
-position of ``m'`` with ``D_l`` appended to its suffix.  The monomials of
-``nu_{l_k}(prefix_k) suffix_k`` have only letters ``>= l``, so appending
-``D_l`` adds one to their ``l`` exponent and leaves them PBW::
+    d_a(m) = prod_{j>a} nu_a(D_j)^{k_j}
+             * sum_{i<k_a} nu_a(D_a)^i D_a^{k_a-1-i}
+             * prod_{j<a} D_j^{k_j}
 
-    d(m) = shift_l(d(m')) + dD_l nu_l(m')
-
-term for term the positional sum of ``m``.  Each result is kept per family
-(see :class:`AffineAutomorphismFamily`), so a check that differentiates
-every monomial up to some degree, and then the coefficients of those
-differentials, computes each one once.
+and each product of one-letter factors is a PBW combination already.  With
+``nu_a(D_j) = (L D_j + M) / e`` (the family's integer columns) each factor
+is a row of integer binomial coefficients over a power of ``e``.  The sum
+collapses to ``k_a D_a^{k_a-1}`` only when ``nu_a`` fixes ``D_a``; an affine
+diagonal leaves the whole geometric sum.  Each result is kept per family as
+integer numerators over one denominator per letter (see
+:class:`AffineAutomorphismFamily`), so a check that differentiates every
+monomial up to some degree computes each one once, and builds no
+``Fraction`` unless it asks for the differential as a ``Poly``.
 
 The ``certify_*`` functions decide ``d∘d = 0``, connectedness and the
 volume-form identities from the family's scalars and generator maps, with
@@ -56,7 +57,7 @@ exactly the names of ``__all__``: a listed name this module defines never
 reaches it, so the others load ``forms`` on their first lookup and are kept
 here, where a monkeypatch or a rebinding tracer finds them.  Its private
 helpers are imported from ``forms`` itself.  The connectedness sample stays
-here (``check_connectedness``, ``_monomials``, ``GradedForm``): a default
+here (``check_connectedness``, ``_sample``, ``GradedForm``): a default
 ``smooth`` still samples it on every B row whose family has some
 ``lam_aa = -1`` (ROADMAP item 3), and with the sample in ``forms`` the first
 such op of a process would compile that module.
@@ -68,7 +69,7 @@ import math
 from itertools import combinations
 
 from .classify import Decomposition, FamilyIdentification, decompose, identify_family
-from .engine import Poly, _iadd
+from .engine import Poly, _add_over
 from .presentation import AlgebraPresentation
 from .records import Record, setfield
 from .scalars import ONE, ZERO, rational
@@ -120,11 +121,11 @@ class AffineAutomorphismFamily:
     ``_memo`` (keyed by index tuple, plus the inverse volume twist), next to
     the ``Fraction`` table they are composed from (``"table"``), the
     binomial expansions of their powers (see :func:`_powers`), the
-    differentials of the PBW monomials that were asked for (keyed
-    ``("d", exponents)``, see :func:`_monomial_d`) and the entries whose
-    ``lam`` is zero (see :func:`_zero_lams`); the memo takes no part in
-    equality or hashing, and is freed with the family.  Two equal families
-    keep separate memos.
+    differentials of the PBW monomials that were asked for, as integer
+    forms (keyed ``("d", exponents)``, see :func:`_monomial_d`) and the
+    entries whose ``lam`` is zero (see :func:`_zero_lams`); the memo takes
+    no part in equality or hashing, and is freed with the family.  Two equal
+    families keep separate memos.
     """
 
     __slots__ = ("n", "cols", "_memo")
@@ -295,21 +296,13 @@ def shift_ansatz(P: AlgebraPresentation,
     return AffineAutomorphismFamily._from_columns(P.n, (col,) * P.n)
 
 
-def _power_terms(lam, mu, k: int) -> list:
-    """``(i, C(k, i) lam^i mu^(k-i))`` for the nonzero terms of ``(lam D + mu)^k``.
-
-    A coefficient equal to 1 is the shared ``ONE``, so that callers can skip
-    multiplying by it.
-    """
-    if mu == 0:  # a linear twist: only the top term survives
-        c = lam ** k
-        return [(k, ONE if c == 1 else c)] if c != 0 else []
-    out = []
-    for i in range(k + 1):
-        c = math.comb(k, i) * lam ** i * mu ** (k - i)
-        if c != 0:
-            out.append((i, ONE if c == 1 else c))
-    return out
+def _binomial(L: int, M: int, k: int) -> list:
+    """``(i, C(k, i) L^i M^(k-i))`` for the nonzero terms of ``(L D + M)^k``."""
+    if not M:  # a linear twist: only the top term survives
+        c = L ** k
+        return [(k, c)] if c else []
+    return [(i, c) for i in range(k + 1)
+            if (c := math.comb(k, i) * L ** i * M ** (k - i))]
 
 
 def _apply_to_terms(nu_map: dict, terms: dict, n: int, powers: dict) -> dict:
@@ -320,7 +313,9 @@ def _apply_to_terms(nu_map: dict, terms: dict, n: int, powers: dict) -> dict:
     binomially leaves only products ``D_n^{i_n} ... D_1^{i_1}``, which are
     PBW monomials already, so no relation is ever applied.  ``powers`` holds
     the expansions already made for ``nu_map``, keyed by ``(j, k)``, and
-    receives the new ones.
+    receives the new ones: with ``lam = p / q`` and ``mu = r / s`` the power
+    is ``(p s D + r q)^k / (q s)^k``, and a coefficient equal to 1 is the
+    shared ``ONE``, so that no product multiplies by it.
     """
     out: dict = {}
     for expts, c in terms.items():
@@ -331,7 +326,11 @@ def _apply_to_terms(nu_map: dict, terms: dict, n: int, powers: dict) -> dict:
                 continue
             factor = powers.get((j, k))
             if factor is None:
-                factor = powers[(j, k)] = _power_terms(*nu_map[j], k)
+                (p, q), (r, s) = (x.as_integer_ratio() for x in nu_map[j])
+                scale = (q * s) ** k
+                factor = powers[(j, k)] = [
+                    (i, ONE if w == scale else rational(w, scale))
+                    for i, w in _binomial(p * s, r * q, k)]
             partial = [(e + (i,), v if w is ONE else w if v is ONE else v * w)
                        for e, v in partial for i, w in factor]
         for e, v in partial:
@@ -464,58 +463,62 @@ def verify_automorphisms(nu: AffineAutomorphismFamily,
                               tuple(failures))
 
 
-def _d_step(d_prev: dict, prev: tuple, i: int,
-            nu: AffineAutomorphismFamily, n: int) -> dict:
-    """d of ``prev * D_{i+1}`` from ``d_prev = d(prev)``, where no letter of
-    ``prev`` is below ``i + 1``: ``shift(d(prev)) + dD_{i+1} nu_{i+1}(prev)``."""
-    out = {a: {e[:i] + (e[i] + 1,) + e[i + 1:]: v for e, v in terms.items()}
-           for a, terms in d_prev.items()}
-    letter = i + 1
-    dst = out.setdefault(letter, {})
-    _iadd(dst, _twist_terms({prev: ONE}, (letter,), nu, n), ONE)
-    if not dst:
-        del out[letter]
-    return out
-
-
 def _monomial_d(expts: tuple, nu: AffineAutomorphismFamily, n: int) -> dict:
-    """``{a: terms}`` of d of the PBW monomial ``expts``, empty entries dropped.
+    """``{a: (nums, den)}``: d of the PBW monomial ``expts``, each ``d_a`` as
+    integer numerators on exponent tuples over one positive denominator,
+    empty entries dropped.
 
-    Returns the stored dict itself, which callers must not change.  On a
-    miss it walks down by the smallest letter to the nearest stored
-    monomial (or to 1, whose d is 0), and builds back up by
-    :func:`_d_step`, storing only ``expts``: the intermediate monomials are
-    not kept, so one high power costs one entry.
+    Reads the closed form of the module docstring off ``nu.cols``, one
+    :func:`_binomial` row per letter, and stores it in ``_memo`` under
+    ``("d", expts)``: callers must not change the result.
     """
-    memo = nu._memo
-    d = memo.get(("d", expts))
+    d = nu._memo.get(("d", expts))
     if d is not None:
         return d
-    chain = []  # (m', i) with m = m' D_{i+1}, D_{i+1} the smallest letter of m
-    m, d = expts, {}
-    while any(m):
-        i = next(i for i, k in enumerate(m) if k)
-        m = m[:i] + (m[i] - 1,) + m[i + 1:]
-        chain.append((m, i))
-        stored = memo.get(("d", m))
-        if stored is not None:
-            d = stored
-            break
-    for prev, i in reversed(chain):
-        d = _d_step(d, prev, i, nu, n)
-    memo[("d", expts)] = d
+    d = nu._memo[("d", expts)] = {}
+    for a, (col, k) in enumerate(zip(nu.cols, expts)):
+        if not k:
+            continue
+        den = 1
+        terms = [((), 1)]
+        for j, (kj, column) in enumerate(zip(expts, col)):
+            # D_j^{k_j} below a is (1 D_j + 0)^{k_j} / 1
+            L, M, e = column if j >= a else (1, 0, 1)
+            if j != a:  # nu_a(D_j)^{k_j}
+                factor = _binomial(L, M, kj)
+                den *= e ** kj
+            else:  # sum_{i<k} nu_a(D_a)^i D_a^{k-1-i}, over e^(k-1)
+                middle = {}
+                for i in range(k):
+                    for s, v in _binomial(L, M, i):
+                        t = s + k - 1 - i
+                        middle[t] = middle.get(t, 0) + e ** (k - 1 - i) * v
+                factor = [(t, v) for t, v in middle.items() if v]
+                den *= e ** (k - 1)
+            terms = [(m + (t,), c * v) for m, c in terms for t, v in factor]
+        if terms:
+            d[a + 1] = (dict(terms), den)
     return d
 
 
 def differential(p: Poly, nu: AffineAutomorphismFamily,
                  P: AlgebraPresentation) -> "GradedForm":
-    """``d(p)`` as the linear sum of the stored differentials of its monomials."""
+    """``d(p)`` as the linear sum of the stored differentials of its monomials.
+
+    The sum of each ``d_a`` is an integer form over one denominator, as in
+    the engine's fold (``() + m`` is the exponent tuple ``m``), and a
+    ``Fraction`` is built only for each term of the result.
+    """
     n = P.n
-    out: dict = {}
+    sums: dict = {}
     for expts, c in p.terms.items():
-        for a, terms in _monomial_d(expts, nu, n).items():
-            _iadd(out.setdefault(a, {}), terms, c)
-    return GradedForm(n, 1, {(a,): Poly(n, terms) for a, terms in out.items()})
+        for a, (nums, e) in _monomial_d(expts, nu, n).items():
+            acc = sums.setdefault(a, [{}, 1])
+            acc[1] = _add_over(acc[0], acc[1], c.numerator, nums,
+                               c.denominator * e, ())
+    return GradedForm(n, 1, {
+        (a,): Poly(n, {m: rational(v, den) for m, v in nums.items()})
+        for a, (nums, den) in sums.items()})
 
 
 class GradedForm:
@@ -585,6 +588,16 @@ def _monomials(n: int, degree: int):
             yield (first,) + rest
 
 
+def _sample(n: int, degree_bound: int, lowest: int = 1) -> list:
+    """The exponent tuples of degree ``lowest`` to ``degree_bound``.  A
+    negative bound raises ``ValueError``: a sampled check would test no
+    monomial under it, and pass."""
+    if degree_bound < 0:
+        raise ValueError(
+            f"the degree bound must be nonnegative, got {degree_bound}")
+    return [m for d in range(lowest, degree_bound + 1) for m in _monomials(n, d)]
+
+
 def check_connectedness(P: AlgebraPresentation, nu: AffineAutomorphismFamily,
                         degree_bound: int = 5) -> bool:
     """No nonconstant monomial of bounded degree may be closed, read off the
@@ -592,13 +605,10 @@ def check_connectedness(P: AlgebraPresentation, nu: AffineAutomorphismFamily,
 
     A sample: ker d is a subspace, and a combination can be closed when no
     monomial is (see :func:`certify_connectedness`, which proves ker d =
-    constants where its premises hold).
+    constants where its premises hold).  Raises ``ValueError`` on a
+    negative bound (see :func:`_sample`).
     """
-    for deg in range(1, degree_bound + 1):
-        for expts in _monomials(P.n, deg):
-            if not _monomial_d(expts, nu, P.n):
-                return False
-    return True
+    return all(_monomial_d(expts, nu, P.n) for expts in _sample(P.n, degree_bound))
 
 
 def leibniz_defects(P: AlgebraPresentation,
@@ -728,16 +738,24 @@ def certify_d_squared(nu: AffineAutomorphismFamily,
     ``X(pq) = X(p) nu_b(q) + nu_a nu_b(p) X(q)`` and
     ``Y(pq) = Y(p) nu_a(q) + nu_a nu_b(p) Y(q)``.  On generators
     ``Y(D_j) = (lam_aj - lam_ab) [j = b] = 0`` and
-    ``X(D_j) = (1 - lam_ab lam_ba) [j = a]``, and all three maps kill 1.  So
-    when every ``lam_ab lam_ba = 1``, X and Y vanish on every word by
-    induction on its length, Phi then is a twisted derivation that kills
-    every ``D_j``, and ``d(d(p)) = 0`` in every degree, which is what
-    :func:`~diffalg.forms.check_d_squared` samples.
+    ``X(D_j) = (1 - lam_ab lam_ba) [j = a]``, and all three maps kill 1.  So,
+    by induction on length, Y vanishes on every word and X on every word
+    without the letter ``a``.  With ``q = D_l`` the terms read
+    ``d_b(D_l) = [l = b]``, ``d_a(D_l) = [l = a]`` and ``Phi(D_l) = 0``::
 
-    Both premises hold for every family :func:`build_automorphisms` returns
+        Phi(p D_l) = Phi(p) D_l + [l = b] X(p) + [l = a] Y(p).
+
+    Write a decreasing word as ``p D_l``: every letter of ``p`` is ``>= l``,
+    so for ``l = b > a`` the prefix has no letter ``a`` and ``X(p) = 0``.
+    Phi then vanishes on every decreasing word by induction on its length,
+    and ``d(d(p)) = 0`` in every degree, which is what
+    :func:`~diffalg.forms.check_d_squared` samples.  No ``lam_ab lam_ba``
+    enters: ``X(D_a)`` may be nonzero, but no decreasing word puts ``D_a``
+    before ``D_b``.
+
+    The premise holds for every family :func:`build_automorphisms` returns
     on a PBW table, so there this answers ``True``.  A family exists only
-    when every pair is two-sided, every ``g(u, v)`` nonzero.  For ``a != b``,
-    ``lam_ab lam_ba = 1`` since ``lam_ab = g(a, b) / g(b, a)``.  The maps
+    when every pair is two-sided, every ``g(u, v)`` nonzero.  The maps
     ``nu_a`` and ``nu_b`` commute on ``D_j`` iff
     ``mu_aj (lam_bj - 1) = mu_bj (lam_aj - 1)``.  For ``j`` not in
     ``{a, b}`` the entries ``(g(a, j) D_j - x_j) / g(j, a)`` turn the
@@ -760,18 +778,10 @@ def certify_d_squared(nu: AffineAutomorphismFamily,
 
     The sampled fallback stays, for the foreign families that
     :func:`~diffalg.smoothness.verify_witness` also checks: there the
-    premises are not necessary, and a noncommuting family can pass the
-    sample.  Where they fail, ``None`` asks for the sample.
+    premise is not necessary, and a noncommuting family can pass the
+    sample.  Where it fails, ``None`` asks for the sample.
     """
-    if not auto.pairwise_commute:
-        return None
-    cols = nu.cols
-    for a, b in combinations(range(nu.n), 2):
-        L_ab, _, e_ab = cols[a][b]
-        L_ba, _, e_ba = cols[b][a]
-        if L_ab * L_ba != e_ab * e_ba:  # lam_ab lam_ba != 1
-            return None
-    return True
+    return True if auto.pairwise_commute else None
 
 
 def certify_expansion(nu: AffineAutomorphismFamily, k: int) -> bool:

@@ -29,7 +29,7 @@ from itertools import combinations
 
 from .calculus import (
     AffineAutomorphismFamily, CalculusError, GradedForm, _apply_to_terms,
-    _monomials, _powers, _require_regular_volume_twist, _twist_terms,
+    _powers, _require_regular_volume_twist, _sample, _twist_terms,
     differential,
 )
 from .engine import Poly, _iadd, multiply
@@ -202,14 +202,21 @@ def check_integrating_form(P: AlgebraPresentation,
     ``D_j``).  Neither argument needs the twists to be automorphisms.
     :func:`certify_expansion` decides bound 0 from the family's scalars, and
     :func:`certify_projection` bound 1 when the maps commute pairwise.
+
+    Raises ``ValueError`` on any other ``which`` and on a negative bound
+    (see :func:`~diffalg.calculus._sample`), under which it would test
+    nothing.
     """
+    if which not in ("both", "expand", "project"):
+        raise ValueError(
+            f"which must be 'both', 'expand' or 'project', got {which!r}")
     n = P.n
+    monos = _sample(n, degree_bound, 0)
     # the dual dD_{J^c} * c_J of each dD_J, for the basis sets of each slot
     duals = {J: basis_form(n, comp, Poly.scalar(n, c))
              for J, comp, c in _dual_bases(k, nu, n)}
     cobases = {M: basis_form(n, comp, Poly.scalar(n, c))
                for M, comp, c in _dual_bases(n - k, nu, n)}
-    monos = [m for d in range(degree_bound + 1) for m in _monomials(n, d)]
     for K in combinations(range(1, n + 1), k):
         basis = basis_form(n, K, Poly.one(n))
         M = tuple(a for a in range(1, n + 1) if a not in K)
@@ -232,12 +239,12 @@ def check_d_squared(P: AlgebraPresentation, nu: AffineAutomorphismFamily,
                     degree_bound: int = 4) -> bool:
     """d applied twice kills every monomial of bounded degree.
 
-    :func:`certify_d_squared` proves it in every degree where its premises
-    hold.
+    :func:`certify_d_squared` proves it in every degree where its premise
+    holds.  Raises ``ValueError`` on a negative bound (see
+    :func:`~diffalg.calculus._sample`).
     """
-    for deg in range(1, degree_bound + 1):
-        for expts in _monomials(P.n, deg):
-            first = differential(Poly.monomial(P.n, expts), nu, P)
-            if not form_differential(first, nu, P).is_zero():
-                return False
+    for expts in _sample(P.n, degree_bound):
+        first = differential(Poly.monomial(P.n, expts), nu, P)
+        if not form_differential(first, nu, P).is_zero():
+            return False
     return True

@@ -242,8 +242,8 @@ def verify_witness(P: AlgebraPresentation, verdict: SmoothnessVerdict,
     certificate's premises fail:
 
     * ``d-squared-zero``: :func:`~diffalg.calculus.certify_d_squared` when the
-      maps commute pairwise and every ``lam_ab lam_ba = 1``; otherwise
-      :func:`~diffalg.forms.check_d_squared` to its default degree bound.
+      maps commute pairwise; otherwise :func:`~diffalg.forms.check_d_squared`
+      to its default degree bound.
     * ``connectedness``: :func:`~diffalg.calculus.certify_connectedness` when
       no ``lam_aa`` is -1; otherwise
       :func:`~diffalg.calculus.check_connectedness` to its default degree

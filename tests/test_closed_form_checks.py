@@ -19,7 +19,8 @@ import pytest
 
 from diffalg.calculus import (AffineAutomorphismFamily, CalculusError,
                               build_automorphisms, certify_connectedness,
-                              certify_expansion, check_connectedness,
+                              certify_d_squared, certify_expansion,
+                              check_connectedness, check_d_squared,
                               check_integrating_form, verify_automorphisms)
 from diffalg.classify import decompose
 from diffalg.cli import main
@@ -277,6 +278,43 @@ def test_families_on_pbw_tables_meet_the_certificate_premises():
         constrained += any(nu.mu(a, j) * (nu.lam(b, j) - 1)
                            for a in r for b in r for j in r if a != b)
     assert count >= 150 and wide >= 60 and constrained >= 40
+
+
+def commuting_family(n, rng, affine):
+    """Maps that all fix the point ``D_j = c_j``, ``nu_a(D_j) = lam_aj (D_j -
+    c_j) + c_j``, so that any two commute, with every ``lam`` drawn on its
+    own; ``c = 0``, a linear family, when not ``affine``."""
+    points = [rng.choice((0, 1, -2, rational(1, 3))) if affine else 0
+              for _ in range(n)]
+    table = []
+    for _ in range(n):
+        row = []
+        for c in points:
+            lam = rational(rng.choice((1, 2, 3, 5)) * rng.choice((1, -1)),
+                           rng.choice((1, 2, 3)))
+            row.append((lam, c * (1 - lam)))
+        table.append(tuple(row))
+    return AffineAutomorphismFamily(n, tuple(table))
+
+
+@pytest.mark.parametrize("name", ["p1", "b1"])
+def test_commuting_families_need_no_reciprocal_scales(name):
+    """``certify_d_squared`` asks only that the maps commute: on planted
+    families with some ``lam_ab lam_ba != 1`` it answers, and the sample
+    agrees."""
+    P = fixture(name)
+    rng = random.Random(f"commuting:{name}")
+    pairs = list(permutations(range(1, P.n + 1), 2))
+    entries = [(a, j) for a in range(1, P.n + 1) for j in range(1, P.n + 1)]
+    for affine in (False, False, True, True, True):
+        nu = commuting_family(P.n, rng, affine)
+        auto = verify_automorphisms(nu, P)
+        assert auto.pairwise_commute
+        assert any(nu.lam(a, b) * nu.lam(b, a) != 1 for a, b in pairs)
+        assert affine == any(nu.mu(a, j) for a, j in entries)
+        assert certify_d_squared(nu, auto) is True
+        assert check_d_squared(P, nu, 4)
+        assert methods(P, nu)["d-squared-zero"] == "closed-form"
 
 
 def test_connectedness_certifies_a_zero_above_the_diagonal(p3):

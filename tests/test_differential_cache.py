@@ -1,13 +1,13 @@
 """The differential of each PBW monomial is computed once per family.
 
-``calculus._monomial_d`` builds ``d(m)`` from ``d(m')``, ``m = m' D_l`` with
-``l`` the smallest letter, and keeps it in the family's ``_memo``.  Here the
-stored values are compared with ``conftest.positional_differential`` (the
-positional sum through ``multiply``) in two query orders, the cache is shown
-to hand out copies and to stay per family, and counters show where the work
-went: one miss per monomial across ``d-squared-zero`` and connectedness, one
-stored entry for a high power, and one wedge per ``(K, m)`` and direction in
-the volume-form checks.
+``calculus._monomial_d`` reads ``d(m)`` in closed form off the family's
+integer columns and keeps it in the family's ``_memo``.  Here the stored
+values are compared with ``conftest.positional_differential`` (the
+positional sum through ``multiply``) in two query orders and on high powers
+of affine diagonals, the cache is shown to hand out copies and to stay per
+family, and counters show where the work went: one stored entry per
+monomial across ``d-squared-zero`` and connectedness, one for a high power,
+and one wedge per ``(K, m)`` and direction in the volume-form checks.
 """
 
 import random
@@ -17,7 +17,7 @@ from math import comb
 
 import pytest
 
-from diffalg import calculus, forms
+from diffalg import forms
 from diffalg.calculus import (AffineAutomorphismFamily, _monomials,
                               build_automorphisms, check_connectedness,
                               check_d_squared, check_integrating_form,
@@ -123,27 +123,27 @@ def test_equal_families_keep_separate_caches():
 
 # -- counters ---------------------------------------------------------------------------
 
-@pytest.fixture
-def steps(monkeypatch):
-    """The monomials built by ``_d_step``, one entry per step."""
-    built = Counter()
-    original = calculus._d_step
+class CountingMemo(dict):
+    """A family memo that counts each monomial whose differential it stores."""
 
-    def counting(d_prev, prev, i, nu, n):
-        built[prev[:i] + (prev[i] + 1,) + prev[i + 1:]] += 1
-        return original(d_prev, prev, i, nu, n)
+    def __init__(self):
+        super().__init__()
+        self.stored = Counter()
 
-    monkeypatch.setattr(calculus, "_d_step", counting)
-    return built
+    def __setitem__(self, key, value):
+        if key[0] == "d":
+            self.stored[key[1]] += 1
+        super().__setitem__(key, value)
 
 
 @pytest.mark.parametrize("name", ["p1", "p3", "b1"])
-def test_each_monomial_misses_once_across_dd_and_connectedness(name, steps):
+def test_each_monomial_misses_once_across_dd_and_connectedness(name):
     P = fixture(name)
     nu = build_automorphisms(P)
+    nu._memo = memo = CountingMemo()
     assert check_d_squared(P, nu, 4)
     assert check_connectedness(P, nu, 5)
-    assert steps == Counter(monomials_up_to(P.n, 5, lowest=1))
+    assert memo.stored == Counter(monomials_up_to(P.n, 5))
 
 
 def test_connectedness_sample_finds_a_closed_monomial():
@@ -177,23 +177,22 @@ def test_connectedness_sample_agrees_with_the_differential():
     assert answers[True] > 10 and answers[False] > 10, answers
 
 
-def test_a_high_power_stores_one_entry(steps):
+def test_a_high_power_stores_one_entry():
     P = fixture("p3")
     nu = build_automorphisms(P)
     d = differential(Poly.monomial(3, (0, 600, 0)), nu, P)
     assert d.coeffs == {(2,): Poly.monomial(3, (0, 599, 0), 600)}
     assert d_keys(nu) == [("d", (0, 600, 0))]
-    assert sum(steps.values()) == 600
 
 
-def test_walking_a_chain_equals_building_it_step_by_step():
-    P = fixture("b1")  # nu_1 twists D1 affinely
-    walked, stepped = build_automorphisms(P), build_automorphisms(P)
-    top = Poly.monomial(3, (60, 0, 0))
-    for k in range(1, 60):
-        differential(Poly.monomial(3, (k, 0, 0)), stepped, P)
-    assert differential(top, walked, P) == differential(top, stepped, P)
-    assert len(d_keys(walked)) == 1 and len(d_keys(stepped)) == 60
+@pytest.mark.parametrize("expts", [(60, 0, 0), (9, 0, 7), (5, 4, 6)])
+def test_high_powers_of_an_affine_diagonal_match_the_positional_sum(expts):
+    P = fixture("b1")  # nu_1 and nu_3 twist D1 and D3 affinely
+    nu = build_automorphisms(P)
+    assert nu.mu(1, 1) and nu.mu(3, 3) and nu.lam(3, 3) != 1
+    p = Poly.monomial(3, expts)
+    assert one_forms(differential(p, nu, P)) == positional_differential(p, nu, P)
+    assert d_keys(nu) == [("d", expts)]
 
 
 @pytest.mark.parametrize("name", ["p1", "b1"])

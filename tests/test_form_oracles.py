@@ -128,3 +128,23 @@ def test_wrong_witness_check_lists_match_full_sums(name, a, j, slot, failing,
         build_automorphisms(P), a, j, slot))
     got, expected = check_lists(P, verdict, full_sums)
     assert got == expected
+
+
+def test_sampled_checks_refuse_what_would_test_nothing():
+    """A misspelt ``which`` or a negative bound would test no identity and
+    pass; on families that fail each check they raise instead."""
+    P = fixture("p1")
+    wrong = perturb(build_automorphisms(P), 2, 2, "lam")
+    table = [list(row) for row in build_automorphisms(P).table]
+    table[0][0] = (rational(-1), rational(0))  # d(D1^2) = 0
+    closed = AffineAutomorphismFamily(P.n, table)
+    assert not calculus.check_integrating_form(P, wrong, 1, 1, which="project")
+    assert not calculus.check_d_squared(P, wrong, 4)
+    assert not calculus.check_connectedness(P, closed, 2)
+    with pytest.raises(ValueError, match="'both', 'expand' or 'project'"):
+        calculus.check_integrating_form(P, wrong, 1, 1, which="projcet")
+    for run in (lambda: calculus.check_integrating_form(P, wrong, 1, -1),
+                lambda: calculus.check_d_squared(P, wrong, -1),
+                lambda: calculus.check_connectedness(P, closed, -1)):
+        with pytest.raises(ValueError, match="must be nonnegative, got -1"):
+            run()

@@ -6,10 +6,13 @@ fill them from the presentation's integer table, and the public constructor
 converts a ``(lam, mu)`` table.  Here: both routes give equal families, with
 one hash and one ``repr``, equal to a ``Fraction`` reference of the forced
 family; a default ``smooth`` or ``verify-calculus`` op builds no
-``Fraction`` in ``calculus``; and ``d`` and ``smooth --degree-bound 2``
-print on every fixture what ``tests/golden/fixture_calculus.txt`` holds.
+``Fraction``, on the B rows whose family has a ``-1`` diagonal (where
+connectedness is sampled) too; ``d`` and ``smooth --degree-bound 2`` print
+on every fixture what ``tests/golden/fixture_calculus.txt`` holds; and one
+digest pins ``d`` on those B rows and on high powers.
 """
 
+import hashlib
 import math
 import random
 import re
@@ -25,6 +28,7 @@ from diffalg.smoothness import decide_smoothness, verify_witness
 from diffalg.templates import TemplateError, generate_templates, instantiate_template
 
 from conftest import FIXTURES, GOLDEN
+from test_closed_form_checks import b_instance, has_minus_one_diagonal
 from test_generators import _coupled_instance
 
 HUGE = 10 ** 999 + 7  # 1000 digits, the literal cap
@@ -147,35 +151,54 @@ def count_fractions(monkeypatch, run):
     return made
 
 
-def closed_form_rows():
-    """Smooth instances of every full row for n = 3..5 whose witness has no
-    ``lam_aa = -1``: there connectedness is sampled, on ``Fraction``s."""
+def smooth_rows():
+    """Smooth instances of every full row for n = 3..5."""
     for n in (3, 4, 5):
         rng = random.Random(f"no-fractions:{n}")
         for skel in generate_templates(n, "full"):
             P = _coupled_instance(skel, rng)
             verdict = decide_smoothness(P)
-            if verdict.verdict == "Smooth" and not any(
-                    verdict.witness.lam(a, a) == -1 for a in range(1, n + 1)):
+            if verdict.verdict == "Smooth":
                 yield P, verdict.theorem_case
 
 
-def test_default_ops_build_no_fraction_in_calculus(monkeypatch, capsys, tmp_path):
-    paths = [FIXTURES / f"{name}.dalg" for name in ("p1", "p3", "p4", "b1")]
-    cases = set()
-    for index, (P, case) in enumerate(closed_form_rows()):
-        path = tmp_path / f"row{index}.dalg"
+def minus_one_rows():
+    """Smooth instances of the B rows for n = 3..5 at ``L = 2g``, whose
+    witness has some ``lam_aa = -1``: there connectedness is sampled."""
+    for n in (3, 4, 5):
+        rng = random.Random(f"minus-one:{n}")
+        for skel in generate_templates(n, "full"):
+            P = b_instance(skel, rng) if skel.family == "B" else None
+            if P is not None and decide_smoothness(P).verdict == "Smooth":
+                yield P
+
+
+def write_rows(rows, tmp_path, prefix):
+    paths = []
+    for index, P in enumerate(rows):
+        path = tmp_path / f"{prefix}{index}.dalg"
         path.write_text(P.render())
         paths.append(path)
-        cases.add(case)
-    assert cases == {"i", "ii", "iii", "iv"} and len(paths) >= 50
+    return paths
+
+
+def test_default_ops_build_no_fraction_in_calculus(monkeypatch, capsys, tmp_path):
+    rows = list(smooth_rows())
+    assert {case for _, case in rows} == {"i", "ii", "iii", "iv"}
+    minus_one = list(minus_one_rows())
+    assert {P.n for P in minus_one} == {3, 4, 5} and all(
+        has_minus_one_diagonal(decide_smoothness(P).witness) for P in minus_one)
+    paths = [FIXTURES / f"{name}.dalg" for name in ("p1", "p3", "p4", "b1")]
+    paths += write_rows([P for P, _ in rows], tmp_path, "row")
+    paths += write_rows(minus_one, tmp_path, "minus-one")
+    assert len(paths) >= 60
     for path in paths:
         for command in ("smooth", "verify-calculus"):
             made = count_fractions(monkeypatch, lambda: main([command, str(path)]))
             assert "SMOOTH" in capsys.readouterr().out, path
             assert made == {}, (command, path, made)
     # the counter is live: the parameters as Fractions are built on demand
-    fam = identify_family(P, decompose(P))
+    fam = identify_family(minus_one[0], decompose(minus_one[0]))
     assert count_fractions(monkeypatch, lambda: fam.params).get("diffalg.classify")
 
 
@@ -209,3 +232,22 @@ def test_fixture_outputs_are_pinned(monkeypatch, capsys):
                          + "".join(f"! {line}\n" for line in err.splitlines())
                          + f"exit {rc}\n")
     assert "\n".join(parts) == (GOLDEN / "fixture_calculus.txt").read_text()
+
+
+D_DIGEST = "e3b75b461bef9c8e3ce7afd41bee1e0a4bd9a3a61a020592f4407deaa09a80f7"
+D_EXPRESSIONS = ("D1^12", "D2 D1^5 D3^2", "D1 D1 - D1", "D3^4 D2^3 D1^2 - 2/3 D2",
+                 "D1^60", "D3^25 D2^9 + D2^40 D1^30")
+
+
+def test_d_on_minus_one_rows_and_high_powers_is_pinned(capsys, tmp_path):
+    """``d`` on the B rows with a ``-1`` diagonal and on high powers, where an
+    affine diagonal leaves a long geometric sum, by digest."""
+    paths = [FIXTURES / f"{name}.dalg" for name in ("p1", "p3", "p4", "b1")]
+    paths += write_rows(minus_one_rows(), tmp_path, "minus-one")
+    digest = hashlib.sha256()
+    for path in paths:
+        for expr in D_EXPRESSIONS:
+            rc = main(["d", str(path), expr])
+            out = capsys.readouterr().out
+            digest.update(f"d {path.name} {expr}\n{rc}\n{out}\0".encode())
+    assert digest.hexdigest() == D_DIGEST

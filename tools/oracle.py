@@ -492,6 +492,54 @@ for P_, fam_, nm in ((P1, fam1, "P1"), (P3, fam3, "P3"), (P4, fam4, "P4"),
                 print(f"      mismatch {nm} a={a} expts={expts}")
 check_true("closed partial formula on increasing products (4 algebras)", ok)
 
+# closed form on decreasing words D_n^{k_n} ... D_1^{k_1}, the mirror of the
+# above; every factor is a polynomial in one letter and they come in
+# decreasing order, so the product is normal as it stands:
+#   partial_a = prod_{b>a} nu_a(D_b)^{k_b}
+#             . sum_{m=0}^{k_a-1} nu_a(D_a)^m D_a^{k_a-1-m}
+#             . prod_{b<a} D_b^{k_b}
+def closed_partial_decreasing(P, fam, a, expts):
+    n_ = P[0]
+    if expts[a] == 0:
+        return const(0)
+
+    def power(pair, gen, k):
+        lam, mu = pair
+        out = const(1)
+        for _ in range(k):
+            out = pmul(P, out, padd(pscale(mono(gen), lam), const(mu)))
+        return out
+
+    out = const(1)
+    for b in range(n_, a, -1):
+        out = pmul(P, out, power(fam[a][b], b, expts[b]))
+    block = const(0)
+    for m in range(expts[a]):
+        block = padd(block, pmul(P, power(fam[a][a], a, m),
+                                 power((Q(1), Q(0)), a, expts[a] - 1 - m)))
+    out = pmul(P, out, block)
+    for b in range(a - 1, 0, -1):
+        out = pmul(P, out, power((Q(1), Q(0)), b, expts[b]))
+    return out
+
+
+ok = True
+rng = random.Random(17)
+for P_, fam_, nm in ((P1, fam1, "P1"), (B1, corrected, "B1")):
+    nn = P_[0]
+    # an affine diagonal: the block is a genuine geometric sum
+    ok = ok and any(fam_[a][a][1] != 0 for a in range(1, nn + 1))
+    for _ in range(6):
+        expts = {i: rng.choice((0, 3, 4)) for i in range(1, nn + 1)}
+        w = tuple(i for i in range(nn, 0, -1) for _ in range(expts[i]))
+        for a in range(1, nn + 1):
+            if partial(P_, fam_, a, {w: Q(1)}) != \
+                    closed_partial_decreasing(P_, fam_, a, expts):
+                ok = False
+                print(f"      mismatch {nm} a={a} expts={expts}")
+check_true("closed partial formula on decreasing words, exponents 3 and 4 "
+           "(2 algebras, affine diagonals)", ok)
+
 # the naive k_a prefactor is genuinely wrong once the diagonal twist is affine
 check("P1 partial_1(D_1^2) has the telescoped constant",
       partial(P1, fam1, 1, mono(1, 1)), {(1,): Q(2), (): Q(-1)})
