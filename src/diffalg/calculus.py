@@ -35,10 +35,13 @@ the ``dD_a`` coefficient is::
 
 and each product of one-letter factors is a PBW combination already.  With
 ``nu_a(D_j) = (L D_j + M) / e`` (the family's integer columns) each factor
-is a row of integer binomial coefficients over a power of ``e``.  The sum
-collapses to ``k_a D_a^{k_a-1}`` only when ``nu_a`` fixes ``D_a``; an affine
-diagonal leaves the whole geometric sum.  Each result is kept per family as
-integer numerators over one denominator per letter (see
+is an integer row over a power of ``e``, from the same two helpers in
+``scalars`` as the engine's pair rows: ``nu_a(D_j)^k`` is the binomial row
+of ``(L D + M)^k`` over ``e^k``, and the sum is the geometric row
+``((L D + M)^k - (e D)^k) / ((L - e) D + M)`` over ``e^(k-1)``, which
+collapses to ``k_a D_a^{k_a-1}`` only when ``nu_a`` fixes ``D_a``.  Each
+factor is made once per family and ``(a, j, k)``, and each result is kept
+per family as integer numerators over one denominator per letter (see
 :class:`AffineAutomorphismFamily`), so a check that differentiates every
 monomial up to some degree computes each one once, and builds no
 ``Fraction`` unless it asks for the differential as a ``Poly``.
@@ -72,7 +75,7 @@ from .classify import Decomposition, FamilyIdentification, decompose, identify_f
 from .engine import Poly, _add_over
 from .presentation import AlgebraPresentation
 from .records import Record, setfield
-from .scalars import ONE, ZERO, rational
+from .scalars import ONE, ZERO, _binomial, _geometric, rational
 
 __all__ = [
     "CalculusError", "AffineAutomorphismFamily", "build_automorphisms",
@@ -122,10 +125,11 @@ class AffineAutomorphismFamily:
     the ``Fraction`` table they are composed from (``"table"``), the
     binomial expansions of their powers (see :func:`_powers`), the
     differentials of the PBW monomials that were asked for, as integer
-    forms (keyed ``("d", exponents)``, see :func:`_monomial_d`) and the
-    entries whose ``lam`` is zero (see :func:`_zero_lams`); the memo takes
-    no part in equality or hashing, and is freed with the family.  Two equal
-    families keep separate memos.
+    forms (keyed ``("d", exponents)``, see :func:`_monomial_d`), their
+    one-letter factors (keyed ``("factor", a, j, k)``, see :func:`_factor`)
+    and the entries whose ``lam`` is zero (see :func:`_zero_lams`); the memo
+    takes no part in equality or hashing, and is freed with the family.  Two
+    equal families keep separate memos.
     """
 
     __slots__ = ("n", "cols", "_memo")
@@ -296,15 +300,6 @@ def shift_ansatz(P: AlgebraPresentation,
     return AffineAutomorphismFamily._from_columns(P.n, (col,) * P.n)
 
 
-def _binomial(L: int, M: int, k: int) -> list:
-    """``(i, C(k, i) L^i M^(k-i))`` for the nonzero terms of ``(L D + M)^k``."""
-    if not M:  # a linear twist: only the top term survives
-        c = L ** k
-        return [(k, c)] if c else []
-    return [(i, c) for i in range(k + 1)
-            if (c := math.comb(k, i) * L ** i * M ** (k - i))]
-
-
 def _apply_to_terms(nu_map: dict, terms: dict, n: int, powers: dict) -> dict:
     """Image of a PBW combination under the multiplicative extension of ``nu_map``.
 
@@ -463,41 +458,57 @@ def verify_automorphisms(nu: AffineAutomorphismFamily,
                               tuple(failures))
 
 
+def _factor(nu: AffineAutomorphismFamily, a: int, j: int, k: int) -> tuple:
+    """``(row, e^k)`` or ``(row, e^(k-1))``: the one-letter factor of ``d_a``
+    at the letter ``j >= a`` with exponent ``k``, as integer ``(i, c)``
+    pairs over that denominator.
+
+    For ``j > a`` it is ``nu_a(D_j)^k``, the ``scalars._binomial`` row of
+    ``(L D_j + M)^k`` over ``e^k``; for ``j = a`` the sum
+    ``sum_{i<k} nu_a(D_a)^i D_a^{k-1-i}``, the ``scalars._geometric`` row
+    over ``e^(k-1)``.  Kept in ``_memo`` under ``("factor", a, j, k)``.
+    """
+    key = ("factor", a, j, k)
+    factor = nu._memo.get(key)
+    if factor is None:
+        L, M, e = nu.cols[a - 1][j - 1]
+        power = _binomial(L, M, k)
+        if j != a:
+            factor = power, e ** k
+        else:
+            factor = _geometric(power, L, M, e, k), e ** (k - 1)
+        nu._memo[key] = factor
+    return factor
+
+
 def _monomial_d(expts: tuple, nu: AffineAutomorphismFamily, n: int) -> dict:
     """``{a: (nums, den)}``: d of the PBW monomial ``expts``, each ``d_a`` as
     integer numerators on exponent tuples over one positive denominator,
     empty entries dropped.
 
-    Reads the closed form of the module docstring off ``nu.cols``, one
-    :func:`_binomial` row per letter, and stores it in ``_memo`` under
-    ``("d", expts)``: callers must not change the result.
+    Reads the closed form of the module docstring as a product of one-letter
+    factors: ``D_j^{k_j}`` itself below ``a``, and from ``a`` on the rows of
+    :func:`_factor`, kept per family.  Stores the result in ``_memo`` under
+    ``("d", expts)``: callers must not change it.
     """
     d = nu._memo.get(("d", expts))
     if d is not None:
         return d
     d = nu._memo[("d", expts)] = {}
-    for a, (col, k) in enumerate(zip(nu.cols, expts)):
+    for a, k in enumerate(expts, start=1):
         if not k:
             continue
         den = 1
         terms = [((), 1)]
-        for j, (kj, column) in enumerate(zip(expts, col)):
-            # D_j^{k_j} below a is (1 D_j + 0)^{k_j} / 1
-            L, M, e = column if j >= a else (1, 0, 1)
-            if j != a:  # nu_a(D_j)^{k_j}
-                factor = _binomial(L, M, kj)
-                den *= e ** kj
-            else:  # sum_{i<k} nu_a(D_a)^i D_a^{k-1-i}, over e^(k-1)
-                middle = {}
-                for i in range(k):
-                    for s, v in _binomial(L, M, i):
-                        t = s + k - 1 - i
-                        middle[t] = middle.get(t, 0) + e ** (k - 1 - i) * v
-                factor = [(t, v) for t, v in middle.items() if v]
-                den *= e ** (k - 1)
+        for j, kj in enumerate(expts, start=1):
+            if j < a:
+                factor = ((kj, 1),)
+            else:
+                factor, e = _factor(nu, a, j, kj)
+                den *= e
             terms = [(m + (t,), c * v) for m, c in terms for t, v in factor]
         if terms:
-            d[a + 1] = (dict(terms), den)
+            d[a] = (dict(terms), den)
     return d
 
 

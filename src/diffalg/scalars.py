@@ -5,6 +5,11 @@ Coefficients are exact rationals: the standard library's
 denominator) and renders as "p/q" / "p" under str(), or the same reduced
 integer ratio as a (numerator, denominator) pair where a module computes on
 integers (``parse_ratio``).
+
+Also here are the integer rows of ``(L t + M)^k`` and of the geometric sum
+``sum_{j<k} (L t + M)^j (e t)^(k-1-j)`` (``_binomial``, ``_geometric``).
+The engine's pair rows and the one-letter factors of ``d`` in the calculus
+are both read from them.
 """
 
 from __future__ import annotations
@@ -110,3 +115,50 @@ def format_ratio(num: int, den: int) -> str:
 def format_rational(q) -> str:
     """Canonical text form: "p" for integers, "p/q" otherwise."""
     return format_ratio(q.numerator, q.denominator)
+
+
+def _binomial(L: int, M: int, k: int) -> list:
+    """``(i, C(k, i) L^i M^(k-i))`` for the nonzero terms of ``(L t + M)^k``, i descending.
+
+    Each coefficient comes from the one above it by one product and one
+    exact division: c_{i-1} = c_i i M / ((k - i + 1) L).
+    """
+    if not L:  # only the constant term survives
+        c = M ** k
+        return [(0, c)] if c else []
+    c = L ** k
+    row = [(k, c)]
+    if M:
+        for i in range(k, 0, -1):
+            c = c * (i * M) // ((k - i + 1) * L)
+            row.append((i - 1, c))
+    return row
+
+
+def _geometric(power: list, L: int, M: int, e: int, k: int) -> list:
+    """``(i, c)`` for the nonzero terms of sum_{j<k} (L t + M)^j (e t)^(k-1-j), i descending,
+    given ``power``, the row of (L t + M)^k; k >= 1.
+
+    The sum is ((L t + M)^k - (e t)^k) / ((L - e) t + M), an exact division
+    by a linear factor, made from the top coefficient down.  When L = e the
+    factor is the constant M, and when also M = 0 the sum is k (e t)^(k-1).
+    """
+    if k == 1:
+        return [(0, 1)]
+    if k == 2:  # (L + e) t + M
+        return [(i, c) for i, c in ((1, L + e), (0, M)) if c]
+    if L == e:
+        if not M:
+            return [(k - 1, k * e ** (k - 1))]
+        # (e t)^k cancels the top binomial term; M divides every other one
+        return [(i, c // M) for i, c in power[1:]]
+    alpha = L - e
+    p = dict(power)
+    r = p.get(k, 0) - e ** k
+    row = []
+    for i in range(k - 1, -1, -1):
+        r //= alpha
+        if r:
+            row.append((i, r))
+        r = p.get(i, 0) - M * r
+    return row

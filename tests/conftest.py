@@ -19,8 +19,7 @@ from diffalg.calculus import (AutomorphismReport, GradedForm,
                               left_multiply, nu_omega_inverse, pi_omega,
                               right_multiply, wedge)
 from diffalg.classify import FamilyIdentification, decompose
-from diffalg.engine import (Poly, _add_term, _iadd, multiply, normal_form,
-                            power, word_exponents)
+from diffalg.engine import Poly, _iadd, multiply, normal_form, power, word_exponents
 from diffalg.exprs import MAX_LITERAL_DIGITS, MAX_TERM_DEGREE, ExpressionError
 from diffalg.forms import _dual_bases
 from diffalg.presentation import (MAX_GENERATORS, AlgebraPresentation,
@@ -33,6 +32,19 @@ from diffalg.templates import (_FREE, _G, _GI, _GO, _LK, TemplateSkeleton,
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _add_term(dst: dict, m, c) -> None:
+    """dst[m] += c, dropping a cancellation."""
+    v = dst.get(m)
+    if v is None:
+        dst[m] = c
+    else:
+        v = v + c
+        if not v:
+            del dst[m]
+        else:
+            dst[m] = v
 
 
 def build(n, g, x):

@@ -14,4 +14,4 @@ def test_oracle_reports_no_failures():
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "oracle.py")],
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert "69 checks, 0 failures" in proc.stdout
+    assert "73 checks, 0 failures" in proc.stdout

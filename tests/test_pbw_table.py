@@ -1,6 +1,6 @@
 """The multiplication table against plain first/last-ascent rewriting.
 
-``engine`` computes normal forms as folds over the table R[(m, b)] = m D_b.
+``engine`` computes normal forms as folds of one letter at a time, from pair rows.
 The reducer here rewrites whole words with no table and no cache: FIRST
 rewrites the first ascent of a word, LAST the last.  ``normal_form`` must
 agree with FIRST term for term on every table, and the two sides of each

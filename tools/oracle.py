@@ -701,6 +701,46 @@ check("commutative specialisation: partial_2(D_1 D_2^2)",
 
 
 # ----------------------------------------------------------------------------
+# job 11: the pair identity D_a^k D_b = D_b sigma(D_a)^k + Q_k(D_a)
+# ----------------------------------------------------------------------------
+# On a plane the relation gives D_1 D_2 = D_2 sigma(D_1) + Q_1(D_1) with
+# sigma(t) = (g_21 t - x_1) / g_12 and Q_1(t) = x_2 t / g_12, and k steps give
+# Q_k(t) = Q_1(t) * sum_{i<k} sigma(t)^i t^(k-1-i).  Both sides are built
+# here as plain polynomials in one letter, by repeated products, and the
+# word D_1^k D_2 goes through the flat rewriter.
+
+def upoly_mul(p, q):
+    out = {}
+    for e, c in p.items():
+        for f, d in q.items():
+            out[e + f] = out.get(e + f, Q(0)) + c * d
+    return out
+
+
+def pair_identity(P, k):
+    _, g, x = P
+    lead = g[(1, 2)]
+    sigma = {1: g[(2, 1)] / lead, 0: -x[1] / lead}
+    power, geo = {0: Q(1)}, {}
+    for i in range(k):  # geo: sum_{i<k} sigma^i t^(k-1-i); power: sigma^k
+        for e, c in power.items():
+            geo[e + k - 1 - i] = geo.get(e + k - 1 - i, Q(0)) + c
+        power = upoly_mul(power, sigma)
+    want = padd({(2,) + (1,) * e: c for e, c in power.items() if c},
+                {(1,) * (e + 1): c * x[2] / lead for e, c in geo.items() if c * x[2]})
+    return nf(P, [(1, (1,) * k + (2,))]) == want
+
+
+print("-- pair identity --")
+for nm, plane in (("q != 1", pres(2, {(1, 2): 3, (2, 1): 2}, {1: 1, 2: -2})),
+                  ("q = 1", pres(2, {(1, 2): 2, (2, 1): 2}, {1: 1, 2: 3})),
+                  ("zero swap", pres(2, {(1, 2): 2}, {1: 1, 2: 3})),
+                  ("homogeneous", pres(2, {(1, 2): 1, (2, 1): 2}, {}))):
+    check_true(f"{nm} plane: D1^k D2 = D2 sigma(D1)^k + Q_k(D1) for k <= 6",
+               all(pair_identity(plane, k) for k in range(1, 7)))
+
+
+# ----------------------------------------------------------------------------
 failures = [nm for nm, okk in CHECKS if not okk]
 print()
 print(f"{len(CHECKS)} checks, {len(failures)} failures")
