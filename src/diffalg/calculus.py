@@ -39,12 +39,17 @@ is an integer row over a power of ``e``, from the same two helpers in
 ``scalars`` as the engine's pair rows: ``nu_a(D_j)^k`` is the binomial row
 of ``(L D + M)^k`` over ``e^k``, and the sum is the geometric row
 ``((L D + M)^k - (e D)^k) / ((L - e) D + M)`` over ``e^(k-1)``, which
-collapses to ``k_a D_a^{k_a-1}`` only when ``nu_a`` fixes ``D_a``.  Each
-factor is made once per family and ``(a, j, k)``, and each result is kept
-per family as integer numerators over one denominator per letter (see
-:class:`AffineAutomorphismFamily`), so a check that differentiates every
-monomial up to some degree computes each one once, and builds no
-``Fraction`` unless it asks for the differential as a ``Poly``.
+collapses to ``k_a D_a^{k_a-1}`` only when ``nu_a`` fixes ``D_a``.
+
+The twists read the same rows.  A map's image of ``D_n^{k_n} ... D_1^{k_1}``
+is the product of ``nu(D_j)^{k_j}`` in decreasing letter order, so one
+tensor product of one-letter rows (:func:`_expand`) gives both that image
+and each ``d_a``, as integer numerators over one denominator.  A composed
+map and the inverse volume twist are integer columns too, composed and
+inverted through :func:`_column`.  Each row is made once per family, map,
+letter and exponent (:func:`_row`); no monomial's differential or image is
+kept.  A sum of them is made over one denominator fixed before it, so that a
+``Fraction`` is built only for each term of the result.
 
 The ``certify_*`` functions decide ``d∘d = 0``, connectedness and the
 volume-form identities from the family's scalars and generator maps, with
@@ -68,14 +73,14 @@ such op of a process would compile that module.
 
 from __future__ import annotations
 
-import math
 from itertools import combinations
+from math import gcd, lcm, prod
 
 from .classify import Decomposition, FamilyIdentification, decompose, identify_family
 from .engine import Poly, _add_over
 from .presentation import AlgebraPresentation
 from .records import Record, setfield
-from .scalars import ONE, ZERO, _binomial, _geometric, rational
+from .scalars import _binomial, _geometric, rational
 
 __all__ = [
     "CalculusError", "AffineAutomorphismFamily", "build_automorphisms",
@@ -120,29 +125,23 @@ class AffineAutomorphismFamily:
     from a table ``table[a-1][j-1] = (lam, mu)`` of rationals
     (``Fraction`` or ``int``).
 
-    Composed generator maps are derived once per family and kept in
-    ``_memo`` (keyed by index tuple, plus the inverse volume twist), next to
-    the ``Fraction`` table they are composed from (``"table"``), the
-    binomial expansions of their powers (see :func:`_powers`), the
-    differentials of the PBW monomials that were asked for, as integer
-    forms (keyed ``("d", exponents)``, see :func:`_monomial_d`), their
-    one-letter factors (keyed ``("factor", a, j, k)``, see :func:`_factor`)
-    and the entries whose ``lam`` is zero (see :func:`_zero_lams`); the memo
-    takes no part in equality or hashing, and is freed with the family.  Two
-    equal families keep separate memos.
+    ``_memo`` keeps, for the family's life, what its twists and ``d`` are
+    read from: the ``Fraction`` table (``"table"``), the entries whose
+    ``lam`` is zero (``"zero-lams"``, see :func:`_zero_lams`), the integer
+    columns of each map composed of two or more generator maps (keyed by its
+    index tuple, see :func:`_columns`) and of the inverse volume twist
+    (``"omega-inverse"``), and one integer row per map, letter, exponent and
+    kind (keyed ``(map, j, k, summed)``, see :func:`_row`).  The
+    differential or twist of a monomial is not kept: it is one tensor
+    product of those rows (:func:`_expand`).  The memo takes no part in
+    equality or hashing, and is freed with the family.  Two equal families
+    keep separate memos.
     """
 
     __slots__ = ("n", "cols", "_memo")
 
     def __init__(self, n: int, table):
-        cols = []
-        for row in table:
-            col = []
-            for lam, mu in row:
-                (a, b), (c, d) = lam.as_integer_ratio(), mu.as_integer_ratio()
-                col.append(_column(a * d, c * b, b * d))
-            cols.append(tuple(col))
-        self._store(n, tuple(cols))
+        self._store(n, tuple(_columns_of(row) for row in table))
 
     @classmethod
     def _from_columns(cls, n: int, cols: tuple) -> "AffineAutomorphismFamily":
@@ -191,31 +190,50 @@ class AffineAutomorphismFamily:
         """Generator map of applying ``nu_k`` for ``k`` in ``indices``, left to right.
 
         The order is kept as given: a family that does not commute composes
-        to different maps in different orders.
+        to different maps in different orders.  Built from the integer
+        columns of :func:`_columns`.
         """
-        key = tuple(indices)
-        out = self._memo.get(key)
-        if out is None:
-            table = self.table
-            out = {}
-            for j in range(1, self.n + 1):
-                lam, mu = ONE, ZERO
-                for k in key:
-                    lk, mk = table[k - 1][j - 1]
-                    # D_j -> lam D_j + mu, then D_j -> lk D_j + mk inside it
-                    lam, mu = lam * lk, lam * mk + mu
-                out[j] = (lam, mu)
-            self._memo[key] = out
-        return out
+        return {j: (rational(L, e), rational(M, e))
+                for j, (L, M, e) in enumerate(_columns(self, tuple(indices)), start=1)}
 
 
 def _column(L: int, M: int, e: int) -> tuple:
     """The canonical column of ``(L D + M) / e``, ``e != 0``: over the gcd,
     with ``e > 0``."""
-    k = math.gcd(L, M, e)
+    k = gcd(L, M, e)
     if e < 0:
         k = -k
     return L // k, M // k, e // k
+
+
+def _columns_of(pairs) -> tuple:
+    """The canonical columns of a map given as ``(lam, mu)`` pairs of
+    rationals (``Fraction`` or ``int``), one per letter."""
+    cols = []
+    for lam, mu in pairs:
+        (a, b), (c, d) = lam.as_integer_ratio(), mu.as_integer_ratio()
+        cols.append(_column(a * d, c * b, b * d))
+    return tuple(cols)
+
+
+def _columns(nu: AffineAutomorphismFamily, key: tuple) -> tuple:
+    """The integer columns of ``nu.composed(key)``.
+
+    A single map's are its own.  Others are composed once, through
+    :func:`_column`, and kept in ``_memo`` under ``key``: after
+    ``D_j -> (L D_j + M) / e``, the next map's ``D_j -> (L' D_j + M') / e'``
+    inside it gives ``(L L' D_j + L M' + M e') / (e e')``.
+    """
+    if len(key) == 1:
+        return nu.cols[key[0] - 1]
+    cols = nu._memo.get(key)
+    if cols is None:
+        cols = ((1, 0, 1),) * nu.n
+        for k in key:
+            cols = tuple(_column(L * L2, L * M2 + M * e2, e * e2)
+                         for (L, M, e), (L2, M2, e2) in zip(cols, nu.cols[k - 1]))
+        nu._memo[key] = cols
+    return cols
 
 
 def build_automorphisms(P: AlgebraPresentation,
@@ -300,53 +318,73 @@ def shift_ansatz(P: AlgebraPresentation,
     return AffineAutomorphismFamily._from_columns(P.n, (col,) * P.n)
 
 
-def _apply_to_terms(nu_map: dict, terms: dict, n: int, powers: dict) -> dict:
-    """Image of a PBW combination under the multiplicative extension of ``nu_map``.
+_UNIT = (((0, 1),), 1)  # the row of D^0 = 1
+
+
+def _row(memo: dict, key, j: int, col: tuple, k: int, summed: bool = False) -> tuple:
+    """``(row, den)``: a one-letter factor as integer ``(i, c)`` pairs, i
+    descending, over a positive denominator.
+
+    For the column ``col = (L, M, e)`` of the letter ``j`` it is
+    ``nu(D_j)^k``, the ``scalars._binomial`` row of ``(L D_j + M)^k`` over
+    ``e^k``; with ``summed`` the sum ``sum_{i<k} nu(D_j)^i D_j^(k-1-i)``, the
+    ``scalars._geometric`` row over ``e^(k-1)``.  Kept in ``memo`` under
+    ``(key, j, k, summed)``, ``key`` naming the map.
+    """
+    if not k:
+        return _UNIT
+    rkey = (key, j, k, summed)
+    row = memo.get(rkey)
+    if row is None:
+        L, M, e = col
+        power = _binomial(L, M, k)
+        row = memo[rkey] = ((_geometric(power, L, M, e, k), e ** (k - 1)) if summed
+                            else (power, e ** k))
+    return row
+
+
+def _expand(rows) -> tuple:
+    """``(nums, den)``: the product, in decreasing letter order, of one-letter
+    rows given as ``(row, den)`` for the letters ``1, 2, ...``.
+
+    The product of ``D_n^{i_n}``, ..., ``D_1^{i_1}`` is the PBW monomial with
+    those exponents, so the tensor product of the rows is the result, as
+    integer numerators on exponent tuples over the product of the
+    denominators, with no relation applied.
+    """
+    terms, den = [((), 1)], 1
+    for row, e in rows:
+        den *= e
+        terms = [(m + (i,), c * v) for m, c in terms for i, v in row]
+    return dict(terms), den
+
+
+def _apply_to_terms(cols: tuple, terms: dict, memo: dict, key) -> dict:
+    """Image of a PBW combination under the multiplicative extension of the
+    map with integer columns ``cols``.
 
     ``nu(D_n^{k_n} ... D_1^{k_1})`` is the product, in decreasing index
-    order, of the powers ``(lam_j D_j + mu_j)^{k_j}``.  Expanding each power
-    binomially leaves only products ``D_n^{i_n} ... D_1^{i_1}``, which are
-    PBW monomials already, so no relation is ever applied.  ``powers`` holds
-    the expansions already made for ``nu_map``, keyed by ``(j, k)``, and
-    receives the new ones: with ``lam = p / q`` and ``mu = r / s`` the power
-    is ``(p s D + r q)^k / (q s)^k``, and a coefficient equal to 1 is the
-    shared ``ONE``, so that no product multiplies by it.
+    order, of the powers ``nu(D_j)^{k_j}`` (:func:`_expand` of the rows of
+    :func:`_row`, kept in ``memo`` under ``key``).  The sum is kept as
+    integers over one denominator fixed before it: the ``e`` powers at the
+    largest exponents met times the lcm of the coefficients' denominators,
+    which every term's denominator divides.  A ``Fraction`` is built only
+    for each term of the result.
     """
+    tops = [max(k) for k in zip(*terms)]
+    den = (lcm(*(c.denominator for c in terms.values()))
+           * prod(e ** k for (_, _, e), k in zip(cols, tops)))
     out: dict = {}
     for expts, c in terms.items():
-        partial = [((), c)]
-        for j, k in enumerate(expts, start=1):
-            if k == 0:
-                partial = [(e + (0,), v) for e, v in partial]
-                continue
-            factor = powers.get((j, k))
-            if factor is None:
-                (p, q), (r, s) = (x.as_integer_ratio() for x in nu_map[j])
-                scale = (q * s) ** k
-                factor = powers[(j, k)] = [
-                    (i, ONE if w == scale else rational(w, scale))
-                    for i, w in _binomial(p * s, r * q, k)]
-            partial = [(e + (i,), v if w is ONE else w if v is ONE else v * w)
-                       for e, v in partial for i, w in factor]
-        for e, v in partial:
-            w = out.get(e)
-            out[e] = v if w is None else w + v
-    return {e: v for e, v in out.items() if v != 0}
+        nums, d = _expand(_row(memo, key, j, col, k)
+                          for j, (col, k) in enumerate(zip(cols, expts), start=1))
+        _add_over(out, den, c.numerator, nums, c.denominator * d, ())
+    return {m: rational(v, den) for m, v in out.items() if v}
 
 
-def _powers(nu: AffineAutomorphismFamily, key) -> dict:
-    """The power expansions of one of ``nu``'s maps, kept for the family's life.
-
-    ``key`` names the map as ``_memo`` does: an index tuple for
-    ``composed(key)``, or ``"omega-inverse"``.
-    """
-    return nu._memo.setdefault(("powers", key), {})
-
-
-def _twist_terms(terms: dict, key: tuple, nu: AffineAutomorphismFamily,
-                 n: int) -> dict:
-    """``terms`` under ``composed(key)``, with the family's power expansions."""
-    return _apply_to_terms(nu.composed(key), terms, n, _powers(nu, key))
+def _twist_terms(terms: dict, key: tuple, nu: AffineAutomorphismFamily) -> dict:
+    """``terms`` under ``composed(key)``, from the family's rows."""
+    return _apply_to_terms(_columns(nu, key), terms, nu._memo, key)
 
 
 class AutomorphismReport(Record):
@@ -458,78 +496,64 @@ def verify_automorphisms(nu: AffineAutomorphismFamily,
                               tuple(failures))
 
 
-def _factor(nu: AffineAutomorphismFamily, a: int, j: int, k: int) -> tuple:
-    """``(row, e^k)`` or ``(row, e^(k-1))``: the one-letter factor of ``d_a``
-    at the letter ``j >= a`` with exponent ``k``, as integer ``(i, c)``
-    pairs over that denominator.
-
-    For ``j > a`` it is ``nu_a(D_j)^k``, the ``scalars._binomial`` row of
-    ``(L D_j + M)^k`` over ``e^k``; for ``j = a`` the sum
-    ``sum_{i<k} nu_a(D_a)^i D_a^{k-1-i}``, the ``scalars._geometric`` row
-    over ``e^(k-1)``.  Kept in ``_memo`` under ``("factor", a, j, k)``.
-    """
-    key = ("factor", a, j, k)
-    factor = nu._memo.get(key)
-    if factor is None:
-        L, M, e = nu.cols[a - 1][j - 1]
-        power = _binomial(L, M, k)
-        if j != a:
-            factor = power, e ** k
-        else:
-            factor = _geometric(power, L, M, e, k), e ** (k - 1)
-        nu._memo[key] = factor
-    return factor
-
-
-def _monomial_d(expts: tuple, nu: AffineAutomorphismFamily, n: int) -> dict:
+def _monomial_d(expts: tuple, nu: AffineAutomorphismFamily) -> dict:
     """``{a: (nums, den)}``: d of the PBW monomial ``expts``, each ``d_a`` as
     integer numerators on exponent tuples over one positive denominator,
     empty entries dropped.
 
     Reads the closed form of the module docstring as a product of one-letter
-    factors: ``D_j^{k_j}`` itself below ``a``, and from ``a`` on the rows of
-    :func:`_factor`, kept per family.  Stores the result in ``_memo`` under
-    ``("d", expts)``: callers must not change it.
+    factors (:func:`_expand`): ``D_j^{k_j}`` itself below ``a``, and from
+    ``a`` on the rows of ``nu_a`` (:func:`_row`, the geometric sum at ``a``),
+    which the twists by ``nu_a`` share.  Nothing per monomial is kept.
     """
-    d = nu._memo.get(("d", expts))
-    if d is not None:
-        return d
-    d = nu._memo[("d", expts)] = {}
+    d = {}
     for a, k in enumerate(expts, start=1):
         if not k:
             continue
-        den = 1
-        terms = [((), 1)]
-        for j, kj in enumerate(expts, start=1):
-            if j < a:
-                factor = ((kj, 1),)
-            else:
-                factor, e = _factor(nu, a, j, kj)
-                den *= e
-            terms = [(m + (t,), c * v) for m, c in terms for t, v in factor]
-        if terms:
-            d[a] = (dict(terms), den)
+        col = nu.cols[a - 1]
+        nums, den = _expand(
+            (((kj, 1),), 1) if j < a else _row(nu._memo, (a,), j, col[j - 1], kj, j == a)
+            for j, kj in enumerate(expts, start=1))
+        if nums:
+            d[a] = nums, den
     return d
 
 
 def differential(p: Poly, nu: AffineAutomorphismFamily,
-                 P: AlgebraPresentation) -> "GradedForm":
-    """``d(p)`` as the linear sum of the stored differentials of its monomials.
+                 P: AlgebraPresentation, ds: dict | None = None) -> "GradedForm":
+    """``d(p)`` as the linear sum of the differentials of its monomials.
 
-    The sum of each ``d_a`` is an integer form over one denominator, as in
-    the engine's fold (``() + m`` is the exponent tuple ``m``), and a
-    ``Fraction`` is built only for each term of the result.
+    Each ``d_a`` is summed as integers over one denominator fixed before the
+    sum, as in the engine's fold (``() + m`` is the exponent tuple ``m``):
+    the rows' ``e`` powers at the largest exponents met (``e_aa^(k_a - 1)``
+    and ``e_aj^(k_j)`` for ``j > a``) times the lcm of the coefficients'
+    denominators, so that no partial sum is rescaled.  A ``Fraction`` is
+    built only for each term of the result.
+
+    A caller that meets one monomial many times passes ``ds``, a dict that
+    keeps each monomial's differential (:func:`_monomial_d`) for as long as
+    the caller holds it, as :func:`~diffalg.forms.check_d_squared` does for
+    one call; the family keeps none.
     """
     n = P.n
-    sums: dict = {}
+    if not p.terms:
+        return GradedForm(n, 1)
+    tops = [max(k) for k in zip(*p.terms)]
+    base = lcm(*(c.denominator for c in p.terms.values()))
+    dens = {a: base * prod(e ** k for (_, _, e), k in
+                           zip(col[a - 1:], (tops[a - 1] - 1, *tops[a:])))
+            for a, col in enumerate(nu.cols, start=1) if tops[a - 1]}
+    sums = {a: {} for a in dens}
     for expts, c in p.terms.items():
-        for a, (nums, e) in _monomial_d(expts, nu, n).items():
-            acc = sums.setdefault(a, [{}, 1])
-            acc[1] = _add_over(acc[0], acc[1], c.numerator, nums,
-                               c.denominator * e, ())
+        if ds is None:
+            d = _monomial_d(expts, nu)
+        elif (d := ds.get(expts)) is None:
+            d = ds[expts] = _monomial_d(expts, nu)
+        for a, (nums, e) in d.items():
+            _add_over(sums[a], dens[a], c.numerator, nums, c.denominator * e, ())
     return GradedForm(n, 1, {
-        (a,): Poly(n, {m: rational(v, den) for m, v in nums.items()})
-        for a, (nums, den) in sums.items()})
+        (a,): Poly(n, {m: rational(v, dens[a]) for m, v in nums.items()})
+        for a, nums in sums.items()})
 
 
 class GradedForm:
@@ -611,15 +635,16 @@ def _sample(n: int, degree_bound: int, lowest: int = 1) -> list:
 
 def check_connectedness(P: AlgebraPresentation, nu: AffineAutomorphismFamily,
                         degree_bound: int = 5) -> bool:
-    """No nonconstant monomial of bounded degree may be closed, read off the
-    stored differentials (:func:`_monomial_d`, empty exactly when d is 0).
+    """No nonconstant monomial of bounded degree may be closed, read off each
+    monomial's differential from the family's rows (:func:`_monomial_d`,
+    empty exactly when d is 0).
 
     A sample: ker d is a subspace, and a combination can be closed when no
     monomial is (see :func:`certify_connectedness`, which proves ker d =
     constants where its premises hold).  Raises ``ValueError`` on a
     negative bound (see :func:`_sample`).
     """
-    return all(_monomial_d(expts, nu, P.n) for expts in _sample(P.n, degree_bound))
+    return all(_monomial_d(expts, nu) for expts in _sample(P.n, degree_bound))
 
 
 def leibniz_defects(P: AlgebraPresentation,

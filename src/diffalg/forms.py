@@ -10,6 +10,14 @@ the dual bases give the sampled integrating-form identities
 d∘d = 0.  :func:`apply_automorphism` extends one generator map
 multiplicatively, and :func:`partial_derivative` reads one coefficient of d.
 
+Every twist here, of one map, of a composed run of the family's maps (the
+transport inside :func:`wedge`, :func:`nu_omega`) or of the inverse volume
+twist, is expanded by ``calculus._apply_to_terms`` from the map's integer
+columns and the family's memoized integer rows, the ones ``d`` reads; a
+``Fraction`` is built only for each term of its result.  The products
+(:func:`wedge`, ``engine.multiply``) and the merge factors still work on
+``Fraction`` coefficients.
+
 This is the cross-check of the closed-form certificates of
 :mod:`diffalg.calculus`, which decide d∘d = 0 and the volume-form identities
 on every family that ``build_automorphisms`` returns.  It runs only under
@@ -29,12 +37,12 @@ from itertools import combinations
 
 from .calculus import (
     AffineAutomorphismFamily, CalculusError, GradedForm, _apply_to_terms,
-    _powers, _require_regular_volume_twist, _sample, _twist_terms,
-    differential,
+    _column, _columns, _columns_of, _require_regular_volume_twist, _sample,
+    _twist_terms, differential,
 )
 from .engine import Poly, _iadd, multiply
 from .presentation import AlgebraPresentation
-from .scalars import ONE, rational
+from .scalars import rational
 
 
 def basis_form(n: int, J, p: Poly) -> GradedForm:
@@ -58,7 +66,8 @@ def _merge_twist(left, right, nu: AffineAutomorphismFamily):
 
 def apply_automorphism(nu_map: dict, p: Poly, P: AlgebraPresentation) -> Poly:
     """Extend one generator map multiplicatively and apply it to ``p``."""
-    return Poly(P.n, _apply_to_terms(nu_map, p.terms, P.n, {}))
+    cols = _columns_of(nu_map[j] for j in range(1, P.n + 1))
+    return Poly(P.n, _apply_to_terms(cols, p.terms, {}, None))
 
 
 def _transport(p: Poly, indices, nu: AffineAutomorphismFamily,
@@ -66,7 +75,7 @@ def _transport(p: Poly, indices, nu: AffineAutomorphismFamily,
     """Apply ``nu_k`` for ``k`` in ``indices``, left to right, as one composed map."""
     if not indices:
         return p
-    return Poly(P.n, _twist_terms(p.terms, tuple(indices), nu, P.n))
+    return Poly(P.n, _twist_terms(p.terms, tuple(indices), nu))
 
 
 def wedge(xi: GradedForm, eta: GradedForm, nu: AffineAutomorphismFamily,
@@ -92,18 +101,19 @@ def partial_derivative(a: int, p: Poly, nu: AffineAutomorphismFamily,
 
 
 def form_differential(xi: GradedForm, nu: AffineAutomorphismFamily,
-                      P: AlgebraPresentation) -> GradedForm:
+                      P: AlgebraPresentation, ds: dict | None = None) -> GradedForm:
     """Extend d to higher forms: ``d(dD_J p) = (-1)^{|J|} dD_J ^ d(p)``.
 
     The head ``dD_J * 1`` passes through ``d(p) = sum_b dD_b * d_b(p)``
     untwisted (every twist fixes 1), so the wedge reduces to
     ``(-1)^{|J|} sum_b merge(J, b) dD_{J u b} * d_b(p)`` over ``b`` not in
-    ``J``, with the sign-and-scale factor of :func:`_merge_twist`.
+    ``J``, with the sign-and-scale factor of :func:`_merge_twist`.  ``ds``
+    is passed to :func:`~diffalg.calculus.differential`.
     """
     sign = -1 if xi.degree % 2 else 1
     out: dict = {}
     for J, p in xi.coeffs.items():
-        for (b,), q in differential(p, nu, P).coeffs.items():
+        for (b,), q in differential(p, nu, P, ds).coeffs.items():
             if b in J:
                 continue
             factor = _merge_twist(J, (b,), nu)
@@ -136,16 +146,16 @@ def pi_omega(tau: GradedForm) -> Poly:
     return tau.coeffs.get(full, Poly.zero(tau.n))
 
 
-def _omega_inverse_maps(nu: AffineAutomorphismFamily) -> dict:
-    """Inverse of the volume twist ``nu_n o ... o nu_1``; stored only once
-    every generator inverts."""
-    inverse = nu._memo.get("omega-inverse")
-    if inverse is None:
+def _omega_inverse_columns(nu: AffineAutomorphismFamily) -> tuple:
+    """Integer columns of the inverse of the volume twist ``nu_n o ... o nu_1``:
+    ``D_j -> (L D_j + M) / e`` inverts to ``(e D_j - M) / L``.  Stored only
+    once every generator inverts."""
+    cols = nu._memo.get("omega-inverse")
+    if cols is None:
         _require_regular_volume_twist(nu)
-        inverse = nu._memo["omega-inverse"] = {
-            j: (ONE / lam, -mu / lam)
-            for j, (lam, mu) in nu.composed(range(1, nu.n + 1)).items()}
-    return inverse
+        cols = nu._memo["omega-inverse"] = tuple(
+            _column(e, -M, L) for L, M, e in _columns(nu, tuple(range(1, nu.n + 1))))
+    return cols
 
 
 def nu_omega(p: Poly, nu: AffineAutomorphismFamily,
@@ -156,8 +166,8 @@ def nu_omega(p: Poly, nu: AffineAutomorphismFamily,
 
 def nu_omega_inverse(p: Poly, nu: AffineAutomorphismFamily,
                      P: AlgebraPresentation) -> Poly:
-    return Poly(P.n, _apply_to_terms(_omega_inverse_maps(nu), p.terms, P.n,
-                                     _powers(nu, "omega-inverse")))
+    return Poly(P.n, _apply_to_terms(_omega_inverse_columns(nu), p.terms,
+                                     nu._memo, "omega-inverse"))
 
 
 def _dual_bases(k: int, nu: AffineAutomorphismFamily, n: int):
@@ -240,11 +250,14 @@ def check_d_squared(P: AlgebraPresentation, nu: AffineAutomorphismFamily,
     """d applied twice kills every monomial of bounded degree.
 
     :func:`certify_d_squared` proves it in every degree where its premise
-    holds.  Raises ``ValueError`` on a negative bound (see
+    holds.  The second d meets each monomial of low degree many times, so
+    the differential of each monomial is kept for this call (``ds``).
+    Raises ``ValueError`` on a negative bound (see
     :func:`~diffalg.calculus._sample`).
     """
+    ds = {}
     for expts in _sample(P.n, degree_bound):
-        first = differential(Poly.monomial(P.n, expts), nu, P)
-        if not form_differential(first, nu, P).is_zero():
+        first = differential(Poly.monomial(P.n, expts), nu, P, ds)
+        if not form_differential(first, nu, P, ds).is_zero():
             return False
     return True

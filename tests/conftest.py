@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from diffalg.calculus import (AutomorphismReport, GradedForm,
-                              _apply_to_terms, _monomials, _twist_terms,
-                              basis_form, check_connectedness, check_d_squared,
+from diffalg.calculus import (AutomorphismReport, GradedForm, _monomials,
+                              _twist_terms, apply_automorphism, basis_form,
+                              check_connectedness, check_d_squared,
                               check_integrating_form, differential,
                               left_multiply, nu_omega_inverse, pi_omega,
                               right_multiply, wedge)
@@ -158,7 +158,7 @@ def d_combination(comb, nu, P):
         prefix, suffix = [0] * n, list(word_exponents(word, n))
         for letter in word:
             suffix[letter - 1] -= 1
-            image = _twist_terms({tuple(prefix): c}, (letter,), nu, n)
+            image = _twist_terms({tuple(prefix): c}, (letter,), nu)
             dst = out.setdefault(letter, {})
             for e, v in image.items():
                 _add_term(dst, tuple(a + b for a, b in zip(e, suffix)), v)
@@ -176,9 +176,11 @@ def positional_differential(p, nu, P):
     return free_word_differential(comb, nu, P)
 
 
-def wedge_form_differential(xi, nu, P):
+def wedge_form_differential(xi, nu, P, ds=None):
     """``d(dD_J p) = (-1)^{|J|} dD_J ^ d(p)`` summed over ``xi``, each term
-    through ``calculus.wedge`` with the head ``dD_J * 1``."""
+    through ``calculus.wedge`` with the head ``dD_J * 1``.  ``ds`` is taken,
+    as ``forms.form_differential`` takes it, and not used: each d is made
+    afresh."""
     sign = -1 if xi.degree % 2 else 1
     out = GradedForm.zero(xi.n, xi.degree + 1)
     for J, p in xi.coeffs.items():
@@ -222,8 +224,7 @@ def apply_map_to_word(nu_map, word, P):
     PBW monomial, letter by letter through ``multiply`` otherwise.  The
     reference for the images of relation words."""
     if all(a >= b for a, b in zip(word, word[1:])):  # a PBW monomial
-        return Poly(P.n, _apply_to_terms(
-            nu_map, {word_exponents(word, P.n): ONE}, P.n, {}))
+        return apply_automorphism(nu_map, Poly.monomial(P.n, word_exponents(word, P.n)), P)
     # a word with an ascent is not a PBW monomial: its image needs the relations
     out = Poly.one(P.n)
     for letter in word:

@@ -1,13 +1,16 @@
-"""The differential of each PBW monomial is computed once per family.
+"""The differential of each PBW monomial is one product of per-family rows.
 
 ``calculus._monomial_d`` reads ``d(m)`` in closed form off the family's
-integer columns and keeps it in the family's ``_memo``.  Here the stored
-values are compared with ``conftest.positional_differential`` (the
-positional sum through ``multiply``) in two query orders and on high powers
-of affine diagonals, the cache is shown to hand out copies and to stay per
-family, and counters show where the work went: one stored entry per
-monomial across ``d-squared-zero`` and connectedness, one for a high power,
-and one wedge per ``(K, m)`` and direction in the volume-form checks.
+integer columns, as the tensor product of one-letter rows that the family's
+``_memo`` keeps once per map, letter, exponent and kind (``calculus._row``);
+``d(m)`` itself is not kept.  Here the differentials are compared with
+``conftest.positional_differential`` (the positional sum through
+``multiply``) in two query orders and on high powers of affine diagonals,
+the memo is shown to hold exactly the rows those monomials need, to be left
+alone by a caller that changes a result and to stay per family, and
+counters show where the work went: each row made once across
+``d-squared-zero`` and connectedness, one row for a high power, and one
+wedge per ``(K, m)`` and direction in the volume-form checks.
 """
 
 import random
@@ -30,8 +33,21 @@ from test_positional import LEADS, TRAILS, XS, random_family
 from test_twist import fixture
 
 
-def d_keys(nu):
-    return [key for key in nu._memo if key[0] == "d"]
+def is_row(key):
+    """Whether a memo key is a row's, ``(map, j, k, summed)``."""
+    return isinstance(key, tuple) and isinstance(key[-1], bool)
+
+
+def row_keys(nu):
+    return [key for key in nu._memo if is_row(key)]
+
+
+def d_rows(monos):
+    """The row keys that d of the monomials ``monos`` reads: for each letter
+    ``a`` of a monomial, the rows of ``nu_a`` at every letter ``j >= a`` it
+    holds, summed at ``a``."""
+    return {((a,), j, k, j == a) for m in monos for a, ka in enumerate(m, start=1)
+            if ka for j, k in enumerate(m, start=1) if j >= a and k}
 
 
 def monomials_up_to(n, degree, lowest=0):
@@ -80,7 +96,7 @@ def test_cached_d_matches_positional_sum_in_any_order(n):
             for a in range(1, n + 1):
                 assert partial_derivative(a, p, nu, P) == \
                     reference[m].get(a, Poly.zero(n)), (m, a)
-        assert len(d_keys(nu)) == len(monos)
+        assert set(nu._memo) == d_rows(monos)
 
 
 def test_a_combination_is_the_sum_of_its_monomials():
@@ -93,7 +109,7 @@ def test_a_combination_is_the_sum_of_its_monomials():
     assert one_forms(differential(p, nu, P)) == positional_differential(p, nu, P)
 
 
-# -- copies and per-family memos ----------------------------------------------------
+# -- fresh results and per-family memos ----------------------------------------------------
 
 def test_mutating_a_result_leaves_the_cache_alone():
     P = fixture("b1")
@@ -117,33 +133,36 @@ def test_equal_families_keep_separate_caches():
     assert nu == twin and hash(nu) == hash(twin)
     p = Poly.monomial(4, (1, 2, 0, 1))
     d = differential(p, nu, P)
-    assert d_keys(nu) and not d_keys(twin)
+    assert row_keys(nu) and not twin._memo
     assert differential(p, twin, P) == d
 
 
 # -- counters ---------------------------------------------------------------------------
 
 class CountingMemo(dict):
-    """A family memo that counts each monomial whose differential it stores."""
+    """A family memo that counts each entry it stores."""
 
     def __init__(self):
         super().__init__()
         self.stored = Counter()
 
     def __setitem__(self, key, value):
-        if key[0] == "d":
-            self.stored[key[1]] += 1
+        self.stored[key] += 1
         super().__setitem__(key, value)
 
 
 @pytest.mark.parametrize("name", ["p1", "p3", "b1"])
-def test_each_monomial_misses_once_across_dd_and_connectedness(name):
+def test_each_row_is_made_once_across_dd_and_connectedness(name):
+    # d-squared-zero differentiates each monomial and then each term of its
+    # differential; every row is made on its first use only, and the rows
+    # are those of d on the monomials up to degree 5
     P = fixture(name)
     nu = build_automorphisms(P)
     nu._memo = memo = CountingMemo()
     assert check_d_squared(P, nu, 4)
     assert check_connectedness(P, nu, 5)
-    assert memo.stored == Counter(monomials_up_to(P.n, 5))
+    assert set(memo.stored.values()) == {1}
+    assert set(memo) == d_rows(monomials_up_to(P.n, 5))
 
 
 def test_connectedness_sample_finds_a_closed_monomial():
@@ -182,7 +201,7 @@ def test_a_high_power_stores_one_entry():
     nu = build_automorphisms(P)
     d = differential(Poly.monomial(3, (0, 600, 0)), nu, P)
     assert d.coeffs == {(2,): Poly.monomial(3, (0, 599, 0), 600)}
-    assert d_keys(nu) == [("d", (0, 600, 0))]
+    assert list(nu._memo) == [((2,), 2, 600, True)]
 
 
 @pytest.mark.parametrize("expts", [(60, 0, 0), (9, 0, 7), (5, 4, 6)])
@@ -192,7 +211,7 @@ def test_high_powers_of_an_affine_diagonal_match_the_positional_sum(expts):
     assert nu.mu(1, 1) and nu.mu(3, 3) and nu.lam(3, 3) != 1
     p = Poly.monomial(3, expts)
     assert one_forms(differential(p, nu, P)) == positional_differential(p, nu, P)
-    assert d_keys(nu) == [("d", expts)]
+    assert set(nu._memo) == d_rows([expts])
 
 
 @pytest.mark.parametrize("name", ["p1", "b1"])

@@ -7,7 +7,9 @@ converts a ``(lam, mu)`` table.  Here: both routes give equal families, with
 one hash and one ``repr``, equal to a ``Fraction`` reference of the forced
 family; a default ``smooth`` or ``verify-calculus`` op builds no
 ``Fraction``, on the B rows whose family has a ``-1`` diagonal (where
-connectedness is sampled) too; ``d`` and ``smooth --degree-bound 2`` print
+connectedness is sampled) too; ``smooth --degree-bound 3`` on p1 keeps a
+pinned ``Fraction`` budget per module, and a twist builds one ``Fraction``
+per term of its result; ``d`` and ``smooth --degree-bound 2`` print
 on every fixture what ``tests/golden/fixture_calculus.txt`` holds; and one
 digest pins ``d`` on those B rows and on high powers.
 """
@@ -19,10 +21,13 @@ import re
 import sys
 from fractions import Fraction
 
-from diffalg.calculus import (AffineAutomorphismFamily, build_automorphisms,
+from diffalg.calculus import (AffineAutomorphismFamily, apply_automorphism,
+                              build_automorphisms, nu_omega, nu_omega_inverse,
                               shift_ansatz)
 from diffalg.classify import decompose, identify_family
 from diffalg.cli import main
+from diffalg.engine import Poly
+from diffalg.forms import _transport
 from diffalg.presentation import parse_presentation
 from diffalg.smoothness import decide_smoothness, verify_witness
 from diffalg.templates import TemplateError, generate_templates, instantiate_template
@@ -204,13 +209,50 @@ def test_default_ops_build_no_fraction_in_calculus(monkeypatch, capsys, tmp_path
 
 def test_a_default_verify_composes_no_map(b1):
     """The certificates read the columns and one zero-``lam`` scan; the
-    ``Fraction`` table and composed maps wait for ``d`` or a sample."""
+    ``Fraction`` table and composed maps wait for ``d`` or a sample, and a
+    composed map is kept as canonical integer columns, the ``Fraction``
+    pairs of ``composed`` built from them on each call."""
     verdict = decide_smoothness(b1)
     nu = verdict.witness
     assert verify_witness(b1, verdict).ok
     assert set(nu._memo) == {"zero-lams"}
-    assert nu.composed((1, 2)) is nu.composed((1, 2))
+    composed = nu.composed((1, 2))
+    assert composed == nu.composed((1, 2)) and set(nu._memo) == {"zero-lams", (1, 2)}
+    cols = nu._memo[(1, 2)]
+    assert canonical([cols]) and all(type(v) is int for col in cols for v in col)
+    assert composed == {j: (Fraction(L, e), Fraction(M, e))
+                        for j, (L, M, e) in enumerate(cols, start=1)}
     assert nu.table is nu.table and set(nu._memo) == {"zero-lams", "table", (1, 2)}
+
+
+def test_a_sampled_run_keeps_its_fraction_budget(monkeypatch, capsys):
+    """``smooth --degree-bound 3`` on p1, by module.  The twists build one
+    ``Fraction`` per term of each result (``calculus``, with ``lam`` for the
+    merge factors); the wedge's merge factors (``forms``) and the products
+    (``engine``) are the rest.  Before the twists read the family's integer
+    rows, ``calculus`` built 13,257 here and ``forms`` 4,794."""
+    made = count_fractions(monkeypatch, lambda: main(
+        ["smooth", str(FIXTURES / "p1.dalg"), "--degree-bound", "3"]))
+    assert "verdict: SMOOTH" in capsys.readouterr().out
+    assert made == {"diffalg.calculus": 6271, "diffalg.engine": 6660,
+                    "diffalg.forms": 4782}
+
+
+def test_a_twist_builds_one_fraction_per_term(monkeypatch, b1):
+    nu = build_automorphisms(b1)
+    nu_map = nu.map_of(3)
+    p = Poly.zero(3)
+    for c, expts in enumerate(((0, 0, 0), (1, 0, 2), (3, 1, 0), (2, 2, 2), (0, 5, 1)),
+                              start=1):
+        p = p + Poly.monomial(3, expts, Fraction(c, 7 - c))
+    twists = (lambda: apply_automorphism(nu_map, p, b1),
+              lambda: nu_omega(p, nu, b1), lambda: nu_omega_inverse(p, nu, b1),
+              lambda: _transport(p, (3, 1), nu, b1))
+    for twist in twists:
+        images = []
+        made = count_fractions(monkeypatch, lambda: images.append(twist()))
+        assert len(images[0].terms) > len(p.terms)
+        assert made == {"diffalg.calculus": len(images[0].terms)}
 
 
 COMMANDS = (("smooth", "--degree-bound", "2"), ("d", "D1 D2 + 3 D2"),

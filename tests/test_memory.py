@@ -1,8 +1,9 @@
 """Memory held by an op is bounded by that op.
 
 A presentation's engine context is freed with the presentation, so a long
-run of one-off presentations keeps nothing behind, and ``tables`` holds one
-row at a time.  Sizes are measured with ``tracemalloc`` after a warm-up op,
+run of one-off presentations keeps nothing behind, ``tables`` holds one row
+at a time, and ``d`` keeps the family's one-letter rows but no monomial's
+differential.  Sizes are measured with ``tracemalloc`` after a warm-up op,
 so that lazily built module state (the argument parser, interned strings)
 is not counted.
 """
@@ -13,10 +14,11 @@ import os
 import tracemalloc
 
 from diffalg import engine
+from diffalg.calculus import build_automorphisms, differential
 from diffalg.cli import main
 from diffalg.engine import is_pbw, normal_form
 
-from conftest import build
+from conftest import FIXTURES, build
 
 KIB = 1024
 MIB = 1024 * KIB
@@ -91,3 +93,26 @@ def test_tables_holds_one_row_at_a_time():
                 assert main(["tables", "6", "--mode", mode]) == 0
                 peaks[mode] = tracemalloc.get_traced_memory()[1]
     assert max(peaks.values()) < 1 * MIB, peaks
+
+
+def test_d_keeps_the_rows_and_no_differential(b1):
+    # a normal form with many monomials; the family's memo keeps one row per
+    # map, letter, exponent and kind, keyed (map, j, k, summed), and nothing
+    # keyed by a monomial
+    p = normal_form((1, 3, 1, 2, 3, 3, 1, 2, 3, 1, 3), b1)
+    nu = build_automorphisms(b1)
+    assert len(p.terms) > 20 and not differential(p, nu, b1).is_zero()
+    assert nu._memo and all(isinstance(key, tuple) and len(key) == 4
+                            and isinstance(key[3], bool) for key in nu._memo)
+
+
+def test_a_moderate_d_op_stays_small():
+    # 146 monomials after the normal form; before d stopped keeping each
+    # monomial's differential this op peaked at 1.1 MiB, now at 0.24 MiB
+    path = str(FIXTURES / "b1.dalg")
+    with discarded_stdout():
+        main(["d", path, "D1"])
+        with traced():
+            assert main(["d", path, "D1^20 D3^6"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+    assert peak < 512 * KIB, peak

@@ -130,6 +130,23 @@ def test_volume_twist_composes_nu_1_first():
         assert nu_omega(nu_omega_inverse(p, nu, P), nu, P) == p
 
 
+def test_composed_twists_match_the_oracle_values():
+    # tools/oracle.py pins these on P1, whose family with lam(1, 2) raised
+    # by one does not commute: D2 D1 under nu_1 then nu_2 and the other way,
+    # and D2 D1^2 under the inverse volume twist of the forced family
+    P = fixture("p1")
+    nu = build_automorphisms(P)
+    bumped = perturb(nu, 1, 2, "lam")
+    q = rational
+    assert _transport(Poly.monomial(4, (1, 1, 0, 0)), (1, 2), bumped, P).terms == {
+        (1, 1, 0, 0): q(2), (0, 1, 0, 0): q(-4), (1, 0, 0, 0): q(-3), (0, 0, 0, 0): q(6)}
+    assert _transport(Poly.monomial(4, (1, 1, 0, 0)), (2, 1), bumped, P).terms == {
+        (1, 1, 0, 0): q(2), (0, 1, 0, 0): q(-4), (1, 0, 0, 0): q(-2), (0, 0, 0, 0): q(4)}
+    assert nu_omega_inverse(Poly.monomial(4, (2, 1, 0, 0)), nu, P).terms == {
+        (2, 1, 0, 0): q(1), (2, 0, 0, 0): q(7, 2), (1, 1, 0, 0): q(7),
+        (1, 0, 0, 0): q(49, 2), (0, 1, 0, 0): q(49, 4), (0, 0, 0, 0): q(343, 8)}
+
+
 def test_singular_volume_twist_raises_on_every_call():
     P = fixture("p3")
     nu = build_automorphisms(P)

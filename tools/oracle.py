@@ -741,6 +741,88 @@ for nm, plane in (("q != 1", pres(2, {(1, 2): 3, (2, 1): 2}, {1: 1, 2: -2})),
 
 
 # ----------------------------------------------------------------------------
+# job 12: composed twists and the inverse volume twist, from generator maps
+# ----------------------------------------------------------------------------
+# Applying the map m first and then t is again a generator map: D_j goes to
+# lam D_j + mu, and then each D_j inside it to lam' D_j + mu', which gives
+# lam lam' D_j + lam mu' + mu.  Its inverse sends D_j to (D_j - mu) / lam.
+# On a decreasing word both act letter by letter, as apply_map does, so the
+# composed map must agree with the two maps applied one after the other, in
+# either order, whether or not they commute or preserve the relations.
+
+def compose(m, t):
+    return {j: (lam * t[j][0], lam * t[j][1] + mu) for j, (lam, mu) in m.items()}
+
+
+def invert(m):
+    return {j: (1 / lam, -mu / lam) for j, (lam, mu) in m.items()}
+
+
+def decreasing_words(n, degree):
+    """Every decreasing word of length at most ``degree`` on n letters."""
+    words = [()]
+    for _ in range(degree):
+        words += [w + (a,) for w in words if len(w) == len(words[-1])
+                  for a in range(1, (w[-1] if w else n) + 1)]
+    return sorted(set(words))
+
+
+def bumped(fam, a, b):
+    """fam with lam of nu_a(D_b) raised by one: the maps stop commuting."""
+    out = {k: dict(row) for k, row in fam.items()}
+    lam, mu = out[a][b]
+    out[a][b] = (lam + 1, mu)
+    return out
+
+
+print("-- composed twists and the inverse volume twist --")
+P1_BUMPED = bumped(fam1, 1, 2)
+B1_BUMPED = bumped(corrected, 1, 3)
+for nm, P_, fam_ in (("P1", P1, fam1), ("B1", B1, corrected),
+                     ("P1 bumped", P1, P1_BUMPED), ("B1 bumped", B1, B1_BUMPED)):
+    nn = P_[0]
+    words = decreasing_words(nn, 3)
+    if "bumped" in nm:
+        check_true(f"{nm} family does not commute", not commute(P_, fam_)[0])
+        ok, differs = True, False
+        for a, b in permutations(range(1, nn + 1), 2):
+            both = compose(fam_[a], fam_[b])
+            for w in words:
+                got = apply_map(P_, both, mono(*w))
+                ok = ok and got == apply_map(P_, fam_[b], apply_map(P_, fam_[a], mono(*w)))
+                differs = differs or got != apply_map(P_, compose(fam_[b], fam_[a]), mono(*w))
+        check_true(f"{nm}: composed pairs match the maps in turn, both orders "
+                   "(decreasing words of length <= 3)", ok)
+        check_true(f"{nm}: some composed pair depends on the order", differs)
+    omega = fam_[1]
+    for a in range(2, nn + 1):
+        omega = compose(omega, fam_[a])
+    inverse = invert(omega)
+    ok = True
+    for w in words:
+        turn = mono(*w)
+        for a in range(1, nn + 1):
+            turn = apply_map(P_, fam_[a], turn)
+        there = apply_map(P_, omega, mono(*w))
+        ok = (ok and there == turn and apply_map(P_, inverse, there) == mono(*w)
+              and apply_map(P_, omega, apply_map(P_, inverse, mono(*w))) == mono(*w))
+    check_true(f"{nm}: nu_omega is nu_1 then ... then nu_{nn}, and its inverse "
+               "undoes it both ways (decreasing words of length <= 3)", ok)
+
+# values pinned on the package side (tests/test_twist.py)
+check("P1 bumped: nu_1 then nu_2 on D2 D1",
+      apply_map(P1, compose(P1_BUMPED[1], P1_BUMPED[2]), mono(2, 1)),
+      {(2, 1): Q(2), (2,): Q(-4), (1,): Q(-3), (): Q(6)})
+check("P1 bumped: nu_2 then nu_1 on D2 D1",
+      apply_map(P1, compose(P1_BUMPED[2], P1_BUMPED[1]), mono(2, 1)),
+      {(2, 1): Q(2), (2,): Q(-4), (1,): Q(-2), (): Q(4)})
+check("P1 inverse volume twist on D2 D1^2", apply_map(
+    P1, invert(compose(compose(compose(fam1[1], fam1[2]), fam1[3]), fam1[4])),
+    mono(2, 1, 1)),
+    {(2, 1, 1): Q(1), (1, 1): Q(7, 2), (2, 1): Q(7), (1,): Q(49, 2), (2,): Q(49, 4),
+     (): Q(343, 8)})
+
+# ----------------------------------------------------------------------------
 failures = [nm for nm, okk in CHECKS if not okk]
 print()
 print(f"{len(CHECKS)} checks, {len(failures)} failures")
