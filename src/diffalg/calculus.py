@@ -48,8 +48,9 @@ and each ``d_a``, as integer numerators over one denominator.  A composed
 map and the inverse volume twist are integer columns too, composed and
 inverted through :func:`_column`.  Each row is made once per family, map,
 letter and exponent (:func:`_row`); no monomial's differential or image is
-kept.  A sum of them is made over one denominator fixed before it, so that a
-``Fraction`` is built only for each term of the result.
+kept.  A sum of them is kept as integers over one denominator (in
+:func:`differential` fixed before the sum), so that a ``Fraction`` is built
+only for each term of the result.
 
 The ``certify_*`` functions decide ``d∘d = 0``, connectedness and the
 volume-form identities from the family's scalars and generator maps, with
@@ -321,13 +322,13 @@ def shift_ansatz(P: AlgebraPresentation,
 _UNIT = (((0, 1),), 1)  # the row of D^0 = 1
 
 
-def _row(memo: dict, key, j: int, col: tuple, k: int, summed: bool = False) -> tuple:
+def _row(memo: dict, key, cols: tuple, j: int, k: int, summed: bool = False) -> tuple:
     """``(row, den)``: a one-letter factor as integer ``(i, c)`` pairs, i
     descending, over a positive denominator.
 
-    For the column ``col = (L, M, e)`` of the letter ``j`` it is
-    ``nu(D_j)^k``, the ``scalars._binomial`` row of ``(L D_j + M)^k`` over
-    ``e^k``; with ``summed`` the sum ``sum_{i<k} nu(D_j)^i D_j^(k-1-i)``, the
+    For the column ``cols[j-1] = (L, M, e)`` of a map it is ``nu(D_j)^k``,
+    the ``scalars._binomial`` row of ``(L D_j + M)^k`` over ``e^k``; with
+    ``summed`` the sum ``sum_{i<k} nu(D_j)^i D_j^(k-1-i)``, the
     ``scalars._geometric`` row over ``e^(k-1)``.  Kept in ``memo`` under
     ``(key, j, k, summed)``, ``key`` naming the map.
     """
@@ -336,7 +337,7 @@ def _row(memo: dict, key, j: int, col: tuple, k: int, summed: bool = False) -> t
     rkey = (key, j, k, summed)
     row = memo.get(rkey)
     if row is None:
-        L, M, e = col
+        L, M, e = cols[j - 1]
         power = _binomial(L, M, k)
         row = memo[rkey] = ((_geometric(power, L, M, e, k), e ** (k - 1)) if summed
                             else (power, e ** k))
@@ -366,19 +367,17 @@ def _apply_to_terms(cols: tuple, terms: dict, memo: dict, key) -> dict:
     ``nu(D_n^{k_n} ... D_1^{k_1})`` is the product, in decreasing index
     order, of the powers ``nu(D_j)^{k_j}`` (:func:`_expand` of the rows of
     :func:`_row`, kept in ``memo`` under ``key``).  The sum is kept as
-    integers over one denominator fixed before it: the ``e`` powers at the
-    largest exponents met times the lcm of the coefficients' denominators,
-    which every term's denominator divides.  A ``Fraction`` is built only
-    for each term of the result.
+    integers over one denominator, as in the engine's fold: the few terms of
+    a twisted coefficient are summed through ``engine._add_over``, which
+    widens the denominator to the lcm when a term needs it (cheaper here
+    than fixing it first, as :func:`differential` does for long sums).  A
+    ``Fraction`` is built only for each term of the result.
     """
-    tops = [max(k) for k in zip(*terms)]
-    den = (lcm(*(c.denominator for c in terms.values()))
-           * prod(e ** k for (_, _, e), k in zip(cols, tops)))
     out: dict = {}
+    den = 1
     for expts, c in terms.items():
-        nums, d = _expand(_row(memo, key, j, col, k)
-                          for j, (col, k) in enumerate(zip(cols, expts), start=1))
-        _add_over(out, den, c.numerator, nums, c.denominator * d, ())
+        nums, d = _expand(_row(memo, key, cols, j, k) for j, k in enumerate(expts, start=1))
+        den = _add_over(out, den, c.numerator, nums, c.denominator * d, ())
     return {m: rational(v, den) for m, v in out.items() if v}
 
 
@@ -510,9 +509,8 @@ def _monomial_d(expts: tuple, nu: AffineAutomorphismFamily) -> dict:
     for a, k in enumerate(expts, start=1):
         if not k:
             continue
-        col = nu.cols[a - 1]
         nums, den = _expand(
-            (((kj, 1),), 1) if j < a else _row(nu._memo, (a,), j, col[j - 1], kj, j == a)
+            (((kj, 1),), 1) if j < a else _row(nu._memo, (a,), nu.cols[a - 1], j, kj, j == a)
             for j, kj in enumerate(expts, start=1))
         if nums:
             d[a] = nums, den

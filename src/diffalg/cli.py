@@ -100,22 +100,25 @@ _VERDICT_LINE = {"Smooth": "SMOOTH", "NotSmooth": "NOT-SMOOTH",
 # Largest --degree-bound accepted.  By default the volume-form identities are
 # proved on module generators; an explicit bound samples them on every
 # coefficient monomial up to that degree, which grows steeply with the bound.
-# Measured 2026-10-18 on a 2-core x86-64 container (Python 3.11), at about half
-# of its full speed: the slower three-generator fixture, b1, verifies in about
-# 5.5 s at 12 and 27 s at 16; an A_I row with every g = 3/2 takes about 25 s
-# at 12.
+# Measured 2026-10-20 on a 2-core x86-64 container (Python 3.11), in process
+# (decide_smoothness and verify_witness), once every twist was expanded from
+# the family's integer rows: at 12 the slowest three-generator template row
+# takes 4.0 s, an A_I row with every g = 3/2 and x = (1/3, -1/3, 1) 3.9 s
+# (3.6-5.6 s as a whole `smooth` process, 14-18 s before) and b1 1.4 s; at 13
+# they take 6.0, 5.8 and 1.5 s.
 MAX_DEGREE_BOUND = 12
 
 # Largest --degree-bound accepted for n >= 4 generators: the sampled checks
 # also grow steeply with n.  Each cap is the largest bound at which the slowest
 # of the Smooth fixtures and one instantiated template row per theorem case
-# verified in under 10 s on the same container; one more doubles that time or
-# worse.  At n = 7 the bound 2 took about 5 s and 3 about 20 s (2026-10-18, as
-# above), so from n = 7 on only --degree-bound <= 2 is accepted.  Re-measured
-# once the automorphism and Leibniz checks became integer identities, at full
-# speed: at the caps 5.0 s (n = 4), 2.6 s (5), 2.2 s (6) and 1.1-1.4 s (7), and
-# one above them 11-15 s, 10-13 s, 10.4 s and 7.1 s.  The caps are kept, so
-# that every accepted command prints what it printed before.
+# verified in under 10 s on the same container; one more doubled that time or
+# worse.  At n = 7 the bound 2 took about 5 s and 3 about 20 s (2026-10-18, at
+# about half speed), so from n = 7 on only --degree-bound <= 2 is accepted.
+# Re-measured 2026-10-20 as above, the slowest of those at the caps: 1.4 s
+# (n = 4, p1; 2.7 s before the twists read integer rows), 1.5 s (5; 1.7-1.9 s),
+# 0.7 s (6; 0.7 s) and 0.6-0.8 s (7; 0.6-0.8 s); one above them 2.5 s, 3.5 s,
+# 2.3 s and 2.2 s.  The caps are kept, so that every accepted command prints
+# what it printed before.
 _DEGREE_BOUND_CAPS = {4: 7, 5: 5, 6: 3}
 
 
