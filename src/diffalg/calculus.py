@@ -130,9 +130,10 @@ class AffineAutomorphismFamily:
     read from: the ``Fraction`` table (``"table"``), the entries whose
     ``lam`` is zero (``"zero-lams"``, see :func:`_zero_lams`), the integer
     columns of each map composed of two or more generator maps (keyed by its
-    index tuple, see :func:`_columns`) and of the inverse volume twist
-    (``"omega-inverse"``), and one integer row per map, letter, exponent and
-    kind (keyed ``(map, j, k, summed)``, see :func:`_row`).  The
+    index tuple, see :func:`_columns`), and one integer row per map, letter,
+    exponent and kind (keyed ``(map, j, k, summed)``, see :func:`_row`; the
+    inverse volume twist's map is named ``"omega-inverse"``, and its columns
+    are inverted from the volume twist's on each call).  The
     differential or twist of a monomial is not kept: it is one tensor
     product of those rows (:func:`_expand`).  The memo takes no part in
     equality or hashing, and is freed with the family.  Two equal families
@@ -381,11 +382,6 @@ def _apply_to_terms(cols: tuple, terms: dict, memo: dict, key) -> dict:
     return {m: rational(v, den) for m, v in out.items() if v}
 
 
-def _twist_terms(terms: dict, key: tuple, nu: AffineAutomorphismFamily) -> dict:
-    """``terms`` under ``composed(key)``, from the family's rows."""
-    return _apply_to_terms(_columns(nu, key), terms, nu._memo, key)
-
-
 class AutomorphismReport(Record):
     __slots__ = _compared = _shown = (
         "relations_preserved", "pairwise_commute", "bijective", "failures")
@@ -518,7 +514,7 @@ def _monomial_d(expts: tuple, nu: AffineAutomorphismFamily) -> dict:
 
 
 def differential(p: Poly, nu: AffineAutomorphismFamily,
-                 P: AlgebraPresentation, ds: dict | None = None) -> "GradedForm":
+                 P: AlgebraPresentation) -> "GradedForm":
     """``d(p)`` as the linear sum of the differentials of its monomials.
 
     Each ``d_a`` is summed as integers over one denominator fixed before the
@@ -526,12 +522,9 @@ def differential(p: Poly, nu: AffineAutomorphismFamily,
     the rows' ``e`` powers at the largest exponents met (``e_aa^(k_a - 1)``
     and ``e_aj^(k_j)`` for ``j > a``) times the lcm of the coefficients'
     denominators, so that no partial sum is rescaled.  A ``Fraction`` is
-    built only for each term of the result.
-
-    A caller that meets one monomial many times passes ``ds``, a dict that
-    keeps each monomial's differential (:func:`_monomial_d`) for as long as
-    the caller holds it, as :func:`~diffalg.forms.check_d_squared` does for
-    one call; the family keeps none.
+    built only for each term of the result.  No monomial's differential
+    (:func:`_monomial_d`) is kept, by the family or for a caller: each call
+    reads it afresh from the family's rows.
     """
     n = P.n
     if not p.terms:
@@ -543,11 +536,7 @@ def differential(p: Poly, nu: AffineAutomorphismFamily,
             for a, col in enumerate(nu.cols, start=1) if tops[a - 1]}
     sums = {a: {} for a in dens}
     for expts, c in p.terms.items():
-        if ds is None:
-            d = _monomial_d(expts, nu)
-        elif (d := ds.get(expts)) is None:
-            d = ds[expts] = _monomial_d(expts, nu)
-        for a, (nums, e) in d.items():
+        for a, (nums, e) in _monomial_d(expts, nu).items():
             _add_over(sums[a], dens[a], c.numerator, nums, c.denominator * e, ())
     return GradedForm(n, 1, {
         (a,): Poly(n, {m: rational(v, dens[a]) for m, v in nums.items()})

@@ -278,9 +278,6 @@ def _iadd(dst: dict, src: dict, factor) -> None:
     """dst += factor * src, dropping cancellations; a factor of 1 multiplies nothing."""
     if factor != 1:
         src = {m: factor * c for m, c in src.items()}
-    if not dst:
-        dst.update(src)
-        return
     for m, c in src.items():
         v = dst.get(m)
         if v is None:
@@ -522,16 +519,12 @@ def _product(ctx: _Context, p: tuple, q: tuple) -> tuple:
 
 
 def _nf_word(ctx: _Context, word: Word) -> tuple:
-    """Normal form of one word, as a new packed integer form (nums, den).
+    """Normal form of one word, as a new packed integer form (nums, den): the
+    fold of the whole word, letter by letter, from 1 (the packed monomial 0).
 
     The caller has fitted ``ctx`` to the word's degree.
     """
-    # the fold starts after the longest non-increasing prefix, which is normal
-    k = 1
-    while k < len(word) and word[k - 1] >= word[k]:
-        k += 1
-    units = ctx.units
-    return _fold(ctx, {sum(units[a - 1] for a in word[:k]): 1}, 1, word[k:])
+    return _fold(ctx, {0: 1}, 1, word)
 
 
 def _fold_combination(ctx: _Context, w) -> tuple:

@@ -4,19 +4,21 @@ A form ``dD_J * p`` (:class:`~diffalg.calculus.GradedForm`) is moved past
 another by the family's generator maps: :func:`wedge` transports the left
 coefficient through the right basis set and sorts the two sets with the
 sign-and-scale factor of :func:`_merge_twist`, and :func:`form_differential`
-extends d to every degree.  The volume twist ``nu_omega``, its inverse and
-the dual bases give the sampled integrating-form identities
-(:func:`check_integrating_form`), and :func:`check_d_squared` samples
-d∘d = 0.  :func:`apply_automorphism` extends one generator map
-multiplicatively, and :func:`partial_derivative` reads one coefficient of d.
+extends d to every degree as a signed sum of wedges.  The volume twist
+``nu_omega``, its inverse and the dual bases give the sampled
+integrating-form identities (:func:`check_integrating_form`), and
+:func:`check_d_squared` samples d∘d = 0.  :func:`apply_automorphism`
+extends one generator map multiplicatively, and :func:`partial_derivative`
+reads one coefficient of d.
 
 Every twist here, of one map, of a composed run of the family's maps (the
 transport inside :func:`wedge`, :func:`nu_omega`) or of the inverse volume
 twist, is expanded by ``calculus._apply_to_terms`` from the map's integer
 columns and the family's memoized integer rows, the ones ``d`` reads; a
-``Fraction`` is built only for each term of its result.  The products
-(:func:`wedge`, ``engine.multiply``) and the merge factors still work on
-``Fraction`` coefficients.
+``Fraction`` is built only for each term of its result.  A merge factor is
+multiplied from the integer columns into one ``Fraction``, and the products
+(:func:`wedge`, ``engine.multiply``) still work on ``Fraction``
+coefficients.
 
 This is the cross-check of the closed-form certificates of
 :mod:`diffalg.calculus`, which decide d∘d = 0 and the volume-form identities
@@ -38,7 +40,7 @@ from itertools import combinations
 from .calculus import (
     AffineAutomorphismFamily, CalculusError, GradedForm, _apply_to_terms,
     _column, _columns, _columns_of, _require_regular_volume_twist, _sample,
-    _twist_terms, differential,
+    differential,
 )
 from .engine import Poly, _iadd, multiply
 from .presentation import AlgebraPresentation
@@ -55,13 +57,14 @@ def scalar_form(n: int, p: Poly) -> GradedForm:
 
 
 def _merge_twist(left, right, nu: AffineAutomorphismFamily):
-    """Sign-and-scale factor for sorting ``dD_left dD_right`` into one set."""
-    factor = rational(1)
-    for j in left:
-        for u in right:
-            if u < j:
-                factor = factor * (-nu.lam(u, j))
-    return factor
+    """Sign-and-scale factor for sorting ``dD_left dD_right`` into one set:
+    the product of ``-lam_uj = -L / e`` over ``u`` in ``right`` and ``j > u``
+    in ``left``, multiplied from the integer columns into one ``Fraction``."""
+    num = den = 1
+    for L, _, e in (nu.cols[u - 1][j - 1] for j in left for u in right if u < j):
+        num *= -L
+        den *= e
+    return rational(num, den)
 
 
 def apply_automorphism(nu_map: dict, p: Poly, P: AlgebraPresentation) -> Poly:
@@ -72,10 +75,13 @@ def apply_automorphism(nu_map: dict, p: Poly, P: AlgebraPresentation) -> Poly:
 
 def _transport(p: Poly, indices, nu: AffineAutomorphismFamily,
                P: AlgebraPresentation) -> Poly:
-    """Apply ``nu_k`` for ``k`` in ``indices``, left to right, as one composed map."""
+    """Apply ``nu_k`` for ``k`` in ``indices``, left to right, as one composed
+    map, from its integer columns and the family's rows (kept under the
+    index tuple)."""
     if not indices:
         return p
-    return Poly(P.n, _twist_terms(p.terms, tuple(indices), nu))
+    key = tuple(indices)
+    return Poly(P.n, _apply_to_terms(_columns(nu, key), p.terms, nu._memo, key))
 
 
 def wedge(xi: GradedForm, eta: GradedForm, nu: AffineAutomorphismFamily,
@@ -101,27 +107,16 @@ def partial_derivative(a: int, p: Poly, nu: AffineAutomorphismFamily,
 
 
 def form_differential(xi: GradedForm, nu: AffineAutomorphismFamily,
-                      P: AlgebraPresentation, ds: dict | None = None) -> GradedForm:
-    """Extend d to higher forms: ``d(dD_J p) = (-1)^{|J|} dD_J ^ d(p)``.
-
-    The head ``dD_J * 1`` passes through ``d(p) = sum_b dD_b * d_b(p)``
-    untwisted (every twist fixes 1), so the wedge reduces to
-    ``(-1)^{|J|} sum_b merge(J, b) dD_{J u b} * d_b(p)`` over ``b`` not in
-    ``J``, with the sign-and-scale factor of :func:`_merge_twist`.  ``ds``
-    is passed to :func:`~diffalg.calculus.differential`.
-    """
+                      P: AlgebraPresentation) -> GradedForm:
+    """Extend d to higher forms: ``d(dD_J p) = (-1)^{|J|} dD_J ^ d(p)``,
+    summed over ``xi`` as ``(-1)^{|J|}`` :func:`wedge` of the head
+    ``dD_J * 1`` with :func:`~diffalg.calculus.differential` of ``p_J``."""
     sign = -1 if xi.degree % 2 else 1
-    out: dict = {}
+    out = GradedForm.zero(xi.n, xi.degree + 1)
     for J, p in xi.coeffs.items():
-        for (b,), q in differential(p, nu, P, ds).coeffs.items():
-            if b in J:
-                continue
-            factor = _merge_twist(J, (b,), nu)
-            if factor != 0:
-                _iadd(out.setdefault(tuple(sorted(J + (b,))), {}), q.terms,
-                      sign * factor)
-    return GradedForm(xi.n, xi.degree + 1,
-                      {K: Poly(xi.n, terms) for K, terms in out.items()})
+        head = basis_form(xi.n, J, Poly.one(xi.n))
+        out = out + wedge(head, differential(p, nu, P), nu, P).scale(sign)
+    return out
 
 
 def left_multiply(p: Poly, xi: GradedForm, nu: AffineAutomorphismFamily,
@@ -146,18 +141,6 @@ def pi_omega(tau: GradedForm) -> Poly:
     return tau.coeffs.get(full, Poly.zero(tau.n))
 
 
-def _omega_inverse_columns(nu: AffineAutomorphismFamily) -> tuple:
-    """Integer columns of the inverse of the volume twist ``nu_n o ... o nu_1``:
-    ``D_j -> (L D_j + M) / e`` inverts to ``(e D_j - M) / L``.  Stored only
-    once every generator inverts."""
-    cols = nu._memo.get("omega-inverse")
-    if cols is None:
-        _require_regular_volume_twist(nu)
-        cols = nu._memo["omega-inverse"] = tuple(
-            _column(e, -M, L) for L, M, e in _columns(nu, tuple(range(1, nu.n + 1))))
-    return cols
-
-
 def nu_omega(p: Poly, nu: AffineAutomorphismFamily,
              P: AlgebraPresentation) -> Poly:
     """The volume twist ``nu_n o ... o nu_1``, applied as one composed map."""
@@ -166,8 +149,15 @@ def nu_omega(p: Poly, nu: AffineAutomorphismFamily,
 
 def nu_omega_inverse(p: Poly, nu: AffineAutomorphismFamily,
                      P: AlgebraPresentation) -> Poly:
-    return Poly(P.n, _apply_to_terms(_omega_inverse_columns(nu), p.terms,
-                                     nu._memo, "omega-inverse"))
+    """The inverse of the volume twist, from its integer columns:
+    ``D_j -> (L D_j + M) / e`` inverts to ``(e D_j - M) / L``, read off the
+    composed columns on each call.  Its rows are kept under
+    ``"omega-inverse"``.  Raises :class:`CalculusError` when some generator
+    does not invert."""
+    _require_regular_volume_twist(nu)
+    full = _columns(nu, tuple(range(1, nu.n + 1)))
+    cols = tuple(_column(e, -M, L) for L, M, e in full)
+    return Poly(P.n, _apply_to_terms(cols, p.terms, nu._memo, "omega-inverse"))
 
 
 def _dual_bases(k: int, nu: AffineAutomorphismFamily, n: int):
@@ -250,14 +240,12 @@ def check_d_squared(P: AlgebraPresentation, nu: AffineAutomorphismFamily,
     """d applied twice kills every monomial of bounded degree.
 
     :func:`certify_d_squared` proves it in every degree where its premise
-    holds.  The second d meets each monomial of low degree many times, so
-    the differential of each monomial is kept for this call (``ds``).
-    Raises ``ValueError`` on a negative bound (see
+    holds.  Each monomial's first and second d are made afresh; nothing is
+    kept between them.  Raises ``ValueError`` on a negative bound (see
     :func:`~diffalg.calculus._sample`).
     """
-    ds = {}
     for expts in _sample(P.n, degree_bound):
-        first = differential(Poly.monomial(P.n, expts), nu, P, ds)
-        if not form_differential(first, nu, P, ds).is_zero():
+        first = differential(Poly.monomial(P.n, expts), nu, P)
+        if not form_differential(first, nu, P).is_zero():
             return False
     return True

@@ -7,13 +7,13 @@ fixtures, so the two implementations stay comparable line by line.
 
 import re
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 from pathlib import Path
 
 import pytest
 
 from diffalg.calculus import (AutomorphismReport, GradedForm, _monomials,
-                              _twist_terms, apply_automorphism, basis_form,
+                              apply_automorphism, basis_form,
                               check_connectedness, check_d_squared,
                               check_integrating_form, differential,
                               left_multiply, nu_omega_inverse, pi_omega,
@@ -142,30 +142,6 @@ def relation_combination(P, u, v):
     return comb
 
 
-def d_combination(comb, nu, P):
-    """The positional differential of a combination of words of at most two
-    letters, as ``{a: Poly}`` with zero entries dropped.
-
-    Each term ``nu_l(prefix) * suffix`` is built directly, as the monomials of
-    ``nu_l(prefix)`` with the suffix exponents added, which is exact on such a
-    word: at every position the prefix or the suffix is empty.  The oracle
-    for ``calculus.no_go_residual`` and ``leibniz_defects``, which read the
-    same coefficients off in closed form.
-    """
-    n = P.n
-    out = {}
-    for word, c in comb.items():
-        prefix, suffix = [0] * n, list(word_exponents(word, n))
-        for letter in word:
-            suffix[letter - 1] -= 1
-            image = _twist_terms({tuple(prefix): c}, (letter,), nu)
-            dst = out.setdefault(letter, {})
-            for e, v in image.items():
-                _add_term(dst, tuple(a + b for a, b in zip(e, suffix)), v)
-            prefix[letter - 1] += 1
-    return {a: Poly(n, terms) for a, terms in out.items() if terms}
-
-
 def positional_differential(p, nu, P):
     """``{a: coefficient of dD_a}`` of d(p), over the decreasing word of every
     monomial of ``p`` (see :func:`free_word_differential`)."""
@@ -176,17 +152,25 @@ def positional_differential(p, nu, P):
     return free_word_differential(comb, nu, P)
 
 
-def wedge_form_differential(xi, nu, P, ds=None):
-    """``d(dD_J p) = (-1)^{|J|} dD_J ^ d(p)`` summed over ``xi``, each term
-    through ``calculus.wedge`` with the head ``dD_J * 1``.  ``ds`` is taken,
-    as ``forms.form_differential`` takes it, and not used: each d is made
-    afresh."""
+def sorted_form_differential(xi, nu, P):
+    """``d(dD_J p) = (-1)^{|J|} dD_J ^ d(p)`` summed over ``xi``, with no
+    wedge.  The head ``dD_J * 1`` passes through ``d(p) = sum_b dD_b * d_b(p)``
+    untwisted (every twist fixes 1), so each term is ``dD_J dD_b * d_b(p)``
+    for ``b`` not in ``J``, sorted into ``dD_{J u b}`` by ``merge(J, b)``:
+    the product of ``-lam_bj`` over ``j`` in ``J`` above ``b``, read off
+    ``nu.lam``.  The reference for ``forms.form_differential``, which sums
+    ``calculus.wedge`` products."""
     sign = -1 if xi.degree % 2 else 1
-    out = GradedForm.zero(xi.n, xi.degree + 1)
+    out = {}
     for J, p in xi.coeffs.items():
-        head = GradedForm(xi.n, xi.degree, {J: Poly.one(xi.n)})
-        out = out + wedge(head, differential(p, nu, P), nu, P).scale(sign)
-    return out
+        for (b,), q in differential(p, nu, P).coeffs.items():
+            if b in J:
+                continue
+            factor = sign * prod((-nu.lam(b, j) for j in J if b < j), start=ONE)
+            if factor != 0:
+                _iadd(out.setdefault(tuple(sorted(J + (b,))), {}), q.terms, factor)
+    return GradedForm(xi.n, xi.degree + 1,
+                      {K: Poly(xi.n, terms) for K, terms in out.items()})
 
 
 def full_sum_integrating_form(P, nu, k, degree_bound=3, which="both"):
@@ -322,14 +306,14 @@ def normal_form_automorphisms(nu, P):
 
 def d_combination_leibniz_defects(P, nu):
     """``calculus.leibniz_defects`` from the positional differential of each
-    pair relation, :func:`d_combination`, as polynomials."""
+    pair relation, :func:`free_word_differential`, as polynomials."""
     return tuple((u, v) for u, v in combinations(range(1, P.n + 1), 2)
-                 if d_combination(relation_combination(P, u, v), nu, P))
+                 if free_word_differential(relation_combination(P, u, v), nu, P))
 
 
 def sampled_check_list(P, nu, degree_bound=None):
     """The check list of ``smoothness.verify_witness`` with no certificate:
-    relation images letter by letter, leibniz by :func:`d_combination`,
+    relation images letter by letter, leibniz by :func:`free_word_differential`,
     ``d-squared-zero`` on every monomial of degree <= 4, connectedness on
     every monomial of degree <= 5, and the volume-form identities at expand
     degree 0 and project degree 1, or both at ``degree_bound``."""

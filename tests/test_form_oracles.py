@@ -1,11 +1,13 @@
-"""``form_differential`` and the volume-form checks against their full forms.
+"""``form_differential`` and the volume-form checks against independent forms.
 
-``forms.form_differential`` sorts ``dD_J * 1`` past each ``dD_b`` without
-a wedge, and ``check_integrating_form`` pairs each ``dD_K`` only with the one
-basis set of each expansion that misses ``K``.  The references in
-``conftest.py`` are the wedge-based form differential and the expansion
-summed over every basis set; ``verify_witness`` must report the same check
-list with them as without, on good witnesses and on the planted wrong ones.
+``forms.form_differential`` is the signed sum of ``wedge``s of each head
+``dD_J * 1`` with ``d(p_J)``, and ``check_integrating_form`` pairs each
+``dD_K`` only with the one basis set of each expansion that misses ``K``.
+The references in ``conftest.py`` are a form differential that sorts
+``dD_J`` past each ``dD_b`` by its merge factor, with no wedge, and the
+expansion summed over every basis set; ``verify_witness`` must report the
+same check list with them as without, on good witnesses and on the planted
+wrong ones.
 """
 
 import random
@@ -24,7 +26,7 @@ from diffalg.smoothness import (SmoothnessVerdict, decide_smoothness,
                                 verify_witness)
 
 from conftest import (FIXTURES, full_sum_integrating_form,
-                      wedge_form_differential)
+                      sorted_form_differential)
 from test_differential_cache import random_table, singular_affine_table
 from test_generators import SMOOTH_ROWS
 from test_twist import WRONG_WITNESSES, fixture, perturb
@@ -46,7 +48,7 @@ def random_form(n, degree, rng):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_form_differential_matches_wedge_reference(n):
+def test_form_differential_matches_sorted_reference(n):
     rng = random.Random(f"forms:{n}")
     nonzero = 0
     for _ in range(6):
@@ -56,7 +58,7 @@ def test_form_differential_matches_wedge_reference(n):
             for degree in range(n):
                 xi = random_form(n, degree, rng)
                 got = form_differential(xi, nu, P)
-                assert got == wedge_form_differential(xi, nu, P), (xi, nu)
+                assert got == sorted_form_differential(xi, nu, P), (xi, nu)
                 nonzero += not got.is_zero()
     assert nonzero > 0
 
@@ -67,7 +69,7 @@ def test_form_differential_matches_wedge_reference(n):
 def full_sums(monkeypatch):
     """Run verify_witness with the reference form differential and integral checks."""
     def install():
-        monkeypatch.setattr(forms, "form_differential", wedge_form_differential)
+        monkeypatch.setattr(forms, "form_differential", sorted_form_differential)
         monkeypatch.setattr(calculus, "check_integrating_form",
                             full_sum_integrating_form)
     return install

@@ -226,16 +226,18 @@ def test_a_default_verify_composes_no_map(b1):
 
 
 def test_a_sampled_run_keeps_its_fraction_budget(monkeypatch, capsys):
-    """``smooth --degree-bound 3`` on p1, by module.  The twists build one
-    ``Fraction`` per term of each result (``calculus``, with ``lam`` for the
-    merge factors); the wedge's merge factors (``forms``) and the products
-    (``engine``) are the rest.  Before the twists read the family's integer
-    rows, ``calculus`` built 13,257 here and ``forms`` 4,794."""
+    """``smooth --degree-bound 3`` on p1, by module.  The twists and ``d``
+    build one ``Fraction`` per term of each result (``calculus``); a merge
+    factor is one ``Fraction`` from the integer columns (``forms``), and the
+    products (``engine``) are the rest.  Before the twists read the family's
+    integer rows, ``calculus`` built 13,257 here and ``forms`` 4,794; before
+    the merge factors read the columns, 6,271 and 4,782 (one ``lam`` and one
+    product per pair)."""
     made = count_fractions(monkeypatch, lambda: main(
         ["smooth", str(FIXTURES / "p1.dalg"), "--degree-bound", "3"]))
     assert "verdict: SMOOTH" in capsys.readouterr().out
-    assert made == {"diffalg.calculus": 6271, "diffalg.engine": 6660,
-                    "diffalg.forms": 4782}
+    assert made == {"diffalg.calculus": 4495, "diffalg.engine": 6660,
+                    "diffalg.forms": 1230}
 
 
 def test_a_twist_builds_one_fraction_per_term(monkeypatch, b1):

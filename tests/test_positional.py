@@ -1,11 +1,12 @@
-"""The direct positional differential against its free-word reference.
+"""The closed-form readings of d on pair relations against the free-word
+reference.
 
-``conftest.d_combination`` adds exponents instead of multiplying, which is
-exact on PBW monomials and on words of at most two letters.  Here it is
+``calculus.leibniz_defects`` and ``calculus.no_go_residual`` read the
+differential of each pair relation off the family's scalars.  Here they are
 compared with ``conftest.free_word_differential``, which multiplies every
-term out, on every pair relation and every word of length at most 2, over
-seeded random tables (confluent or not) and random affine families, some of
-whose twists send a generator to a constant.
+term of the positional sum out, over seeded random tables (confluent or not)
+and random affine families, some of whose twists send a generator to a
+constant.
 """
 
 import random
@@ -16,8 +17,7 @@ from diffalg.calculus import (AffineAutomorphismFamily, leibniz_defects,
 from diffalg.engine import Poly, is_pbw
 from diffalg.scalars import rational
 
-from conftest import (build, d_combination, free_word_differential,
-                      relation_combination)
+from conftest import build, free_word_differential, relation_combination
 
 TABLES = 240
 
@@ -47,32 +47,19 @@ def test_direct_differential_matches_free_word_reference():
     rng = random.Random("positional:d")
     kinds = set()
     zero_twists = 0
-    checked = 0
     for _ in range(TABLES):
         P = random_table(rng)
         nu = random_family(P.n, rng)
         kinds.add(is_pbw(P).pbw)
         zero_twists += sum(lam == 0 for row in nu.table for lam, _ in row)
         letters = range(1, P.n + 1)
-        words = [()] + [(a,) for a in letters] + list(product(letters, repeat=2))
-        combs = [{word: rational(rng.choice((1, -2, rational(3, 4))))}
-                 for word in words]
-        relations = {(u, v): relation_combination(P, u, v)
+        relations = {(u, v): free_word_differential(relation_combination(P, u, v), nu, P)
                      for u, v in combinations(letters, 2)}
-        for comb in combs + list(relations.values()):
-            assert d_combination(comb, nu, P) == \
-                free_word_differential(comb, nu, P), (P, nu, comb)
-            checked += 1
-
-        expected = tuple(pair for pair, comb in relations.items()
-                         if free_word_differential(comb, nu, P))
+        expected = tuple(pair for pair, d in relations.items() if d)
         assert leibniz_defects(P, nu) == expected, (P, nu)
         for i, t in product(letters, repeat=2):
             if i != t:
-                comb = relations[(min(i, t), max(i, t))]
-                reference = free_word_differential(comb, nu, P).get(
-                    i, Poly.zero(P.n))
+                reference = relations[(min(i, t), max(i, t))].get(i, Poly.zero(P.n))
                 assert no_go_residual(P, i, t, nu) == reference, (P, nu, i, t)
     assert kinds == {True, False}
     assert zero_twists > 0
-    assert checked > 5000
